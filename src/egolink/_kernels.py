@@ -1,201 +1,54 @@
 """Sorted-array set kernels behind the scoring and analysis loops.
 
-Every kernel ships in two flavors: a numba ``@njit`` merge loop and a
-numpy fallback. The ``EGOLINK_JIT`` environment variable picks the path:
-
-* ``auto`` (default): numba when importable, numpy otherwise
-* ``0`` / ``off`` / ``numpy``: force the numpy fallback
-* ``1`` / ``on`` / ``numba``: require numba, fail at import if missing
-
 All array arguments are sorted, duplicate-free int64 arrays (CSR rows);
-``terms`` matrices are float64 and row-aligned with ``base``.
+``terms`` matrices are float64 and row-aligned with ``base``. The row
+kernels gather every requested CSR row in one pass, look the gathered
+values up in ``base`` with one ``searchsorted``, and reduce per row with
+``bincount``, which adds each row's matches in ascending order.
 """
-
-import os
 
 import numpy as np
 
 
-def _jit_requested():
-    raw = os.environ.get("EGOLINK_JIT", "auto").strip().lower()
-    if raw in ("0", "off", "false", "no", "numpy"):
-        return False
-    if raw in ("1", "on", "true", "yes", "numba"):
-        return True
-    return None
-
-
-_REQUESTED = _jit_requested()
-if _REQUESTED is False:
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        if _REQUESTED is True:
-            raise
-        _numba = None
-
-JIT_ENABLED = _numba is not None
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback path
-
-
-def _match_positions(base, row):
-    """Positions in ``base`` of the values it shares with ``row``."""
-    if base.size == 0 or row.size == 0:
-        return np.empty(0, dtype=np.int64)
-    pos = np.searchsorted(base, row)
+def _match_positions(base, values):
+    """Mask of the ``values`` present in ``base``, and their positions there."""
+    if base.size == 0:
+        return np.zeros(values.size, dtype=bool), np.zeros(values.size, dtype=np.int64)
+    pos = np.searchsorted(base, values)
     pos[pos == base.size] = base.size - 1
-    return pos[base[pos] == row]
+    return base[pos] == values, pos
 
 
-def _intersect_size_np(a, b):
-    return int(_match_positions(a, b).size)
+def intersect_values(a, b):
+    """Sorted values shared by ``a`` and ``b``."""
+    hit, pos = _match_positions(a, b)
+    return a[pos[hit]]
 
 
-def _intersect_values_np(a, b):
-    return a[_match_positions(a, b)]
+def _row_matches(indptr, indices, base, rows):
+    """Slot in ``rows`` and position in ``base`` of every value of the
+    gathered rows that is also in ``base``, row by row in ascending order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    slot = np.repeat(np.arange(rows.size), lengths)
+    # offset of each gathered entry within its row
+    offset = np.arange(slot.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    hit, pos = _match_positions(base, indices[starts[slot] + offset])
+    return slot[hit], pos[hit]
 
 
-def _row_intersect_sizes_np(indptr, indices, base, targets):
-    out = np.zeros(targets.size, dtype=np.int64)
-    for i in range(targets.size):
-        t = targets[i]
-        out[i] = _match_positions(base, indices[indptr[t]:indptr[t + 1]]).size
-    return out
+def row_intersect_sizes(indptr, indices, base, targets):
+    """``|row(t) ∩ base|`` for each target ``t``."""
+    slot, _ = _row_matches(indptr, indices, base, targets)
+    return np.bincount(slot, minlength=targets.size).astype(np.int64)
 
 
-def _accumulate_common_terms_np(base, terms, indptr, indices, cands):
+def accumulate_common_terms(base, terms, indptr, indices, cands):
+    """Per candidate ``v``: the column sums of ``terms`` over the rows of
+    ``row(v) ∩ base``, and the size of that intersection."""
+    slot, pos = _row_matches(indptr, indices, base, cands)
     sums = np.zeros((cands.size, terms.shape[1]), dtype=np.float64)
-    counts = np.zeros(cands.size, dtype=np.int64)
-    for i in range(cands.size):
-        v = cands[i]
-        pos = _match_positions(base, indices[indptr[v]:indptr[v + 1]])
-        counts[i] = pos.size
-        if pos.size:
-            sums[i, :] = terms[pos, :].sum(axis=0)
+    for k in range(terms.shape[1]):
+        sums[:, k] = np.bincount(slot, weights=terms[pos, k], minlength=cands.size)
+    counts = np.bincount(slot, minlength=cands.size).astype(np.int64)
     return sums, counts
-
-
-# ---------------------------------------------------------------------------
-# numba loop path (plain functions, jitted below when enabled)
-
-
-def _intersect_size_loop(a, b):
-    i = 0
-    j = 0
-    n = 0
-    while i < a.size and j < b.size:
-        x = a[i]
-        y = b[j]
-        if x == y:
-            n += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return n
-
-
-def _intersect_values_loop(a, b):
-    out = np.empty(min(a.size, b.size), dtype=np.int64)
-    i = 0
-    j = 0
-    n = 0
-    while i < a.size and j < b.size:
-        x = a[i]
-        y = b[j]
-        if x == y:
-            out[n] = x
-            n += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out[:n]
-
-
-def _row_intersect_sizes_loop(indptr, indices, base, targets):
-    out = np.zeros(targets.size, dtype=np.int64)
-    for t in range(targets.size):
-        row = targets[t]
-        i = 0
-        j = indptr[row]
-        end = indptr[row + 1]
-        n = 0
-        while i < base.size and j < end:
-            x = base[i]
-            y = indices[j]
-            if x == y:
-                n += 1
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-        out[t] = n
-    return out
-
-
-def _accumulate_common_terms_loop(base, terms, indptr, indices, cands):
-    m = terms.shape[1]
-    sums = np.zeros((cands.size, m), dtype=np.float64)
-    counts = np.zeros(cands.size, dtype=np.int64)
-    for c in range(cands.size):
-        v = cands[c]
-        i = 0
-        j = indptr[v]
-        end = indptr[v + 1]
-        while i < base.size and j < end:
-            x = base[i]
-            y = indices[j]
-            if x == y:
-                counts[c] += 1
-                for k in range(m):
-                    sums[c, k] += terms[i, k]
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-    return sums, counts
-
-
-if JIT_ENABLED:
-    _njit = _numba.njit(cache=True)
-    _intersect_size_jit = _njit(_intersect_size_loop)
-    _intersect_values_jit = _njit(_intersect_values_loop)
-    _row_intersect_sizes_jit = _njit(_row_intersect_sizes_loop)
-    _accumulate_common_terms_jit = _njit(_accumulate_common_terms_loop)
-
-    intersect_size = _intersect_size_jit
-    intersect_values = _intersect_values_jit
-    row_intersect_sizes = _row_intersect_sizes_jit
-    accumulate_common_terms = _accumulate_common_terms_jit
-else:
-    intersect_size = _intersect_size_np
-    intersect_values = _intersect_values_np
-    row_intersect_sizes = _row_intersect_sizes_np
-    accumulate_common_terms = _accumulate_common_terms_np
-
-
-#: name -> (numpy implementation, jitted implementation or None);
-#: used by the dual-path tests and the benchmark script.
-IMPLEMENTATION_PAIRS = {
-    "intersect_size": (_intersect_size_np, _intersect_size_jit if JIT_ENABLED else None),
-    "intersect_values": (_intersect_values_np, _intersect_values_jit if JIT_ENABLED else None),
-    "row_intersect_sizes": (_row_intersect_sizes_np, _row_intersect_sizes_jit if JIT_ENABLED else None),
-    "accumulate_common_terms": (
-        _accumulate_common_terms_np,
-        _accumulate_common_terms_jit if JIT_ENABLED else None,
-    ),
-}

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from ._kernels import JIT_ENABLED
 from ._util import fmt_float, write_table
 from .degree_dist import (
     KIND_GLOBAL,
@@ -38,7 +37,7 @@ from .degree_dist import (
     log_binned_histogram,
     personalized_degree_samples,
 )
-from .ego import ALL_MODES, MODE_UNDIRECTED, ego_view, validate_mode
+from .ego import ALL_MODES, MODE_UNDIRECTED, ego_view, sample_egos, validate_mode
 from .empirical import EMPIRICAL_HEADER, aggregate_empirical, empirical_table
 from .errors import (
     ConfigError,
@@ -401,7 +400,6 @@ def _write_manifest(cfg, command, outputs, started, extra=None):
         "versions": {
             "egolink": __version__,
             "numpy": np.__version__,
-            "jit_enabled": JIT_ENABLED,
         },
         "wall_time_s": round(_time.monotonic() - started, 3),
         "outputs": [os.path.basename(path) for path in outputs],
@@ -467,7 +465,9 @@ def _cmd_degree_dist(cfg, started):
 def _cmd_empirical(cfg, started):
     edges = _load_edges(cfg)
     series = _build_series(cfg, edges)
-    egos = _sample_egos(cfg, series)
+    egos = None
+    if cfg.sample_size is not None:
+        egos = sample_egos(series, cfg.sample_size, cfg.seed)
     stats = aggregate_empirical(
         series,
         egos=egos,
@@ -479,20 +479,6 @@ def _cmd_empirical(cfg, started):
                        empirical_table(stats))
     _write_manifest(cfg, "empirical", [path], started, extra=stats.diagnostics)
     print(f"empirical stats over {stats.diagnostics['n_egos_contributing']} egos -> {path}")
-
-
-def _sample_egos(cfg, series):
-    """Seeded ego sample shared by the empirical and stand-alone stages."""
-    if cfg.sample_size is None:
-        return None
-    first = series[0]
-    eligible = np.flatnonzero(first.sym_degree > 0)
-    if eligible.size == 0:
-        raise EmptyInputError("no nodes with neighbors in the first snapshot")
-    if cfg.sample_size >= eligible.size:
-        return eligible
-    rng = np.random.default_rng(cfg.seed)
-    return np.sort(rng.choice(eligible, size=cfg.sample_size, replace=False))
 
 
 def _cmd_recommend(cfg, started):

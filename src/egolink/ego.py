@@ -22,7 +22,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, EmptyInputError, PreconditionError
 
 MODE_UNDIRECTED = "undirected"
 MODE_IN = "in"
@@ -45,6 +45,18 @@ def validate_mode(mode, directed):
 def ego_neighbors(graph, u):
     """The ego's own neighborhood: successors if directed."""
     return graph.successors(u)
+
+
+def sample_egos(series, sample_size=None, seed=0):
+    """Sorted, seeded sample of the nodes with neighbors in the first
+    snapshot; all of them when ``sample_size`` is None or covers them."""
+    eligible = np.flatnonzero(series[0].sym_degree > 0).astype(np.int64)
+    if eligible.size == 0:
+        raise EmptyInputError("first snapshot has no connected nodes to sample egos from")
+    if sample_size is None or int(sample_size) >= eligible.size:
+        return eligible
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(eligible, size=int(sample_size), replace=False))
 
 
 def two_hop_candidates(graph, u):

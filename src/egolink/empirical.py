@@ -283,10 +283,10 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
 
     # per (triad, mode, group, kind): per-ego means in ascending ego order
     collected = {}
-    contributing = {}
+    contributing = 0  # egos with at least one usable cell
     for ego, per_key in results:
+        contributing += bool(per_key)
         for key, (n_usable, per_mode) in per_key.items():
-            contributing[key] = contributing.get(key, 0) + 1
             for m, vals in per_mode.items():
                 for (group, kind), v in vals.items():
                     collected.setdefault((key, m, group, kind), []).append(v)
@@ -314,7 +314,7 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
                     )
     diagnostics = {
         "n_egos_requested": int(egos.size),
-        "n_egos_contributing": max(contributing.values()) if contributing else 0,
+        "n_egos_contributing": contributing,
         "n_transitions": len(series) - 1,
     }
     if not rows:

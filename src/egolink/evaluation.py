@@ -16,8 +16,8 @@ import numpy as np
 
 from ._parallel import map_in_order
 from ._util import mean_and_stderr, write_csv
-from .ego import MODE_UNDIRECTED, ego_neighbors, ego_view, validate_mode
-from .errors import ConfigError, EmptyInputError, EmptyResultError, PreconditionError
+from .ego import MODE_UNDIRECTED, ego_neighbors, ego_view, sample_egos, validate_mode
+from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import (
     ALL_METHODS,
     METHOD_CN,
@@ -122,11 +122,15 @@ def method_mode_pairs(methods, modes):
 def _cell_worker(payload, ego):
     series, pairs, ks, cutoff, min_cand, require_formation, log_base = payload
     max_k = max(ks)
-    modes = []
-    for m, mode in pairs:
-        if mode != MODE_NONE and mode not in modes:
-            modes.append(mode)
-    want_cn = any(m == METHOD_CN for m, _ in pairs)
+    # one scoring pass per degree mode; the mode-free cn column rides on
+    # the first mode's table, or is scored alone when it is the only method
+    modes = list(dict.fromkeys(mode for _, mode in pairs if mode != MODE_NONE))
+    modes = modes or [MODE_UNDIRECTED]
+    wanted = {
+        mode: tuple(m for m, md in pairs
+                    if md == mode or (md == MODE_NONE and mode == modes[0]))
+        for mode in modes
+    }
 
     cell_values = {pair: {k: [] for k in ks} for pair in pairs}
     n_cells = 0
@@ -143,20 +147,14 @@ def _cell_worker(payload, ego):
             continue
         n_cells += 1
 
-        tables = {}
-        for mode in modes:
-            wanted = tuple(m for m, md in pairs if md == mode)
-            tables[mode] = score_candidates(
-                g, ego, methods=wanted, mode=mode, log_base=log_base, view=view
+        tables = {
+            mode: score_candidates(
+                g, ego, methods=wanted[mode], mode=mode, log_base=log_base, view=view
             )
-        if want_cn:
-            cn_mode = modes[0] if modes else MODE_UNDIRECTED
-            cn_table = score_candidates(
-                g, ego, methods=(METHOD_CN,), mode=cn_mode, view=view
-            )
+            for mode in modes
+        }
         for m, mode in pairs:
-            table = cn_table if mode == MODE_NONE else tables[mode]
-            ranked = rank_candidates(table, m)
+            ranked = rank_candidates(tables[modes[0] if mode == MODE_NONE else mode], m)
             for k in ks:
                 cell_values[(m, mode)][k].append(precision_at_k(ranked, formed, k))
 
@@ -186,16 +184,7 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
         validate_mode(m, series.directed)
     pairs = method_mode_pairs(methods, modes)
 
-    first = series[0]
-    eligible = np.flatnonzero(first.sym_degree > 0).astype(np.int64)
-    if eligible.size == 0:
-        raise EmptyInputError("first snapshot has no connected nodes to sample egos from")
-    if sample_size is None or int(sample_size) >= eligible.size:
-        egos = eligible
-    else:
-        rng = np.random.default_rng(seed)
-        egos = np.sort(rng.choice(eligible, size=int(sample_size), replace=False))
-
+    egos = sample_egos(series, sample_size, seed)
     payload = (series, pairs, ks, int(cutoff), int(min_candidates),
                bool(require_formation), log_base)
     results = map_in_order(_cell_worker, [int(u) for u in egos], payload, workers=workers)

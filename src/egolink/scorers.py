@@ -72,7 +72,8 @@ def _aa_terms(pd, gd, mode):
 
 def _pd_cn_terms(pd, gd, mode):
     terms = np.log(pd.astype(np.float64) + 2.0)
-    assert terms.size == 0 or terms.min() > 0.0
+    if terms.size and not terms.min() > 0.0:
+        raise PreconditionError("pd-cn terms need personalized degrees >= 0")
     return terms
 
 
@@ -81,7 +82,10 @@ def _pd_aa_terms(pd, gd, mode):
     g = gd.astype(np.float64) + (2.0 if mode in (MODE_IN, MODE_OUT) else 1.0)
     # p < g holds for every neighbor of the ego under these shifts
     bracket = p * (g - p) / g + g * (g - p) / p
-    assert bracket.size == 0 or bracket.min() > 1.0
+    if bracket.size and not bracket.min() > 1.0:
+        raise PreconditionError(
+            "pd-aa terms need each personalized degree below its global degree"
+        )
     return 1.0 / np.log(bracket)
 
 

@@ -77,6 +77,18 @@ class TestHandComputed:
         assert rows[(1, "out", "not-formed", "global")].mean == \
             pytest.approx(math.log(3), abs=1e-12)
 
+    def test_contributing_egos_are_distinct(self):
+        # ego 0 sees only T01 (u->z, z->v); ego 4 sees only T03 (u->z, v->z)
+        snaps = [
+            [(0, 1), (1, 2), (1, 3), (4, 5), (6, 5), (7, 5)],
+            [(0, 1), (1, 2), (1, 3), (4, 5), (6, 5), (7, 5), (0, 2), (4, 6)],
+        ]
+        series = make_series(snaps, 8, directed=True)
+        stats = aggregate_empirical(series, egos=np.array([0, 4]), per_triad=True)
+        assert {int(r.triad) for r in stats.rows} == {1, 3}
+        assert all(r.n_egos == 1 for r in stats.rows)
+        assert stats.diagnostics["n_egos_contributing"] == 2
+
     def test_cell_view(self):
         snaps = [
             [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)],

@@ -21,6 +21,8 @@ from egolink.scorers import (
     score_pdaa,
     score_pdcn,
     validate_methods,
+    _pd_aa_terms,
+    _pd_cn_terms,
 )
 
 _PAIR_FNS = {"cn": score_cn, "aa": score_aa, "pd-cn": score_pdcn, "pd-aa": score_pdaa}
@@ -176,6 +178,11 @@ class TestValidation:
             score_cn(g, 0, 42)  # out of range
         with pytest.raises(PreconditionError):
             score_aa(g, 3, 2)  # no common neighbors
+        # out-of-range degree columns; checked explicitly, so also under -O
+        with pytest.raises(PreconditionError):
+            _pd_cn_terms(np.array([-1]), np.array([3]), "undirected")
+        with pytest.raises(PreconditionError):
+            _pd_aa_terms(np.array([3]), np.array([3]), "undirected")
 
 
 class TestStructure:
