@@ -465,12 +465,9 @@ def _cmd_degree_dist(cfg, started):
 def _cmd_empirical(cfg, started):
     edges = _load_edges(cfg)
     series = _build_series(cfg, edges)
-    egos = None
-    if cfg.sample_size is not None:
-        egos = sample_egos(series, cfg.sample_size, cfg.seed)
     stats = aggregate_empirical(
         series,
-        egos=egos,
+        egos=sample_egos(series, cfg.sample_size, cfg.seed),
         per_triad=cfg.per_triad,
         degree_modes=cfg.modes,
         workers=cfg.workers,

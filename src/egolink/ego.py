@@ -42,6 +42,13 @@ def validate_mode(mode, directed):
     return mode
 
 
+def default_degree_modes(directed, per_triad=False):
+    """Degree modes analysed when none are given."""
+    if not directed:
+        return (MODE_UNDIRECTED,)
+    return (MODE_OUT, MODE_IN) if per_triad else (MODE_OUT, MODE_IN, MODE_UNDIRECTED)
+
+
 def ego_neighbors(graph, u):
     """The ego's own neighborhood: successors if directed."""
     return graph.successors(u)

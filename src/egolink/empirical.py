@@ -11,10 +11,12 @@ non-empty, so formed and not-formed aggregates always cover identical
 averaged across egos, with the spread across egos giving the standard
 error.
 
-The per-triad variant (directed graphs) runs the same pipeline once
-for each of the nine open-triad patterns, restricting the neighbor
-pool to the triad's ego-edge configuration and the candidate-side
-adjacency to its neighbor-edge configuration.
+A per-triad cell (directed graphs) is the plain cell over the
+direction-split adjacency (``SnapshotGraph.direction_adjacency``): the
+neighbor pool is the part of the ego's row with the triad's ego-edge
+configuration, and each candidate's common neighbors are read from the
+part of its row with the triad's neighbor-edge configuration. Both kinds
+of cell go through the same ``accumulate_common_terms`` pass.
 """
 
 from dataclasses import dataclass
@@ -23,14 +25,12 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import map_in_order
-from ._util import mean_and_stderr, write_csv
+from ._util import mean_and_stderr
 from .ego import (
-    MODE_IN,
-    MODE_OUT,
-    MODE_UNDIRECTED,
     EdgeConfig,
     TriadType,
     TRIAD_TABLE,
+    default_degree_modes,
     ego_neighbors,
     global_degrees,
     personalized_degrees,
@@ -72,14 +72,6 @@ class EmpiricalStats:
     diagnostics: dict
 
 
-def default_degree_modes(directed, per_triad=False):
-    if not directed:
-        return (MODE_UNDIRECTED,)
-    if per_triad:
-        return (MODE_OUT, MODE_IN)
-    return (MODE_OUT, MODE_IN, MODE_UNDIRECTED)
-
-
 def partition_candidates(series, t, ego):
     """Two-hop candidates at ``t`` split by next-snapshot formation."""
     if not 0 <= t < len(series) - 1:
@@ -90,36 +82,26 @@ def partition_candidates(series, t, ego):
     return cand[mask], cand[~mask]
 
 
-def _contains(sorted_arr, v):
-    pos = np.searchsorted(sorted_arr, v)
-    return bool(pos < sorted_arr.size and sorted_arr[pos] == v)
-
-
-def _log1(x):
-    return np.log(x.astype(np.float64) + 1.0)
-
-
-def _plain_cell(graph, next_graph, ego, modes):
-    """Group stats keyed by mode for one (ego, transition), or None."""
-    base = ego_neighbors(graph, ego)
-    cand = two_hop_candidates(graph, ego)
-    if cand.size == 0:
-        return None
-    nxt = ego_neighbors(next_graph, ego)
-    formed = np.isin(cand, nxt, assume_unique=True)
-    n_f = int(formed.sum())
-    if n_f == 0 or n_f == cand.size:
-        return None
-
+def _log_degree_terms(graph, ego, pool, modes):
+    """Per pool node, ``log(degree + 1)`` with global then personalized
+    degree for each mode: the term columns a cell averages."""
     cols = []
     for m in modes:
-        cols.append(_log1(global_degrees(graph, base, m)))
-        cols.append(_log1(personalized_degrees(graph, ego, base, m)))
-    terms = np.column_stack(cols)
-    sums, counts = _kernels.accumulate_common_terms(
-        base, terms, graph.sym_indptr, graph.sym_indices, cand
-    )
-    means = sums / counts[:, None]
+        cols.append(global_degrees(graph, pool, m))
+        cols.append(personalized_degrees(graph, ego, pool, m))
+    return np.log(np.column_stack(cols).astype(np.float64) + 1.0)
+
+
+def _cell(pool, terms, indptr, indices, cand, nxt, modes):
+    """Group stats keyed by mode over the candidates ``v`` whose row meets
+    the pool, each valued by its mean pool terms over ``row(v) ∩ pool``;
+    None when none of them formed or all did."""
+    sums, counts = _kernels.accumulate_common_terms(pool, terms, indptr, indices, cand)
+    kept = counts > 0
+    formed = np.isin(cand[kept], nxt, assume_unique=True)
+    if formed.all() or not formed.any():
+        return None
+    means = sums[kept] / counts[kept, None]
 
     out = {}
     for i, m in enumerate(modes):
@@ -135,80 +117,46 @@ def _plain_cell(graph, next_graph, ego, modes):
     return out
 
 
-def _triad_pools(graph, ego):
-    succ = graph.successors(ego)
-    pred = graph.predecessors(ego)
-    recip = _kernels.intersect_values(succ, pred)
-    return {
-        EdgeConfig.OUT: np.setdiff1d(succ, pred, assume_unique=True),
-        EdgeConfig.RECIPROCAL: recip,
-        EdgeConfig.IN: np.setdiff1d(pred, succ, assume_unique=True),
-    }
+def _plain_cell(graph, next_graph, ego, modes):
+    """Group stats keyed by mode for one (ego, transition), or None."""
+    base = ego_neighbors(graph, ego)
+    cand = two_hop_candidates(graph, ego)
+    nxt = ego_neighbors(next_graph, ego)
+    formed = np.isin(cand, nxt, assume_unique=True)
+    if formed.all() or not formed.any():
+        return None
+    terms = _log_degree_terms(graph, ego, base, modes)
+    return _cell(base, terms, graph.sym_indptr, graph.sym_indices, cand, nxt, modes)
 
 
 def _triad_cells(graph, next_graph, ego, modes):
     """Group stats keyed by TriadType for one (ego, transition):
-    triad -> None (excluded) or {mode: {group: GroupStats}}."""
+    triad -> None (excluded) or {mode: {group: GroupStats}}.
+
+    A triad cell is the plain cell with the pool narrowed to one ego-edge
+    config and the adjacency narrowed to one neighbor-edge config.
+    """
     succ = graph.successors(ego)
     nxt = ego_neighbors(next_graph, ego)
-    pools = _triad_pools(graph, ego)
     out = {}
-    for ego_cfg, pool in pools.items():
+    for ego_cfg in EdgeConfig:
+        # row(ego) of the direction split is read from z, so the pool of
+        # an ego config is the flipped part: ego->z only is the IN part
+        # (ego->z only, as read from z), z->ego only the OUT part
+        indptr, indices = graph.direction_adjacency(2 - ego_cfg)
+        pool = indices[indptr[ego]:indptr[ego + 1]]
+        triads = [TRIAD_TABLE[(ego_cfg, nb_cfg)] for nb_cfg in EdgeConfig]
         if pool.size == 0:
-            for nb_cfg in EdgeConfig:
-                out[TRIAD_TABLE[(ego_cfg, nb_cfg)]] = None
+            out.update(dict.fromkeys(triads, None))
             continue
-        pd_cols = {m: personalized_degrees(graph, ego, pool, m) for m in modes}
-        gd_cols = {m: global_degrees(graph, pool, m) for m in modes}
+        terms = _log_degree_terms(graph, ego, pool, modes)
         # candidates reachable through this pool; a node already chosen
         # by the ego, or inside the pool itself, is not a candidate
         reach = np.unique(np.concatenate([graph.neighbors(int(z)) for z in pool]))
-        exclude = np.unique(np.concatenate([succ, pool, np.asarray([ego], dtype=np.int64)]))
-        cand = np.setdiff1d(reach, exclude, assume_unique=False)
-
-        # per candidate, split the pool by the z-v edge configuration
-        per_cfg = {cfg: ([], []) for cfg in EdgeConfig}  # (cand ids, z position lists)
-        for v in cand.tolist():
-            into_v = _kernels.intersect_values(pool, graph.predecessors(v))
-            from_v = _kernels.intersect_values(pool, graph.successors(v))
-            both = _kernels.intersect_values(into_v, from_v)
-            z_sets = {
-                EdgeConfig.OUT: np.setdiff1d(into_v, both, assume_unique=True),
-                EdgeConfig.RECIPROCAL: both,
-                EdgeConfig.IN: np.setdiff1d(from_v, both, assume_unique=True),
-            }
-            for cfg, zs in z_sets.items():
-                if zs.size:
-                    ids, zpos = per_cfg[cfg]
-                    ids.append(v)
-                    zpos.append(np.searchsorted(pool, zs))
-
-        for nb_cfg in EdgeConfig:
-            triad = TRIAD_TABLE[(ego_cfg, nb_cfg)]
-            ids, zpos = per_cfg[nb_cfg]
-            if not ids:
-                out[triad] = None
-                continue
-            ids = np.asarray(ids, dtype=np.int64)
-            formed = np.isin(ids, nxt, assume_unique=True)
-            n_f = int(formed.sum())
-            if n_f == 0 or n_f == ids.size:
-                out[triad] = None
-                continue
-            per_mode = {}
-            for m in modes:
-                mg = np.array([_log1(gd_cols[m][p]).mean() for p in zpos])
-                mp = np.array([_log1(pd_cols[m][p]).mean() for p in zpos])
-                per_group = {}
-                for group, mask in ((GROUP_FORMED, formed), (GROUP_NOT_FORMED, ~formed)):
-                    per_group[group] = GroupStats(
-                        group=group,
-                        mean_log_global=float(mg[mask].mean()),
-                        mean_log_personalized=float(mp[mask].mean()),
-                        n_candidates=int(mask.sum()),
-                    )
-                per_mode[m] = per_group
-            out[triad] = per_mode
+        cand = np.setdiff1d(reach, np.concatenate([succ, pool, [ego]]))
+        for nb_cfg, triad in zip(EdgeConfig, triads):
+            out[triad] = _cell(pool, terms, *graph.direction_adjacency(nb_cfg),
+                               cand, nxt, modes)
     return out
 
 
@@ -341,8 +289,3 @@ def empirical_table(stats):
             )
         )
     return rows
-
-
-def write_empirical_csv(stats, path):
-    header, rows = EMPIRICAL_HEADER, empirical_table(stats)
-    write_csv(path, header, rows)

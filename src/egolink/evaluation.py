@@ -15,8 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import map_in_order
-from ._util import mean_and_stderr, write_csv
-from .ego import MODE_UNDIRECTED, ego_neighbors, ego_view, sample_egos, validate_mode
+from ._util import mean_and_stderr
+from .ego import (
+    MODE_UNDIRECTED,
+    default_degree_modes,
+    ego_neighbors,
+    ego_view,
+    sample_egos,
+    validate_mode,
+)
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import (
     ALL_METHODS,
@@ -178,7 +185,7 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     methods = validate_methods(methods)
     ks = validate_ks(ks)
     if modes is None:
-        modes = (MODE_UNDIRECTED,) if not series.directed else ("out", "in", "undirected")
+        modes = default_degree_modes(series.directed)
     modes = tuple(modes)
     for m in modes:
         validate_mode(m, series.directed)
@@ -278,11 +285,3 @@ def eval_table(result):
 
 def improvement_table(rows):
     return [(r.method, r.mode, r.k, r.pct_improvement_vs_base) for r in rows]
-
-
-def write_eval_csv(result, path):
-    write_csv(path, EVAL_HEADER, eval_table(result))
-
-
-def write_improvement_csv(rows, path):
-    write_csv(path, IMPROVEMENT_HEADER, improvement_table(rows))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ParseError
+from .errors import ConfigError, EmptyInputError, ParseError, PreconditionError
 
 NORMALIZED_HEADER = "src_id,dst_id,time"
 LABEL_MAP_HEADER = "node_id,label"
@@ -28,6 +28,11 @@ TIME_MODE_INDEX = "index"
 
 #: timestamp field values treated as missing when a fill is configured
 _MISSING_TIMES = ("", r"\N")
+
+#: cap on the edges stored across a whole cumulative snapshot series,
+#: each edge counted once per snapshot that holds it; windowing fails
+#: with ConfigError above it instead of building one CSR per window
+MAX_CUMULATIVE_EDGES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -314,6 +319,7 @@ class SnapshotGraph:
         "out_degree",
         "in_degree",
         "sym_degree",
+        "_direction_split",
     )
 
     def __init__(self, n_nodes, src, dst, directed, index=None,
@@ -339,6 +345,7 @@ class SnapshotGraph:
         self.sym_degree = np.diff(self.sym_indptr)
         for arr in (self.out_degree, self.in_degree, self.sym_degree):
             arr.setflags(write=False)
+        self._direction_split = None
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -381,6 +388,29 @@ class SnapshotGraph:
         pos = np.searchsorted(row, v)
         return bool(pos < row.size and row[pos] == v)
 
+    def direction_adjacency(self, config):
+        """``(indptr, indices)`` of the symmetric rows split by link
+        direction: entry ``z`` of row ``v`` is kept when the ``z``-``v``
+        link read from ``z`` is ``config`` (``ego.EdgeConfig``: 0 for
+        z->v only, 1 reciprocal, 2 v->z only). Directed graphs only; the
+        three parts are built together on first use."""
+        if not self.directed:
+            raise PreconditionError("direction split needs a directed graph")
+        if self._direction_split is None:
+            n = self.n_nodes
+            ids = np.arange(n, dtype=np.int64)
+            # keys v * n + z: z -> v is z in in-row(v), v -> z is z in out-row(v)
+            into = np.repeat(ids, self.in_degree) * n + self.in_indices
+            outof = np.repeat(ids, self.out_degree) * n + self.out_indices
+            self._direction_split = tuple(
+                _csr(n, keys // n, keys % n) for keys in (
+                    np.setdiff1d(into, outof, assume_unique=True),
+                    np.intersect1d(into, outof, assume_unique=True),
+                    np.setdiff1d(outof, into, assume_unique=True),
+                )
+            )
+        return self._direction_split[config]
+
 
 def neighbors(graph, node, mode="undirected"):
     """Sorted neighbor row of one node: successors, predecessors, or
@@ -413,6 +443,20 @@ class SnapshotSeries:
         return self.graphs[i]
 
 
+def _check_cumulative_edges(idx, n_windows, what):
+    """ConfigError when the cumulative snapshots over windows ``idx`` would
+    hold more than MAX_CUMULATIVE_EDGES edges: snapshot ``i`` holds the
+    edges with ``idx <= i``, ``n_windows * n_edges - sum(idx)`` in all.
+    The earliest edge alone adds ``n_windows``, so testing that first
+    keeps ``sum(idx)`` from overflowing."""
+    if (n_windows > MAX_CUMULATIVE_EDGES
+            or n_windows * idx.size - int(idx.sum()) > MAX_CUMULATIVE_EDGES):
+        raise ConfigError(
+            f"{what} gives {n_windows} windows, whose cumulative snapshots "
+            f"would hold more than {MAX_CUMULATIVE_EDGES} edges in total"
+        )
+
+
 def assign_windows(times, window_length=None, fixed_count=None):
     """Map timestamps to window indices; returns (indices, starts, width)."""
     times = np.asarray(times, dtype=np.int64)
@@ -428,12 +472,15 @@ def assign_windows(times, window_length=None, fixed_count=None):
         if width <= 0:
             raise ConfigError(f"window length must be positive, got {window_length}")
         n = math.ceil(span / width)
+        what = f"window length {width}"
     else:
         n = int(fixed_count)
         if n <= 0:
             raise ConfigError(f"window count must be positive, got {fixed_count}")
         width = math.ceil(span / n)
+        what = f"window count {n}"
     idx = (times - t_min) // width
+    _check_cumulative_edges(idx, n, what)
     starts = t_min + width * np.arange(n, dtype=np.int64)
     return idx, starts, width
 
@@ -462,6 +509,7 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
         n = int(present[-1]) + 1
         if present[0] < 0 or present.size != n:
             raise ConfigError("pre-assigned snapshot indices must be contiguous from 0")
+        _check_cumulative_edges(idx, n, f"pre-assigned snapshot count {n}")
         starts = np.arange(n, dtype=np.int64)
         width = 1
     else:

@@ -262,3 +262,19 @@ class TestWorkers:
                          "--output-dir", str(out)]) == 0
             outs.append((out / "empirical.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestEgoSets:
+    def test_empirical_egos_match_evaluate(self, tmp_path):
+        # "late" first links in the last snapshot, so it is isolated in the
+        # first one and neither command may take it as an ego; the planted
+        # graph has 120 nodes
+        data = tmp_path / "late.csv"
+        data.write_text(_planted(tmp_path).read_text() + "late,0,2\n")
+        read = ["--input", str(data), "--time-mode", "index"]
+        assert main(["empirical", *read, "--output-dir", str(tmp_path / "emp")]) == 0
+        assert main(["evaluate", *read, "--ks", "1",
+                     "--output-dir", str(tmp_path / "ev")]) == 0
+        emp = json.loads((tmp_path / "emp" / "run_manifest.json").read_text())
+        ev = json.loads((tmp_path / "ev" / "run_manifest.json").read_text())
+        assert emp["n_egos_requested"] == ev["sample_size"] <= 120

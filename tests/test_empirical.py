@@ -170,6 +170,30 @@ class TestAgainstOracle:
                 assert rows[key].stderr == pytest.approx(se, abs=1e-12)
                 assert rows[key].n_egos == n_egos
 
+    @pytest.mark.parametrize("n, p", [(10, 0.25), (12, 0.5)])
+    def test_triad_cells(self, n, p):
+        # dense graphs give candidates several common neighbors per config
+        modes = default_degree_modes(True, per_triad=True)
+        for seed in range(6):
+            snaps = random_snapshots(200 + seed, n, p, True, 3)
+            series = make_series(snaps, n, directed=True)
+            for t in range(len(snaps) - 1):
+                for ego in range(n):
+                    got = ego_snapshot_stats(series, t, ego, per_triad=True)
+                    want = oracles.triad_cells(n, snaps[t], snaps[t + 1], ego, list(modes))
+                    assert {int(k) for k in got} == set(want)
+                    for key, cell in got.items():
+                        ref = want[int(key)]
+                        assert (cell is None) == (ref is None), (seed, t, ego, key)
+                        if cell is None:
+                            continue
+                        for m in modes:
+                            for group, (g, pd) in ref[m].items():
+                                stats = cell[m][group]
+                                assert stats.mean_log_global == pytest.approx(g, abs=1e-12)
+                                assert stats.mean_log_personalized == \
+                                    pytest.approx(pd, abs=1e-12)
+
     def test_per_triad(self):
         for seed in range(12):
             n = 10
@@ -190,11 +214,12 @@ class TestAgainstOracle:
 
 
 class TestDeterminism:
-    def test_workers_agree(self):
+    @pytest.mark.parametrize("per_triad", [False, True], ids=["plain", "per-triad"])
+    def test_workers_agree(self, per_triad):
         snaps = random_snapshots(3, 14, 0.3, True, 3)
         series = make_series(snaps, 14, directed=True)
-        one = aggregate_empirical(series, workers=1)
-        two = aggregate_empirical(series, workers=2)
+        one = aggregate_empirical(series, per_triad=per_triad, workers=1)
+        two = aggregate_empirical(series, per_triad=per_triad, workers=2)
         assert one.rows == two.rows
 
 

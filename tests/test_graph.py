@@ -6,7 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from egolink.errors import ConfigError, ParseError
+from egolink import graph as graph_module
+from egolink.ego import EdgeConfig, edge_config
+from egolink.errors import ConfigError, ParseError, PreconditionError
 from egolink.graph import (
     SnapshotGraph,
     assign_windows,
@@ -18,7 +20,7 @@ from egolink.graph import (
     write_normalized_csv,
 )
 
-from conftest import make_graph
+from conftest import make_graph, random_graph
 
 
 def _ingest(lines, **kwargs):
@@ -175,6 +177,25 @@ class TestWindows:
         with pytest.raises(ConfigError):
             assign_windows(np.array([1]))
 
+    def test_window_count_capped(self):
+        # 10**15 + 1 one-second windows: refused before anything is built
+        with pytest.raises(ConfigError, match="window length 1 gives 1000000000000001 windows"):
+            assign_windows(np.array([0, 10**15]), window_length=1)
+        with pytest.raises(ConfigError, match="window count"):
+            assign_windows(np.array([0, 10**15]), fixed_count=10**9)
+
+    def test_cumulative_edges_capped(self, monkeypatch):
+        # 3 windows holding 3 + 2 + 1 edges: 6 cumulative edges in total
+        times = np.array([0, 10, 20])
+        monkeypatch.setattr(graph_module, "MAX_CUMULATIVE_EDGES", 6)
+        assert assign_windows(times, window_length=10)[1].size == 3
+        monkeypatch.setattr(graph_module, "MAX_CUMULATIVE_EDGES", 5)
+        with pytest.raises(ConfigError, match="gives 3 windows"):
+            assign_windows(times, window_length=10)
+        edges = _ingest(["a,b,0", "b,c,1", "c,d,2"], time_mode="index")
+        with pytest.raises(ConfigError, match="pre-assigned snapshot count 3"):
+            build_snapshots(edges, preassigned=True)
+
 
 class TestSnapshots:
     def test_cumulative(self):
@@ -248,6 +269,26 @@ class TestAdjacency:
         h = pickle.loads(pickle.dumps(g))
         assert h.n_nodes == 3
         assert h.successors(1).tolist() == g.successors(1).tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_direction_split(self, seed):
+        g, _ = random_graph(seed, 12, 0.3, True)
+        rows = [g.direction_adjacency(cfg) for cfg in EdgeConfig]
+        for v in range(g.n_nodes):
+            parts = [indices[indptr[v]:indptr[v + 1]] for indptr, indices in rows]
+            merged = np.concatenate(parts)
+            # the three parts partition the symmetric row
+            assert sorted(merged.tolist()) == g.neighbors(v).tolist()
+            for cfg, part in zip(EdgeConfig, parts):
+                assert np.all(np.diff(part) > 0)
+                for z in part.tolist():
+                    assert edge_config(g, z, v) == cfg
+        h = pickle.loads(pickle.dumps(g))
+        assert h.direction_adjacency(EdgeConfig.IN)[1].tolist() == rows[2][1].tolist()
+
+    def test_direction_split_needs_directed(self):
+        with pytest.raises(PreconditionError):
+            make_graph([(0, 1)], 2).direction_adjacency(EdgeConfig.OUT)
 
     def test_parallel_duplicates_collapse(self):
         g = make_graph([(0, 1), (0, 1), (1, 0)], 2)
