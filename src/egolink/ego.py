@@ -69,13 +69,7 @@ def sample_egos(series, sample_size=None, seed=0):
 def two_hop_candidates(graph, u):
     """Nodes two steps out (through either edge direction at the second
     hop), excluding the ego and its direct neighborhood. Sorted."""
-    base = ego_neighbors(graph, u)
-    if base.size == 0:
-        return np.empty(0, dtype=np.int64)
-    rows = [graph.neighbors(int(z)) for z in base]
-    cand = np.unique(np.concatenate(rows))
-    exclude = np.append(base, np.int64(u))
-    return np.setdiff1d(cand, exclude, assume_unique=True)
+    return ego_view(graph, u).candidates
 
 
 def common_neighbors(graph, u, v):
@@ -200,12 +194,17 @@ def classify_triad(graph, u, z, v):
 @dataclass
 class EgoView:
     """Cached per-ego arrays shared by the scorers: the neighbor pool,
-    the candidate set, and per-mode degree columns."""
+    the candidate set, every wedge ``z -> v`` from the pool onto a
+    candidate, and per-mode degree columns."""
 
     graph: object
     ego: int
     base: np.ndarray
     candidates: np.ndarray
+    #: per wedge, the position of ``z`` in ``base`` and of ``v`` in
+    #: ``candidates``, in ascending-z order
+    wedge_z: np.ndarray = field(repr=False)
+    wedge_v: np.ndarray = field(repr=False)
     _pd: dict = field(default_factory=dict, repr=False)
     _gd: dict = field(default_factory=dict, repr=False)
 
@@ -219,11 +218,26 @@ class EgoView:
             self._gd[mode] = global_degrees(self.graph, self.base, mode)
         return self._gd[mode]
 
+    def accumulate(self, terms):
+        """Per candidate: the column sums of ``terms`` (row-aligned with
+        ``base``) over its common neighbors, and their number."""
+        return _kernels.wedge_sums(self.wedge_z, self.wedge_v, terms, self.candidates.size)
+
 
 def ego_view(graph, u):
-    return EgoView(
-        graph=graph,
-        ego=int(u),
-        base=ego_neighbors(graph, u),
-        candidates=two_hop_candidates(graph, u),
-    )
+    """One gather of the symmetric rows of the ego's neighbors gives the
+    candidates, the wedges onto them, and the mode-undirected
+    personalized degrees (the row entries inside the ego's own
+    symmetrized neighborhood)."""
+    u = int(u)
+    base = ego_neighbors(graph, u)
+    wedge_z, reached = _kernels.gather_rows(graph.sym_indptr, graph.sym_indices, base)
+    in_base = _kernels.contains(base, reached)
+    # undirected graphs: the ego's symmetrized neighborhood is the pool
+    in_anchor = (_kernels.contains(graph.neighbors(u), reached) if graph.directed
+                 else in_base)
+    wedge = ~in_base & (reached != u)
+    candidates, wedge_v = np.unique(reached[wedge], return_inverse=True)
+    pd = np.bincount(wedge_z[in_anchor], minlength=base.size).astype(np.int64)
+    return EgoView(graph=graph, ego=u, base=base, candidates=candidates,
+                   wedge_z=wedge_z[wedge], wedge_v=wedge_v, _pd={MODE_UNDIRECTED: pd})

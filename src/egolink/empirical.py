@@ -14,9 +14,10 @@ error.
 A per-triad cell (directed graphs) is the plain cell over the
 direction-split adjacency (``SnapshotGraph.direction_adjacency``): the
 neighbor pool is the part of the ego's row with the triad's ego-edge
-configuration, and each candidate's common neighbors are read from the
-part of its row with the triad's neighbor-edge configuration. Both kinds
-of cell go through the same ``accumulate_common_terms`` pass.
+configuration, and each pool node's row is pushed onto the candidates
+from the transposed part of the triad's neighbor-edge configuration.
+Plain cells sum over the wedges of ``ego_view``, per-triad cells through
+``accumulate_common_terms``; both push rows in ascending pool order.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .ego import (
     TRIAD_TABLE,
     default_degree_modes,
     ego_neighbors,
+    ego_view,
     global_degrees,
     personalized_degrees,
     two_hop_candidates,
@@ -82,21 +84,16 @@ def partition_candidates(series, t, ego):
     return cand[mask], cand[~mask]
 
 
-def _log_degree_terms(graph, ego, pool, modes):
-    """Per pool node, ``log(degree + 1)`` with global then personalized
-    degree for each mode: the term columns a cell averages."""
-    cols = []
-    for m in modes:
-        cols.append(global_degrees(graph, pool, m))
-        cols.append(personalized_degrees(graph, ego, pool, m))
-    return np.log(np.column_stack(cols).astype(np.float64) + 1.0)
+def _log_degree_terms(columns):
+    """``log(degree + 1)`` of each degree column, stacked: global then
+    personalized degree for each mode, the term columns a cell averages."""
+    return np.log(np.column_stack(columns).astype(np.float64) + 1.0)
 
 
-def _cell(pool, terms, indptr, indices, cand, nxt, modes):
-    """Group stats keyed by mode over the candidates ``v`` whose row meets
-    the pool, each valued by its mean pool terms over ``row(v) ∩ pool``;
+def _cell(sums, counts, cand, nxt, modes):
+    """Group stats keyed by mode over the candidates with at least one
+    common neighbor, each valued by its mean terms (``sums / counts``);
     None when none of them formed or all did."""
-    sums, counts = _kernels.accumulate_common_terms(pool, terms, indptr, indices, cand)
     kept = counts > 0
     formed = np.isin(cand[kept], nxt, assume_unique=True)
     if formed.all() or not formed.any():
@@ -119,14 +116,13 @@ def _cell(pool, terms, indptr, indices, cand, nxt, modes):
 
 def _plain_cell(graph, next_graph, ego, modes):
     """Group stats keyed by mode for one (ego, transition), or None."""
-    base = ego_neighbors(graph, ego)
-    cand = two_hop_candidates(graph, ego)
+    view = ego_view(graph, ego)
     nxt = ego_neighbors(next_graph, ego)
-    formed = np.isin(cand, nxt, assume_unique=True)
+    formed = np.isin(view.candidates, nxt, assume_unique=True)
     if formed.all() or not formed.any():
         return None
-    terms = _log_degree_terms(graph, ego, base, modes)
-    return _cell(base, terms, graph.sym_indptr, graph.sym_indices, cand, nxt, modes)
+    terms = _log_degree_terms([col for m in modes for col in (view.gd(m), view.pd(m))])
+    return _cell(*view.accumulate(terms), view.candidates, nxt, modes)
 
 
 def _triad_cells(graph, next_graph, ego, modes):
@@ -149,14 +145,19 @@ def _triad_cells(graph, next_graph, ego, modes):
         if pool.size == 0:
             out.update(dict.fromkeys(triads, None))
             continue
-        terms = _log_degree_terms(graph, ego, pool, modes)
+        terms = _log_degree_terms([
+            col for m in modes for col in (global_degrees(graph, pool, m),
+                                           personalized_degrees(graph, ego, pool, m))])
         # candidates reachable through this pool; a node already chosen
         # by the ego, or inside the pool itself, is not a candidate
-        reach = np.unique(np.concatenate([graph.neighbors(int(z)) for z in pool]))
+        _, reach = _kernels.gather_rows(graph.sym_indptr, graph.sym_indices, pool)
         cand = np.setdiff1d(reach, np.concatenate([succ, pool, [ego]]))
         for nb_cfg, triad in zip(EdgeConfig, triads):
-            out[triad] = _cell(pool, terms, *graph.direction_adjacency(nb_cfg),
-                               cand, nxt, modes)
+            # the z-v links with config nb_cfg read from z are the entries
+            # of row(z) in the transposed part, 2 - nb_cfg
+            sums, counts = _kernels.accumulate_common_terms(
+                pool, terms, *graph.direction_adjacency(2 - nb_cfg), cand)
+            out[triad] = _cell(sums, counts, cand, nxt, modes)
     return out
 
 

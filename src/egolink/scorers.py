@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .ego import (
     MODE_IN,
     MODE_OUT,
@@ -143,6 +142,9 @@ def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
     ln_base = _ln_base(log_base)
     if view is None:
         view = ego_view(graph, ego)
+    elif view.ego != ego or view.graph is not graph:
+        raise PreconditionError(
+            f"the view of ego {view.ego} does not belong to ego {ego} on this graph")
 
     term_methods = [m for m in methods if m != METHOD_CN]
     if term_methods:
@@ -154,9 +156,7 @@ def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
     else:
         terms = np.zeros((view.base.size, 0), dtype=np.float64)
 
-    sums, counts = _kernels.accumulate_common_terms(
-        view.base, terms, graph.sym_indptr, graph.sym_indices, view.candidates
-    )
+    sums, counts = view.accumulate(terms)
     columns = {}
     for m in methods:
         if m == METHOD_CN:

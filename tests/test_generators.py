@@ -1,5 +1,7 @@
 """Synthetic edge-list generators: determinism, densities, planted signal."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,22 @@ class TestPlanted:
         high = planted_scorer_edges(80, 0.08, "cn", n_snapshots=3, seed=4,
                                     formation_rate=0.5)
         assert high.n_edges > low.n_edges
+
+    @pytest.mark.parametrize("kwargs, n_edges, digest", [
+        (dict(n_nodes=120, edge_prob=0.25, method="pd-cn", seed=3), 2457,
+         "dd78f2dfb95803370bb1da21914e6d74da4ddc557779566882b35c6179c8299a"),
+        (dict(n_nodes=120, edge_prob=0.2, method="pd-aa", directed=True, mode="out",
+              seed=5), 3613,
+         "4a463f4d09212082e00ea6b3b192492ba98bbae3d8bda97bbb012a10ad9489b5"),
+    ])
+    def test_frozen_output(self, kwargs, n_edges, digest):
+        # frozen edge lists: a change in the order of random draws, or in a
+        # score by enough to flip a draw, changes the formed edges
+        e = planted_scorer_edges(**kwargs)
+        h = hashlib.sha256()
+        for arr in (e.src, e.dst, e.time):
+            h.update(arr.astype("<i8").tobytes())
+        assert (e.n_edges, h.hexdigest()) == (n_edges, digest)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

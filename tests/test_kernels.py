@@ -32,6 +32,17 @@ def _random_inputs(rng, n_nodes=40):
     return indptr, indices, base, other, targets, terms
 
 
+def _transpose(indptr, indices):
+    """CSR of the transposed adjacency: v is in row(z) of the transpose
+    when z is in row(v)."""
+    n_nodes = indptr.size - 1
+    rows = np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(indptr))
+    order = np.lexsort((rows, indices))
+    t_indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    t_indptr[1:] = np.cumsum(np.bincount(indices, minlength=n_nodes))
+    return t_indptr, rows[order]
+
+
 def _set_intersect(a, b):
     return sorted(set(a.tolist()) & set(b.tolist()))
 
@@ -72,7 +83,10 @@ def test_accumulate_against_python_loop():
     cases += [_dense_inputs(rng) for _ in range(30)]
     n_long = 0
     for indptr, indices, base, targets, terms in cases:
-        sums, counts = accumulate_common_terms(base, terms, indptr, indices, targets)
+        # push contract: sums over z in base with t in row(z) of the
+        # transpose, that is with z in row(t)
+        sums, counts = accumulate_common_terms(base, terms, *_transpose(indptr, indices),
+                                               targets)
         assert sums.shape == (targets.size, terms.shape[1])
         base_pos = {int(z): i for i, z in enumerate(base)}
         for i, t in enumerate(targets):
@@ -99,7 +113,7 @@ def test_empty_inputs():
     got = row_intersect_sizes(indptr, empty, some, np.array([0, 2], dtype=np.int64))
     assert got.tolist() == [0, 0]
     sums, counts = accumulate_common_terms(
-        empty, np.empty((0, 2)), indptr, empty, np.array([1], dtype=np.int64))
+        empty, np.empty((0, 2)), *_transpose(indptr, empty), np.array([1], dtype=np.int64))
     assert sums.shape == (1, 2) and counts.tolist() == [0]
 
 

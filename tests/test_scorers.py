@@ -23,6 +23,7 @@ from egolink.scorers import (
     validate_methods,
     _pd_aa_terms,
     _pd_cn_terms,
+    _TERM_BUILDERS,
 )
 
 _PAIR_FNS = {"cn": score_cn, "aa": score_aa, "pd-cn": score_pdcn, "pd-aa": score_pdaa}
@@ -111,6 +112,34 @@ class TestAgainstOracle:
                         for method in ALL_METHODS:
                             want = oracles.score(out, inn, sym, u, v, method, mode)
                             assert table.scores(method)[i] == pytest.approx(want, abs=1e-12)
+
+
+class TestSummationOrder:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_columns_are_in_order_sums(self, directed):
+        # every column equals, bit for bit, the in-order sum of its terms
+        # over the common neighbors in ascending z
+        modes = ALL_MODES if directed else ("undirected",)
+        n = 30
+        n_long = 0
+        for seed in range(3):
+            g, pairs = random_graph(seed, n, 0.5, directed)
+            out, inn, sym = oracles.adjacency(n, pairs, directed)
+            for u in range(n):
+                for mode in modes:
+                    table = score_candidates(g, u, mode=mode)
+                    for i, v in enumerate(table.candidates.tolist()):
+                        zs = sorted(oracles.common(out, sym, u, v))
+                        n_long += len(zs) >= 8
+                        pd = np.array([oracles.pdeg(out, inn, sym, u, z, mode) for z in zs])
+                        gd = np.array([oracles.gdeg(out, inn, sym, z, mode) for z in zs])
+                        assert table.scores("cn")[i] == float(len(zs))
+                        for method, build in _TERM_BUILDERS.items():
+                            expected = 0.0
+                            for term in build(pd, gd, mode).tolist():
+                                expected += term
+                            assert table.scores(method)[i] == expected
+        assert n_long > 100
 
 
 class TestLogBase:
@@ -219,6 +248,16 @@ class TestStructure:
         assert table.methods == ("cn",)
         with pytest.raises(KeyError):
             table.scores("aa")
+
+    def test_view_of_another_ego_or_graph(self):
+        g, _ = random_graph(5, 12, 0.35, False)
+        other, _ = random_graph(5, 12, 0.35, False)
+        with pytest.raises(PreconditionError):
+            score_candidates(g, 1, view=ego_view(g, 2))
+        with pytest.raises(PreconditionError):
+            score_candidates(g, 2, view=ego_view(other, 2))
+        view = ego_view(g, 2)
+        assert score_candidates(g, np.int64(2), view=view).candidates is view.candidates
 
     def test_empty_candidates(self):
         g = make_graph([(0, 1)], 2)

@@ -1,0 +1,88 @@
+"""Property tests of the wedge gather (``ego_view``) and the push kernel
+against the set-arithmetic oracle."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from conftest import make_graph
+
+from egolink._kernels import accumulate_common_terms
+from egolink.ego import ALL_MODES, ego_view, two_hop_candidates
+
+_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# (n_nodes, directed, edge pairs, ego)
+_EMPTY = (1, False, [], 0)
+_NO_NEIGHBORS = (6, True, [(1, 2), (2, 3), (3, 0), (4, 0)], 0)
+_ISOLATED = (9, False, [(0, 1), (1, 2), (2, 3)], 0)
+_HUB = (7, True, [(0, w) for w in range(1, 7)] + [(2, 3), (4, 2), (5, 6), (6, 5)], 0)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    directed = draw(st.booleans())
+    node = st.integers(0, n - 1)
+    pairs = [(a, b) for a, b in draw(st.lists(st.tuples(node, node), max_size=40))
+             if a != b]
+    ego = draw(node)
+    if draw(st.booleans()):
+        # a hub ego linked to every node
+        pairs += [(ego, w) for w in range(n) if w != ego]
+    return n, directed, pairs, ego
+
+
+def _oracle(graph):
+    n, directed, pairs, ego = graph
+    return make_graph(pairs, n, directed), oracles.adjacency(n, pairs, directed)
+
+
+@_SETTINGS
+@given(graph=graphs())
+@example(graph=_EMPTY)
+@example(graph=_NO_NEIGHBORS)
+@example(graph=_ISOLATED)
+@example(graph=_HUB)
+def test_ego_view_against_oracle(graph):
+    n, directed, pairs, ego = graph
+    g, (out, inn, sym) = _oracle(graph)
+    view = ego_view(g, ego)
+    assert view.base.tolist() == sorted(out[ego])
+    want = sorted(oracles.candidates(out, sym, ego))
+    assert view.candidates.tolist() == want
+    assert two_hop_candidates(g, ego).tolist() == want
+    for mode in ALL_MODES if directed else ("undirected",):
+        assert view.pd(mode).tolist() == [
+            oracles.pdeg(out, inn, sym, ego, z, mode) for z in view.base.tolist()]
+    _, counts = view.accumulate(np.zeros((view.base.size, 0)))
+    assert counts.tolist() == [len(oracles.common(out, sym, ego, v)) for v in want]
+
+
+@_SETTINGS
+@given(graph=graphs(), seed=st.integers(0, 2**32 - 1))
+@example(graph=_EMPTY, seed=0)
+@example(graph=_NO_NEIGHBORS, seed=0)
+@example(graph=_ISOLATED, seed=0)
+@example(graph=_HUB, seed=0)
+def test_accumulate_against_oracle(graph, seed):
+    n, directed, pairs, ego = graph
+    g, (out, inn, sym) = _oracle(graph)
+    base = g.successors(ego)
+    terms = np.random.default_rng(seed).normal(size=(base.size, 2))
+    every_node = np.arange(n, dtype=np.int64)
+    # sums over z in base with v in row(z): symmetric rows give v's common
+    # neighbors with the ego; in-rows give the z with z in out(v)
+    for indptr, indices, linked in (
+        (g.sym_indptr, g.sym_indices, sym),
+        (g.in_indptr, g.in_indices, out),
+    ):
+        sums, counts = accumulate_common_terms(base, terms, indptr, indices, every_node)
+        for v in range(n):
+            zs = [i for i, z in enumerate(base.tolist()) if z in linked[v]]
+            assert counts[v] == len(zs)
+            for k in range(terms.shape[1]):
+                expected = 0.0
+                for i in zs:
+                    expected += float(terms[i, k])
+                assert sums[v, k] == expected
