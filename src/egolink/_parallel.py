@@ -26,8 +26,10 @@ def map_in_order(worker, items, payload, workers=1):
     items = list(items)
     if workers is None or int(workers) <= 1 or len(items) <= 1:
         return [worker(payload, item) for item in items]
+    # a fork pool starts all its processes at once, each unpickling the payload
     with ProcessPoolExecutor(
-        max_workers=int(workers), initializer=_set_payload, initargs=(payload,)
+        max_workers=min(int(workers), len(items)), initializer=_set_payload,
+        initargs=(payload,),
     ) as pool:
         futures = [pool.submit(_invoke, worker, item) for item in items]
         return [f.result() for f in futures]

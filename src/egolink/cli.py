@@ -6,9 +6,11 @@ samples, ``empirical`` compares formed against not-formed candidates,
 ``recommend`` ranks candidates for one ego, ``evaluate`` scores methods by
 precision@k, and ``generate`` writes synthetic edge lists.
 
-Every option can also be given in a flat ``key = value`` config file passed
-via ``--config``; explicit flags win over file values.  ``EGOLINK_OUTPUT_DIR``
-overrides the default output directory (flags still win over the env var).
+Each option is declared once, as a field of :class:`RunConfig` with its
+default, value kind, help text and check.  It is both a ``--flag`` and a key
+of a flat ``key = value`` config file passed via ``--config``.  Precedence:
+``--flag`` > ``EGOLINK_OUTPUT_DIR`` (for ``output_dir``) > config file >
+default.  Every check runs before any input is read.
 Exit codes: 0 on success, 1 for bad input or configuration, 2 for runtime
 failures such as empty results.
 """
@@ -16,19 +18,19 @@ failures such as empty results.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import sys
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from ._util import fmt_float, write_table
 from .degree_dist import (
-    KIND_GLOBAL,
+    ALL_KINDS as SAMPLE_KINDS,
     KIND_PERSONALIZED,
     DISTRIBUTION_HEADER,
     distribution_metadata,
@@ -37,15 +39,9 @@ from .degree_dist import (
     log_binned_histogram,
     personalized_degree_samples,
 )
-from .ego import ALL_MODES, MODE_UNDIRECTED, ego_view, sample_egos, validate_mode
+from .ego import MODE_UNDIRECTED, ego_view, sample_egos, validate_mode
 from .empirical import EMPIRICAL_HEADER, aggregate_empirical, empirical_table
-from .errors import (
-    ConfigError,
-    EmptyInputError,
-    EmptyResultError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import ConfigError, EmptyInputError, EmptyResultError, ParseError, PreconditionError
 from .evaluation import (
     DEFAULT_CUTOFF,
     DEFAULT_KS,
@@ -58,12 +54,7 @@ from .evaluation import (
     rank_candidates,
     validate_ks,
 )
-from .generators import (
-    ALL_KINDS,
-    DEFAULT_TIME_SPAN,
-    GeneratorSpec,
-    generate,
-)
+from .generators import DEFAULT_TIME_SPAN, GeneratorSpec, generate
 from .graph import (
     TIME_MODE_INDEX,
     TIME_MODE_TIMESTAMP,
@@ -76,107 +67,119 @@ from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_candidates, valida
 
 SECONDS_PER_DAY = 86_400
 
-COMMANDS = (
-    "ingest",
-    "snapshots",
-    "degree-dist",
-    "empirical",
-    "recommend",
-    "evaluate",
-    "generate",
-)
-
-# key -> (value kind, help text).  Flags mirror these one for one.
-_KEY_SPECS = {
-    "input": ("str", "path to the raw edge file"),
-    "directed": ("bool", "treat edges as directed"),
-    "delimiter": ("str", "force 'comma' or 'whitespace' field splitting"),
-    "time_mode": ("str", "third column semantics: 'timestamp' or 'index'"),
-    "missing_time": ("int", "timestamp substituted for blank or \\N time fields"),
-    "drop_zero_out": ("bool", "drop nodes that never appear as a source (directed only)"),
-    "window_days": ("float", "snapshot window length in days"),
-    "window_seconds": ("int", "snapshot window length in raw time units"),
-    "window_count": ("int", "number of equal-width snapshot windows"),
-    "preassigned": ("bool", "treat times as snapshot indices"),
-    "seed": ("int", "RNG seed for ego sampling and generators"),
-    "sample_size": ("int", "number of egos to sample (default: all eligible)"),
-    "cutoff": ("int", "drop egos whose candidate set ever exceeds this size"),
-    "ks": ("int_list", "comma-separated list of k values, strictly ascending"),
-    "methods": ("str_list", "comma-separated scoring methods"),
-    "modes": ("str_list", "comma-separated degree modes"),
-    "min_candidates": ("int", "minimum candidates for an (ego, snapshot) cell"),
-    "require_formation": ("bool", "keep only cells with at least one formed edge"),
-    "log_base": ("float", "logarithm base for scoring terms (default: e)"),
-    "output_dir": ("str", "directory for output files"),
-    "format": ("str", "output table format: 'csv' or 'json'"),
-    "workers": ("int", "worker processes for per-ego stages"),
-    "kind": ("str", "degree-dist sample kind, or generator kind"),
-    "bins_per_decade": ("int", "log-histogram resolution"),
-    "snapshot": ("int", "snapshot index to analyze (default: last)"),
-    "per_neighbor": ("bool", "sample global degrees once per (ego, neighbor) pair"),
-    "per_triad": ("bool", "split the empirical analysis by directed triad type"),
-    "ego": ("str", "ego node label to recommend for"),
-    "method": ("str", "single scoring method"),
-    "mode": ("str", "single degree mode"),
-    "k": ("int", "list length for recommend"),
-    "n_nodes": ("int", "generator node count"),
-    "edge_prob": ("float", "generator edge probability"),
-    "n_attach": ("int", "edges per new node (preferential attachment)"),
-    "n_snapshots": ("int", "snapshot count (planted generator)"),
-    "formation_rate": ("float", "top-score formation probability (planted generator)"),
-    "time_span": ("int", "timestamp range for the uniform generator"),
-}
-
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
+_WINDOW_KEYS = ("window_days", "window_seconds", "window_count")
+
+
+def _opt(default, kind, help, check=None):
+    """Declare one option: default, value kind, help text, and a check that
+    raises ``ConfigError`` for a bad set value."""
+    return field(default=default, metadata={"kind": kind, "help": help, "check": check})
+
+
+def _at_least(n):
+    def check(value):
+        if value < n:
+            raise ConfigError(f"must be >= {n}, got {value}")
+    return check
+
+
+def _above(x):
+    def check(value):
+        if value <= x:
+            raise ConfigError(f"must be > {x}, got {value}")
+    return check
+
+
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ConfigError(f"expected {' or '.join(map(repr, choices))}, got {value!r}")
+    return check
+
+
+def _known_mode(mode):
+    # only the name: the undirected-graph rule needs the loaded graph
+    validate_mode(mode, directed=True)
+
+
+def _known_modes(modes):
+    for mode in modes:
+        _known_mode(mode)
+
+
+def _known_method(method):
+    validate_methods((method,))
 
 
 @dataclass
 class RunConfig:
     """Fully resolved options for one command invocation."""
 
-    input: str | None = None
-    directed: bool = False
-    delimiter: str | None = None
-    time_mode: str = TIME_MODE_TIMESTAMP
-    missing_time: int | None = None
-    drop_zero_out: bool = False
-    window_days: float | None = None
-    window_seconds: int | None = None
-    window_count: int | None = None
-    preassigned: bool = False
-    seed: int = 0
-    sample_size: int | None = None
-    cutoff: int = DEFAULT_CUTOFF
-    ks: tuple = DEFAULT_KS
-    methods: tuple = ALL_METHODS
-    modes: tuple | None = None
-    min_candidates: int = 0
-    require_formation: bool = True
-    log_base: float | None = None
-    output_dir: str = "."
-    format: str = "csv"
-    workers: int = 1
-    kind: str | None = None
-    bins_per_decade: int = 10
-    snapshot: int | None = None
-    per_neighbor: bool = False
-    per_triad: bool = False
-    ego: str | None = None
-    method: str | None = None
-    mode: str | None = None
-    k: int = 10
-    n_nodes: int | None = None
-    edge_prob: float | None = None
-    n_attach: int | None = None
-    n_snapshots: int | None = None
-    formation_rate: float = 0.05
-    time_span: int = DEFAULT_TIME_SPAN
+    input: str | None = _opt(None, "str", "path to the raw edge file")
+    directed: bool = _opt(False, "bool", "treat edges as directed")
+    delimiter: str | None = _opt(None, "str", "force 'comma' or 'whitespace' field splitting")
+    time_mode: str = _opt(TIME_MODE_TIMESTAMP, "str",
+                          "third column semantics: 'timestamp' or 'index'",
+                          _one_of(TIME_MODE_TIMESTAMP, TIME_MODE_INDEX))
+    missing_time: int | None = _opt(None, "int",
+                                    "timestamp substituted for blank or \\N time fields")
+    drop_zero_out: bool = _opt(False, "bool",
+                               "drop nodes that never appear as a source (directed only)")
+    window_days: float | None = _opt(None, "float", "snapshot window length in days",
+                                     _above(0))
+    window_seconds: int | None = _opt(None, "int", "snapshot window length in raw time units",
+                                      _at_least(1))
+    window_count: int | None = _opt(None, "int", "number of equal-width snapshot windows",
+                                    _at_least(1))
+    preassigned: bool = _opt(False, "bool", "treat times as snapshot indices")
+    seed: int = _opt(0, "int", "RNG seed for ego sampling and generators", _at_least(0))
+    sample_size: int | None = _opt(None, "int",
+                                   "number of egos to sample (default: all eligible)",
+                                   _at_least(1))
+    cutoff: int = _opt(DEFAULT_CUTOFF, "int",
+                       "drop egos whose candidate set ever exceeds this size", _at_least(1))
+    ks: tuple = _opt(DEFAULT_KS, "int_list",
+                     "comma-separated list of k values, strictly ascending", validate_ks)
+    methods: tuple = _opt(ALL_METHODS, "str_list", "comma-separated scoring methods",
+                          validate_methods)
+    modes: tuple | None = _opt(None, "str_list", "comma-separated degree modes", _known_modes)
+    min_candidates: int = _opt(0, "int", "minimum candidates for an (ego, snapshot) cell",
+                               _at_least(0))
+    require_formation: bool = _opt(True, "bool",
+                                   "keep only cells with at least one formed edge")
+    log_base: float | None = _opt(None, "float",
+                                  "logarithm base for scoring terms (default: e)", _above(1))
+    output_dir: str = _opt(".", "str", "directory for output files")
+    format: str = _opt("csv", "str", "output table format: 'csv' or 'json'",
+                       _one_of("csv", "json"))
+    workers: int = _opt(1, "int", "worker processes for per-ego stages", _at_least(1))
+    kind: str | None = _opt(None, "str", "degree-dist sample kind, or generator kind")
+    bins_per_decade: int = _opt(10, "int", "log-histogram resolution", _at_least(1))
+    snapshot: int | None = _opt(None, "int", "snapshot index to analyze (default: last)")
+    per_neighbor: bool = _opt(False, "bool",
+                              "sample global degrees once per (ego, neighbor) pair")
+    per_triad: bool = _opt(False, "bool", "split the empirical analysis by directed triad type")
+    ego: str | None = _opt(None, "str", "ego node label to recommend for")
+    method: str | None = _opt(None, "str", "single scoring method", _known_method)
+    mode: str | None = _opt(None, "str", "single degree mode", _known_mode)
+    k: int = _opt(10, "int", "list length for recommend", _at_least(1))
+    n_nodes: int | None = _opt(None, "int", "generator node count")
+    edge_prob: float | None = _opt(None, "float", "generator edge probability")
+    n_attach: int | None = _opt(None, "int", "edges per new node (preferential attachment)")
+    n_snapshots: int | None = _opt(None, "int", "snapshot count (planted generator)")
+    formation_rate: float = _opt(0.05, "float",
+                                 "top-score formation probability (planted generator)")
+    time_span: int = _opt(DEFAULT_TIME_SPAN, "int", "timestamp range for the uniform generator")
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _parse_value(key, raw):
     """Convert the string form of one config value to its typed form."""
-    kind = _KEY_SPECS[key][0]
+    kind = _FIELDS[key].metadata["kind"]
     raw = raw.strip()
     if raw == "":
         return None
@@ -191,7 +194,10 @@ def _parse_value(key, raw):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         if kind == "int_list":
             return tuple(int(part) for part in raw.split(","))
         if kind == "str_list":
@@ -217,7 +223,7 @@ def read_config_file(path):
             raise ConfigError(f"config: line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _KEY_SPECS:
+        if key not in _FIELDS:
             raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
     return values
@@ -236,20 +242,12 @@ def build_parser():
     parser = _Parser(prog="egolink", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"egolink {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    descriptions = {
-        "ingest": "normalize a raw edge file into contiguous integer ids",
-        "snapshots": "summarize cumulative snapshot windows",
-        "degree-dist": "log-binned degree distribution of one snapshot",
-        "empirical": "formed vs not-formed degree statistics across snapshots",
-        "recommend": "ranked candidate list for one ego",
-        "evaluate": "precision@k evaluation of scoring methods",
-        "generate": "write a synthetic edge list",
-    }
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, description=descriptions[name], add_help=True)
+    for name, (description, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, description=description, add_help=True)
         cmd.add_argument("--config", default=None, help="flat key = value config file")
-        for key, (kind, text) in _KEY_SPECS.items():
-            flag = "--" + key.replace("_", "-")
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            kind, text = f.metadata["kind"], f.metadata["help"]
             if kind == "bool":
                 cmd.add_argument(flag, nargs="?", const="true", default=None,
                                  metavar="BOOL", help=text)
@@ -259,88 +257,60 @@ def build_parser():
 
 
 def resolve_config(args):
-    """Merge defaults, config file, env override, and flags into a RunConfig."""
+    """Merge defaults, config file, env override, and flags into a RunConfig.
+
+    Precedence: flag > ``EGOLINK_OUTPUT_DIR`` > config file > default."""
     file_values = read_config_file(args.config) if args.config else {}
-    values = {}
-    for key in _KEY_SPECS:
-        flag_raw = getattr(args, key)
-        if flag_raw is not None:
-            values[key] = _parse_value(key, flag_raw)
-        elif key in file_values:
-            values[key] = file_values[key]
     env_dir = os.environ.get("EGOLINK_OUTPUT_DIR")
-    if env_dir and getattr(args, "output_dir") is None:
-        values["output_dir"] = env_dir
+    if env_dir:  # the env var outranks the file, so it overwrites its value
+        file_values["output_dir"] = env_dir
     cfg = RunConfig()
-    for key, value in values.items():
+    for key in _FIELDS:
+        raw = getattr(args, key)
+        value = _parse_value(key, raw) if raw is not None else file_values.get(key)
         if value is not None:
             setattr(cfg, key, value)
     _validate_config(cfg)
     return cfg
 
 
+def _check(key, check, value):
+    try:
+        check(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _validate_config(cfg):
-    if cfg.time_mode not in (TIME_MODE_TIMESTAMP, TIME_MODE_INDEX):
-        raise ConfigError(f"time_mode: unknown value {cfg.time_mode!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format: expected 'csv' or 'json', got {cfg.format!r}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {cfg.workers}")
-    if cfg.cutoff < 1:
-        raise ConfigError(f"cutoff: must be >= 1, got {cfg.cutoff}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
-    if cfg.sample_size is not None and cfg.sample_size < 1:
-        raise ConfigError(f"sample_size: must be >= 1, got {cfg.sample_size}")
-    if cfg.min_candidates < 0:
-        raise ConfigError(f"min_candidates: must be >= 0, got {cfg.min_candidates}")
-    if cfg.bins_per_decade < 1:
-        raise ConfigError(f"bins_per_decade: must be >= 1, got {cfg.bins_per_decade}")
-    if cfg.k < 1:
-        raise ConfigError(f"k: must be >= 1, got {cfg.k}")
-    try:
-        validate_ks(cfg.ks)
-    except ConfigError as exc:
-        raise ConfigError(f"ks: {exc}") from None
-    try:
-        validate_methods(cfg.methods)
-    except ConfigError as exc:
-        raise ConfigError(f"methods: {exc}") from None
-    if cfg.modes is not None:
-        for mode in cfg.modes:
-            if mode not in ALL_MODES:
-                raise ConfigError(f"modes: unknown mode {mode!r}")
-    window_keys = [
-        key for key in ("window_days", "window_seconds", "window_count")
-        if getattr(cfg, key) is not None
-    ]
-    if len(window_keys) > 1:
-        raise ConfigError(f"window policy: {window_keys[0]} conflicts with {window_keys[1]}")
-    if cfg.window_days is not None and cfg.window_days <= 0:
-        raise ConfigError(f"window_days: must be > 0, got {cfg.window_days}")
-    if cfg.window_seconds is not None and cfg.window_seconds < 1:
-        raise ConfigError(f"window_seconds: must be >= 1, got {cfg.window_seconds}")
-    if cfg.window_count is not None and cfg.window_count < 1:
-        raise ConfigError(f"window_count: must be >= 1, got {cfg.window_count}")
-    if cfg.log_base is not None and cfg.log_base <= 1.0:
-        raise ConfigError(f"log_base: must be > 1, got {cfg.log_base}")
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, key)
+        if f.metadata["check"] is not None and value is not None:
+            _check(key, f.metadata["check"], value)
+    # at most one window policy; pre-assigned indices take none
+    policy = [key for key in _WINDOW_KEYS if getattr(cfg, key) is not None]
+    if cfg.preassigned:
+        policy.append("preassigned")
+    elif cfg.time_mode == TIME_MODE_INDEX:
+        policy.append("time_mode=index")
+    if len(policy) > 1:
+        raise ConfigError(f"window policy: {policy[0]} conflicts with {policy[1]}")
 
 
 def config_echo(cfg):
     """Flat string map of the resolved config, usable as a config file."""
     echo = {}
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(cfg, field.name)
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
         if value is None:
-            echo[field.name] = ""
+            echo[f.name] = ""
         elif isinstance(value, bool):
-            echo[field.name] = "true" if value else "false"
+            echo[f.name] = "true" if value else "false"
         elif isinstance(value, tuple):
-            echo[field.name] = ",".join(str(v) for v in value)
+            echo[f.name] = ",".join(str(v) for v in value)
         elif isinstance(value, float):
-            echo[field.name] = fmt_float(value)
+            echo[f.name] = fmt_float(value)
         else:
-            echo[field.name] = str(value)
+            echo[f.name] = str(value)
     return echo
 
 
@@ -367,15 +337,17 @@ def _load_edges(cfg):
     return edges
 
 
-def _build_series(cfg, edges):
+def _load_series(cfg):
+    """The input's edges and their cumulative snapshots."""
+    edges = _load_edges(cfg)
     if cfg.preassigned or edges.time_mode == TIME_MODE_INDEX:
-        return build_snapshots(edges, preassigned=True)
+        return edges, build_snapshots(edges, preassigned=True)
     if cfg.window_count is not None:
-        return build_snapshots(edges, fixed_count=cfg.window_count)
+        return edges, build_snapshots(edges, fixed_count=cfg.window_count)
     if cfg.window_seconds is not None:
-        return build_snapshots(edges, window_length=cfg.window_seconds)
+        return edges, build_snapshots(edges, window_length=cfg.window_seconds)
     days = cfg.window_days if cfg.window_days is not None else 90.0
-    return build_snapshots(edges, window_length=int(round(days * SECONDS_PER_DAY)))
+    return edges, build_snapshots(edges, window_length=int(round(days * SECONDS_PER_DAY)))
 
 
 def _pick_snapshot(cfg, series):
@@ -392,7 +364,7 @@ def _out_path(cfg, name):
     return os.path.join(cfg.output_dir, name)
 
 
-def _write_manifest(cfg, command, outputs, started, extra=None):
+def _write_manifest(cfg, command, outputs, started, extra):
     manifest = {
         "command": command,
         "config": config_echo(cfg),
@@ -404,48 +376,44 @@ def _write_manifest(cfg, command, outputs, started, extra=None):
         "wall_time_s": round(_time.monotonic() - started, 3),
         "outputs": [os.path.basename(path) for path in outputs],
     }
-    if extra:
-        manifest.update(extra)
+    manifest.update(extra)
     path = _out_path(cfg, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
 
 
-def _cmd_ingest(cfg, started):
-    edges = _load_edges(cfg)
+# Each runner returns (output paths, manifest extras, summary line).
+
+def _write_edges(cfg, edges, verb):
     normalized = _out_path(cfg, "normalized.csv")
     label_map = _out_path(cfg, "label_map.csv")
     write_normalized_csv(edges, normalized)
     write_label_map_csv(edges, label_map)
-    _write_manifest(cfg, "ingest", [normalized, label_map], started,
-                    extra={"n_nodes": edges.n_nodes, "n_edges": edges.n_edges})
-    print(f"ingested {edges.n_edges} edges over {edges.n_nodes} nodes -> {normalized}")
+    return ([normalized, label_map], {"n_nodes": edges.n_nodes, "n_edges": edges.n_edges},
+            f"{verb} {edges.n_edges} edges over {edges.n_nodes} nodes -> {normalized}")
 
 
-def _cmd_snapshots(cfg, started):
-    edges = _load_edges(cfg)
-    series = _build_series(cfg, edges)
+def _cmd_ingest(cfg):
+    return _write_edges(cfg, _load_edges(cfg), "ingested")
+
+
+def _cmd_snapshots(cfg):
+    _, series = _load_series(cfg)
     header = ("snapshot", "window_start", "window_end", "new_edges", "total_edges")
     rows = [
         (g.index, g.window_start, g.window_end, int(series.new_edges[i]), g.n_edges)
         for i, g in enumerate(series.graphs)
     ]
     path = write_table(_out_path(cfg, "snapshots"), cfg.format, header, rows)
-    _write_manifest(cfg, "snapshots", [path], started,
-                    extra={"n_snapshots": len(series)})
-    print(f"built {len(series)} cumulative snapshots -> {path}")
+    return ([path], {"n_snapshots": len(series)},
+            f"built {len(series)} cumulative snapshots -> {path}")
 
 
-def _cmd_degree_dist(cfg, started):
+def _cmd_degree_dist(cfg):
     kind = cfg.kind if cfg.kind is not None else KIND_PERSONALIZED
-    if kind not in (KIND_PERSONALIZED, KIND_GLOBAL):
-        raise ConfigError(
-            f"kind: expected '{KIND_PERSONALIZED}' or '{KIND_GLOBAL}', got {kind!r}"
-        )
-    edges = _load_edges(cfg)
-    series = _build_series(cfg, edges)
+    _check("kind", _one_of(*SAMPLE_KINDS), kind)
+    _, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
     mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
     validate_mode(mode, graph.directed)
@@ -457,14 +425,12 @@ def _cmd_degree_dist(cfg, started):
     name = f"degree_dist_{kind}_{mode}"
     path = write_table(_out_path(cfg, name), cfg.format, DISTRIBUTION_HEADER,
                        distribution_rows(dist), metadata=distribution_metadata(dist, kind, mode))
-    _write_manifest(cfg, "degree-dist", [path], started,
-                    extra={"n_samples": dist.n_samples, "shifted": dist.shifted})
-    print(f"binned {dist.n_samples} {kind} degree samples -> {path}")
+    return ([path], {"n_samples": dist.n_samples, "shifted": dist.shifted},
+            f"binned {dist.n_samples} {kind} degree samples -> {path}")
 
 
-def _cmd_empirical(cfg, started):
-    edges = _load_edges(cfg)
-    series = _build_series(cfg, edges)
+def _cmd_empirical(cfg):
+    _, series = _load_series(cfg)
     stats = aggregate_empirical(
         series,
         egos=sample_egos(series, cfg.sample_size, cfg.seed),
@@ -474,15 +440,13 @@ def _cmd_empirical(cfg, started):
     )
     path = write_table(_out_path(cfg, "empirical"), cfg.format, EMPIRICAL_HEADER,
                        empirical_table(stats))
-    _write_manifest(cfg, "empirical", [path], started, extra=stats.diagnostics)
-    print(f"empirical stats over {stats.diagnostics['n_egos_contributing']} egos -> {path}")
+    return ([path], stats.diagnostics,
+            f"empirical stats over {stats.diagnostics['n_egos_contributing']} egos -> {path}")
 
 
-def _cmd_recommend(cfg, started):
+def _cmd_recommend(cfg):
     _require(cfg, "ego", "method")
-    validate_methods((cfg.method,))
-    edges = _load_edges(cfg)
-    series = _build_series(cfg, edges)
+    edges, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
     if cfg.method == METHOD_CN:
         mode = MODE_NONE
@@ -516,15 +480,13 @@ def _cmd_recommend(cfg, started):
                 "snapshot": graph.index}
     path = write_table(_out_path(cfg, "recommendations"), cfg.format, header, rows,
                        metadata=metadata)
-    _write_manifest(cfg, "recommend", [path], started,
-                    extra={"n_candidates": int(view.candidates.size)})
-    print(f"top {len(rows)} of {view.candidates.size} candidates for ego "
-          f"{cfg.ego!r} -> {path}")
+    return ([path], {"n_candidates": int(view.candidates.size)},
+            f"top {len(rows)} of {view.candidates.size} candidates for ego "
+            f"{cfg.ego!r} -> {path}")
 
 
-def _cmd_evaluate(cfg, started):
-    edges = _load_edges(cfg)
-    series = _build_series(cfg, edges)
+def _cmd_evaluate(cfg):
+    _, series = _load_series(cfg)
     result = evaluate_methods(
         series,
         methods=cfg.methods,
@@ -541,21 +503,17 @@ def _cmd_evaluate(cfg, started):
     eval_path = write_table(_out_path(cfg, "eval"), cfg.format, EVAL_HEADER,
                             eval_table(result))
     outputs = [eval_path]
-    extra = dict(result.metadata)
     if METHOD_CN in cfg.methods and len(cfg.methods) > 1:
         improvement = percent_improvement(result)
-        imp_path = write_table(_out_path(cfg, "eval_improvement"), cfg.format,
-                               IMPROVEMENT_HEADER, improvement_table(improvement))
-        outputs.append(imp_path)
-    _write_manifest(cfg, "evaluate", outputs, started, extra=extra)
-    print(f"evaluated {len(result.pairs)} method/mode pairs over "
-          f"{result.metadata['n_cells']} cells -> {eval_path}")
+        outputs.append(write_table(_out_path(cfg, "eval_improvement"), cfg.format,
+                                   IMPROVEMENT_HEADER, improvement_table(improvement)))
+    return (outputs, dict(result.metadata),
+            f"evaluated {len(result.pairs)} method/mode pairs over "
+            f"{result.metadata['n_cells']} cells -> {eval_path}")
 
 
-def _cmd_generate(cfg, started):
+def _cmd_generate(cfg):
     _require(cfg, "kind", "n_nodes")
-    if cfg.kind not in ALL_KINDS:
-        raise ConfigError(f"kind: unknown generator {cfg.kind!r}")
     spec = GeneratorSpec(
         kind=cfg.kind,
         n_nodes=cfg.n_nodes,
@@ -569,33 +527,22 @@ def _cmd_generate(cfg, started):
         formation_rate=cfg.formation_rate,
         time_span=cfg.time_span,
     )
-    edges = generate(spec)
-    normalized = _out_path(cfg, "normalized.csv")
-    label_map = _out_path(cfg, "label_map.csv")
-    write_normalized_csv(edges, normalized)
-    write_label_map_csv(edges, label_map)
-    _write_manifest(cfg, "generate", [normalized, label_map], started,
-                    extra={"n_nodes": edges.n_nodes, "n_edges": edges.n_edges})
-    print(f"generated {edges.n_edges} edges over {edges.n_nodes} nodes -> {normalized}")
+    return _write_edges(cfg, generate(spec), "generated")
 
 
-_RUNNERS = {
-    "ingest": _cmd_ingest,
-    "snapshots": _cmd_snapshots,
-    "degree-dist": _cmd_degree_dist,
-    "empirical": _cmd_empirical,
-    "recommend": _cmd_recommend,
-    "evaluate": _cmd_evaluate,
-    "generate": _cmd_generate,
+# command -> (description, runner), in ``--help`` order
+_COMMANDS = {
+    "ingest": ("normalize a raw edge file into contiguous integer ids", _cmd_ingest),
+    "snapshots": ("summarize cumulative snapshot windows", _cmd_snapshots),
+    "degree-dist": ("log-binned degree distribution of one snapshot", _cmd_degree_dist),
+    "empirical": ("formed vs not-formed degree statistics across snapshots", _cmd_empirical),
+    "recommend": ("ranked candidate list for one ego", _cmd_recommend),
+    "evaluate": ("precision@k evaluation of scoring methods", _cmd_evaluate),
+    "generate": ("write a synthetic edge list", _cmd_generate),
 }
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    PreconditionError,
-    EmptyInputError,
-    ParseError,
-    FileNotFoundError,
-)
+_VALIDATION_ERRORS = (ConfigError, PreconditionError, EmptyInputError, ParseError,
+                      FileNotFoundError)
 
 
 def main(argv=None):
@@ -608,7 +555,9 @@ def main(argv=None):
     started = _time.monotonic()
     try:
         cfg = resolve_config(args)
-        _RUNNERS[args.command](cfg, started)
+        outputs, extra, summary = _COMMANDS[args.command][1](cfg)
+        _write_manifest(cfg, args.command, outputs, started, extra)
+        print(summary)
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"egolink {args.command}: error: {exc}\n")
         return 1

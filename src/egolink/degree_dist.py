@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import write_csv
 from .ego import MODE_UNDIRECTED, ego_neighbors, global_degrees, personalized_degrees, validate_mode
 from .errors import ConfigError, EmptyInputError
 
@@ -182,11 +181,3 @@ def distribution_rows(dist):
         for i in range(dist.n_bins)
     ]
 
-
-def write_distribution_csv(dist, path, kind=None, mode=None):
-    write_csv(
-        path,
-        DISTRIBUTION_HEADER,
-        distribution_rows(dist),
-        metadata=distribution_metadata(dist, kind=kind, mode=mode),
-    )

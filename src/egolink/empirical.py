@@ -27,6 +27,7 @@ import numpy as np
 from . import _kernels
 from ._parallel import map_in_order
 from ._util import mean_and_stderr
+from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
 from .ego import (
     EdgeConfig,
     TriadType,
@@ -43,8 +44,6 @@ from .errors import ConfigError, EmptyInputError, EmptyResultError
 
 GROUP_FORMED = "formed"
 GROUP_NOT_FORMED = "not-formed"
-KIND_GLOBAL = "global"
-KIND_PERSONALIZED = "personalized"
 
 EMPIRICAL_HEADER = ("triad", "group", "degree_kind", "mode", "mean", "stderr", "n_egos")
 

@@ -6,13 +6,14 @@ import pytest
 import oracles
 from conftest import make_graph, random_graph
 
+from egolink._util import write_table
 from egolink.degree_dist import (
+    DISTRIBUTION_HEADER,
     distribution_metadata,
     distribution_rows,
     global_degree_samples,
     log_binned_histogram,
     personalized_degree_samples,
-    write_distribution_csv,
 )
 from egolink.errors import ConfigError, EmptyInputError
 
@@ -145,7 +146,8 @@ class TestOutputs:
     def test_csv_header_line(self, tmp_path):
         dist = log_binned_histogram(np.array([0, 2, 7]))
         path = tmp_path / "d.csv"
-        write_distribution_csv(dist, path, "personalized", "undirected")
+        write_table(str(tmp_path / "d"), "csv", DISTRIBUTION_HEADER, distribution_rows(dist),
+                    metadata=distribution_metadata(dist, "personalized", "undirected"))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# kind=personalized mode=undirected shifted=true")
         assert lines[1] == "bin_low,bin_high,bin_center,count,density"

@@ -1,0 +1,156 @@
+"""The option table: every ``RunConfig`` field is one flag, one config key and
+one manifest echo entry, and its check fails fast with the key named."""
+
+import dataclasses
+import os
+import re
+
+import pytest
+
+from egolink.cli import RunConfig, build_parser, config_echo, main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+CHECKED = [f.name for f in dataclasses.fields(RunConfig) if f.metadata["check"]]
+
+# one value per checked field that its check must reject
+BAD_VALUES = {
+    "time_mode": "hourly",
+    "window_days": "0",
+    "window_seconds": "0",
+    "window_count": "0",
+    "seed": "-1",
+    "sample_size": "0",
+    "cutoff": "0",
+    "ks": "10,5",
+    "methods": "cn,bogus",
+    "modes": "out,sideways",
+    "min_candidates": "-1",
+    "log_base": "1",
+    "format": "xml",
+    "workers": "0",
+    "bins_per_decade": "0",
+    "method": "bogus",
+    "mode": "sideways",
+    "k": "0",
+}
+
+COMMANDS = ("ingest", "snapshots", "degree-dist", "empirical", "recommend",
+            "evaluate", "generate")
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.fixture()
+def idx_file(tmp_path):
+    path = tmp_path / "idx.csv"
+    path.write_text("src_id,dst_id,time\n0,1,0\n1,2,1\n0,2,2\n2,3,2\n")
+    return path
+
+
+def test_every_check_has_a_bad_value():
+    assert sorted(BAD_VALUES) == sorted(CHECKED)
+
+
+@pytest.mark.parametrize("via", ["flag", "file"])
+@pytest.mark.parametrize("key", CHECKED)
+def test_bad_value_fails_before_input(key, via, tmp_path, capsys):
+    # the input does not exist, so only a check that runs first names the key
+    argv = ["evaluate", "--input", str(tmp_path / "missing.csv"),
+            "--output-dir", str(tmp_path / "out")]
+    if via == "flag":
+        argv += [_flag(key), BAD_VALUES[key]]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {BAD_VALUES[key]}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_field_is_a_flag_and_echoed(command):
+    parser = build_parser()
+    for key in FIELDS:
+        args = parser.parse_args([command, _flag(key), "1"])
+        assert getattr(args, key) == "1", key
+    assert list(config_echo(RunConfig())) == FIELDS
+
+
+def test_readme_lists_every_key():
+    text = open(README, encoding="utf-8").read()
+    section = text.split("### Options and config files", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    listed = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[2])]
+    assert sorted(listed) == sorted(FIELDS)
+
+
+class TestFiniteFloats:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_window_days_flag(self, value, idx_file, tmp_path, capsys):
+        assert main(["snapshots", "--input", str(idx_file), f"--window-days={value}",
+                     "--output-dir", str(tmp_path / "o")]) == 1
+        assert f"window_days: cannot parse '{value}' as float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_log_base(self, via, idx_file, tmp_path, capsys):
+        argv = ["recommend", "--input", str(idx_file), "--time-mode", "index",
+                "--ego", "0", "--method", "pd-cn", "--output-dir", str(tmp_path / "o")]
+        if via == "flag":
+            argv += ["--log-base", "inf"]
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("log_base = inf\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert "log_base: cannot parse 'inf' as float" in capsys.readouterr().err
+
+
+class TestWindowPolicy:
+    @pytest.mark.parametrize("flags, other", [
+        (["--preassigned"], "preassigned"),
+        (["--time-mode", "index"], "time_mode"),
+    ])
+    @pytest.mark.parametrize("window", ["window_days", "window_seconds", "window_count"])
+    def test_window_with_indices(self, flags, other, window, idx_file, tmp_path, capsys):
+        assert main(["snapshots", "--input", str(idx_file), *flags, _flag(window), "2",
+                     "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert window in err and other in err
+
+    def test_preassigned_index_agree(self, idx_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["snapshots", "--input", str(idx_file), "--preassigned",
+                     "--time-mode", "index", "--output-dir", str(out)]) == 0
+        assert len((out / "snapshots.csv").read_text().splitlines()) == 4
+
+
+class TestPrecedence:
+    """--flag > EGOLINK_OUTPUT_DIR > config file > default."""
+
+    def _ingest(self, idx_file, tmp_path, *extra):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"output_dir = {tmp_path / 'from_file'}\n")
+        return main(["ingest", "--input", str(idx_file), "--config", str(cfg), *extra])
+
+    def test_env_beats_file(self, idx_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("EGOLINK_OUTPUT_DIR", str(tmp_path / "from_env"))
+        assert self._ingest(idx_file, tmp_path) == 0
+        assert (tmp_path / "from_env" / "normalized.csv").exists()
+        assert not (tmp_path / "from_file").exists()
+
+    def test_file_beats_default(self, idx_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("EGOLINK_OUTPUT_DIR", raising=False)
+        assert self._ingest(idx_file, tmp_path) == 0
+        assert (tmp_path / "from_file" / "normalized.csv").exists()
+
+    def test_flag_beats_env_and_file(self, idx_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("EGOLINK_OUTPUT_DIR", str(tmp_path / "from_env"))
+        assert self._ingest(idx_file, tmp_path,
+                            "--output-dir", str(tmp_path / "from_flag")) == 0
+        assert (tmp_path / "from_flag" / "normalized.csv").exists()
+        assert not (tmp_path / "from_env").exists()
+        assert not (tmp_path / "from_file").exists()

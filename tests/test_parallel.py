@@ -1,0 +1,54 @@
+"""Fan-out sizing: the pool never starts more processes than there are items."""
+
+from concurrent.futures import Future
+
+import pytest
+
+from egolink import _parallel
+
+
+def _add(payload, item):
+    return payload + item
+
+
+class _RecordingPool:
+    """Runs tasks inline and records the requested pool size."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, n_items, expected", [
+    (64, 3, 3),
+    (2, 5, 2),
+    (4, 4, 4),
+])
+def test_pool_size_capped_by_items(workers, n_items, expected, monkeypatch):
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_parallel, "_PAYLOAD", None)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    items = list(range(n_items))
+    out = _parallel.map_in_order(_add, items, 100, workers=workers)
+    assert out == [100 + i for i in items]
+    assert _RecordingPool.sizes == [expected]
+
+
+def test_single_item_runs_inline(monkeypatch):
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert _parallel.map_in_order(_add, [1], 10, workers=8) == [11]
+    assert _RecordingPool.sizes == []
