@@ -1,4 +1,4 @@
-"""Small shared helpers: float formatting, summary statistics, and the
+"""Small shared helpers: float formatting, the ego pooling rule, and the
 CSV/JSON table writers every pipeline output goes through."""
 
 import json
@@ -25,6 +25,25 @@ def mean_and_stderr(values):
     if n == 1:
         return mean, 0.0
     return mean, float(values.std(ddof=1) / math.sqrt(n))
+
+
+def pool_egos(per_ego):
+    """Pool cell values across egos: ``{key: (mean, stderr, n_egos)}``.
+
+    ``per_ego`` yields, one ego at a time in ascending ego order, a dict
+    ``{key: [value per usable cell, in transition order]}``; None or an
+    empty dict is an ego without usable cells. Each ego's cells average
+    first (``np.mean``), so an ego weighs the same however many cells it
+    has. Per key, those per-ego means then average in ego order across
+    the ``n_egos`` egos that have the key, and their spread across egos
+    gives the standard error (``mean_and_stderr``). Keys come out in the
+    order they are first seen.
+    """
+    means = {}
+    for cells in per_ego:
+        for key, values in (cells or {}).items():
+            means.setdefault(key, []).append(float(np.mean(values)))
+    return {key: (*mean_and_stderr(m), len(m)) for key, m in means.items()}
 
 
 def _csv_cell(v):

@@ -39,7 +39,7 @@ from .degree_dist import (
     log_binned_histogram,
     personalized_degree_samples,
 )
-from .ego import MODE_UNDIRECTED, ego_view, sample_egos, validate_mode
+from .ego import MODE_UNDIRECTED, ego_view, resolve_modes, sample_egos, validate_mode
 from .empirical import EMPIRICAL_HEADER, aggregate_empirical, empirical_table
 from .errors import ConfigError, EmptyInputError, EmptyResultError, ParseError, PreconditionError
 from .evaluation import (
@@ -66,6 +66,7 @@ from .graph import (
 from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_candidates, validate_methods
 
 SECONDS_PER_DAY = 86_400
+_MAX_WINDOW = int(np.iinfo(np.int64).max)  # window lengths are int64 time units
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -99,14 +100,28 @@ def _one_of(*choices):
     return check
 
 
+def _window_length(units):
+    """A window length rounded to whole time units; ConfigError unless it
+    is positive and fits an int64."""
+    # a huge finite day count can become inf, which round() rejects
+    length = round(units) if units < _MAX_WINDOW else units
+    if not 1 <= length <= _MAX_WINDOW:
+        raise ConfigError(
+            f"window length {units!r} time units is not within 1..{_MAX_WINDOW}")
+    return length
+
+
+def _day_window(days):
+    return _window_length(days * SECONDS_PER_DAY)
+
+
 def _known_mode(mode):
-    # only the name: the undirected-graph rule needs the loaded graph
+    # only the name: each command checks the mode against --directed
     validate_mode(mode, directed=True)
 
 
 def _known_modes(modes):
-    for mode in modes:
-        _known_mode(mode)
+    resolve_modes(True, modes)
 
 
 def _known_method(method):
@@ -128,9 +143,9 @@ class RunConfig:
     drop_zero_out: bool = _opt(False, "bool",
                                "drop nodes that never appear as a source (directed only)")
     window_days: float | None = _opt(None, "float", "snapshot window length in days",
-                                     _above(0))
+                                     _day_window)
     window_seconds: int | None = _opt(None, "int", "snapshot window length in raw time units",
-                                      _at_least(1))
+                                      _window_length)
     window_count: int | None = _opt(None, "int", "number of equal-width snapshot windows",
                                     _at_least(1))
     preassigned: bool = _opt(False, "bool", "treat times as snapshot indices")
@@ -274,9 +289,10 @@ def resolve_config(args):
     return cfg
 
 
-def _check(key, check, value):
+def _check(key, check, *args):
+    """``check(*args)`` with ``key`` named in its ConfigError."""
     try:
-        check(value)
+        return check(*args)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -347,7 +363,7 @@ def _load_series(cfg):
     if cfg.window_seconds is not None:
         return edges, build_snapshots(edges, window_length=cfg.window_seconds)
     days = cfg.window_days if cfg.window_days is not None else 90.0
-    return edges, build_snapshots(edges, window_length=int(round(days * SECONDS_PER_DAY)))
+    return edges, build_snapshots(edges, window_length=_day_window(days))
 
 
 def _pick_snapshot(cfg, series):
@@ -413,10 +429,10 @@ def _cmd_snapshots(cfg):
 def _cmd_degree_dist(cfg):
     kind = cfg.kind if cfg.kind is not None else KIND_PERSONALIZED
     _check("kind", _one_of(*SAMPLE_KINDS), kind)
+    mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
+    _check("mode", validate_mode, mode, cfg.directed)
     _, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
-    mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
-    validate_mode(mode, graph.directed)
     if kind == KIND_PERSONALIZED:
         samples = personalized_degree_samples(graph, mode=mode)
     else:
@@ -430,12 +446,15 @@ def _cmd_degree_dist(cfg):
 
 
 def _cmd_empirical(cfg):
+    # the per-triad rule first, so that each rule names its own key
+    _check("per_triad", resolve_modes, cfg.directed, None, cfg.per_triad)
+    modes = _check("modes", resolve_modes, cfg.directed, cfg.modes, cfg.per_triad)
     _, series = _load_series(cfg)
     stats = aggregate_empirical(
         series,
         egos=sample_egos(series, cfg.sample_size, cfg.seed),
         per_triad=cfg.per_triad,
-        degree_modes=cfg.modes,
+        degree_modes=modes,
         workers=cfg.workers,
     )
     path = write_table(_out_path(cfg, "empirical"), cfg.format, EMPIRICAL_HEADER,
@@ -446,15 +465,15 @@ def _cmd_empirical(cfg):
 
 def _cmd_recommend(cfg):
     _require(cfg, "ego", "method")
-    edges, series = _load_series(cfg)
-    graph = _pick_snapshot(cfg, series)
     if cfg.method == METHOD_CN:
         mode = MODE_NONE
         score_mode = MODE_UNDIRECTED
     else:
         score_mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
-        validate_mode(score_mode, graph.directed)
+        _check("mode", validate_mode, score_mode, cfg.directed)
         mode = score_mode
+    edges, series = _load_series(cfg)
+    graph = _pick_snapshot(cfg, series)
     try:
         ego = edges.id_of(cfg.ego)
     except KeyError:
@@ -486,11 +505,12 @@ def _cmd_recommend(cfg):
 
 
 def _cmd_evaluate(cfg):
+    modes = _check("modes", resolve_modes, cfg.directed, cfg.modes)
     _, series = _load_series(cfg)
     result = evaluate_methods(
         series,
         methods=cfg.methods,
-        modes=cfg.modes,
+        modes=modes,
         ks=cfg.ks,
         sample_size=cfg.sample_size,
         seed=cfg.seed,

@@ -43,48 +43,39 @@ class DegreeSampleSet:
         return bool(self.values.size) and int(self.values.min()) == 0
 
 
-def _contributing_egos(graph, egos):
+def _per_neighbor_samples(graph, egos, kind, mode, values_of):
+    """``values_of(ego, neighbors)`` concatenated over the egos (every node
+    when None) that have neighbors, one value per (ego, neighbor) pair."""
     if egos is None:
         egos = np.arange(graph.n_nodes, dtype=np.int64)
-    return np.asarray(egos, dtype=np.int64)
+    chunks = []
+    for u in np.asarray(egos, dtype=np.int64):
+        base = ego_neighbors(graph, int(u))
+        if base.size:
+            chunks.append(values_of(int(u), base))
+    values = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    values.setflags(write=False)
+    return DegreeSampleSet(values=values, kind=kind, mode=mode, n_egos=len(chunks))
 
 
 def personalized_degree_samples(graph, mode=MODE_UNDIRECTED, egos=None):
     """Personalized degree of every (ego, neighbor) ordered pair."""
     validate_mode(mode, graph.directed)
-    chunks = []
-    n_egos = 0
-    for u in _contributing_egos(graph, egos):
-        base = ego_neighbors(graph, int(u))
-        if base.size == 0:
-            continue
-        n_egos += 1
-        chunks.append(personalized_degrees(graph, int(u), base, mode))
-    values = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    values.setflags(write=False)
-    return DegreeSampleSet(values=values, kind=KIND_PERSONALIZED, mode=mode, n_egos=n_egos)
+    return _per_neighbor_samples(graph, egos, KIND_PERSONALIZED, mode,
+                                 lambda u, base: personalized_degrees(graph, u, base, mode))
 
 
 def global_degree_samples(graph, mode=MODE_UNDIRECTED, per_neighbor=False, egos=None):
     """Global degrees, one per node; with ``per_neighbor`` one per
     (ego, neighbor) pair so the pooling matches the personalized set."""
     validate_mode(mode, graph.directed)
-    if not per_neighbor:
-        all_nodes = np.arange(graph.n_nodes, dtype=np.int64)
-        values = global_degrees(graph, all_nodes, mode).copy()
-        values.setflags(write=False)
-        return DegreeSampleSet(values=values, kind=KIND_GLOBAL, mode=mode, n_egos=0)
-    chunks = []
-    n_egos = 0
-    for u in _contributing_egos(graph, egos):
-        base = ego_neighbors(graph, int(u))
-        if base.size == 0:
-            continue
-        n_egos += 1
-        chunks.append(global_degrees(graph, base, mode))
-    values = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    if per_neighbor:
+        return _per_neighbor_samples(graph, egos, KIND_GLOBAL, mode,
+                                     lambda u, base: global_degrees(graph, base, mode))
+    all_nodes = np.arange(graph.n_nodes, dtype=np.int64)
+    values = global_degrees(graph, all_nodes, mode).copy()
     values.setflags(write=False)
-    return DegreeSampleSet(values=values, kind=KIND_GLOBAL, mode=mode, n_egos=n_egos)
+    return DegreeSampleSet(values=values, kind=KIND_GLOBAL, mode=mode, n_egos=0)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,22 @@ def default_degree_modes(directed, per_triad=False):
     return (MODE_OUT, MODE_IN) if per_triad else (MODE_OUT, MODE_IN, MODE_UNDIRECTED)
 
 
+def resolve_modes(directed, modes=None, per_triad=False):
+    """The degree modes to analyse: ``modes`` checked against the graph
+    kind, or the defaults when it is None. Per-triad analysis needs a
+    directed graph."""
+    if per_triad and not directed:
+        raise ConfigError("per-triad analysis needs a directed graph")
+    if modes is None:
+        return default_degree_modes(directed, per_triad)
+    modes = tuple(modes)
+    if not modes:
+        raise ConfigError("need at least one degree mode")
+    for mode in modes:
+        validate_mode(mode, directed)
+    return modes
+
+
 def ego_neighbors(graph, u):
     """The ego's own neighborhood: successors if directed."""
     return graph.successors(u)

@@ -7,9 +7,8 @@ neighbors ``z`` of ``log(degree(z) + 1)``, once with global and once
 with personalized degrees; the two groups average those per-candidate
 means. A transition counts for an ego only when both groups are
 non-empty, so formed and not-formed aggregates always cover identical
-(ego, snapshot) cells. Per-ego means over usable transitions are then
-averaged across egos, with the spread across egos giving the standard
-error.
+(ego, snapshot) cells. Usable cells pool across egos by the rule of
+``_util.pool_egos``.
 
 A per-triad cell (directed graphs) is the plain cell over the
 direction-split adjacency (``SnapshotGraph.direction_adjacency``): the
@@ -21,29 +20,31 @@ Plain cells sum over the wedges of ``ego_view``, per-triad cells through
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from . import _kernels
 from ._parallel import map_in_order
-from ._util import mean_and_stderr
+from ._util import pool_egos
 from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
 from .ego import (
     EdgeConfig,
     TriadType,
     TRIAD_TABLE,
-    default_degree_modes,
+    default_degree_modes,  # re-exported for callers of this module
     ego_neighbors,
     ego_view,
     global_degrees,
     personalized_degrees,
+    resolve_modes,
     two_hop_candidates,
-    validate_mode,
 )
 from .errors import ConfigError, EmptyInputError, EmptyResultError
 
 GROUP_FORMED = "formed"
 GROUP_NOT_FORMED = "not-formed"
+GROUPS = (GROUP_FORMED, GROUP_NOT_FORMED)
 
 EMPIRICAL_HEADER = ("triad", "group", "degree_kind", "mode", "mean", "stderr", "n_egos")
 
@@ -102,7 +103,7 @@ def _cell(sums, counts, cand, nxt, modes):
     out = {}
     for i, m in enumerate(modes):
         per_group = {}
-        for group, mask in ((GROUP_FORMED, formed), (GROUP_NOT_FORMED, ~formed)):
+        for group, mask in zip(GROUPS, (formed, ~formed)):
             per_group[group] = GroupStats(
                 group=group,
                 mean_log_global=float(means[mask, 2 * i].mean()),
@@ -165,59 +166,33 @@ def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None):
     {group: GroupStats}}}`` with triad key None in plain mode."""
     if not 0 <= t < len(series) - 1:
         raise IndexError(f"transition index {t} needs a following snapshot")
-    modes = _validated_modes(series, per_triad, degree_modes)
+    modes = resolve_modes(series.directed, degree_modes, per_triad)
     if per_triad:
         return _triad_cells(series[t], series[t + 1], ego, modes)
     return {None: _plain_cell(series[t], series[t + 1], ego, modes)}
 
 
-def _validated_modes(series, per_triad, degree_modes):
-    if per_triad and not series.directed:
-        raise ConfigError("per-triad analysis needs a directed graph")
-    if degree_modes is None:
-        degree_modes = default_degree_modes(series.directed, per_triad)
-    degree_modes = tuple(degree_modes)
-    if not degree_modes:
-        raise ConfigError("need at least one degree mode")
-    for m in degree_modes:
-        validate_mode(m, series.directed)
-    return degree_modes
-
-
 def _ego_worker(payload, ego):
+    """``{(triad, mode, group, kind): [value per usable cell]}`` of one ego."""
     series, per_triad, modes = payload
-    n_transitions = len(series) - 1
-    # per triad key: list over usable transitions of per-mode group stats
-    usable = {}
-    for t in range(n_transitions):
-        cells = ego_snapshot_stats(series, t, ego, per_triad=per_triad, degree_modes=modes)
-        for key, cell in cells.items():
-            if cell is not None:
-                usable.setdefault(key, []).append(cell)
-    out = {}
-    for key, cells in usable.items():
-        per_mode = {}
-        for m in modes:
-            vals = {}
-            for group in (GROUP_FORMED, GROUP_NOT_FORMED):
-                for kind in (KIND_GLOBAL, KIND_PERSONALIZED):
-                    picks = [
-                        c[m][group].mean_log_global
-                        if kind == KIND_GLOBAL
-                        else c[m][group].mean_log_personalized
-                        for c in cells
-                    ]
-                    vals[(group, kind)] = float(np.mean(picks))
-            per_mode[m] = vals
-        out[key] = (len(cells), per_mode)
-    return ego, out
+    cells = {}
+    for t in range(len(series) - 1):
+        stats_t = ego_snapshot_stats(series, t, ego, per_triad=per_triad, degree_modes=modes)
+        for triad, cell in stats_t.items():
+            for mode, groups in (cell or {}).items():
+                for group, stats in groups.items():
+                    cells.setdefault((triad, mode, group, KIND_GLOBAL), []).append(
+                        stats.mean_log_global)
+                    cells.setdefault((triad, mode, group, KIND_PERSONALIZED), []).append(
+                        stats.mean_log_personalized)
+    return cells
 
 
 def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, workers=1):
     """Pool per-ego means into grand means with standard errors."""
     if len(series) < 2:
         raise ConfigError("empirical analysis needs at least 2 snapshots")
-    modes = _validated_modes(series, per_triad, degree_modes)
+    modes = resolve_modes(series.directed, degree_modes, per_triad)
     if egos is None:
         egos = np.arange(series.n_nodes, dtype=np.int64)
     egos = np.asarray(egos, dtype=np.int64)
@@ -225,44 +200,17 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
         raise EmptyInputError("no egos given")
     egos = np.unique(egos)
 
-    results = map_in_order(
+    per_ego = map_in_order(
         _ego_worker, [int(u) for u in egos], (series, per_triad, modes), workers=workers
     )
-
-    # per (triad, mode, group, kind): per-ego means in ascending ego order
-    collected = {}
-    contributing = 0  # egos with at least one usable cell
-    for ego, per_key in results:
-        contributing += bool(per_key)
-        for key, (n_usable, per_mode) in per_key.items():
-            for m, vals in per_mode.items():
-                for (group, kind), v in vals.items():
-                    collected.setdefault((key, m, group, kind), []).append(v)
-
-    triad_keys = [None] if not per_triad else list(TriadType)
-    rows = []
-    for key in triad_keys:
-        for m in modes:
-            for group in (GROUP_FORMED, GROUP_NOT_FORMED):
-                for kind in (KIND_GLOBAL, KIND_PERSONALIZED):
-                    vals = collected.get((key, m, group, kind))
-                    if not vals:
-                        continue
-                    mean, stderr = mean_and_stderr(vals)
-                    rows.append(
-                        EmpiricalRow(
-                            triad=key,
-                            group=group,
-                            degree_kind=kind,
-                            mode=m,
-                            mean=mean,
-                            stderr=stderr,
-                            n_egos=len(vals),
-                        )
-                    )
+    pooled = pool_egos(per_ego)
+    triad_keys = list(TriadType) if per_triad else [None]
+    keys = product(triad_keys, modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED))
+    rows = [EmpiricalRow(triad, group, kind, mode, *pooled[(triad, mode, group, kind)])
+            for triad, mode, group, kind in keys if (triad, mode, group, kind) in pooled]
     diagnostics = {
         "n_egos_requested": int(egos.size),
-        "n_egos_contributing": contributing,
+        "n_egos_contributing": sum(1 for cells in per_ego if cells),
         "n_transitions": len(series) - 1,
     }
     if not rows:
@@ -275,17 +223,8 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
 
 
 def empirical_table(stats):
-    rows = []
-    for r in stats.rows:
-        rows.append(
-            (
-                "" if r.triad is None else r.triad.name,
-                r.group,
-                r.degree_kind,
-                r.mode,
-                r.mean,
-                r.stderr,
-                r.n_egos,
-            )
-        )
-    return rows
+    return [
+        ("" if r.triad is None else r.triad.name, r.group, r.degree_kind, r.mode,
+         r.mean, r.stderr, r.n_egos)
+        for r in stats.rows
+    ]

@@ -4,10 +4,9 @@ snapshot.
 A cell is one (ego, transition) pair. By default a cell qualifies when
 the ego has at least ``max(ks)`` candidates and at least one next-
 snapshot formation; the identical cell set feeds every method, so
-method columns are directly comparable. Cells average per ego first,
-egos average into the grand mean, and the spread across egos gives the
-standard error. Egos whose candidate set ever exceeds the two-hop
-cutoff are dropped whole and reported.
+method columns are directly comparable. Cell values pool across egos by
+the rule of ``_util.pool_egos``. Egos whose candidate set ever exceeds
+the two-hop cutoff are dropped whole and reported.
 """
 
 from dataclasses import dataclass
@@ -15,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import map_in_order
-from ._util import mean_and_stderr
+from ._util import pool_egos
 from .ego import (
     MODE_UNDIRECTED,
-    default_degree_modes,
     ego_neighbors,
     ego_view,
+    resolve_modes,
     sample_egos,
-    validate_mode,
 )
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import (
@@ -101,14 +99,16 @@ def rank_candidates(table, method=None):
 
 
 def precision_at_k(ranked, formed, k):
-    """Fraction of the top ``k`` that actually formed."""
+    """Fraction of the top ``k`` that actually formed; ``formed`` is an
+    array or any other iterable of node ids."""
     ranking = ranked.ranking if isinstance(ranked, RankedList) else np.asarray(ranked)
     k = int(k)
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if k > ranking.size:
         raise PreconditionError(f"k={k} exceeds the {ranking.size} ranked candidates")
-    formed = np.asarray(sorted(formed), dtype=np.int64)
+    if not isinstance(formed, np.ndarray):
+        formed = np.fromiter(formed, dtype=np.int64)
     hits = np.isin(ranking[:k], formed, assume_unique=True).sum()
     return float(hits) / k
 
@@ -127,6 +127,8 @@ def method_mode_pairs(methods, modes):
 
 
 def _cell_worker(payload, ego):
+    """``{((method, mode), k): [P@K per qualifying cell]}`` of one ego, or
+    None when its candidate set ever exceeds the two-hop cutoff."""
     series, pairs, ks, cutoff, min_cand, require_formation, log_base = payload
     max_k = max(ks)
     # one scoring pass per degree mode; the mode-free cn column rides on
@@ -139,20 +141,18 @@ def _cell_worker(payload, ego):
         for mode in modes
     }
 
-    cell_values = {pair: {k: [] for k in ks} for pair in pairs}
-    n_cells = 0
+    cells = {}
     for t in range(len(series) - 1):
         g = series[t]
         view = ego_view(g, ego)
         if view.candidates.size > cutoff:
-            return ego, None  # over the two-hop cutoff: drop the ego whole
+            return None  # over the two-hop cutoff: drop the ego whole
         if view.candidates.size < max(min_cand, max_k):
             continue
         nxt = ego_neighbors(series[t + 1], ego)
         formed = view.candidates[np.isin(view.candidates, nxt, assume_unique=True)]
         if require_formation and formed.size == 0:
             continue
-        n_cells += 1
 
         tables = {
             mode: score_candidates(
@@ -163,16 +163,8 @@ def _cell_worker(payload, ego):
         for m, mode in pairs:
             ranked = rank_candidates(tables[modes[0] if mode == MODE_NONE else mode], m)
             for k in ks:
-                cell_values[(m, mode)][k].append(precision_at_k(ranked, formed, k))
-
-    if n_cells == 0:
-        return ego, (0, {})
-    means = {
-        (pair, k): float(np.mean(vals))
-        for pair, by_k in cell_values.items()
-        for k, vals in by_k.items()
-    }
-    return ego, (n_cells, means)
+                cells.setdefault(((m, mode), k), []).append(precision_at_k(ranked, formed, k))
+    return cells
 
 
 def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
@@ -184,60 +176,35 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
         raise ConfigError("evaluation needs at least 2 snapshots")
     methods = validate_methods(methods)
     ks = validate_ks(ks)
-    if modes is None:
-        modes = default_degree_modes(series.directed)
-    modes = tuple(modes)
-    for m in modes:
-        validate_mode(m, series.directed)
-    pairs = method_mode_pairs(methods, modes)
+    pairs = method_mode_pairs(methods, resolve_modes(series.directed, modes))
 
     egos = sample_egos(series, sample_size, seed)
     payload = (series, pairs, ks, int(cutoff), int(min_candidates),
                bool(require_formation), log_base)
-    results = map_in_order(_cell_worker, [int(u) for u in egos], payload, workers=workers)
+    per_ego = map_in_order(_cell_worker, [int(u) for u in egos], payload, workers=workers)
 
-    skipped_cutoff = 0
-    total_cells = 0
-    per_pair_k = {(pair, k): [] for pair in pairs for k in ks}
-    contributing = 0
-    for ego, res in results:
-        if res is None:
-            skipped_cutoff += 1
-            continue
-        n_cells, means = res
-        if n_cells == 0:
-            continue
-        contributing += 1
-        total_cells += n_cells
-        for key, v in means.items():
-            per_pair_k[key].append(v)
-
+    # every key of an ego holds one value per cell of that ego
+    first = (pairs[0], ks[0])
+    kept = [cells for cells in per_ego if cells]
     metadata = {
         "seed": int(seed),
         "sample_size": int(egos.size),
         "two_hop_cutoff": int(cutoff),
         "min_candidates": int(min_candidates),
         "require_formation": bool(require_formation),
-        "n_egos_contributing": contributing,
-        "n_egos_skipped_cutoff": skipped_cutoff,
-        "n_cells": total_cells,
+        "n_egos_contributing": len(kept),
+        "n_egos_skipped_cutoff": sum(1 for cells in per_ego if cells is None),
+        "n_cells": sum(len(cells[first]) for cells in kept),
     }
-    if contributing == 0:
+    if not kept:
         raise EmptyResultError(
             "no (ego, transition) cell met the qualification rule",
             diagnostics=metadata,
         )
 
-    rows = []
-    for pair in pairs:
-        for k in ks:
-            mean, stderr = mean_and_stderr(per_pair_k[(pair, k)])
-            rows.append(
-                EvalRow(
-                    method=pair[0], mode=pair[1], k=k,
-                    mean_p_at_k=mean, stderr=stderr, n_cells=total_cells,
-                )
-            )
+    pooled = pool_egos(per_ego)
+    rows = [EvalRow(*pair, k, *pooled[(pair, k)][:2], metadata["n_cells"])
+            for pair in pairs for k in ks]
     return EvalResult(rows=rows, pairs=pairs, ks=ks, metadata=metadata)
 
 

@@ -19,6 +19,7 @@ from egolink.ego import (
     global_degrees,
     personalized_degree,
     personalized_degrees,
+    resolve_modes,
     two_hop_candidates,
     validate_mode,
 )
@@ -53,6 +54,18 @@ class TestModes:
             validate_mode("out", directed=False)
         with pytest.raises(ConfigError):
             validate_mode("total", directed=True)
+
+    def test_resolve(self):
+        assert resolve_modes(False) == ("undirected",)
+        assert resolve_modes(True, per_triad=True) == ("out", "in")
+        assert resolve_modes(True, ["in", "undirected"]) == ("in", "undirected")
+        with pytest.raises(ConfigError, match="per-triad analysis needs a directed"):
+            resolve_modes(False, per_triad=True)
+        with pytest.raises(ConfigError, match="at least one degree mode"):
+            resolve_modes(True, ())
+        for mode in ("out", "in"):
+            with pytest.raises(ConfigError, match="admit only mode 'undirected'"):
+                resolve_modes(False, ("undirected", mode))
 
     def test_directed_pd_by_mode(self):
         # u -> {a, b}; z sees a via out, b via in; z in u's neighborhood

@@ -52,6 +52,13 @@ class TestPrecision:
     def test_plain_array_accepted(self):
         assert precision_at_k(np.array([4, 2, 7]), np.array([2, 4]), 2) == 1.0
 
+    @pytest.mark.parametrize("formed", [{7, 5, 8}, [8, 5, 7], np.array([8, 7, 5])],
+                             ids=["set", "list", "unsorted-array"])
+    def test_formed_any_iterable(self, formed):
+        ranked = rank_candidates(_table([3, 5, 7, 9], [4.0, 3.0, 2.0, 1.0]))
+        got = [precision_at_k(ranked, formed, k) for k in (1, 2, 3, 4)]
+        assert got == [0.0, 0.5, 2 / 3, 0.5]
+
     def test_bounds(self):
         ranked = rank_candidates(_table([1, 2], [1.0, 2.0]))
         with pytest.raises(PreconditionError):
@@ -148,6 +155,10 @@ class TestEvaluate:
         series = make_series([[(0, 1)]], 2)
         with pytest.raises(ConfigError):
             evaluate_methods(series, ks=(1,))
+
+    def test_needs_a_mode(self):
+        with pytest.raises(ConfigError, match="at least one degree mode"):
+            evaluate_methods(_hand_series(), modes=())
 
     def test_sampling_deterministic(self):
         snaps = random_snapshots(2, 20, 0.25, False, 3)

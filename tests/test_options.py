@@ -128,6 +128,47 @@ class TestWindowPolicy:
         assert len((out / "snapshots.csv").read_text().splitlines()) == 4
 
 
+class TestWindowLength:
+    """A window length must round to a positive int64 number of time units."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("window_days", "1e300"),
+        ("window_seconds", "99999999999999999999999"),
+        ("window_days", "1e-9"),
+    ])
+    def test_out_of_range(self, key, value, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,b,100\nb,c,200\nc,d,5000\n")
+        assert main(["snapshots", "--input", str(raw), _flag(key), value,
+                     "--output-dir", str(tmp_path / "o")]) == 1
+        assert f"error: {key}: window length " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestModeRules:
+    """Each degree-mode rule names its key; --directed decides the graph
+    kind, so every rule runs before the input is read."""
+
+    @pytest.mark.parametrize("command", ["empirical", "evaluate"])
+    def test_empty_modes(self, command, tmp_path, capsys):
+        assert main([command, "--input", str(tmp_path / "missing.csv"), "--modes", ",",
+                     "--output-dir", str(tmp_path / "o")]) == 1
+        assert "error: modes: need at least one degree mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["evaluate", "--modes", "out"], "modes"),
+        (["empirical", "--modes", "out"], "modes"),
+        (["degree-dist", "--mode", "in"], "mode"),
+        (["recommend", "--mode", "out", "--ego", "0", "--method", "pd-cn"], "mode"),
+        (["empirical", "--per-triad"], "per_triad"),
+    ], ids=["evaluate", "empirical", "degree-dist", "recommend", "per-triad"])
+    def test_undirected_input(self, argv, key, idx_file, tmp_path, capsys):
+        assert main(argv + ["--input", str(idx_file), "--time-mode", "index",
+                            "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key}: " in err and "directed graph" in err
+
+
 class TestPrecedence:
     """--flag > EGOLINK_OUTPUT_DIR > config file > default."""
 
