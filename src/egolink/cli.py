@@ -41,7 +41,8 @@ from .degree_dist import (
 )
 from .ego import MODE_UNDIRECTED, ego_view, resolve_modes, sample_egos, validate_mode
 from .empirical import EMPIRICAL_HEADER, aggregate_empirical, empirical_table
-from .errors import ConfigError, EmptyInputError, EmptyResultError, ParseError, PreconditionError
+from .errors import (ConfigError, EmptyInputError, EmptyResultError, ParseError,
+                     PreconditionError, check_key)
 from .evaluation import (
     DEFAULT_CUTOFF,
     DEFAULT_KS,
@@ -289,19 +290,11 @@ def resolve_config(args):
     return cfg
 
 
-def _check(key, check, *args):
-    """``check(*args)`` with ``key`` named in its ConfigError."""
-    try:
-        return check(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
 def _validate_config(cfg):
     for key, f in _FIELDS.items():
         value = getattr(cfg, key)
         if f.metadata["check"] is not None and value is not None:
-            _check(key, f.metadata["check"], value)
+            check_key(key, f.metadata["check"], value)
     # at most one window policy; pre-assigned indices take none
     policy = [key for key in _WINDOW_KEYS if getattr(cfg, key) is not None]
     if cfg.preassigned:
@@ -428,9 +421,9 @@ def _cmd_snapshots(cfg):
 
 def _cmd_degree_dist(cfg):
     kind = cfg.kind if cfg.kind is not None else KIND_PERSONALIZED
-    _check("kind", _one_of(*SAMPLE_KINDS), kind)
+    check_key("kind", _one_of(*SAMPLE_KINDS), kind)
     mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
-    _check("mode", validate_mode, mode, cfg.directed)
+    check_key("mode", validate_mode, mode, cfg.directed)
     _, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
     if kind == KIND_PERSONALIZED:
@@ -447,8 +440,8 @@ def _cmd_degree_dist(cfg):
 
 def _cmd_empirical(cfg):
     # the per-triad rule first, so that each rule names its own key
-    _check("per_triad", resolve_modes, cfg.directed, None, cfg.per_triad)
-    modes = _check("modes", resolve_modes, cfg.directed, cfg.modes, cfg.per_triad)
+    check_key("per_triad", resolve_modes, cfg.directed, None, cfg.per_triad)
+    modes = check_key("modes", resolve_modes, cfg.directed, cfg.modes, cfg.per_triad)
     _, series = _load_series(cfg)
     stats = aggregate_empirical(
         series,
@@ -470,7 +463,7 @@ def _cmd_recommend(cfg):
         score_mode = MODE_UNDIRECTED
     else:
         score_mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
-        _check("mode", validate_mode, score_mode, cfg.directed)
+        check_key("mode", validate_mode, score_mode, cfg.directed)
         mode = score_mode
     edges, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
@@ -505,7 +498,7 @@ def _cmd_recommend(cfg):
 
 
 def _cmd_evaluate(cfg):
-    modes = _check("modes", resolve_modes, cfg.directed, cfg.modes)
+    modes = check_key("modes", resolve_modes, cfg.directed, cfg.modes)
     _, series = _load_series(cfg)
     result = evaluate_methods(
         series,

@@ -237,7 +237,8 @@ class EgoView:
     def accumulate(self, terms):
         """Per candidate: the column sums of ``terms`` (row-aligned with
         ``base``) over its common neighbors, and their number."""
-        return _kernels.wedge_sums(self.wedge_z, self.wedge_v, terms, self.candidates.size)
+        return _kernels.accumulate_common_terms(self.wedge_z, self.wedge_v, terms,
+                                                self.candidates.size)
 
 
 def ego_view(graph, u):
@@ -247,7 +248,8 @@ def ego_view(graph, u):
     symmetrized neighborhood)."""
     u = int(u)
     base = ego_neighbors(graph, u)
-    wedge_z, reached = _kernels.gather_rows(graph.sym_indptr, graph.sym_indices, base)
+    wedge_z, pos = _kernels.gather_rows(graph.sym_indptr, base)
+    reached = graph.sym_indices[pos]
     in_base = _kernels.contains(base, reached)
     # undirected graphs: the ego's symmetrized neighborhood is the pool
     in_anchor = (_kernels.contains(graph.neighbors(u), reached) if graph.directed

@@ -10,13 +10,14 @@ non-empty, so formed and not-formed aggregates always cover identical
 (ego, snapshot) cells. Usable cells pool across egos by the rule of
 ``_util.pool_egos``.
 
-A per-triad cell (directed graphs) is the plain cell over the
-direction-split adjacency (``SnapshotGraph.direction_adjacency``): the
-neighbor pool is the part of the ego's row with the triad's ego-edge
-configuration, and each pool node's row is pushed onto the candidates
-from the transposed part of the triad's neighbor-edge configuration.
-Plain cells sum over the wedges of ``ego_view``, per-triad cells through
-``accumulate_common_terms``; both push rows in ascending pool order.
+A per-triad cell (directed graphs) is the plain cell with the pool and
+the wedges narrowed by link config (``SnapshotGraph.sym_config``). One
+gather of the symmetric rows of the ego's symmetric neighbors feeds all
+nine cells of an (ego, transition): the config of the ego's own entry
+for ``z`` puts ``z`` in one of three pools, and the config of each
+gathered entry ``v`` of row(z) is the neighbor-edge config of the wedge
+``z -> v``. Plain cells and per-triad cells both sum their wedges with
+``_kernels.accumulate_common_terms`` in ascending-z order.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .ego import (
     EdgeConfig,
     TriadType,
     TRIAD_TABLE,
-    default_degree_modes,  # re-exported for callers of this module
     ego_neighbors,
     ego_view,
     global_degrees,
@@ -90,12 +90,13 @@ def _log_degree_terms(columns):
     return np.log(np.column_stack(columns).astype(np.float64) + 1.0)
 
 
-def _cell(sums, counts, cand, nxt, modes):
+def _cell(sums, counts, formed, modes):
     """Group stats keyed by mode over the candidates with at least one
     common neighbor, each valued by its mean terms (``sums / counts``);
-    None when none of them formed or all did."""
+    ``formed`` marks the candidates that gained an ego edge. None when
+    none of the kept candidates formed or all did."""
     kept = counts > 0
-    formed = np.isin(cand[kept], nxt, assume_unique=True)
+    formed = formed[kept]
     if formed.all() or not formed.any():
         return None
     means = sums[kept] / counts[kept, None]
@@ -117,47 +118,46 @@ def _cell(sums, counts, cand, nxt, modes):
 def _plain_cell(graph, next_graph, ego, modes):
     """Group stats keyed by mode for one (ego, transition), or None."""
     view = ego_view(graph, ego)
-    nxt = ego_neighbors(next_graph, ego)
-    formed = np.isin(view.candidates, nxt, assume_unique=True)
+    formed = np.isin(view.candidates, ego_neighbors(next_graph, ego), assume_unique=True)
     if formed.all() or not formed.any():
         return None
     terms = _log_degree_terms([col for m in modes for col in (view.gd(m), view.pd(m))])
-    return _cell(*view.accumulate(terms), view.candidates, nxt, modes)
+    return _cell(*view.accumulate(terms), formed, modes)
 
 
 def _triad_cells(graph, next_graph, ego, modes):
     """Group stats keyed by TriadType for one (ego, transition):
-    triad -> None (excluded) or {mode: {group: GroupStats}}.
-
-    A triad cell is the plain cell with the pool narrowed to one ego-edge
-    config and the adjacency narrowed to one neighbor-edge config.
-    """
-    succ = graph.successors(ego)
+    triad -> None (excluded) or {mode: {group: GroupStats}}."""
+    row = graph.neighbors(ego)
+    start = graph.sym_indptr[ego]
+    ego_cfg = graph.sym_config[start:start + row.size]
+    # every wedge z -> v from the ego's symmetric row, in ascending-z order
+    slot, pos = _kernels.gather_rows(graph.sym_indptr, row)
+    reached = graph.sym_indices[pos]
+    pool_cfg = ego_cfg[slot]
+    nb_cfg = graph.sym_config[pos]
+    # a node already chosen by the ego is never a candidate, nor the ego
+    chosen = _kernels.contains(graph.successors(ego), reached) | (reached == ego)
+    terms = _log_degree_terms([col for m in modes for col in (
+        global_degrees(graph, row, m), personalized_degrees(graph, ego, row, m))])
     nxt = ego_neighbors(next_graph, ego)
     out = {}
-    for ego_cfg in EdgeConfig:
-        # row(ego) of the direction split is read from z, so the pool of
-        # an ego config is the flipped part: ego->z only is the IN part
-        # (ego->z only, as read from z), z->ego only the OUT part
-        indptr, indices = graph.direction_adjacency(2 - ego_cfg)
-        pool = indices[indptr[ego]:indptr[ego + 1]]
-        triads = [TRIAD_TABLE[(ego_cfg, nb_cfg)] for nb_cfg in EdgeConfig]
-        if pool.size == 0:
+    for cfg in EdgeConfig:
+        triads = [TRIAD_TABLE[(cfg, nb)] for nb in EdgeConfig]
+        # wedges from this pool onto nodes outside it
+        wedge = (pool_cfg == cfg) & ~chosen
+        wedge[wedge] = ~_kernels.contains(row[ego_cfg == cfg], reached[wedge])
+        cand, wedge_v = np.unique(reached[wedge], return_inverse=True)
+        formed = _kernels.contains(nxt, cand)
+        if formed.all() or not formed.any():
             out.update(dict.fromkeys(triads, None))
             continue
-        terms = _log_degree_terms([
-            col for m in modes for col in (global_degrees(graph, pool, m),
-                                           personalized_degrees(graph, ego, pool, m))])
-        # candidates reachable through this pool; a node already chosen
-        # by the ego, or inside the pool itself, is not a candidate
-        _, reach = _kernels.gather_rows(graph.sym_indptr, graph.sym_indices, pool)
-        cand = np.setdiff1d(reach, np.concatenate([succ, pool, [ego]]))
-        for nb_cfg, triad in zip(EdgeConfig, triads):
-            # the z-v links with config nb_cfg read from z are the entries
-            # of row(z) in the transposed part, 2 - nb_cfg
+        wedge_z, wedge_nb = slot[wedge], nb_cfg[wedge]
+        for nb, triad in zip(EdgeConfig, triads):
+            sel = wedge_nb == nb
             sums, counts = _kernels.accumulate_common_terms(
-                pool, terms, *graph.direction_adjacency(2 - nb_cfg), cand)
-            out[triad] = _cell(sums, counts, cand, nxt, modes)
+                wedge_z[sel], wedge_v[sel], terms, cand.size)
+            out[triad] = _cell(sums, counts, formed, modes)
     return out
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that names a
+config key in a ConfigError."""
 
 
 class ParseError(ValueError):
@@ -11,6 +12,14 @@ class ParseError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid option, policy, or generator parameter."""
+
+
+def check_key(key, check, *args):
+    """``check(*args)`` with ``key`` named in its ConfigError."""
+    try:
+        return check(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 class PreconditionError(ValueError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ego import MODE_UNDIRECTED, validate_mode
-from .errors import ConfigError
+from .errors import ConfigError, check_key
 from .graph import (
     SnapshotGraph,
     TemporalEdgeList,
@@ -99,11 +99,11 @@ def uniform_random_edges(n_nodes, edge_prob, directed=False, seed=0,
     """Independent edges with uniform random timestamps."""
     n_nodes = int(n_nodes)
     if n_nodes < 1:
-        raise ConfigError(f"need at least 1 node, got {n_nodes}")
+        raise ConfigError(f"n_nodes: need at least 1 node, got {n_nodes}")
     if not 0.0 <= float(edge_prob) <= 1.0:
-        raise ConfigError(f"edge probability must be in [0, 1], got {edge_prob}")
+        raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
     if int(time_span) < 1:
-        raise ConfigError(f"time span must be positive, got {time_span}")
+        raise ConfigError(f"time_span: must be positive, got {time_span}")
     rng = np.random.default_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
     time = rng.integers(0, int(time_span), size=src.size, dtype=np.int64)
@@ -117,9 +117,9 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
     n_nodes = int(n_nodes)
     m = int(n_attach)
     if m < 1:
-        raise ConfigError(f"attachment count must be >= 1, got {n_attach}")
+        raise ConfigError(f"n_attach: must be >= 1, got {n_attach}")
     if n_nodes < m + 2:
-        raise ConfigError(f"need at least {m + 2} nodes for attachment count {m}")
+        raise ConfigError(f"n_nodes: need at least {m + 2} nodes for attachment count {m}")
     rng = np.random.default_rng(seed)
     src = []
     dst = []
@@ -149,15 +149,15 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
     """Snapshot sequence whose formations follow a scorer's rankings."""
     n_nodes = int(n_nodes)
     if n_nodes < 3:
-        raise ConfigError(f"need at least 3 nodes, got {n_nodes}")
+        raise ConfigError(f"n_nodes: need at least 3 nodes, got {n_nodes}")
     if not 0.0 <= float(edge_prob) <= 1.0:
-        raise ConfigError(f"edge probability must be in [0, 1], got {edge_prob}")
+        raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
     if int(n_snapshots) < 2:
-        raise ConfigError(f"planted sequences need >= 2 snapshots, got {n_snapshots}")
+        raise ConfigError(f"n_snapshots: need at least 2 snapshots, got {n_snapshots}")
     if not 0.0 < float(formation_rate) <= 1.0:
-        raise ConfigError(f"formation rate must be in (0, 1], got {formation_rate}")
-    (method,) = validate_methods((method,))
-    validate_mode(mode, directed)
+        raise ConfigError(f"formation_rate: must be in (0, 1], got {formation_rate}")
+    (method,) = check_key("method", validate_methods, (method,))
+    check_key("mode", validate_mode, mode, directed)
 
     rng = np.random.default_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
@@ -207,23 +207,24 @@ def generate(spec):
     """Dispatch a :class:`GeneratorSpec` to its generator."""
     if spec.kind == KIND_UNIFORM:
         if spec.edge_prob is None:
-            raise ConfigError("uniform-random needs edge_prob")
+            raise ConfigError("edge_prob: required for uniform-random")
         return uniform_random_edges(
             spec.n_nodes, spec.edge_prob, directed=spec.directed, seed=spec.seed,
             time_span=spec.time_span,
         )
     if spec.kind == KIND_PREFERENTIAL:
         if spec.n_attach is None:
-            raise ConfigError("preferential-attachment needs n_attach")
+            raise ConfigError("n_attach: required for preferential-attachment")
         return preferential_attachment_edges(
             spec.n_nodes, spec.n_attach, directed=spec.directed, seed=spec.seed
         )
     if spec.kind == KIND_PLANTED:
-        if spec.edge_prob is None or spec.method is None or spec.n_snapshots is None:
-            raise ConfigError("planted-scorer needs edge_prob, method, and n_snapshots")
+        for key in ("edge_prob", "method", "n_snapshots"):
+            if getattr(spec, key) is None:
+                raise ConfigError(f"{key}: required for planted-scorer")
         return planted_scorer_edges(
             spec.n_nodes, spec.edge_prob, spec.method, n_snapshots=spec.n_snapshots,
             directed=spec.directed, mode=spec.mode, formation_rate=spec.formation_rate,
             seed=spec.seed,
         )
-    raise ConfigError(f"unknown generator kind {spec.kind!r}; choose from {ALL_KINDS}")
+    raise ConfigError(f"kind: unknown generator kind {spec.kind!r}; choose from {ALL_KINDS}")

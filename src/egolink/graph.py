@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError, EmptyInputError, ParseError, PreconditionError
 
 NORMALIZED_HEADER = "src_id,dst_id,time"
@@ -319,7 +320,7 @@ class SnapshotGraph:
         "out_degree",
         "in_degree",
         "sym_degree",
-        "_direction_split",
+        "_sym_config",
     )
 
     def __init__(self, n_nodes, src, dst, directed, index=None,
@@ -345,7 +346,7 @@ class SnapshotGraph:
         self.sym_degree = np.diff(self.sym_indptr)
         for arr in (self.out_degree, self.in_degree, self.sym_degree):
             arr.setflags(write=False)
-        self._direction_split = None
+        self._sym_config = None
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -388,28 +389,27 @@ class SnapshotGraph:
         pos = np.searchsorted(row, v)
         return bool(pos < row.size and row[pos] == v)
 
-    def direction_adjacency(self, config):
-        """``(indptr, indices)`` of the symmetric rows split by link
-        direction: entry ``z`` of row ``v`` is kept when the ``z``-``v``
-        link read from ``z`` is ``config`` (``ego.EdgeConfig``: 0 for
-        z->v only, 1 reciprocal, 2 v->z only). Directed graphs only; the
-        three parts are built together on first use."""
+    @property
+    def sym_config(self):
+        """Read-only int8 array aligned with ``sym_indices``: the config
+        (``ego.EdgeConfig``) of each entry's link, read from the row's
+        node: 0 for row -> entry only, 1 reciprocal, 2 entry -> row only.
+        Directed graphs only; built on first use."""
         if not self.directed:
-            raise PreconditionError("direction split needs a directed graph")
-        if self._direction_split is None:
+            raise PreconditionError("link configs need a directed graph")
+        if self._sym_config is None:
             n = self.n_nodes
             ids = np.arange(n, dtype=np.int64)
-            # keys v * n + z: z -> v is z in in-row(v), v -> z is z in out-row(v)
-            into = np.repeat(ids, self.in_degree) * n + self.in_indices
+            # keys v * n + z, ascending in every CSR: v -> z is z in
+            # out-row(v), z -> v is z in in-row(v)
+            keys = np.repeat(ids, self.sym_degree) * n + self.sym_indices
             outof = np.repeat(ids, self.out_degree) * n + self.out_indices
-            self._direction_split = tuple(
-                _csr(n, keys // n, keys % n) for keys in (
-                    np.setdiff1d(into, outof, assume_unique=True),
-                    np.intersect1d(into, outof, assume_unique=True),
-                    np.setdiff1d(outof, into, assume_unique=True),
-                )
-            )
-        return self._direction_split[config]
+            into = np.repeat(ids, self.in_degree) * n + self.in_indices
+            config = (1 + _kernels.contains(into, keys).astype(np.int8)
+                      - _kernels.contains(outof, keys).astype(np.int8))
+            config.setflags(write=False)
+            self._sym_config = config
+        return self._sym_config
 
 
 def neighbors(graph, node, mode="undirected"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from egolink._kernels import contains, gather_rows
 from egolink.graph import SnapshotGraph, TemporalEdgeList, build_snapshots
 
 
@@ -13,6 +14,16 @@ def make_graph(pairs, n_nodes, directed=False):
     dst = np.array([b for _, b in pairs], dtype=np.int64)
     return SnapshotGraph(n_nodes, src, dst, directed, index=0,
                          window_start=0, window_end=1)
+
+
+def push_wedges(indptr, indices, base, targets):
+    """Position in ``base`` of ``z`` and in ``targets`` of ``v`` for every
+    entry ``v`` of row(z), ``z`` in ``base``, that is in ``targets``; in
+    ascending-z order, ready for ``accumulate_common_terms``."""
+    slot, pos = gather_rows(indptr, base)
+    values = indices[pos]
+    hit = contains(targets, values)
+    return slot[hit], np.searchsorted(targets, values[hit])
 
 
 def make_series(snapshots, n_nodes, directed=False):

@@ -1,5 +1,6 @@
 """Formed vs not-formed degree statistics, plain and per-triad."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 import oracles
 from conftest import make_series, random_snapshots
 
+from egolink.ego import default_degree_modes
 from egolink.empirical import (
     aggregate_empirical,
-    default_degree_modes,
     ego_snapshot_stats,
+    empirical_table,
     partition_candidates,
 )
 from egolink.errors import ConfigError, EmptyInputError, EmptyResultError
@@ -221,6 +223,20 @@ class TestDeterminism:
         one = aggregate_empirical(series, per_triad=per_triad, workers=1)
         two = aggregate_empirical(series, per_triad=per_triad, workers=2)
         assert one.rows == two.rows
+
+    def test_frozen_per_triad_output(self):
+        # frozen table: any change in a cell's candidates, wedges, terms
+        # or their summation order changes the digest
+        spec = GeneratorSpec(kind="uniform-random", n_nodes=80, edge_prob=0.15,
+                             directed=True, seed=7)
+        series = build_snapshots(generate(spec), fixed_count=4)
+        rows = empirical_table(aggregate_empirical(series, per_triad=True))
+        assert sorted({row[0] for row in rows}) == [f"T0{i}" for i in range(1, 10)]
+        h = hashlib.sha256()
+        for row in rows:
+            h.update(repr(row).encode())
+        assert (len(rows), h.hexdigest()) == (
+            72, "5a0986389ce85d9a496ba7dc3b47fdfc9efa08e19eb2661bc2debe7a618c2667")
 
 
 class TestPlantedSignal:

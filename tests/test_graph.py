@@ -273,22 +273,24 @@ class TestAdjacency:
     @pytest.mark.parametrize("seed", range(6))
     def test_direction_split(self, seed):
         g, _ = random_graph(seed, 12, 0.3, True)
-        rows = [g.direction_adjacency(cfg) for cfg in EdgeConfig]
+        config = g.sym_config
         for v in range(g.n_nodes):
-            parts = [indices[indptr[v]:indptr[v + 1]] for indptr, indices in rows]
+            row = g.neighbors(v)
+            cfgs = config[g.sym_indptr[v]:g.sym_indptr[v + 1]]
+            parts = [row[cfgs == cfg] for cfg in EdgeConfig]
             merged = np.concatenate(parts)
             # the three parts partition the symmetric row
             assert sorted(merged.tolist()) == g.neighbors(v).tolist()
             for cfg, part in zip(EdgeConfig, parts):
                 assert np.all(np.diff(part) > 0)
                 for z in part.tolist():
-                    assert edge_config(g, z, v) == cfg
+                    assert edge_config(g, v, z) == cfg
         h = pickle.loads(pickle.dumps(g))
-        assert h.direction_adjacency(EdgeConfig.IN)[1].tolist() == rows[2][1].tolist()
+        assert h.sym_config.tolist() == config.tolist()
 
     def test_direction_split_needs_directed(self):
         with pytest.raises(PreconditionError):
-            make_graph([(0, 1)], 2).direction_adjacency(EdgeConfig.OUT)
+            make_graph([(0, 1)], 2).sym_config
 
     def test_parallel_duplicates_collapse(self):
         g = make_graph([(0, 1), (0, 1), (1, 0)], 2)

@@ -8,6 +8,8 @@ from egolink._kernels import (
     row_intersect_sizes,
 )
 
+from conftest import push_wedges
+
 
 def _random_csr(rng, n_nodes, max_degree):
     rows = []
@@ -85,8 +87,8 @@ def test_accumulate_against_python_loop():
     for indptr, indices, base, targets, terms in cases:
         # push contract: sums over z in base with t in row(z) of the
         # transpose, that is with z in row(t)
-        sums, counts = accumulate_common_terms(base, terms, *_transpose(indptr, indices),
-                                               targets)
+        sums, counts = accumulate_common_terms(
+            *push_wedges(*_transpose(indptr, indices), base, targets), terms, targets.size)
         assert sums.shape == (targets.size, terms.shape[1])
         base_pos = {int(z): i for i, z in enumerate(base)}
         for i, t in enumerate(targets):
@@ -112,8 +114,9 @@ def test_empty_inputs():
     indptr = np.zeros(4, dtype=np.int64)
     got = row_intersect_sizes(indptr, empty, some, np.array([0, 2], dtype=np.int64))
     assert got.tolist() == [0, 0]
+    one = np.array([1], dtype=np.int64)
     sums, counts = accumulate_common_terms(
-        empty, np.empty((0, 2)), *_transpose(indptr, empty), np.array([1], dtype=np.int64))
+        *push_wedges(*_transpose(indptr, empty), empty, one), np.empty((0, 2)), one.size)
     assert sums.shape == (1, 2) and counts.tolist() == [0]
 
 

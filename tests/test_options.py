@@ -161,12 +161,43 @@ class TestModeRules:
         (["degree-dist", "--mode", "in"], "mode"),
         (["recommend", "--mode", "out", "--ego", "0", "--method", "pd-cn"], "mode"),
         (["empirical", "--per-triad"], "per_triad"),
-    ], ids=["evaluate", "empirical", "degree-dist", "recommend", "per-triad"])
+        (["generate", "--kind", "planted-scorer", "--n-nodes", "20", "--edge-prob", "0.2",
+          "--method", "pd-cn", "--mode", "out", "--n-snapshots", "2"], "mode"),
+    ], ids=["evaluate", "empirical", "degree-dist", "recommend", "per-triad", "generate"])
     def test_undirected_input(self, argv, key, idx_file, tmp_path, capsys):
         assert main(argv + ["--input", str(idx_file), "--time-mode", "index",
                             "--output-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"error: {key}: " in err and "directed graph" in err
+
+
+_UNIFORM = ["--kind", "uniform-random", "--n-nodes", "5", "--edge-prob", "0.1"]
+_PREFERENTIAL = ["--kind", "preferential-attachment", "--n-nodes", "10", "--n-attach", "2"]
+_PLANTED = ["--kind", "planted-scorer", "--n-nodes", "20", "--edge-prob", "0.2",
+            "--method", "cn", "--n-snapshots", "2"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (_UNIFORM + ["--n-nodes", "0"], "n_nodes"),
+    (_UNIFORM + ["--edge-prob", "1.5"], "edge_prob"),
+    (_UNIFORM + ["--time-span", "0"], "time_span"),
+    (_UNIFORM[:4], "edge_prob"),
+    (_PREFERENTIAL + ["--n-attach", "0"], "n_attach"),
+    (_PREFERENTIAL + ["--n-nodes", "3"], "n_nodes"),
+    (_PREFERENTIAL[:4], "n_attach"),
+    (_PLANTED + ["--n-nodes", "2"], "n_nodes"),
+    (_PLANTED + ["--edge-prob", "-0.1"], "edge_prob"),
+    (_PLANTED + ["--n-snapshots", "1"], "n_snapshots"),
+    (_PLANTED + ["--formation-rate", "0"], "formation_rate"),
+    (_PLANTED[:-2], "n_snapshots"),
+    (["--kind", "star", "--n-nodes", "5"], "kind"),
+], ids=["uniform-nodes", "uniform-prob", "uniform-span", "uniform-no-prob",
+        "pa-attach", "pa-nodes", "pa-no-attach", "planted-nodes", "planted-prob",
+        "planted-snapshots", "planted-rate", "planted-no-snapshots", "kind"])
+def test_generator_check_names_key(argv, key, tmp_path, capsys):
+    assert main(["generate", *argv, "--output-dir", str(tmp_path / "o")]) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestPrecedence:

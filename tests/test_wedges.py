@@ -1,14 +1,19 @@
-"""Property tests of the wedge gather (``ego_view``) and the push kernel
-against the set-arithmetic oracle."""
+"""Property tests of the wedge gather (``ego_view``), the link configs it
+can read (``SnapshotGraph.sym_config``) and the push kernel against the
+set-arithmetic oracle."""
+
+import pickle
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import make_graph
+from conftest import make_graph, push_wedges
 
 from egolink._kernels import accumulate_common_terms
-from egolink.ego import ALL_MODES, ego_view, two_hop_candidates
+from egolink.ego import ALL_MODES, edge_config, ego_view, two_hop_candidates
+from egolink.errors import PreconditionError
 
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -77,7 +82,8 @@ def test_accumulate_against_oracle(graph, seed):
         (g.sym_indptr, g.sym_indices, sym),
         (g.in_indptr, g.in_indices, out),
     ):
-        sums, counts = accumulate_common_terms(base, terms, indptr, indices, every_node)
+        sums, counts = accumulate_common_terms(
+            *push_wedges(indptr, indices, base, every_node), terms, n)
         for v in range(n):
             zs = [i for i, z in enumerate(base.tolist()) if z in linked[v]]
             assert counts[v] == len(zs)
@@ -86,3 +92,25 @@ def test_accumulate_against_oracle(graph, seed):
                 for i in zs:
                     expected += float(terms[i, k])
                 assert sums[v, k] == expected
+
+
+@_SETTINGS
+@given(graph=graphs())
+@example(graph=_EMPTY)
+@example(graph=_NO_NEIGHBORS)
+@example(graph=_HUB)
+def test_sym_config_against_edge_config(graph):
+    n, directed, pairs, _ = graph
+    g = make_graph(pairs, n, directed)
+    if not directed:
+        with pytest.raises(PreconditionError):
+            g.sym_config
+        return
+    config = g.sym_config
+    assert config.dtype == np.int8 and config.shape == g.sym_indices.shape
+    assert not config.flags.writeable
+    for v in range(n):
+        for i in range(g.sym_indptr[v], g.sym_indptr[v + 1]):
+            assert config[i] == edge_config(g, v, int(g.sym_indices[i]))
+    h = pickle.loads(pickle.dumps(g))
+    assert h.sym_config.tolist() == config.tolist()
