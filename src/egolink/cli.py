@@ -535,7 +535,7 @@ def _cmd_generate(cfg):
         edge_prob=cfg.edge_prob,
         n_attach=cfg.n_attach,
         method=cfg.method,
-        mode=cfg.mode if cfg.mode is not None else MODE_UNDIRECTED,
+        mode=cfg.mode,
         n_snapshots=cfg.n_snapshots,
         formation_rate=cfg.formation_rate,
         time_span=cfg.time_span,

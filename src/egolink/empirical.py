@@ -138,9 +138,8 @@ def _triad_cells(graph, next_graph, ego, modes):
     nb_cfg = graph.sym_config[pos]
     # a node already chosen by the ego is never a candidate, nor the ego
     chosen = _kernels.contains(graph.successors(ego), reached) | (reached == ego)
-    terms = _log_degree_terms([col for m in modes for col in (
-        global_degrees(graph, row, m), personalized_degrees(graph, ego, row, m))])
     nxt = ego_neighbors(next_graph, ego)
+    terms = None  # built for the first pool with formed and not-formed candidates
     out = {}
     for cfg in EdgeConfig:
         triads = [TRIAD_TABLE[(cfg, nb)] for nb in EdgeConfig]
@@ -152,6 +151,9 @@ def _triad_cells(graph, next_graph, ego, modes):
         if formed.all() or not formed.any():
             out.update(dict.fromkeys(triads, None))
             continue
+        if terms is None:
+            terms = _log_degree_terms([col for m in modes for col in (
+                global_degrees(graph, row, m), personalized_degrees(graph, ego, row, m))])
         wedge_z, wedge_nb = slot[wedge], nb_cfg[wedge]
         for nb, triad in zip(EdgeConfig, triads):
             sel = wedge_nb == nb

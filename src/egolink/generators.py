@@ -13,7 +13,7 @@ decimal ids); edges come out time-sorted and deduplicated like any
 normalized list.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class GeneratorSpec:
     edge_prob: float = None  # uniform-random density / planted base density
     n_attach: int = None  # preferential-attachment edges per arrival
     method: str = None  # planted-scorer method name
-    mode: str = MODE_UNDIRECTED  # planted-scorer degree mode
+    mode: str = None  # planted-scorer degree mode, undirected when None
     n_snapshots: int = None  # planted-scorer snapshot count
     formation_rate: float = 0.05  # planted-scorer per-ego rate scale
     time_span: int = DEFAULT_TIME_SPAN  # uniform-random timestamp window
@@ -203,28 +203,37 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
     )
 
 
+#: kind -> (spec keys it requires, spec keys it reads when given); of the
+#: keys that default to None, a kind reads no others, which must stay None
+_KIND_KEYS = {
+    KIND_UNIFORM: (("edge_prob",), ()),
+    KIND_PREFERENTIAL: (("n_attach",), ()),
+    KIND_PLANTED: (("edge_prob", "method", "n_snapshots"), ("mode",)),
+}
+
+
 def generate(spec):
     """Dispatch a :class:`GeneratorSpec` to its generator."""
+    if spec.kind not in _KIND_KEYS:
+        raise ConfigError(f"kind: unknown generator kind {spec.kind!r}; choose from {ALL_KINDS}")
+    required, optional = _KIND_KEYS[spec.kind]
+    for key in (f.name for f in fields(GeneratorSpec) if f.default is None):
+        given = getattr(spec, key) is not None
+        if key in required and not given:
+            raise ConfigError(f"{key}: required for {spec.kind}")
+        if given and key not in required + optional:
+            raise ConfigError(f"{key}: not used by generator kind {spec.kind!r}")
     if spec.kind == KIND_UNIFORM:
-        if spec.edge_prob is None:
-            raise ConfigError("edge_prob: required for uniform-random")
         return uniform_random_edges(
             spec.n_nodes, spec.edge_prob, directed=spec.directed, seed=spec.seed,
             time_span=spec.time_span,
         )
     if spec.kind == KIND_PREFERENTIAL:
-        if spec.n_attach is None:
-            raise ConfigError("n_attach: required for preferential-attachment")
         return preferential_attachment_edges(
             spec.n_nodes, spec.n_attach, directed=spec.directed, seed=spec.seed
         )
-    if spec.kind == KIND_PLANTED:
-        for key in ("edge_prob", "method", "n_snapshots"):
-            if getattr(spec, key) is None:
-                raise ConfigError(f"{key}: required for planted-scorer")
-        return planted_scorer_edges(
-            spec.n_nodes, spec.edge_prob, spec.method, n_snapshots=spec.n_snapshots,
-            directed=spec.directed, mode=spec.mode, formation_rate=spec.formation_rate,
-            seed=spec.seed,
-        )
-    raise ConfigError(f"kind: unknown generator kind {spec.kind!r}; choose from {ALL_KINDS}")
+    return planted_scorer_edges(
+        spec.n_nodes, spec.edge_prob, spec.method, n_snapshots=spec.n_snapshots,
+        directed=spec.directed, mode=spec.mode or MODE_UNDIRECTED,
+        formation_rate=spec.formation_rate, seed=spec.seed,
+    )

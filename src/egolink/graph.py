@@ -15,6 +15,7 @@ round trip through ``write_normalized_csv`` / ``ingest_edges``.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -129,14 +130,6 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
     return src_labels, dst_labels, times
 
 
-def _first_appearance_ids(seq):
-    ids = {}
-    for x in seq:
-        if x not in ids:
-            ids[x] = len(ids)
-    return ids
-
-
 def dedupe_and_sort(src, dst, time, n_key, directed):
     """Collapse duplicate pairs to their earliest time and stable-sort
     by time, first occurrence breaking ties. Arrays are int64 ids.
@@ -147,15 +140,15 @@ def dedupe_and_sort(src, dst, time, n_key, directed):
         key_src = np.minimum(src, dst)
         key_dst = np.maximum(src, dst)
     key = key_src * np.int64(n_key) + key_dst
-    uniq, first_idx, inverse = np.unique(key, return_index=True, return_inverse=True)
-    earliest = np.full(uniq.size, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(earliest, inverse, time)
-    by_input = np.argsort(first_idx, kind="stable")
-    u_src = src[first_idx][by_input]
-    u_dst = dst[first_idx][by_input]
-    u_time = earliest[by_input]
-    by_time = np.argsort(u_time, kind="stable")
-    return u_src[by_time], u_dst[by_time], u_time[by_time]
+    # a stable sort keeps each pair's rows in input order, first row first;
+    # keys are >= 0, so the -1 before them opens the first group
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    first = order[starts]
+    earliest = np.minimum.reduceat(time[order], starts)
+    rows = np.lexsort((first, earliest))
+    first = first[rows]
+    return src[first], dst[first], earliest[rows]
 
 
 def normalize_edges(src_labels, dst_labels, times, directed=False,
@@ -163,53 +156,35 @@ def normalize_edges(src_labels, dst_labels, times, directed=False,
     """Build a :class:`TemporalEdgeList` from parsed triples."""
     if time_mode not in (TIME_MODE_TIMESTAMP, TIME_MODE_INDEX):
         raise ConfigError(f"unknown time mode {time_mode!r}")
-    keep_s = []
-    keep_d = []
-    keep_t = []
-    for s, d, t in zip(src_labels, dst_labels, times):
-        if s == d:
-            continue
-        keep_s.append(s)
-        keep_d.append(d)
-        keep_t.append(t)
-    if not keep_s:
+    # temporary ids by first appearance in the raw rows, only to make pair keys
+    tmp = {}
+    ids = np.array([tmp.setdefault(x, len(tmp)) for x in chain(src_labels, dst_labels)],
+                   dtype=np.int64)
+    src, dst = ids[:len(src_labels)], ids[len(src_labels):]
+    keep = src != dst
+    if not keep.any():
         return _empty_edge_list(directed, time_mode)
-
-    # temporary ids in input order, just to make pair keys
-    tmp = _first_appearance_ids(x for pair in zip(keep_s, keep_d) for x in pair)
-    n_tmp = len(tmp)
-    src = np.fromiter((tmp[s] for s in keep_s), dtype=np.int64, count=len(keep_s))
-    dst = np.fromiter((tmp[d] for d in keep_d), dtype=np.int64, count=len(keep_d))
-    tarr = np.asarray(keep_t, dtype=np.int64)
+    tarr = np.asarray(times, dtype=np.int64)[keep]
     if time_mode == TIME_MODE_INDEX and tarr.min() < 0:
         raise ConfigError("pre-assigned snapshot indices must be >= 0")
 
-    f_src, f_dst, f_time = dedupe_and_sort(src, dst, tarr, n_tmp, directed)
+    f_src, f_dst, f_time = dedupe_and_sort(src[keep], dst[keep], tarr, len(tmp), directed)
 
     # final ids by first appearance in the sorted edge order
-    interleaved = np.empty(2 * f_src.size, dtype=np.int64)
-    interleaved[0::2] = f_src
-    interleaved[1::2] = f_dst
-    final = _first_appearance_ids(interleaved.tolist())
-    remap = np.full(n_tmp, -1, dtype=np.int64)
-    for old, new in final.items():
-        remap[old] = new
+    tmp_ids, first = np.unique(np.column_stack((f_src, f_dst)).ravel(), return_index=True)
+    tmp_ids = tmp_ids[np.argsort(first)]
+    remap = np.empty(len(tmp), dtype=np.int64)
+    remap[tmp_ids] = np.arange(tmp_ids.size, dtype=np.int64)
     f_src = remap[f_src]
     f_dst = remap[f_dst]
     if not directed:
-        lo = np.minimum(f_src, f_dst)
-        hi = np.maximum(f_src, f_dst)
-        f_src, f_dst = lo, hi
-
-    label_by_tmp = {i: s for s, i in tmp.items()}
-    labels = [None] * len(final)
-    for old, new in final.items():
-        labels[new] = label_by_tmp[old]
+        f_src, f_dst = np.minimum(f_src, f_dst), np.maximum(f_src, f_dst)
 
     for arr in (f_src, f_dst, f_time):
         arr.setflags(write=False)
     return TemporalEdgeList(
-        src=f_src, dst=f_dst, time=f_time, labels=tuple(labels),
+        src=f_src, dst=f_dst, time=f_time,
+        labels=tuple(map(list(tmp).__getitem__, tmp_ids.tolist())),
         directed=directed, time_mode=time_mode,
     )
 
@@ -260,17 +235,16 @@ def drop_zero_out_degree(edges):
 
 
 def write_normalized_csv(edges, path):
+    rows = zip(edges.src.tolist(), edges.dst.tolist(), edges.time.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(NORMALIZED_HEADER + "\n")
-        for s, d, t in zip(edges.src, edges.dst, edges.time):
-            fh.write(f"{s},{d},{t}\n")
+        fh.writelines(f"{s},{d},{t}\n" for s, d, t in rows)
 
 
 def write_label_map_csv(edges, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LABEL_MAP_HEADER + "\n")
-        for node_id, label in enumerate(edges.labels):
-            fh.write(f"{node_id},{label}\n")
+        fh.writelines(f"{node_id},{label}\n" for node_id, label in enumerate(edges.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +327,8 @@ class SnapshotGraph:
 
     def __setstate__(self, state):
         for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
@@ -518,17 +494,18 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
         )
         n = starts.size
 
-    graphs = []
-    new_counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        mask = idx <= i
-        new_counts[i] = int((idx == i).sum())
-        graphs.append(
-            SnapshotGraph(
-                edges.n_nodes, edges.src[mask], edges.dst[mask], edges.directed,
-                index=i, window_start=int(starts[i]), window_end=int(starts[i]) + width,
-            )
+    # snapshot i holds the first ends[i] edges in window order
+    new_counts = np.bincount(idx, minlength=n)
+    ends = np.cumsum(new_counts)
+    order = np.argsort(idx, kind="stable")
+    src, dst = edges.src[order], edges.dst[order]
+    graphs = [
+        SnapshotGraph(
+            edges.n_nodes, src[:end], dst[:end], edges.directed,
+            index=i, window_start=int(starts[i]), window_end=int(starts[i]) + width,
         )
+        for i, end in enumerate(ends.tolist())
+    ]
     new_counts.setflags(write=False)
     return SnapshotSeries(
         graphs=graphs,

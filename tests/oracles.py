@@ -26,6 +26,30 @@ def adjacency(n_nodes, pairs, directed):
     return out, inn, sym
 
 
+def normalize(rows, directed):
+    """``(labels, [(src_id, dst_id, time)])`` for raw ``(src, dst, time)``
+    label rows, one row at a time: self-loops dropped; each pair (unordered
+    unless directed) kept once, at its earliest time, in the orientation it
+    was first written; rows ordered by time, first occurrence breaking ties;
+    ids by first appearance in that order; undirected rows low id first."""
+    kept = {}
+    for order, (s, d, t) in enumerate(rows):
+        if s == d:
+            continue
+        key = (s, d) if directed else frozenset((s, d))
+        if key in kept:
+            kept[key][0] = min(kept[key][0], t)
+        else:
+            kept[key] = [t, order, s, d]
+    ids = {}
+    out = []
+    for t, _, s, d in sorted(kept.values(), key=lambda row: (row[0], row[1])):
+        a = ids.setdefault(s, len(ids))
+        b = ids.setdefault(d, len(ids))
+        out.append((a, b, t) if directed or a < b else (b, a, t))
+    return tuple(sorted(ids, key=ids.get)), out
+
+
 def candidates(out, sym, u):
     reach = set()
     for z in out[u]:

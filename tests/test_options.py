@@ -200,6 +200,21 @@ def test_generator_check_names_key(argv, key, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, key, kind", [
+    (_UNIFORM + ["--n-attach", "2"], "n_attach", "uniform-random"),
+    (_UNIFORM + ["--method", "pd-cn"], "method", "uniform-random"),
+    (_UNIFORM + ["--mode", "out"], "mode", "uniform-random"),
+    (_UNIFORM + ["--n-snapshots", "5"], "n_snapshots", "uniform-random"),
+    (_PREFERENTIAL + ["--edge-prob", "0.3"], "edge_prob", "preferential-attachment"),
+    (_PLANTED + ["--n-attach", "4"], "n_attach", "planted-scorer"),
+], ids=["uniform-attach", "uniform-method", "uniform-mode", "uniform-snapshots",
+        "pa-prob", "planted-attach"])
+def test_generator_unused_key_named(argv, key, kind, tmp_path, capsys):
+    assert main(["generate", *argv, "--output-dir", str(tmp_path / "o")]) == 1
+    assert f"error: {key}: not used by generator kind '{kind}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestPrecedence:
     """--flag > EGOLINK_OUTPUT_DIR > config file > default."""
 
