@@ -46,15 +46,19 @@ def pool_egos(per_ego):
     return {key: (*mean_and_stderr(m), len(m)) for key, m in means.items()}
 
 
+def csv_field(text):
+    """``text`` as one RFC 4180 CSV field: quoted, with inner quotes
+    doubled, only when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_cell(v):
     if v is None:
         return ""
-    if isinstance(v, float):
+    if isinstance(v, (float, np.floating)):
         return fmt_float(v)
-    if isinstance(v, (np.floating,)):
-        return fmt_float(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
     return str(v)
 
 
@@ -66,7 +70,7 @@ def write_csv(path, header, rows, metadata=None):
             fh.write(f"# {pairs}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+            fh.write(",".join(csv_field(_csv_cell(v)) for v in row) + "\n")
 
 
 def _json_cell(v):

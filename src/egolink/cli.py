@@ -424,6 +424,8 @@ def _cmd_degree_dist(cfg):
     check_key("kind", _one_of(*SAMPLE_KINDS), kind)
     mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
     check_key("mode", validate_mode, mode, cfg.directed)
+    if cfg.per_neighbor and kind == KIND_PERSONALIZED:
+        raise ConfigError(f"per_neighbor: not used by sample kind {kind!r}")
     _, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
     if kind == KIND_PERSONALIZED:
@@ -458,13 +460,10 @@ def _cmd_empirical(cfg):
 
 def _cmd_recommend(cfg):
     _require(cfg, "ego", "method")
-    if cfg.method == METHOD_CN:
-        mode = MODE_NONE
-        score_mode = MODE_UNDIRECTED
-    else:
-        score_mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
-        check_key("mode", validate_mode, score_mode, cfg.directed)
-        mode = score_mode
+    if cfg.method == METHOD_CN and cfg.mode is not None:
+        raise ConfigError(f"mode: not used by method {METHOD_CN!r}")
+    score_mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
+    check_key("mode", validate_mode, score_mode, cfg.directed)
     edges, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
     try:
@@ -481,14 +480,12 @@ def _cmd_recommend(cfg):
                              log_base=cfg.log_base, view=view)
     ranking = rank_candidates(table).ranking
     top = ranking[: min(cfg.k, ranking.size)]
-    scores = table.scores(cfg.method)
-    pos = {int(c): i for i, c in enumerate(table.candidates)}
+    scores = table.scores(cfg.method)[np.searchsorted(table.candidates, top)]
     header = ("rank", "candidate_id", "candidate_label", "score")
-    rows = [
-        (r + 1, int(c), edges.labels[int(c)], float(scores[pos[int(c)]]))
-        for r, c in enumerate(top)
-    ]
-    metadata = {"ego": cfg.ego, "method": cfg.method, "mode": mode,
+    rows = [(r + 1, c, edges.labels[c], s)
+            for r, (c, s) in enumerate(zip(top.tolist(), scores.tolist()))]
+    metadata = {"ego": cfg.ego, "method": cfg.method,
+                "mode": MODE_NONE if cfg.method == METHOD_CN else score_mode,
                 "snapshot": graph.index}
     path = write_table(_out_path(cfg, "recommendations"), cfg.format, header, rows,
                        metadata=metadata)

@@ -178,16 +178,15 @@ TRIAD_TABLE = {
 
 
 def edge_config(graph, a, b):
-    """Config of the ``a``-``b`` link, or None when unlinked."""
-    ab = graph.has_edge(a, b)
-    ba = graph.has_edge(b, a)
-    if ab and ba:
+    """Config of the ``a``-``b`` link, read from ``a``, or None when
+    unlinked; every link of an undirected graph is reciprocal."""
+    row = graph.neighbors(a)
+    pos = int(np.searchsorted(row, b))
+    if pos == row.size or row[pos] != b:
+        return None
+    if not graph.directed:
         return EdgeConfig.RECIPROCAL
-    if ab:
-        return EdgeConfig.OUT
-    if ba:
-        return EdgeConfig.IN
-    return None
+    return EdgeConfig(int(graph.sym_config[graph.sym_indptr[a] + pos]))
 
 
 def classify_triad(graph, u, z, v):

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import _kernels
+from ._util import csv_field
 from .errors import ConfigError, EmptyInputError, ParseError, PreconditionError
 
 NORMALIZED_HEADER = "src_id,dst_id,time"
@@ -244,39 +244,41 @@ def write_normalized_csv(edges, path):
 def write_label_map_csv(edges, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LABEL_MAP_HEADER + "\n")
-        fh.writelines(f"{node_id},{label}\n" for node_id, label in enumerate(edges.labels))
+        fh.writelines(f"{node_id},{csv_field(label)}\n"
+                      for node_id, label in enumerate(edges.labels))
 
 
 # ---------------------------------------------------------------------------
 # snapshot graphs
 
 
-def _csr(n_nodes, src, dst):
-    """Sorted, duplicate-free CSR rows from an edge array pair."""
+def _sorted_entries(src, dst, bits=None):
+    """Row and column of each distinct entry ``src -> dst``, sorted by
+    (row, column), and ``bits``, if given, OR-ed over each entry's copies."""
     order = np.lexsort((dst, src))
     s = src[order]
     d = dst[order]
-    if s.size:
-        keep = np.empty(s.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
-        s = s[keep]
-        d = d[keep]
-    counts = np.bincount(s, minlength=n_nodes)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
+    if bits is not None:
+        bits = np.bitwise_or.reduceat(bits[order], np.flatnonzero(keep))
+    return s[keep], d[keep], bits
+
+
+def _indptr(n_nodes, rows):
+    """CSR row pointers of entries with the given ascending row ids."""
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = d.astype(np.int64, copy=True)
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
-    return indptr, indices
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    return indptr
 
 
 class SnapshotGraph:
     """One static snapshot in CSR form.
 
-    Directed graphs carry three adjacencies: out, in, and the
-    symmetrized union. Undirected graphs store the symmetric adjacency
-    once and alias all three views to it. Immutable once built.
+    Directed graphs carry three adjacencies, out, in, and the
+    symmetrized union, and the link config of each symmetric entry; one
+    sort builds them all. Undirected graphs store the symmetric
+    adjacency once and alias all three views to it. Immutable once built.
     """
 
     __slots__ = (
@@ -301,35 +303,42 @@ class SnapshotGraph:
                  window_start=None, window_end=None):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        self.n_nodes = int(n_nodes)
+        self.n_nodes = n = int(n_nodes)
         self.directed = bool(directed)
         self.index = index
         self.window_start = window_start
         self.window_end = window_end
-        both_src = np.concatenate([src, dst])
-        both_dst = np.concatenate([dst, src])
-        self.sym_indptr, self.sym_indices = _csr(self.n_nodes, both_src, both_dst)
+        # direction bit of each entry: 1 if inserted as row -> col, 2 if
+        # inserted as col -> row; a reciprocal link's entries merge to 3
+        bits = np.repeat(np.array([1, 2], dtype=np.int8), src.size) if directed else None
+        rows, self.sym_indices, bits = _sorted_entries(
+            np.concatenate([src, dst]), np.concatenate([dst, src]), bits)
+        self.sym_indptr = _indptr(n, rows)
+        self._sym_config = 1 + (bits >> 1) - (bits & 1) if directed else None
         if directed:
-            self.out_indptr, self.out_indices = _csr(self.n_nodes, src, dst)
-            self.in_indptr, self.in_indices = _csr(self.n_nodes, dst, src)
+            out, inn = bits != 2, bits != 1
+            self.out_indptr, self.out_indices = _indptr(n, rows[out]), self.sym_indices[out]
+            self.in_indptr, self.in_indices = _indptr(n, rows[inn]), self.sym_indices[inn]
         else:
             self.out_indptr, self.out_indices = self.sym_indptr, self.sym_indices
             self.in_indptr, self.in_indices = self.sym_indptr, self.sym_indices
         self.out_degree = np.diff(self.out_indptr)
         self.in_degree = np.diff(self.in_indptr)
         self.sym_degree = np.diff(self.sym_indptr)
-        for arr in (self.out_degree, self.in_degree, self.sym_degree):
-            arr.setflags(write=False)
-        self._sym_config = None
+        self._freeze()
+
+    def _freeze(self):
+        for value in self.__getstate__().values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state):
         for name, value in state.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
             object.__setattr__(self, name, value)
+        self._freeze()
 
     @property
     def n_edges(self):
@@ -370,21 +379,9 @@ class SnapshotGraph:
         """Read-only int8 array aligned with ``sym_indices``: the config
         (``ego.EdgeConfig``) of each entry's link, read from the row's
         node: 0 for row -> entry only, 1 reciprocal, 2 entry -> row only.
-        Directed graphs only; built on first use."""
+        Directed graphs only; recorded by the sort that builds the rows."""
         if not self.directed:
             raise PreconditionError("link configs need a directed graph")
-        if self._sym_config is None:
-            n = self.n_nodes
-            ids = np.arange(n, dtype=np.int64)
-            # keys v * n + z, ascending in every CSR: v -> z is z in
-            # out-row(v), z -> v is z in in-row(v)
-            keys = np.repeat(ids, self.sym_degree) * n + self.sym_indices
-            outof = np.repeat(ids, self.out_degree) * n + self.out_indices
-            into = np.repeat(ids, self.in_degree) * n + self.in_indices
-            config = (1 + _kernels.contains(into, keys).astype(np.int8)
-                      - _kernels.contains(outof, keys).astype(np.int8))
-            config.setflags(write=False)
-            self._sym_config = config
         return self._sym_config
 
 

@@ -26,6 +26,12 @@ def adjacency(n_nodes, pairs, directed):
     return out, inn, sym
 
 
+def link_config(out, inn, v, z):
+    """Config of the v-z link read from v, as ``ego.EdgeConfig`` numbers
+    it: 0 for v -> z only, 1 reciprocal, 2 for z -> v only."""
+    return 1 + (z in inn[v]) - (z in out[v])
+
+
 def normalize(rows, directed):
     """``(labels, [(src_id, dst_id, time)])`` for raw ``(src, dst, time)``
     label rows, one row at a time: self-loops dropped; each pair (unordered

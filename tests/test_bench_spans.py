@@ -1,15 +1,20 @@
-"""The traced benchmark names only functions that exist.
+"""The traced benchmark names only functions and graph arrays that exist.
 
 ``pipebench/tracing.py`` wraps each function its ``SPANS`` table names
 with ``getattr``, so a renamed or deleted function would crash a traced
-benchmark run. Its per-item workers are matched by name.
+benchmark run. Its per-item workers are matched by name. The benchmark
+also reads a few ``SnapshotGraph`` arrays directly, so a refactor of the
+graph must keep them.
 """
 
 import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
+
+from egolink.graph import SnapshotGraph
 
 _TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "pipebench", "tracing.py")
@@ -37,3 +42,18 @@ def test_span_target_exists(mod_name, attr):
 def test_worker_exists(worker):
     modules = [importlib.import_module(f"egolink.{m}") for m in ("empirical", "evaluation")]
     assert any(callable(getattr(m, worker, None)) for m in modules)
+
+
+#: SnapshotGraph attributes the benchmark reads: ``workloads.recommend_egos``
+#: (out_indptr, sym_degree) and the counters of ``tracing`` (out_indices,
+#: in_indices, sym_indices, sym_degree)
+BENCH_GRAPH_ARRAYS = ("out_indptr", "out_indices", "in_indices", "sym_indices", "sym_degree")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_graph_arrays_read_by_benchmark(directed):
+    g = SnapshotGraph(4, np.array([0, 1, 2]), np.array([1, 2, 0]), directed)
+    assert g.directed is directed
+    for name in BENCH_GRAPH_ARRAYS:
+        assert isinstance(getattr(g, name), np.ndarray), name
+    assert callable(g.successors)

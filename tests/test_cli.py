@@ -95,6 +95,24 @@ class TestIngest:
         labels = (out / "label_map.csv").read_text()
         assert labels == "node_id,label\n0,ann\n1,bob\n2,col\n3,dan\n"
 
+    def test_labels_quoted_when_needed(self, tmp_path):
+        # whitespace-split labels may hold a comma or a quote; only those
+        # fields are quoted, with inner quotes doubled (RFC 4180)
+        raw = tmp_path / "raw.txt"
+        raw.write_text('a,b hub 1\nhub say"hi" 2\n')
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(raw), "--delimiter", "whitespace",
+                     "--output-dir", str(out)]) == 0
+        labels = (out / "label_map.csv").read_text()
+        assert labels == 'node_id,label\n0,"a,b"\n1,hub\n2,"say""hi"""\n'
+        rec = tmp_path / "rec"
+        assert main(["recommend", "--input", str(raw), "--delimiter", "whitespace",
+                     "--ego", "a,b", "--method", "cn", "--output-dir", str(rec)]) == 0
+        lines = (rec / "recommendations.csv").read_text().splitlines()
+        # the metadata line is a comment, not a CSV row
+        assert lines[0].startswith("# ego=a,b method=cn")
+        assert lines[2:] ==['1,2,"say""hi""",1.0']
+
     def test_reingest_is_stable(self, raw_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["ingest", "--input", str(raw_file), "--output-dir", str(out1)])

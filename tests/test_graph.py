@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from egolink import graph as graph_module
-from egolink.ego import EdgeConfig, edge_config
+from egolink.ego import EdgeConfig
 from egolink.errors import ConfigError, ParseError, PreconditionError
 from egolink.graph import (
     SnapshotGraph,
@@ -20,6 +20,7 @@ from egolink.graph import (
     write_normalized_csv,
 )
 
+import oracles
 from conftest import make_graph, random_graph
 
 
@@ -272,7 +273,8 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_direction_split(self, seed):
-        g, _ = random_graph(seed, 12, 0.3, True)
+        g, pairs = random_graph(seed, 12, 0.3, True)
+        out, inn, _ = oracles.adjacency(g.n_nodes, pairs, True)
         config = g.sym_config
         for v in range(g.n_nodes):
             row = g.neighbors(v)
@@ -284,7 +286,7 @@ class TestAdjacency:
             for cfg, part in zip(EdgeConfig, parts):
                 assert np.all(np.diff(part) > 0)
                 for z in part.tolist():
-                    assert edge_config(g, v, z) == cfg
+                    assert oracles.link_config(out, inn, v, z) == cfg
         h = pickle.loads(pickle.dumps(g))
         assert h.sym_config.tolist() == config.tolist()
 

@@ -241,3 +241,17 @@ class TestPrecedence:
         assert (tmp_path / "from_flag" / "normalized.csv").exists()
         assert not (tmp_path / "from_env").exists()
         assert not (tmp_path / "from_file").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["degree-dist", "--kind", "personalized", "--per-neighbor"],
+     "per_neighbor: not used by sample kind 'personalized'"),
+    (["recommend", "--ego", "0", "--method", "cn", "--mode", "out"],
+     "mode: not used by method 'cn'"),
+], ids=["degree-dist-per-neighbor", "recommend-cn-mode"])
+def test_ignored_key_named(argv, message, tmp_path, capsys):
+    # the input does not exist, so the key is named before it is read
+    assert main(argv + ["--input", str(tmp_path / "missing.csv"),
+                        "--output-dir", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,6 +1,6 @@
-"""Property tests of the wedge gather (``ego_view``), the link configs it
-can read (``SnapshotGraph.sym_config``) and the push kernel against the
-set-arithmetic oracle."""
+"""Property tests of the wedge gather (``ego_view``), the snapshot rows
+and link configs it reads (``SnapshotGraph.sym_config``) and the push
+kernel against the set-arithmetic oracle."""
 
 import pickle
 
@@ -12,7 +12,7 @@ import oracles
 from conftest import make_graph, push_wedges
 
 from egolink._kernels import accumulate_common_terms
-from egolink.ego import ALL_MODES, edge_config, ego_view, two_hop_candidates
+from egolink.ego import ALL_MODES, EdgeConfig, edge_config, ego_view, two_hop_candidates
 from egolink.errors import PreconditionError
 
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -95,13 +95,32 @@ def test_accumulate_against_oracle(graph, seed):
 
 
 @_SETTINGS
-@given(graph=graphs())
-@example(graph=_EMPTY)
-@example(graph=_NO_NEIGHBORS)
-@example(graph=_HUB)
-def test_sym_config_against_edge_config(graph):
+@given(graph=graphs(), echo=st.lists(st.tuples(st.integers(0, 60), st.booleans()),
+                                      max_size=20))
+@example(graph=_EMPTY, echo=[])
+@example(graph=_NO_NEIGHBORS, echo=[])
+@example(graph=_HUB, echo=[(0, True), (6, False), (7, True)])
+@example(graph=(2, True, [(0, 1), (1, 0), (0, 1)], 0), echo=[])
+@example(graph=(3, True, [(1, 0), (0, 1), (1, 0), (2, 1)], 0), echo=[(3, False)])
+def test_rows_and_sym_config_against_oracle(graph, echo):
     n, directed, pairs, _ = graph
+    # re-insert some pairs after the originals, as they are or reversed,
+    # so that duplicates and reciprocal links arrive in either order
+    pairs = pairs + [pairs[i][::-1] if rev else pairs[i] for i, rev in echo
+                     if i < len(pairs)]
     g = make_graph(pairs, n, directed)
+    out, inn, sym = oracles.adjacency(n, pairs, directed)
+    for v in range(n):
+        assert g.successors(v).tolist() == sorted(out[v])
+        assert g.predecessors(v).tolist() == sorted(inn[v])
+        assert g.neighbors(v).tolist() == sorted(sym[v])
+        assert (g.out_degree[v], g.in_degree[v], g.sym_degree[v]) == (
+            len(out[v]), len(inn[v]), len(sym[v]))
+        for z in range(n):
+            want = None if z not in sym[v] else (
+                oracles.link_config(out, inn, v, z) if directed else EdgeConfig.RECIPROCAL)
+            assert edge_config(g, v, z) == want
+    assert g.n_edges == sum(map(len, out.values())) // (1 if directed else 2)
     if not directed:
         with pytest.raises(PreconditionError):
             g.sym_config
@@ -111,6 +130,8 @@ def test_sym_config_against_edge_config(graph):
     assert not config.flags.writeable
     for v in range(n):
         for i in range(g.sym_indptr[v], g.sym_indptr[v + 1]):
-            assert config[i] == edge_config(g, v, int(g.sym_indices[i]))
+            z = int(g.sym_indices[i])
+            assert config[i] == oracles.link_config(out, inn, v, z)
+            assert edge_config(g, v, z) == config[i]
     h = pickle.loads(pickle.dumps(g))
     assert h.sym_config.tolist() == config.tolist()
