@@ -25,7 +25,6 @@ from .empirical import (
     GroupStats,
     aggregate_empirical,
     ego_snapshot_stats,
-    partition_candidates,
 )
 from .errors import (
     ConfigError,
@@ -50,17 +49,12 @@ from .graph import (
     build_snapshots,
     drop_zero_out_degree,
     ingest_edges,
-    neighbors,
     write_label_map_csv,
     write_normalized_csv,
 )
 from .scorers import (
     ScoreTable,
-    score_aa,
     score_candidates,
-    score_cn,
-    score_pdaa,
-    score_pdcn,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +81,6 @@ __all__ = [
     "GroupStats",
     "aggregate_empirical",
     "ego_snapshot_stats",
-    "partition_candidates",
     "ConfigError",
     "EmptyInputError",
     "EmptyResultError",
@@ -107,13 +100,8 @@ __all__ = [
     "build_snapshots",
     "drop_zero_out_degree",
     "ingest_edges",
-    "neighbors",
     "write_label_map_csv",
     "write_normalized_csv",
     "ScoreTable",
-    "score_aa",
     "score_candidates",
-    "score_cn",
-    "score_pdaa",
-    "score_pdcn",
 ]

@@ -42,21 +42,17 @@ def validate_mode(mode, directed):
     return mode
 
 
-def default_degree_modes(directed, per_triad=False):
-    """Degree modes analysed when none are given."""
-    if not directed:
-        return (MODE_UNDIRECTED,)
-    return (MODE_OUT, MODE_IN) if per_triad else (MODE_OUT, MODE_IN, MODE_UNDIRECTED)
-
-
 def resolve_modes(directed, modes=None, per_triad=False):
     """The degree modes to analyse: ``modes`` checked against the graph
-    kind, or the defaults when it is None. Per-triad analysis needs a
-    directed graph."""
+    kind, or when it is None the defaults: ``undirected`` on undirected
+    graphs, else ``out`` and ``in``, plus ``undirected`` unless per
+    triad. Per-triad analysis needs a directed graph."""
     if per_triad and not directed:
         raise ConfigError("per-triad analysis needs a directed graph")
     if modes is None:
-        return default_degree_modes(directed, per_triad)
+        if not directed:
+            return (MODE_UNDIRECTED,)
+        return (MODE_OUT, MODE_IN) if per_triad else (MODE_OUT, MODE_IN, MODE_UNDIRECTED)
     modes = tuple(modes)
     if not modes:
         raise ConfigError("need at least one degree mode")
@@ -106,14 +102,35 @@ def _pd_context(graph, u, mode):
 
 
 def personalized_degrees(graph, u, targets, mode):
-    """Personalized degree of each target node w.r.t. ego ``u``.
-
-    No neighbor precondition here: the empirical per-triad analysis
-    evaluates the same overlap formula for non-successor pools.
+    """Personalized degree of each target node w.r.t. ego ``u``, read
+    from the targets' own out, in or symmetric rows; ``gathered_pd``
+    reads the same counts from a gather of symmetric rows already held.
     """
     targets = np.asarray(targets, dtype=np.int64)
     anchor, indptr, indices = _pd_context(graph, u, mode)
     return _kernels.row_intersect_sizes(indptr, indices, anchor, targets)
+
+
+def gathered_pd(graph, slot, pos, n_rows, in_successors, in_row, modes):
+    """Personalized degree of each gathered node ``z``, keyed by mode,
+    from one gather of symmetric rows (``slot`` and CSR position of each
+    entry ``w``): mode ``undirected`` counts the entries in the ego's
+    symmetric row (``in_row``); of the entries among the ego's
+    successors (``in_successors``), mode ``out`` counts those with
+    ``z -> w`` and mode ``in`` those with ``w -> z``."""
+    def count(hit):
+        return np.bincount(slot[hit], minlength=n_rows).astype(np.int64)
+
+    pd = {}
+    if MODE_UNDIRECTED in modes:
+        pd[MODE_UNDIRECTED] = count(in_row)
+    if MODE_OUT in modes or MODE_IN in modes:
+        hit = np.flatnonzero(in_successors)
+        cfg = graph.sym_config[pos[hit]]
+        for mode, absent in ((MODE_OUT, EdgeConfig.IN), (MODE_IN, EdgeConfig.OUT)):
+            if mode in modes:
+                pd[mode] = count(hit[cfg != absent])
+    return pd
 
 
 def personalized_degree(graph, u, z, mode=MODE_UNDIRECTED):
@@ -208,9 +225,10 @@ def classify_triad(graph, u, z, v):
 
 @dataclass
 class EgoView:
-    """Cached per-ego arrays shared by the scorers: the neighbor pool,
-    the candidate set, every wedge ``z -> v`` from the pool onto a
-    candidate, and per-mode degree columns."""
+    """Per-ego arrays shared by the scorers: the neighbor pool, the
+    candidate set, every wedge ``z -> v`` from the pool onto a
+    candidate, and the personalized degrees of the pool in every mode
+    the graph admits."""
 
     graph: object
     ego: int
@@ -220,18 +238,13 @@ class EgoView:
     #: ``candidates``, in ascending-z order
     wedge_z: np.ndarray = field(repr=False)
     wedge_v: np.ndarray = field(repr=False)
-    _pd: dict = field(default_factory=dict, repr=False)
-    _gd: dict = field(default_factory=dict, repr=False)
+    _pd: dict = field(repr=False)
 
     def pd(self, mode):
-        if mode not in self._pd:
-            self._pd[mode] = personalized_degrees(self.graph, self.ego, self.base, mode)
-        return self._pd[mode]
+        return self._pd[validate_mode(mode, self.graph.directed)]
 
     def gd(self, mode):
-        if mode not in self._gd:
-            self._gd[mode] = global_degrees(self.graph, self.base, mode)
-        return self._gd[mode]
+        return global_degrees(self.graph, self.base, mode)
 
     def accumulate(self, terms):
         """Per candidate: the column sums of ``terms`` (row-aligned with
@@ -242,19 +255,19 @@ class EgoView:
 
 def ego_view(graph, u):
     """One gather of the symmetric rows of the ego's neighbors gives the
-    candidates, the wedges onto them, and the mode-undirected
-    personalized degrees (the row entries inside the ego's own
-    symmetrized neighborhood)."""
+    candidates, the wedges onto them, and the personalized degrees of
+    every mode the graph admits (``gathered_pd``)."""
     u = int(u)
     base = ego_neighbors(graph, u)
     wedge_z, pos = _kernels.gather_rows(graph.sym_indptr, base)
     reached = graph.sym_indices[pos]
     in_base = _kernels.contains(base, reached)
     # undirected graphs: the ego's symmetrized neighborhood is the pool
-    in_anchor = (_kernels.contains(graph.neighbors(u), reached) if graph.directed
-                 else in_base)
+    in_row = (_kernels.contains(graph.neighbors(u), reached) if graph.directed
+              else in_base)
+    modes = ALL_MODES if graph.directed else (MODE_UNDIRECTED,)
+    pd = gathered_pd(graph, wedge_z, pos, base.size, in_base, in_row, modes)
     wedge = ~in_base & (reached != u)
     candidates, wedge_v = np.unique(reached[wedge], return_inverse=True)
-    pd = np.bincount(wedge_z[in_anchor], minlength=base.size).astype(np.int64)
     return EgoView(graph=graph, ego=u, base=base, candidates=candidates,
-                   wedge_z=wedge_z[wedge], wedge_v=wedge_v, _pd={MODE_UNDIRECTED: pd})
+                   wedge_z=wedge_z[wedge], wedge_v=wedge_v, _pd=pd)

@@ -16,8 +16,9 @@ gather of the symmetric rows of the ego's symmetric neighbors feeds all
 nine cells of an (ego, transition): the config of the ego's own entry
 for ``z`` puts ``z`` in one of three pools, and the config of each
 gathered entry ``v`` of row(z) is the neighbor-edge config of the wedge
-``z -> v``. Plain cells and per-triad cells both sum their wedges with
-``_kernels.accumulate_common_terms`` in ascending-z order.
+``z -> v``; the same gather gives the pool's personalized degrees
+(``ego.gathered_pd``). Plain cells and per-triad cells both sum their
+wedges with ``_kernels.accumulate_common_terms`` in ascending-z order.
 """
 
 from dataclasses import dataclass
@@ -30,15 +31,15 @@ from ._parallel import map_in_order
 from ._util import pool_egos
 from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
 from .ego import (
+    MODE_UNDIRECTED,
     EdgeConfig,
     TriadType,
     TRIAD_TABLE,
     ego_neighbors,
     ego_view,
+    gathered_pd,
     global_degrees,
-    personalized_degrees,
     resolve_modes,
-    two_hop_candidates,
 )
 from .errors import ConfigError, EmptyInputError, EmptyResultError
 
@@ -72,16 +73,6 @@ class EmpiricalRow:
 class EmpiricalStats:
     rows: list
     diagnostics: dict
-
-
-def partition_candidates(series, t, ego):
-    """Two-hop candidates at ``t`` split by next-snapshot formation."""
-    if not 0 <= t < len(series) - 1:
-        raise IndexError(f"transition index {t} needs a following snapshot")
-    cand = two_hop_candidates(series[t], ego)
-    nxt = ego_neighbors(series[t + 1], ego)
-    mask = np.isin(cand, nxt, assume_unique=True)
-    return cand[mask], cand[~mask]
 
 
 def _log_degree_terms(columns):
@@ -118,7 +109,7 @@ def _cell(sums, counts, formed, modes):
 def _plain_cell(graph, next_graph, ego, modes):
     """Group stats keyed by mode for one (ego, transition), or None."""
     view = ego_view(graph, ego)
-    formed = np.isin(view.candidates, ego_neighbors(next_graph, ego), assume_unique=True)
+    formed = _kernels.contains(ego_neighbors(next_graph, ego), view.candidates)
     if formed.all() or not formed.any():
         return None
     terms = _log_degree_terms([col for m in modes for col in (view.gd(m), view.pd(m))])
@@ -137,7 +128,8 @@ def _triad_cells(graph, next_graph, ego, modes):
     pool_cfg = ego_cfg[slot]
     nb_cfg = graph.sym_config[pos]
     # a node already chosen by the ego is never a candidate, nor the ego
-    chosen = _kernels.contains(graph.successors(ego), reached) | (reached == ego)
+    in_successors = _kernels.contains(graph.successors(ego), reached)
+    chosen = in_successors | (reached == ego)
     nxt = ego_neighbors(next_graph, ego)
     terms = None  # built for the first pool with formed and not-formed candidates
     out = {}
@@ -152,8 +144,11 @@ def _triad_cells(graph, next_graph, ego, modes):
             out.update(dict.fromkeys(triads, None))
             continue
         if terms is None:
-            terms = _log_degree_terms([col for m in modes for col in (
-                global_degrees(graph, row, m), personalized_degrees(graph, ego, row, m))])
+            in_row = (_kernels.contains(row, reached) if MODE_UNDIRECTED in modes
+                      else None)
+            pd = gathered_pd(graph, slot, pos, row.size, in_successors, in_row, modes)
+            terms = _log_degree_terms(
+                [col for m in modes for col in (global_degrees(graph, row, m), pd[m])])
         wedge_z, wedge_nb = slot[wedge], nb_cfg[wedge]
         for nb, triad in zip(EdgeConfig, triads):
             sel = wedge_nb == nb

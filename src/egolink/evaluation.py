@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._parallel import map_in_order
 from ._util import pool_egos
 from .ego import (
@@ -150,7 +151,7 @@ def _cell_worker(payload, ego):
         if view.candidates.size < max(min_cand, max_k):
             continue
         nxt = ego_neighbors(series[t + 1], ego)
-        formed = view.candidates[np.isin(view.candidates, nxt, assume_unique=True)]
+        formed = view.candidates[_kernels.contains(nxt, view.candidates)]
         if require_formation and formed.size == 0:
             continue
 

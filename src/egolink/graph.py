@@ -363,17 +363,6 @@ class SnapshotGraph:
         self._check_node(u)
         return self.sym_indices[self.sym_indptr[u]:self.sym_indptr[u + 1]]
 
-    def has_edge(self, u, v):
-        """Directed: u -> v present. Undirected: u -- v present."""
-        row = self.successors(u)
-        pos = np.searchsorted(row, v)
-        return bool(pos < row.size and row[pos] == v)
-
-    def has_sym_edge(self, u, v):
-        row = self.neighbors(u)
-        pos = np.searchsorted(row, v)
-        return bool(pos < row.size and row[pos] == v)
-
     @property
     def sym_config(self):
         """Read-only int8 array aligned with ``sym_indices``: the config
@@ -383,18 +372,6 @@ class SnapshotGraph:
         if not self.directed:
             raise PreconditionError("link configs need a directed graph")
         return self._sym_config
-
-
-def neighbors(graph, node, mode="undirected"):
-    """Sorted neighbor row of one node: successors, predecessors, or
-    their union."""
-    if mode == "out":
-        return graph.successors(node)
-    if mode == "in":
-        return graph.predecessors(node)
-    if mode == "undirected":
-        return graph.neighbors(node)
-    raise ConfigError(f"unknown neighbor mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Candidate scorers for one ego: common neighbors, degree-damped
 common neighbors, and their personalized-degree variants.
 
-All four scores decompose over the common neighbors ``z`` of the pair
-``(ego, v)``:
+There is one scoring path: ``score_candidates`` scores every two-hop
+candidate of an ego in one pass over its ``ego.EgoView``; a single
+pair's score is that candidate's entry in the table. All four scores
+decompose over the common neighbors ``z`` of the pair ``(ego, v)``:
 
 * ``cn``     counts them,
 * ``aa``     adds ``1 / log(effective global degree of z)``,
@@ -23,17 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ego import (
-    MODE_IN,
-    MODE_OUT,
-    MODE_UNDIRECTED,
-    common_neighbors,
-    ego_neighbors,
-    ego_view,
-    global_degrees,
-    personalized_degrees,
-    validate_mode,
-)
+from .ego import MODE_IN, MODE_OUT, MODE_UNDIRECTED, ego_view, validate_mode
 from .errors import ConfigError, PreconditionError
 
 METHOD_CN = "cn"
@@ -170,52 +162,3 @@ def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
         columns=columns,
         cn_counts=counts,
     )
-
-
-# ---------------------------------------------------------------------------
-# single-pair forms
-
-
-def _pair_common(graph, u, v):
-    if u == v:
-        raise PreconditionError("candidate equals the ego")
-    base = ego_neighbors(graph, u)
-    pos = np.searchsorted(base, v)
-    if pos < base.size and base[pos] == v:
-        raise PreconditionError(f"{v} is already a neighbor of ego {u}")
-    cns = common_neighbors(graph, u, v)
-    if cns.size == 0:
-        raise PreconditionError(f"{v} is not a two-hop candidate of ego {u}")
-    return cns
-
-
-def _score_pair(graph, u, v, method, mode, log_base):
-    cns = _pair_common(graph, u, v)
-    if method == METHOD_CN:
-        return float(cns.size)
-    validate_mode(mode, graph.directed)
-    ln_base = _ln_base(log_base)
-    pd = personalized_degrees(graph, u, cns, mode)
-    gd = global_degrees(graph, cns, mode)
-    return float(_rescale(method, _TERM_BUILDERS[method](pd, gd, mode).sum(), ln_base))
-
-
-def score_cn(graph, u, v):
-    """Number of common neighbors of the pair."""
-    return _score_pair(graph, u, v, METHOD_CN, None, None)
-
-
-def score_aa(graph, u, v, mode=MODE_UNDIRECTED, log_base=None):
-    """Degree-damped common-neighbor score."""
-    return _score_pair(graph, u, v, METHOD_AA, mode, log_base)
-
-
-def score_pdcn(graph, u, v, mode=MODE_UNDIRECTED, log_base=None):
-    """Common neighbors weighted up by their personalized degree."""
-    return _score_pair(graph, u, v, METHOD_PD_CN, mode, log_base)
-
-
-def score_pdaa(graph, u, v, mode=MODE_UNDIRECTED, log_base=None):
-    """Degree-damped score with the damping centered on how much of a
-    neighbor's degree is shared with the ego."""
-    return _score_pair(graph, u, v, METHOD_PD_AA, mode, log_base)

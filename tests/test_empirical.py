@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,13 +10,8 @@ import pytest
 import oracles
 from conftest import make_series, random_snapshots
 
-from egolink.ego import default_degree_modes
-from egolink.empirical import (
-    aggregate_empirical,
-    ego_snapshot_stats,
-    empirical_table,
-    partition_candidates,
-)
+from egolink.ego import resolve_modes
+from egolink.empirical import aggregate_empirical, ego_snapshot_stats, empirical_table
 from egolink.errors import ConfigError, EmptyInputError, EmptyResultError
 from egolink.generators import GeneratorSpec, generate
 from egolink.graph import build_snapshots
@@ -26,20 +22,6 @@ def _row_map(stats):
         (None if r.triad is None else int(r.triad), r.mode, r.group, r.degree_kind): r
         for r in stats.rows
     }
-
-
-class TestPartition:
-    def test_split(self):
-        snaps = [[(0, 1), (1, 2), (1, 3)], [(0, 1), (1, 2), (1, 3), (0, 2)]]
-        series = make_series(snaps, 4)
-        formed, not_formed = partition_candidates(series, 0, 0)
-        assert formed.tolist() == [2]
-        assert not_formed.tolist() == [3]
-
-    def test_bad_transition_index(self):
-        series = make_series([[(0, 1)], [(0, 1), (1, 2)]], 3)
-        with pytest.raises(IndexError):
-            partition_candidates(series, 1, 0)
 
 
 class TestHandComputed:
@@ -137,9 +119,9 @@ class TestExclusions:
 
 class TestDefaults:
     def test_mode_sets(self):
-        assert default_degree_modes(False) == ("undirected",)
-        assert default_degree_modes(True) == ("out", "in", "undirected")
-        assert default_degree_modes(True, per_triad=True) == ("out", "in")
+        assert resolve_modes(False, None, False) == ("undirected",)
+        assert resolve_modes(True, None, False) == ("out", "in", "undirected")
+        assert resolve_modes(True, None, True) == ("out", "in")
 
     def test_plain_directed_row_count(self):
         snaps = random_snapshots(7, 12, 0.3, True, 3)
@@ -159,7 +141,7 @@ class TestAgainstOracle:
             n = 10
             snaps = random_snapshots(seed, n, 0.25, directed, 3)
             series = make_series(snaps, n, directed=directed)
-            modes = default_degree_modes(directed)
+            modes = resolve_modes(directed, None, False)
             want = oracles.empirical_aggregate(n, snaps, directed, False, list(modes))
             if not want:
                 with pytest.raises(EmptyResultError):
@@ -172,16 +154,21 @@ class TestAgainstOracle:
                 assert rows[key].stderr == pytest.approx(se, abs=1e-12)
                 assert rows[key].n_egos == n_egos
 
-    @pytest.mark.parametrize("n, p", [(10, 0.25), (12, 0.5)])
-    def test_triad_cells(self, n, p):
+    @pytest.mark.parametrize("n, p, modes", [
+        pytest.param(10, 0.25, None, id="10-0.25"),
+        pytest.param(12, 0.5, None, id="12-0.5"),
+        pytest.param(12, 0.5, ("out", "in", "undirected"), id="12-0.5-undirected"),
+    ])
+    def test_triad_cells(self, n, p, modes):
         # dense graphs give candidates several common neighbors per config
-        modes = default_degree_modes(True, per_triad=True)
+        modes = resolve_modes(True, modes, True)
         for seed in range(6):
             snaps = random_snapshots(200 + seed, n, p, True, 3)
             series = make_series(snaps, n, directed=True)
             for t in range(len(snaps) - 1):
                 for ego in range(n):
-                    got = ego_snapshot_stats(series, t, ego, per_triad=True)
+                    got = ego_snapshot_stats(series, t, ego, per_triad=True,
+                                             degree_modes=modes)
                     want = oracles.triad_cells(n, snaps[t], snaps[t + 1], ego, list(modes))
                     assert {int(k) for k in got} == set(want)
                     for key, cell in got.items():
@@ -197,17 +184,17 @@ class TestAgainstOracle:
                                     pytest.approx(pd, abs=1e-12)
 
     def test_per_triad(self):
-        for seed in range(12):
+        for modes, seed in product((("out", "in"), ("out", "in", "undirected")), range(12)):
             n = 10
             snaps = random_snapshots(100 + seed, n, 0.25, True, 3)
             series = make_series(snaps, n, directed=True)
-            modes = default_degree_modes(True, per_triad=True)
             want = oracles.empirical_aggregate(n, snaps, True, True, list(modes))
             if not want:
                 with pytest.raises(EmptyResultError):
-                    aggregate_empirical(series, per_triad=True)
+                    aggregate_empirical(series, per_triad=True, degree_modes=modes)
                 continue
-            rows = _row_map(aggregate_empirical(series, per_triad=True))
+            rows = _row_map(aggregate_empirical(series, per_triad=True,
+                                                degree_modes=modes))
             assert set(rows) == set(want)
             for key, (mean, se, n_egos) in want.items():
                 assert rows[key].mean == pytest.approx(mean, abs=1e-12)

@@ -1,6 +1,7 @@
 """Scoring methods: pinned hand values, oracle equivalence, invariances."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,51 +16,59 @@ from egolink.scorers import (
     ALL_METHODS,
     MODE_NONE,
     ScoreTable,
-    score_aa,
     score_candidates,
-    score_cn,
-    score_pdaa,
-    score_pdcn,
     validate_methods,
     _pd_aa_terms,
     _pd_cn_terms,
     _TERM_BUILDERS,
 )
 
-_PAIR_FNS = {"cn": score_cn, "aa": score_aa, "pd-cn": score_pdcn, "pd-aa": score_pdaa}
+
+def _lookup(table, v):
+    """Position of candidate ``v`` in ``table``, or None if it is none."""
+    i = int(np.searchsorted(table.candidates, v))
+    return i if i < table.candidates.size and table.candidates[i] == v else None
+
+
+def _score(g, u, v, method, mode="undirected", log_base=None):
+    """Score of candidate ``v`` of ego ``u``, read from the ego's table."""
+    table = score_candidates(g, u, methods=(method,), mode=mode, log_base=log_base)
+    i = _lookup(table, v)
+    assert i is not None, f"{v} is not a candidate of ego {u}"
+    return float(table.scores(method)[i])
 
 
 class TestPinnedValues:
     def test_aa_degree_two_bridge(self):
         # single common neighbor of symmetric degree 2
         g = make_graph([(0, 1), (1, 2)], 3)
-        got = score_aa(g, 0, 2)
+        got = _score(g, 0, 2, "aa")
         assert got == pytest.approx(1.4427, abs=1e-3)
         assert got == pytest.approx(1.0 / math.log(2), abs=1e-12)
 
     def test_aa_in_mode_smoothing(self):
         # bridge with in-degree 1: denominator log(1 + 2)
         g = make_graph([(0, 1), (1, 2)], 3, directed=True)
-        got = score_aa(g, 0, 2, mode="in")
+        got = _score(g, 0, 2, "aa", mode="in")
         assert got == pytest.approx(0.9102, abs=1e-3)
         assert got == pytest.approx(1.0 / math.log(3), abs=1e-12)
 
     def test_pdcn_stranger_bridge(self):
         g = make_graph([(0, 1), (1, 2)], 3)
-        got = score_pdcn(g, 0, 2)
+        got = _score(g, 0, 2, "pd-cn")
         assert got == pytest.approx(0.6931, abs=1e-3)
         assert got == pytest.approx(math.log(2), abs=1e-12)
 
     def test_pdcn_embedded_bridge(self, two_broker_graph):
         g, ids = two_broker_graph
-        got = score_pdcn(g, ids["u"], ids["y1"])
+        got = _score(g, ids["u"], ids["y1"], "pd-cn")
         assert got == pytest.approx(2.1972, abs=1e-3)
         assert got == pytest.approx(math.log(9), abs=1e-12)
 
     def test_pdaa_low_embed(self):
         # P=1, G=3: bracket 20/3
         g = make_graph([(0, 1), (1, 2)], 3)
-        got = score_pdaa(g, 0, 2)
+        got = _score(g, 0, 2, "pd-aa")
         assert got == pytest.approx(0.5270, abs=1e-3)
         assert got == pytest.approx(1.0 / math.log(20 / 3), abs=1e-12)
 
@@ -67,41 +76,21 @@ class TestPinnedValues:
         # z: pd 2, gd 4 -> P=3, G=5, bracket 68/15
         pairs = [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (1, 2)]
         g = make_graph(pairs, 5)
-        got = score_pdaa(g, 0, 2)
+        got = _score(g, 0, 2, "pd-aa")
         assert got == pytest.approx(0.6614, abs=1e-3)
         assert got == pytest.approx(1.0 / math.log(68 / 15), abs=1e-12)
 
     def test_cn_counts(self, two_broker_graph):
         g, ids = two_broker_graph
-        assert score_cn(g, ids["u"], ids["y1"]) == 1.0
-        assert score_cn(g, ids["u"], ids["x1"]) == 1.0
-
-
-class TestBulkAgainstPairs:
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_equal(self, directed):
-        modes = ALL_MODES if directed else ("undirected",)
-        for seed in range(40):
-            g, _ = random_graph(seed, 12, 0.3, directed)
-            for u in range(12):
-                view = ego_view(g, u)
-                if view.candidates.size == 0:
-                    continue
-                for mode in modes:
-                    table = score_candidates(g, u, mode=mode, view=view)
-                    for i, v in enumerate(view.candidates.tolist()):
-                        for method in ALL_METHODS:
-                            fn = _PAIR_FNS[method]
-                            one = fn(g, u, v) if method == "cn" else fn(g, u, v, mode=mode)
-                            assert table.scores(method)[i] == pytest.approx(one, abs=1e-12)
+        assert _score(g, ids["u"], ids["y1"], "cn") == 1.0
+        assert _score(g, ids["u"], ids["x1"], "cn") == 1.0
 
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("directed", [False, True])
     def test_all_methods_all_modes(self, directed):
         modes = ALL_MODES if directed else ("undirected",)
-        for seed in range(40):
-            n = 10
+        for n, seed in product((10, 12), range(40)):
             g, pairs = random_graph(seed, n, 0.3, directed)
             out, inn, sym = oracles.adjacency(n, pairs, directed)
             for u in range(n):
@@ -177,7 +166,7 @@ class TestLogBase:
     def test_invalid_base(self):
         g = make_graph([(0, 1), (1, 2)], 3)
         with pytest.raises(ConfigError):
-            score_aa(g, 0, 2, log_base=1.0)
+            _score(g, 0, 2, "aa", log_base=1.0)
         with pytest.raises(ConfigError):
             score_candidates(g, 0, log_base=0.5)
 
@@ -195,18 +184,16 @@ class TestValidation:
     def test_unknown_mode(self):
         g = make_graph([(0, 1), (1, 2)], 3, directed=True)
         with pytest.raises(ConfigError):
-            score_aa(g, 0, 2, mode="both")
+            _score(g, 0, 2, "aa", mode="both")
 
     def test_pair_preconditions(self):
+        # the ego, its neighbors and nodes with no common neighbor get no
+        # score; an ego out of range is an IndexError
         g = make_graph([(0, 1), (1, 2), (0, 3)], 4)
-        with pytest.raises(PreconditionError):
-            score_cn(g, 0, 0)
-        with pytest.raises(PreconditionError):
-            score_cn(g, 0, 1)  # already adjacent
+        assert score_candidates(g, 0).candidates.tolist() == [2]
+        assert score_candidates(g, 3).candidates.tolist() == [1]
         with pytest.raises(IndexError):
-            score_cn(g, 0, 42)  # out of range
-        with pytest.raises(PreconditionError):
-            score_aa(g, 3, 2)  # no common neighbors
+            score_candidates(g, 42)
         # out-of-range degree columns; checked explicitly, so also under -O
         with pytest.raises(PreconditionError):
             _pd_cn_terms(np.array([-1]), np.array([3]), "undirected")
@@ -232,13 +219,14 @@ class TestStructure:
             assert np.array_equal(t.scores("cn"), tables[0].scores("cn"))
 
     def test_more_embedded_scores_higher(self, two_broker_graph):
-        # same common-neighbor count; the mutual-heavy bridge wins on
-        # personalized methods and loses on plain aa (higher degree)
+        # same common-neighbor count; the bridge through the neighbor that
+        # shares more of the ego's neighbors wins on the personalized methods
         g, ids = two_broker_graph
-        u, y1, x1 = ids["u"], ids["y1"], ids["x1"]
-        assert score_pdcn(g, u, y1) > score_pdcn(g, u, x1)
-        assert score_pdaa(g, u, y1) > score_pdaa(g, u, x1)
-        assert score_cn(g, u, y1) == score_cn(g, u, x1)
+        table = score_candidates(g, ids["u"])
+        y1, x1 = _lookup(table, ids["y1"]), _lookup(table, ids["x1"])
+        for method in ("pd-cn", "pd-aa"):
+            assert table.scores(method)[y1] > table.scores(method)[x1]
+        assert table.scores("cn")[y1] == table.scores("cn")[x1]
 
     def test_table_lookup(self, two_broker_graph):
         g, ids = two_broker_graph

@@ -1,6 +1,7 @@
-"""Property tests of the wedge gather (``ego_view``), the snapshot rows
-and link configs it reads (``SnapshotGraph.sym_config``) and the push
-kernel against the set-arithmetic oracle."""
+"""Property tests of the wedge gather (``ego_view``) and the personalized
+degrees read from it, the snapshot rows and link configs it reads
+(``SnapshotGraph.sym_config``) and the push kernel against the
+set-arithmetic oracle."""
 
 import pickle
 
@@ -12,8 +13,15 @@ import oracles
 from conftest import make_graph, push_wedges
 
 from egolink._kernels import accumulate_common_terms
-from egolink.ego import ALL_MODES, EdgeConfig, edge_config, ego_view, two_hop_candidates
-from egolink.errors import PreconditionError
+from egolink.ego import (
+    ALL_MODES,
+    EdgeConfig,
+    edge_config,
+    ego_view,
+    personalized_degrees,
+    two_hop_candidates,
+)
+from egolink.errors import ConfigError, PreconditionError
 
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -94,9 +102,19 @@ def test_accumulate_against_oracle(graph, seed):
                 assert sums[v, k] == expected
 
 
+def _echoed(pairs, echo):
+    """``pairs`` with some of them re-inserted after the originals, as
+    they are or reversed, so that duplicates and reciprocal links arrive
+    in either order."""
+    return pairs + [pairs[i][::-1] if rev else pairs[i] for i, rev in echo
+                    if i < len(pairs)]
+
+
+_ECHOES = st.lists(st.tuples(st.integers(0, 60), st.booleans()), max_size=20)
+
+
 @_SETTINGS
-@given(graph=graphs(), echo=st.lists(st.tuples(st.integers(0, 60), st.booleans()),
-                                      max_size=20))
+@given(graph=graphs(), echo=_ECHOES)
 @example(graph=_EMPTY, echo=[])
 @example(graph=_NO_NEIGHBORS, echo=[])
 @example(graph=_HUB, echo=[(0, True), (6, False), (7, True)])
@@ -104,10 +122,7 @@ def test_accumulate_against_oracle(graph, seed):
 @example(graph=(3, True, [(1, 0), (0, 1), (1, 0), (2, 1)], 0), echo=[(3, False)])
 def test_rows_and_sym_config_against_oracle(graph, echo):
     n, directed, pairs, _ = graph
-    # re-insert some pairs after the originals, as they are or reversed,
-    # so that duplicates and reciprocal links arrive in either order
-    pairs = pairs + [pairs[i][::-1] if rev else pairs[i] for i, rev in echo
-                     if i < len(pairs)]
+    pairs = _echoed(pairs, echo)
     g = make_graph(pairs, n, directed)
     out, inn, sym = oracles.adjacency(n, pairs, directed)
     for v in range(n):
@@ -135,3 +150,27 @@ def test_rows_and_sym_config_against_oracle(graph, echo):
             assert edge_config(g, v, z) == config[i]
     h = pickle.loads(pickle.dumps(g))
     assert h.sym_config.tolist() == config.tolist()
+
+
+@_SETTINGS
+@given(graph=graphs(), echo=_ECHOES)
+@example(graph=_HUB, echo=[(0, True), (6, False), (7, True)])
+@example(graph=(4, True, [(0, 1), (0, 2), (2, 1), (1, 3), (3, 1), (3, 0)], 0),
+         echo=[(2, True), (4, False)])
+def test_gathered_pd_against_oracle(graph, echo):
+    # pd read from the ego's gather agrees with the mode rows' form and
+    # the oracle for every ego, node of its pool and mode
+    n, directed, pairs, _ = graph
+    pairs = _echoed(pairs, echo)
+    g = make_graph(pairs, n, directed)
+    out, inn, sym = oracles.adjacency(n, pairs, directed)
+    for u in range(n):
+        view = ego_view(g, u)
+        for mode in ALL_MODES if directed else ("undirected",):
+            want = [oracles.pdeg(out, inn, sym, u, z, mode) for z in view.base.tolist()]
+            assert view.pd(mode).tolist() == want
+            assert personalized_degrees(g, u, view.base, mode).tolist() == want
+        if not directed:
+            for mode in ("out", "in"):
+                with pytest.raises(ConfigError):
+                    view.pd(mode)
