@@ -1,5 +1,6 @@
 """Ranking, precision@k, and the multi-method evaluation harness."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,13 +10,17 @@ from conftest import make_series, random_snapshots
 
 from egolink.errors import ConfigError, EmptyResultError, PreconditionError
 from egolink.evaluation import (
+    eval_table,
     evaluate_methods,
+    improvement_table,
     method_mode_pairs,
     percent_improvement,
     precision_at_k,
     rank_candidates,
     validate_ks,
 )
+from egolink.generators import GeneratorSpec, generate
+from egolink.graph import build_snapshots
 from egolink.scorers import ScoreTable
 
 
@@ -216,3 +221,31 @@ class TestImprovement:
                                   modes=("out", "in"))
         with pytest.raises(ConfigError):
             percent_improvement(result, base="pd-cn")
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("fixture, expected", [
+        ("directed-uniform",
+         (80, "93635f84046331feaba79f2e5740498621397a7ddbab81ebf5045982d2cfba0c")),
+        ("undirected-planted",
+         (32, "4ce19f10e1bda543331c3036431f6cf421b6b55e23257ca28590c36fceb45611")),
+    ])
+    def test_frozen_eval_output(self, fixture, expected):
+        # frozen tables: any change in cell qualification, ranking ties,
+        # P@K or pooling changes the digest
+        if fixture == "directed-uniform":
+            spec = GeneratorSpec(kind="uniform-random", n_nodes=80, edge_prob=0.15,
+                                 directed=True, seed=7)
+            series = build_snapshots(generate(spec), fixed_count=4)
+            result = evaluate_methods(series, modes=("out", "in", "undirected"),
+                                      ks=(1, 3, 5, 10))
+        else:
+            spec = GeneratorSpec(kind="planted-scorer", n_nodes=150, edge_prob=0.06,
+                                 method="pd-cn", n_snapshots=3, seed=5)
+            series = build_snapshots(generate(spec), preassigned=True)
+            result = evaluate_methods(series, ks=(1, 3, 5, 10), workers=2)
+        rows = eval_table(result) + improvement_table(percent_improvement(result))
+        h = hashlib.sha256()
+        for row in rows:
+            h.update(repr(row).encode())
+        assert (len(rows), h.hexdigest()) == expected
