@@ -419,11 +419,16 @@ def _cmd_snapshots(cfg):
             f"built {len(series)} cumulative snapshots -> {path}")
 
 
+def _single_mode(cfg):
+    """``mode``, ``undirected`` when unset, checked against ``directed``."""
+    mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
+    return check_key("mode", validate_mode, mode, cfg.directed)
+
+
 def _cmd_degree_dist(cfg):
     kind = cfg.kind if cfg.kind is not None else KIND_PERSONALIZED
     check_key("kind", _one_of(*SAMPLE_KINDS), kind)
-    mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
-    check_key("mode", validate_mode, mode, cfg.directed)
+    mode = _single_mode(cfg)
     if cfg.per_neighbor and kind == KIND_PERSONALIZED:
         raise ConfigError(f"per_neighbor: not used by sample kind {kind!r}")
     _, series = _load_series(cfg)
@@ -462,8 +467,7 @@ def _cmd_recommend(cfg):
     _require(cfg, "ego", "method")
     if cfg.method == METHOD_CN and cfg.mode is not None:
         raise ConfigError(f"mode: not used by method {METHOD_CN!r}")
-    score_mode = cfg.mode if cfg.mode is not None else MODE_UNDIRECTED
-    check_key("mode", validate_mode, score_mode, cfg.directed)
+    score_mode = _single_mode(cfg)
     edges, series = _load_series(cfg)
     graph = _pick_snapshot(cfg, series)
     try:
@@ -478,8 +482,7 @@ def _cmd_recommend(cfg):
         )
     table = score_candidates(graph, ego, methods=(cfg.method,), mode=score_mode,
                              log_base=cfg.log_base, view=view)
-    ranking = rank_candidates(table).ranking
-    top = ranking[: min(cfg.k, ranking.size)]
+    top = rank_candidates(table).ranking[: cfg.k]
     scores = table.scores(cfg.method)[np.searchsorted(table.candidates, top)]
     header = ("rank", "candidate_id", "candidate_label", "score")
     rows = [(r + 1, c, edges.labels[c], s)

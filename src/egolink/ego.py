@@ -69,6 +69,8 @@ def ego_neighbors(graph, u):
 def sample_egos(series, sample_size=None, seed=0):
     """Sorted, seeded sample of the nodes with neighbors in the first
     snapshot; all of them when ``sample_size`` is None or covers them."""
+    if sample_size is not None and int(sample_size) < 1:
+        raise ConfigError(f"sample_size: must be >= 1, got {sample_size}")
     eligible = np.flatnonzero(series[0].sym_degree > 0).astype(np.int64)
     if eligible.size == 0:
         raise EmptyInputError("first snapshot has no connected nodes to sample egos from")

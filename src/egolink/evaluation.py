@@ -16,13 +16,7 @@ import numpy as np
 from . import _kernels
 from ._parallel import map_in_order
 from ._util import pool_egos
-from .ego import (
-    MODE_UNDIRECTED,
-    ego_neighbors,
-    ego_view,
-    resolve_modes,
-    sample_egos,
-)
+from .ego import ego_neighbors, ego_view, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import (
     ALL_METHODS,
@@ -86,14 +80,23 @@ def validate_ks(ks):
     return ks
 
 
+def _ranking_order(scores, candidates):
+    """Positions of ``candidates`` by descending score, ties by ascending id."""
+    return np.lexsort((candidates, -scores))
+
+
+def _precisions(hit, ks):
+    """P@K for each K of the int array ``ks`` from a ranking's hit flags."""
+    return np.cumsum(hit)[ks - 1] / ks
+
+
 def rank_candidates(table, method=None):
     """Deterministic ranking of a ScoreTable column."""
     if method is None:
         if len(table.columns) != 1:
             raise ConfigError("table has several methods; name one")
         method = next(iter(table.columns))
-    scores = table.scores(method)
-    order = np.lexsort((table.candidates, -scores))
+    order = _ranking_order(table.scores(method), table.candidates)
     return RankedList(
         ego=table.ego, method=method, mode=table.mode, ranking=table.candidates[order]
     )
@@ -110,8 +113,8 @@ def precision_at_k(ranked, formed, k):
         raise PreconditionError(f"k={k} exceeds the {ranking.size} ranked candidates")
     if not isinstance(formed, np.ndarray):
         formed = np.fromiter(formed, dtype=np.int64)
-    hits = np.isin(ranking[:k], formed, assume_unique=True).sum()
-    return float(hits) / k
+    hit = np.isin(ranking[:k], formed, assume_unique=True)
+    return float(_precisions(hit, np.array([k]))[0])
 
 
 def method_mode_pairs(methods, modes):
@@ -130,41 +133,32 @@ def method_mode_pairs(methods, modes):
 def _cell_worker(payload, ego):
     """``{((method, mode), k): [P@K per qualifying cell]}`` of one ego, or
     None when its candidate set ever exceeds the two-hop cutoff."""
-    series, pairs, ks, cutoff, min_cand, require_formation, log_base = payload
+    series, methods, modes, ks, cutoff, min_cand, require_formation, log_base = payload
     max_k = max(ks)
-    # one scoring pass per degree mode; the mode-free cn column rides on
-    # the first mode's table, or is scored alone when it is the only method
-    modes = list(dict.fromkeys(mode for _, mode in pairs if mode != MODE_NONE))
-    modes = modes or [MODE_UNDIRECTED]
-    wanted = {
-        mode: tuple(m for m, md in pairs
-                    if md == mode or (md == MODE_NONE and mode == modes[0]))
-        for mode in modes
-    }
+    k_array = np.array(ks)
+    # one table per degree mode; cn reads no degree: ranked once, from the first
+    term_methods = tuple(m for m in methods if m != METHOD_CN)
+    passes = [(modes[0], methods)] + [(mode, term_methods) for mode in modes[1:] if term_methods]
 
     cells = {}
-    for t in range(len(series) - 1):
-        g = series[t]
+    for g, nxt in zip(series.graphs, series.graphs[1:]):
         view = ego_view(g, ego)
         if view.candidates.size > cutoff:
             return None  # over the two-hop cutoff: drop the ego whole
         if view.candidates.size < max(min_cand, max_k):
             continue
-        nxt = ego_neighbors(series[t + 1], ego)
-        formed = view.candidates[_kernels.contains(nxt, view.candidates)]
-        if require_formation and formed.size == 0:
+        formed = _kernels.contains(ego_neighbors(nxt, ego), view.candidates)
+        if require_formation and not formed.any():
             continue
 
-        tables = {
-            mode: score_candidates(
-                g, ego, methods=wanted[mode], mode=mode, log_base=log_base, view=view
-            )
-            for mode in modes
-        }
-        for m, mode in pairs:
-            ranked = rank_candidates(tables[modes[0] if mode == MODE_NONE else mode], m)
-            for k in ks:
-                cells.setdefault(((m, mode), k), []).append(precision_at_k(ranked, formed, k))
+        for mode, scored in passes:
+            table = score_candidates(g, ego, methods=scored, mode=mode,
+                                     log_base=log_base, view=view)
+            for m in scored:
+                order = _ranking_order(table.scores(m), table.candidates)[:max_k]
+                pair = (m, MODE_NONE if m == METHOD_CN else mode)
+                for k, p in zip(ks, _precisions(formed[order], k_array).tolist()):
+                    cells.setdefault((pair, k), []).append(p)
     return cells
 
 
@@ -177,10 +171,11 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
         raise ConfigError("evaluation needs at least 2 snapshots")
     methods = validate_methods(methods)
     ks = validate_ks(ks)
-    pairs = method_mode_pairs(methods, resolve_modes(series.directed, modes))
+    modes = resolve_modes(series.directed, modes)
+    pairs = method_mode_pairs(methods, modes)
 
     egos = sample_egos(series, sample_size, seed)
-    payload = (series, pairs, ks, int(cutoff), int(min_candidates),
+    payload = (series, methods, modes, ks, int(cutoff), int(min_candidates),
                bool(require_formation), log_base)
     per_ego = map_in_order(_cell_worker, [int(u) for u in egos], payload, workers=workers)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_graph, random_graph
+from conftest import make_graph, make_series, random_graph
 
 from egolink.ego import (
     ALL_MODES,
@@ -20,6 +20,7 @@ from egolink.ego import (
     personalized_degree,
     personalized_degrees,
     resolve_modes,
+    sample_egos,
     two_hop_candidates,
     validate_mode,
 )
@@ -93,6 +94,14 @@ class TestPreconditions:
         g, ids = two_broker_graph
         with pytest.raises(PreconditionError):
             common_neighbors(g, ids["u"], ids["u"])
+
+
+class TestSampleEgos:
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_named(self, size):
+        series = make_series([[(0, 1), (1, 2)]], 3)
+        with pytest.raises(ConfigError, match=f"sample_size: must be >= 1, got {size}"):
+            sample_egos(series, size)
 
 
 class TestAgainstOracle:

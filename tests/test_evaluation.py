@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_series, random_snapshots
 
+from egolink.ego import sample_egos
 from egolink.errors import ConfigError, EmptyResultError, PreconditionError
 from egolink.evaluation import (
     eval_table,
@@ -21,7 +22,7 @@ from egolink.evaluation import (
 )
 from egolink.generators import GeneratorSpec, generate
 from egolink.graph import build_snapshots
-from egolink.scorers import ScoreTable
+from egolink.scorers import ScoreTable, score_candidates
 
 
 def _table(cands, scores, method="cn"):
@@ -165,6 +166,11 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="at least one degree mode"):
             evaluate_methods(_hand_series(), modes=())
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sample_size_below_one(self, size):
+        with pytest.raises(ConfigError, match="sample_size"):
+            evaluate_methods(_hand_series(), ks=(1,), sample_size=size)
+
     def test_sampling_deterministic(self):
         snaps = random_snapshots(2, 20, 0.25, False, 3)
         series = make_series(snaps, 20)
@@ -194,6 +200,54 @@ class TestEvaluate:
         modes = {r.mode for r in result.rows if r.method == "aa"}
         assert modes == {"out", "in", "undirected"}
         assert {r.mode for r in result.rows if r.method == "cn"} == {"none"}
+
+
+def _hand_pooled(series, pairs, ks, cutoff):
+    """Pool, by ``_util.pool_egos``'s rule, the public single-list P@K of
+    every qualifying cell: ``{((method, mode), k): (mean, stderr, n_egos)}``."""
+    per_ego = []
+    for u in sample_egos(series):
+        cells = {}
+        for t in range(len(series) - 1):
+            g, nxt = series[t], series[t + 1]
+            candidates = score_candidates(g, int(u), methods=("cn",)).candidates
+            if candidates.size > cutoff:
+                cells = None
+                break
+            formed = set(candidates.tolist()) & set(nxt.successors(int(u)).tolist())
+            if candidates.size < max(ks) or not formed:
+                continue
+            for method, mode in pairs:
+                table = score_candidates(g, int(u), methods=(method,),
+                                         mode="undirected" if mode == "none" else mode)
+                ranked = rank_candidates(table, method)
+                for k in ks:
+                    cells.setdefault(((method, mode), k), []).append(
+                        precision_at_k(ranked, formed, k))
+        if cells:
+            per_ego.append({key: float(np.mean(v)) for key, v in cells.items()})
+    pooled = {}
+    for key in per_ego[0]:
+        means = np.array([cells[key] for cells in per_ego])
+        stderr = float(means.std(ddof=1) / math.sqrt(means.size)) if means.size > 1 else 0.0
+        pooled[key] = (float(means.mean()), stderr, means.size)
+    return pooled
+
+
+class TestCellPathAgainstPublicForms:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_rows_equal_hand_pooled(self, seed, directed):
+        # cn scores are small integers that tie often, so this pins one tie
+        # rule shared by the cell path and rank_candidates
+        snaps = random_snapshots(seed, 24, 0.22, directed, 4)
+        series = make_series(snaps, 24, directed=directed)
+        ks, cutoff = (1, 2, 3, 5), 17
+        result = evaluate_methods(series, ks=ks, cutoff=cutoff)
+        pooled = _hand_pooled(series, result.pairs, ks, cutoff)
+        assert result.metadata["n_egos_contributing"] == pooled[(result.pairs[0], 1)][2]
+        got = {((r.method, r.mode), r.k): (r.mean_p_at_k, r.stderr) for r in result.rows}
+        assert got == {key: value[:2] for key, value in pooled.items()}
 
 
 class TestImprovement:
