@@ -273,3 +273,57 @@ def ego_view(graph, u):
     candidates, wedge_v = np.unique(reached[wedge], return_inverse=True)
     return EgoView(graph=graph, ego=u, base=base, candidates=candidates,
                    wedge_z=wedge_z[wedge], wedge_v=wedge_v, _pd=pd)
+
+
+#: gathered symmetric entries per chunk of ``_forming_cells``
+_FORMING_CHUNK = 1 << 16
+
+
+def _forming_cells(series, egos, sym_pool, chunk=_FORMING_CHUNK):
+    """Bool mask (egos × transitions) of the cells where some new
+    successor ``w`` of the ego (in ``succ_{t+1}(u) \\ succ_t(u)``,
+    ``w != u``) has a symmetric row at t that meets the ego's pool: its
+    successors at t, or with ``sym_pool`` its symmetric row at t.
+
+    Candidates exclude the ego's successors, so with the successor pool a
+    cell is True exactly when some candidate forms. With the symmetric
+    pool, a False cell has no formed candidate in any triad pool. Per
+    transition, all matches run on sorted ``slot * n + node`` keys (slot:
+    the ego's position in ``egos``), and the rows of the new successors
+    are gathered about ``chunk`` entries at a time; a cell already True
+    is not probed again.
+    """
+    egos = np.asarray(egos, dtype=np.int64)
+    mask = np.zeros((egos.size, len(series) - 1), dtype=bool)
+    for t, (g, nxt) in enumerate(zip(series.graphs, series.graphs[1:])):
+        n = g.n_nodes
+
+        def keys(indptr, indices):
+            slot, pos = _kernels.gather_rows(indptr, egos)
+            return slot, indices[pos], slot * n + indices[pos]
+
+        held = keys(g.out_indptr, g.out_indices)[2]
+        pool = keys(g.sym_indptr, g.sym_indices)[2] if sym_pool else held
+        slot, w, key = keys(nxt.out_indptr, nxt.out_indices)
+        new = ~_kernels.contains(held, key) & (w != egos[slot])
+        slot, w = slot[new], w[new]
+        # each ego's r-th new successor in round floor(log2(r + 1)): a cell
+        # settled in an early round is not probed in the later ones
+        rank = np.arange(slot.size) - np.searchsorted(slot, slot)
+        order = np.argsort(rank, kind="stable")
+        slot, w, rank = slot[order], w[order], rank[order]
+        ends = np.cumsum(g.sym_degree[w])
+        settled = mask[:, t]
+        start = 0
+        while start < w.size:
+            before = ends[start - 1] if start else 0
+            # at least one row, however long, and no row of a later round
+            stop = max(int(np.searchsorted(ends, before + chunk, side="right")), start + 1)
+            stop = min(stop, int(np.searchsorted(rank, 1 << int(rank[start]).bit_length())))
+            open_ = ~settled[slot[start:stop]]
+            cell = slot[start:stop][open_]
+            z_slot, z_pos = _kernels.gather_rows(g.sym_indptr, w[start:stop][open_])
+            cell = cell[z_slot]
+            settled[cell[_kernels.contains(pool, cell * n + g.sym_indices[z_pos])]] = True
+            start = stop
+    return mask

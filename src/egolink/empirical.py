@@ -35,6 +35,7 @@ from .ego import (
     EdgeConfig,
     TriadType,
     TRIAD_TABLE,
+    _forming_cells,
     ego_neighbors,
     ego_view,
     gathered_pd,
@@ -48,6 +49,12 @@ GROUP_NOT_FORMED = "not-formed"
 GROUPS = (GROUP_FORMED, GROUP_NOT_FORMED)
 
 EMPIRICAL_HEADER = ("triad", "group", "degree_kind", "mode", "mean", "stderr", "n_egos")
+
+#: reasons a cell is left out, each cell counted under the first that holds:
+#: none of its candidates formed (an empty candidate set included), or all did
+EXCLUDED_NO_FORMED = "no_formed_candidate"
+EXCLUDED_ALL_FORMED = "all_formed"
+EXCLUSIONS = (EXCLUDED_NO_FORMED, EXCLUDED_ALL_FORMED)
 
 
 @dataclass(frozen=True)
@@ -81,14 +88,23 @@ def _log_degree_terms(columns):
     return np.log(np.column_stack(columns).astype(np.float64) + 1.0)
 
 
-def _cell(sums, counts, formed, modes):
+def _excluded(formed, excluded):
+    """Whether candidates with these formed flags make no cell; if so,
+    the cell is counted in ``excluded`` under its reason."""
+    if formed.any() and not formed.all():
+        return False
+    excluded[EXCLUDED_ALL_FORMED if formed.any() else EXCLUDED_NO_FORMED] += 1
+    return True
+
+
+def _cell(sums, counts, formed, modes, excluded):
     """Group stats keyed by mode over the candidates with at least one
     common neighbor, each valued by its mean terms (``sums / counts``);
     ``formed`` marks the candidates that gained an ego edge. None when
     none of the kept candidates formed or all did."""
     kept = counts > 0
     formed = formed[kept]
-    if formed.all() or not formed.any():
+    if _excluded(formed, excluded):
         return None
     means = sums[kept] / counts[kept, None]
 
@@ -106,17 +122,17 @@ def _cell(sums, counts, formed, modes):
     return out
 
 
-def _plain_cell(graph, next_graph, ego, modes):
+def _plain_cell(graph, next_graph, ego, modes, excluded):
     """Group stats keyed by mode for one (ego, transition), or None."""
     view = ego_view(graph, ego)
     formed = _kernels.contains(ego_neighbors(next_graph, ego), view.candidates)
-    if formed.all() or not formed.any():
+    if _excluded(formed, excluded):
         return None
     terms = _log_degree_terms([col for m in modes for col in (view.gd(m), view.pd(m))])
-    return _cell(*view.accumulate(terms), formed, modes)
+    return _cell(*view.accumulate(terms), formed, modes, excluded)
 
 
-def _triad_cells(graph, next_graph, ego, modes):
+def _triad_cells(graph, next_graph, ego, modes, excluded):
     """Group stats keyed by TriadType for one (ego, transition):
     triad -> None (excluded) or {mode: {group: GroupStats}}."""
     row = graph.neighbors(ego)
@@ -142,6 +158,12 @@ def _triad_cells(graph, next_graph, ego, modes):
         formed = _kernels.contains(nxt, cand)
         if formed.all() or not formed.any():
             out.update(dict.fromkeys(triads, None))
+            # each triad's candidates are some of the pool's: if the pool's
+            # all formed, so did those of every triad that has candidates
+            n_all = (int(np.count_nonzero(np.bincount(nb_cfg[wedge], minlength=3)))
+                     if formed.any() else 0)
+            excluded[EXCLUDED_ALL_FORMED] += n_all
+            excluded[EXCLUDED_NO_FORMED] += len(triads) - n_all
             continue
         if terms is None:
             in_row = (_kernels.contains(row, reached) if MODE_UNDIRECTED in modes
@@ -154,27 +176,41 @@ def _triad_cells(graph, next_graph, ego, modes):
             sel = wedge_nb == nb
             sums, counts = _kernels.accumulate_common_terms(
                 wedge_z[sel], wedge_v[sel], terms, cand.size)
-            out[triad] = _cell(sums, counts, formed, modes)
+            out[triad] = _cell(sums, counts, formed, modes, excluded)
     return out
 
 
-def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None):
+def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, excluded=None):
     """Stats for one (ego, transition): ``{triad_key: None | {mode:
-    {group: GroupStats}}}`` with triad key None in plain mode."""
+    {group: GroupStats}}}`` with triad key None in plain mode. Each
+    excluded cell adds one to ``excluded[reason]`` when a dict of counts
+    keyed by ``EXCLUSIONS`` is given."""
     if not 0 <= t < len(series) - 1:
         raise IndexError(f"transition index {t} needs a following snapshot")
     modes = resolve_modes(series.directed, degree_modes, per_triad)
+    if excluded is None:
+        excluded = dict.fromkeys(EXCLUSIONS, 0)
     if per_triad:
-        return _triad_cells(series[t], series[t + 1], ego, modes)
-    return {None: _plain_cell(series[t], series[t + 1], ego, modes)}
+        return _triad_cells(series[t], series[t + 1], ego, modes, excluded)
+    return {None: _plain_cell(series[t], series[t + 1], ego, modes, excluded)}
 
 
-def _ego_worker(payload, ego):
-    """``{(triad, mode, group, kind): [value per usable cell]}`` of one ego."""
+def _ego_worker(payload, item):
+    """``(cells, excluded)`` of one ego: ``{(triad, mode, group, kind):
+    [value per usable cell]}`` and its cells counted per reason of
+    exclusion. ``item`` is the ego and, per triad, its row of
+    ``ego._forming_cells``: a False cell has no formed candidate."""
     series, per_triad, modes = payload
+    ego, forming = item
+    n_keys = len(TriadType) if per_triad else 1
     cells = {}
+    excluded = dict.fromkeys(EXCLUSIONS, 0)
     for t in range(len(series) - 1):
-        stats_t = ego_snapshot_stats(series, t, ego, per_triad=per_triad, degree_modes=modes)
+        if forming is not None and not forming[t]:
+            excluded[EXCLUDED_NO_FORMED] += n_keys
+            continue
+        stats_t = ego_snapshot_stats(series, t, ego, per_triad=per_triad, degree_modes=modes,
+                                     excluded=excluded)
         for triad, cell in stats_t.items():
             for mode, groups in (cell or {}).items():
                 for group, stats in groups.items():
@@ -182,7 +218,7 @@ def _ego_worker(payload, ego):
                         stats.mean_log_global)
                     cells.setdefault((triad, mode, group, KIND_PERSONALIZED), []).append(
                         stats.mean_log_personalized)
-    return cells
+    return cells, excluded
 
 
 def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, workers=1):
@@ -197,9 +233,12 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
         raise EmptyInputError("no egos given")
     egos = np.unique(egos)
 
-    per_ego = map_in_order(
-        _ego_worker, [int(u) for u in egos], (series, per_triad, modes), workers=workers
-    )
+    # settled here, not in the workers, so no result depends on the worker count
+    forming = (_forming_cells(series, egos, sym_pool=True).tolist() if per_triad
+               else [None] * egos.size)
+    results = map_in_order(_ego_worker, list(zip(egos.tolist(), forming)),
+                           (series, per_triad, modes), workers=workers)
+    per_ego = [cells for cells, _ in results]
     pooled = pool_egos(per_ego)
     triad_keys = list(TriadType) if per_triad else [None]
     keys = product(triad_keys, modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED))
@@ -209,6 +248,12 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
         "n_egos_requested": int(egos.size),
         "n_egos_contributing": sum(1 for cells in per_ego if cells),
         "n_transitions": len(series) - 1,
+        # one value per usable cell under each key of a cell
+        "n_cells": sum(len(values) for cells in per_ego
+                       for (_, mode, group, kind), values in cells.items()
+                       if (mode, group, kind) == (modes[0], GROUP_FORMED, KIND_GLOBAL)),
+        "n_cells_excluded": {reason: sum(excluded[reason] for _, excluded in results)
+                             for reason in EXCLUSIONS},
     }
     if not rows:
         raise EmptyResultError(

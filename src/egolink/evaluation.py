@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from ._parallel import map_in_order
 from ._util import pool_egos
-from .ego import ego_neighbors, ego_view, resolve_modes, sample_egos
+from .ego import _forming_cells, ego_neighbors, ego_view, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import (
     ALL_METHODS,
@@ -28,6 +28,15 @@ from .scorers import (
 
 DEFAULT_KS = (1, 3, 5, 10, 20, 30, 50)
 DEFAULT_CUTOFF = 100_000
+
+#: reasons a cell is left out, each cell counted under the first that holds:
+#: its ego's candidate set exceeds the cutoff at some transition; no
+#: candidate formed (only when formation is required); fewer candidates
+#: than ``max(min_candidates, max(ks))``
+EXCLUDED_OVER_CUTOFF = "ego_over_cutoff"
+EXCLUDED_NO_FORMED = "no_formed_candidate"
+EXCLUDED_TOO_FEW = "too_few_candidates"
+EXCLUSIONS = (EXCLUDED_OVER_CUTOFF, EXCLUDED_NO_FORMED, EXCLUDED_TOO_FEW)
 
 EVAL_HEADER = ("method", "mode", "k", "mean_p_at_k", "stderr", "n_cells")
 IMPROVEMENT_HEADER = ("method", "mode", "k", "pct_improvement_vs_base")
@@ -130,10 +139,14 @@ def method_mode_pairs(methods, modes):
     return tuple(pairs)
 
 
-def _cell_worker(payload, ego):
-    """``{((method, mode), k): [P@K per qualifying cell]}`` of one ego, or
-    None when its candidate set ever exceeds the two-hop cutoff."""
-    series, methods, modes, ks, cutoff, min_cand, require_formation, log_base = payload
+def _cell_worker(payload, item):
+    """``(cells, excluded)`` of one ego: ``{((method, mode), k): [P@K per
+    qualifying cell]}``, or None when its candidate set ever exceeds the
+    two-hop cutoff, and its cells counted per reason of exclusion.
+    ``item`` is the ego and, when formation is required, its row of
+    ``ego._forming_cells``."""
+    series, methods, modes, ks, cutoff, min_cand, log_base = payload
+    ego, forming = item
     max_k = max(ks)
     k_array = np.array(ks)
     # one table per degree mode; cn reads no degree: ranked once, from the first
@@ -141,14 +154,25 @@ def _cell_worker(payload, ego):
     passes = [(modes[0], methods)] + [(mode, term_methods) for mode in modes[1:] if term_methods]
 
     cells = {}
-    for g, nxt in zip(series.graphs, series.graphs[1:]):
+    excluded = dict.fromkeys(EXCLUSIONS, 0)
+    for t, (g, nxt) in enumerate(zip(series.graphs, series.graphs[1:])):
+        # settled without a gather when nothing forms and the wedge count,
+        # a bound on the candidate count, keeps the ego within the cutoff
+        if (forming is not None and not forming[t]
+                and g.sym_degree[ego_neighbors(g, ego)].sum() <= cutoff):
+            excluded[EXCLUDED_NO_FORMED] += 1
+            continue
         view = ego_view(g, ego)
         if view.candidates.size > cutoff:
-            return None  # over the two-hop cutoff: drop the ego whole
-        if view.candidates.size < max(min_cand, max_k):
-            continue
+            # over the two-hop cutoff: drop the ego whole
+            return None, {**dict.fromkeys(EXCLUSIONS, 0),
+                          EXCLUDED_OVER_CUTOFF: len(series) - 1}
         formed = _kernels.contains(ego_neighbors(nxt, ego), view.candidates)
-        if require_formation and not formed.any():
+        if forming is not None and not formed.any():
+            excluded[EXCLUDED_NO_FORMED] += 1
+            continue
+        if view.candidates.size < max(min_cand, max_k):
+            excluded[EXCLUDED_TOO_FEW] += 1
             continue
 
         for mode, scored in passes:
@@ -159,7 +183,7 @@ def _cell_worker(payload, ego):
                 pair = (m, MODE_NONE if m == METHOD_CN else mode)
                 for k, p in zip(ks, _precisions(formed[order], k_array).tolist()):
                     cells.setdefault((pair, k), []).append(p)
-    return cells
+    return cells, excluded
 
 
 def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
@@ -175,9 +199,13 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     pairs = method_mode_pairs(methods, modes)
 
     egos = sample_egos(series, sample_size, seed)
-    payload = (series, methods, modes, ks, int(cutoff), int(min_candidates),
-               bool(require_formation), log_base)
-    per_ego = map_in_order(_cell_worker, [int(u) for u in egos], payload, workers=workers)
+    # settled here, not in the workers, so no result depends on the worker count
+    forming = (_forming_cells(series, egos, sym_pool=False).tolist() if require_formation
+               else [None] * egos.size)
+    payload = (series, methods, modes, ks, int(cutoff), int(min_candidates), log_base)
+    results = map_in_order(_cell_worker, list(zip(egos.tolist(), forming)), payload,
+                           workers=workers)
+    per_ego = [cells for cells, _ in results]
 
     # every key of an ego holds one value per cell of that ego
     first = (pairs[0], ks[0])
@@ -191,6 +219,8 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
         "n_egos_contributing": len(kept),
         "n_egos_skipped_cutoff": sum(1 for cells in per_ego if cells is None),
         "n_cells": sum(len(cells[first]) for cells in kept),
+        "n_cells_excluded": {reason: sum(excluded[reason] for _, excluded in results)
+                             for reason in EXCLUSIONS},
     }
     if not kept:
         raise EmptyResultError(

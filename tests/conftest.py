@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from egolink._kernels import contains, gather_rows
 from egolink.graph import SnapshotGraph, TemporalEdgeList, build_snapshots
@@ -71,6 +72,23 @@ def random_snapshots(seed, n_nodes, edge_prob, directed, n_snapshots, growth=0.3
         current |= {p for p in fresh if p not in current}
         snapshots.append(sorted(current))
     return snapshots
+
+
+@st.composite
+def growing_snapshots(draw, directed):
+    """``(n_nodes, cumulative pair lists)``: two or three snapshots of up
+    to 10 nodes, each adding at least one new link, for ``make_series``."""
+    n = draw(st.integers(3, 10))
+    node = st.integers(0, n - 1)
+    link = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    if not directed:
+        link = link.map(lambda p: tuple(sorted(p)))
+    snapshots = [sorted(set(draw(st.lists(link, min_size=1, max_size=30))))]
+    for _ in range(draw(st.integers(1, 2))):
+        fresh = set(draw(st.lists(link, min_size=1, max_size=12))) - set(snapshots[-1])
+        assume(fresh)
+        snapshots.append(sorted(set(snapshots[-1]) | fresh))
+    return n, snapshots
 
 
 TWO_BROKER_LABELS = (

@@ -7,6 +7,7 @@ import oracles
 from conftest import make_graph, make_series, random_graph
 
 from egolink.ego import (
+    _forming_cells,
     ALL_MODES,
     EdgeConfig,
     TRIAD_TABLE,
@@ -217,3 +218,39 @@ class TestEgoView:
         assert view.ego == ids["u"]
         assert view.base.tolist() == ego_neighbors(g, ids["u"]).tolist()
         assert view.candidates.tolist() == two_hop_candidates(g, ids["u"]).tolist()
+
+
+def _chunk_series():
+    """One transition; new successors in ego order: 0 -> 2 (row of 1
+    entry, meets the pool), 3 -> 1 (3 entries; ego 3 has no successor at
+    t, but its predecessor 4 is linked to 1), 12 -> 13 (8 entries, meets
+    the pool at its last); ego 0 also gains 5, whose 4 entries miss its
+    pool, and ego 10 gains nothing."""
+    snap0 = [(0, 1), (1, 2), (4, 3), (1, 4), (10, 11), (12, 30)]
+    snap0 += [(13, w) for w in range(20, 27)] + [(30, 13)]
+    snap0 += [(5, w) for w in range(6, 10)]
+    snap1 = snap0 + [(0, 2), (0, 5), (3, 1), (12, 13)]
+    return make_series([snap0, snap1], 31, directed=True)
+
+
+class TestFormingCells:
+    EGOS = [0, 3, 10, 12]
+
+    # chunk 1 and 4 end a chunk exactly at a row end; 2 is shorter than
+    # ego 12's new row; 3 ends inside a row
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 8, 12, 1 << 16])
+    @pytest.mark.parametrize("sym_pool", [False, True], ids=["successors", "symmetric"])
+    def test_chunked_equals_unchunked(self, chunk, sym_pool):
+        series = _chunk_series()
+        whole = _forming_cells(series, self.EGOS, sym_pool, chunk=1 << 40)
+        # ego 3's symmetric row is {4}, and 4 is linked to its new successor 1
+        assert whole[:, 0].tolist() == [True, sym_pool, False, True]
+        assert (_forming_cells(series, self.EGOS, sym_pool, chunk=chunk) == whole).all()
+
+    def test_no_new_successor(self):
+        series = make_series([[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)]], 4, directed=True)
+        assert _forming_cells(series, [0, 1, 2], sym_pool=True).tolist() == [
+            [False], [False], [False]]
+
+    def test_no_egos(self):
+        assert _forming_cells(_chunk_series(), [], sym_pool=False).shape == (0, 1)

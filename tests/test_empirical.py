@@ -6,12 +6,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_series, random_snapshots
+from conftest import growing_snapshots, make_series, random_snapshots
 
-from egolink.ego import resolve_modes
-from egolink.empirical import aggregate_empirical, ego_snapshot_stats, empirical_table
+from egolink.ego import _forming_cells, resolve_modes
+from egolink.empirical import (
+    EXCLUSIONS,
+    aggregate_empirical,
+    ego_snapshot_stats,
+    empirical_table,
+)
 from egolink.errors import ConfigError, EmptyInputError, EmptyResultError
 from egolink.generators import GeneratorSpec, generate
 from egolink.graph import build_snapshots
@@ -224,6 +230,59 @@ class TestDeterminism:
             h.update(repr(row).encode())
         assert (len(rows), h.hexdigest()) == (
             72, "5a0986389ce85d9a496ba7dc3b47fdfc9efa08e19eb2661bc2debe7a618c2667")
+
+
+class TestFormationFirst:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=growing_snapshots(directed=True), chunk=st.sampled_from([1, 2, 5, 1 << 16]))
+    def test_settled_triad_cells_are_excluded(self, case, chunk):
+        # with the symmetric pool, a False cell has no usable triad cell
+        n, snaps = case
+        series = make_series(snaps, n, directed=True)
+        mask = _forming_cells(series, np.arange(n), sym_pool=True, chunk=chunk)
+        for u, t in zip(*np.nonzero(~mask)):
+            cells = oracles.triad_cells(n, snaps[t], snaps[t + 1], int(u), ["out"])
+            assert all(cell is None for cell in cells.values()), (u, t)
+
+    def test_reasons_by_hand(self):
+        # ego 0's one candidate forms, ego 3's never does
+        snaps = [[(0, 1), (1, 2), (3, 4), (4, 5)],
+                 [(0, 1), (1, 2), (3, 4), (4, 5), (0, 2)]]
+        with pytest.raises(EmptyResultError) as info:
+            aggregate_empirical(make_series(snaps, 6), egos=np.array([0, 3]))
+        assert info.value.diagnostics["n_cells"] == 0
+        assert info.value.diagnostics["n_cells_excluded"] == {
+            "no_formed_candidate": 1, "all_formed": 1}
+        # per triad: T01 is all formed; the other eight have no candidate
+        series = make_series([[(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]], 3, directed=True)
+        with pytest.raises(EmptyResultError) as info:
+            aggregate_empirical(series, egos=np.array([0]), per_triad=True)
+        assert info.value.diagnostics["n_cells_excluded"] == {
+            "no_formed_candidate": 8, "all_formed": 1}
+
+    @pytest.mark.parametrize("per_triad", [False, True], ids=["plain", "per-triad"])
+    def test_exclusion_counts(self, per_triad):
+        # growth as fast as the base graph: some cells see all candidates form
+        snaps = random_snapshots(22, 14, 0.2, True, 3, growth=1.0)
+        series = make_series(snaps, 14, directed=True)
+        diagnostics = aggregate_empirical(series, per_triad=per_triad, workers=1).diagnostics
+        assert aggregate_empirical(series, per_triad=per_triad,
+                                   workers=2).diagnostics == diagnostics
+        # the full path of every cell, none settled early, counts the same
+        full = dict.fromkeys(EXCLUSIONS, 0)
+        usable = 0
+        for ego in range(series.n_nodes):
+            for t in range(len(series) - 1):
+                cells = ego_snapshot_stats(series, t, ego, per_triad=per_triad,
+                                           excluded=full)
+                usable += sum(cell is not None for cell in cells.values())
+        assert diagnostics["n_cells_excluded"] == full
+        assert all(type(count) is int for count in full.values())
+        assert diagnostics["n_cells"] == usable
+        assert min(full.values()) > 0
+        per_cell = 9 if per_triad else 1
+        assert sum(full.values()) + usable == (
+            diagnostics["n_egos_requested"] * diagnostics["n_transitions"] * per_cell)
 
 
 class TestPlantedSignal:

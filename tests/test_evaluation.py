@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_series, random_snapshots
+import oracles
+from conftest import growing_snapshots, make_series, random_snapshots
 
-from egolink.ego import sample_egos
+from egolink.ego import _forming_cells, ego_view, sample_egos
 from egolink.errors import ConfigError, EmptyResultError, PreconditionError
 from egolink.evaluation import (
+    EXCLUSIONS,
     eval_table,
     evaluate_methods,
     improvement_table,
@@ -248,6 +251,83 @@ class TestCellPathAgainstPublicForms:
         assert result.metadata["n_egos_contributing"] == pooled[(result.pairs[0], 1)][2]
         got = {((r.method, r.mode), r.k): (r.mean_p_at_k, r.stderr) for r in result.rows}
         assert got == {key: value[:2] for key, value in pooled.items()}
+
+
+def _hand_excluded(series, ks, cutoff, min_candidates):
+    """Cells per reason of exclusion, by the full gather of every cell and
+    the precedence cutoff, then no formed candidate, then too few."""
+    excluded = dict.fromkeys(EXCLUSIONS, 0)
+    n_t = len(series) - 1
+    for u in sample_egos(series).tolist():
+        reasons = []
+        for t in range(n_t):
+            candidates = ego_view(series[t], u).candidates
+            if candidates.size > cutoff:
+                reasons = ["ego_over_cutoff"] * n_t
+                break
+            if not set(candidates.tolist()) & set(series[t + 1].successors(u).tolist()):
+                reasons.append("no_formed_candidate")
+            elif candidates.size < max(min_candidates, max(ks)):
+                reasons.append("too_few_candidates")
+        for reason in reasons:
+            excluded[reason] += 1
+    return excluded
+
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestFormationFirst:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @_SETTINGS
+    @given(data=st.data(), chunk=st.sampled_from([1, 2, 5, 1 << 16]))
+    def test_mask_is_formation(self, directed, data, chunk):
+        # with the successor pool, a cell is True exactly when a candidate forms
+        n, snaps = data.draw(growing_snapshots(directed))
+        egos = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        series = make_series(snaps, n, directed=directed)
+        mask = _forming_cells(series, egos, sym_pool=False, chunk=chunk)
+        assert mask.shape == (len(egos), len(snaps) - 1)
+        for t in range(len(snaps) - 1):
+            out, _, sym = oracles.adjacency(n, snaps[t], directed)
+            nout, _, _ = oracles.adjacency(n, snaps[t + 1], directed)
+            assert mask[:, t].tolist() == [
+                bool(oracles.candidates(out, sym, u) & nout[u]) for u in egos]
+
+    def test_over_cutoff_where_nothing_forms(self):
+        # ego 0's one candidate forms at t=0; at t=1 it has 6 candidates and
+        # none forms: the cell may not be settled, or the ego would survive
+        snap0 = [(0, 1), (1, 2), (11, 12), (12, 13)]
+        snap1 = snap0 + [(0, 2), (11, 13)] + [(1, w) for w in range(3, 9)]
+        snap2 = snap1 + [(9, 10)]
+        series = make_series([snap0, snap1, snap2], 14, directed=True)
+        assert not _forming_cells(series, [0], sym_pool=False)[0, 1]
+        result = evaluate_methods(series, methods=("cn",), ks=(1,), cutoff=3)
+        assert result.metadata["n_egos_skipped_cutoff"] == 1
+        assert result.metadata["n_cells_excluded"]["ego_over_cutoff"] == 2
+        assert result.metadata["n_cells"] == 1  # ego 11 at t=0
+
+    @pytest.mark.parametrize("require_formation", [True, False])
+    def test_exclusion_counts(self, require_formation):
+        # a few egos over the cutoff, and cells of every other reason
+        snaps = random_snapshots(8, 24, 0.15, True, 4, growth=0.5)
+        series = make_series(snaps, 24, directed=True)
+        kw = dict(ks=(1, 3), cutoff=18, min_candidates=9,
+                  require_formation=require_formation)
+        meta = evaluate_methods(series, workers=1, **kw).metadata
+        assert evaluate_methods(series, workers=2, **kw).metadata == meta
+        excluded = meta["n_cells_excluded"]
+        n_t = len(series) - 1
+        assert excluded["ego_over_cutoff"] == meta["n_egos_skipped_cutoff"] * n_t
+        kept_egos = meta["sample_size"] - meta["n_egos_skipped_cutoff"]
+        assert (excluded["no_formed_candidate"] + excluded["too_few_candidates"]
+                + meta["n_cells"]) == kept_egos * n_t
+        if require_formation:
+            assert excluded == _hand_excluded(series, kw["ks"], kw["cutoff"],
+                                              kw["min_candidates"])
+            assert min(excluded.values()) > 0
+        else:
+            assert excluded["no_formed_candidate"] == 0
 
 
 class TestImprovement:
