@@ -298,13 +298,14 @@ def _forming_cells(series, egos, sym_pool, chunk=_FORMING_CHUNK):
     for t, (g, nxt) in enumerate(zip(series.graphs, series.graphs[1:])):
         n = g.n_nodes
 
-        def keys(indptr, indices):
+        def row_keys(indptr, indices):
             slot, pos = _kernels.gather_rows(indptr, egos)
-            return slot, indices[pos], slot * n + indices[pos]
+            return slot * n + indices[pos]
 
-        held = keys(g.out_indptr, g.out_indices)[2]
-        pool = keys(g.sym_indptr, g.sym_indices)[2] if sym_pool else held
-        slot, w, key = keys(nxt.out_indptr, nxt.out_indices)
+        held = row_keys(g.out_indptr, g.out_indices)
+        pool = row_keys(g.sym_indptr, g.sym_indices) if sym_pool else held
+        key = row_keys(nxt.out_indptr, nxt.out_indices)
+        slot, w = np.divmod(key, n)
         new = ~_kernels.contains(held, key) & (w != egos[slot])
         slot, w = slot[new], w[new]
         # each ego's r-th new successor in round floor(log2(r + 1)): a cell

@@ -19,6 +19,16 @@ gathered entry ``v`` of row(z) is the neighbor-edge config of the wedge
 ``z -> v``; the same gather gives the pool's personalized degrees
 (``ego.gathered_pd``). Plain cells and per-triad cells both sum their
 wedges with ``_kernels.accumulate_common_terms`` in ascending-z order.
+
+Cells are settled from the new edges first: before any ego gather,
+``ego._forming_cells`` marks, in one whole-array pass per transition,
+the (ego, transition) pairs where a new successor of the ego is linked
+to its successors (plain: exactly the pairs where a candidate forms) or,
+per triad, to its symmetric row. The cell of an unmarked pair, or all
+nine per triad, have no formed candidate and are skipped; every other
+pair takes the full path, which is what ``ego_snapshot_stats`` computes.
+The cells left out are counted per reason (``EXCLUSIONS``) in the
+diagnostics.
 """
 
 from dataclasses import dataclass
@@ -198,15 +208,15 @@ def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, exclu
 def _ego_worker(payload, item):
     """``(cells, excluded)`` of one ego: ``{(triad, mode, group, kind):
     [value per usable cell]}`` and its cells counted per reason of
-    exclusion. ``item`` is the ego and, per triad, its row of
-    ``ego._forming_cells``: a False cell has no formed candidate."""
+    exclusion. ``item`` is the ego and its row of ``ego._forming_cells``:
+    a False cell has no formed candidate."""
     series, per_triad, modes = payload
     ego, forming = item
     n_keys = len(TriadType) if per_triad else 1
     cells = {}
     excluded = dict.fromkeys(EXCLUSIONS, 0)
     for t in range(len(series) - 1):
-        if forming is not None and not forming[t]:
+        if not forming[t]:
             excluded[EXCLUDED_NO_FORMED] += n_keys
             continue
         stats_t = ego_snapshot_stats(series, t, ego, per_triad=per_triad, degree_modes=modes,
@@ -234,8 +244,7 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
     egos = np.unique(egos)
 
     # settled here, not in the workers, so no result depends on the worker count
-    forming = (_forming_cells(series, egos, sym_pool=True).tolist() if per_triad
-               else [None] * egos.size)
+    forming = _forming_cells(series, egos, sym_pool=per_triad).tolist()
     results = map_in_order(_ego_worker, list(zip(egos.tolist(), forming)),
                            (series, per_triad, modes), workers=workers)
     per_ego = [cells for cells, _ in results]

@@ -7,6 +7,14 @@ snapshot formation; the identical cell set feeds every method, so
 method columns are directly comparable. Cell values pool across egos by
 the rule of ``_util.pool_egos``. Egos whose candidate set ever exceeds
 the two-hop cutoff are dropped whole and reported.
+
+Cells are settled from the new edges first: before any ego gather,
+``ego._forming_cells`` marks, in one whole-array pass per transition,
+the cells where some candidate forms. When formation is required, an
+unmarked cell is skipped without its gather if the ego's wedge count,
+an upper bound on its candidate count, is within the cutoff; every other
+cell takes the full ``ego_view``. The cells left out are counted per
+reason (``EXCLUSIONS``) in the result's metadata.
 """
 
 from dataclasses import dataclass
