@@ -279,7 +279,7 @@ def ego_view(graph, u):
 _FORMING_CHUNK = 1 << 16
 
 
-def _forming_cells(series, egos, sym_pool, chunk=_FORMING_CHUNK):
+def _forming_cells(series, egos, sym_pool):
     """Bool mask (egos × transitions) of the cells where some new
     successor ``w`` of the ego (in ``succ_{t+1}(u) \\ succ_t(u)``,
     ``w != u``) has a symmetric row at t that meets the ego's pool: its
@@ -290,8 +290,8 @@ def _forming_cells(series, egos, sym_pool, chunk=_FORMING_CHUNK):
     pool, a False cell has no formed candidate in any triad pool. Per
     transition, all matches run on sorted ``slot * n + node`` keys (slot:
     the ego's position in ``egos``), and the rows of the new successors
-    are gathered about ``chunk`` entries at a time; a cell already True
-    is not probed again.
+    are gathered about ``_FORMING_CHUNK`` entries at a time; a cell
+    already True is not probed again.
     """
     egos = np.asarray(egos, dtype=np.int64)
     mask = np.zeros((egos.size, len(series) - 1), dtype=bool)
@@ -319,7 +319,8 @@ def _forming_cells(series, egos, sym_pool, chunk=_FORMING_CHUNK):
         while start < w.size:
             before = ends[start - 1] if start else 0
             # at least one row, however long, and no row of a later round
-            stop = max(int(np.searchsorted(ends, before + chunk, side="right")), start + 1)
+            stop = max(int(np.searchsorted(ends, before + _FORMING_CHUNK, side="right")),
+                       start + 1)
             stop = min(stop, int(np.searchsorted(rank, 1 << int(rank[start]).bit_length())))
             open_ = ~settled[slot[start:stop]]
             cell = slot[start:stop][open_]

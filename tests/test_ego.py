@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import make_graph, make_series, random_graph
 
+from egolink import ego as ego_module
 from egolink.ego import (
     _forming_cells,
     ALL_MODES,
@@ -240,12 +241,14 @@ class TestFormingCells:
     # ego 12's new row; 3 ends inside a row
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 8, 12, 1 << 16])
     @pytest.mark.parametrize("sym_pool", [False, True], ids=["successors", "symmetric"])
-    def test_chunked_equals_unchunked(self, chunk, sym_pool):
+    def test_chunked_equals_unchunked(self, chunk, sym_pool, monkeypatch):
         series = _chunk_series()
-        whole = _forming_cells(series, self.EGOS, sym_pool, chunk=1 << 40)
+        monkeypatch.setattr(ego_module, "_FORMING_CHUNK", 1 << 40)
+        whole = _forming_cells(series, self.EGOS, sym_pool)
         # ego 3's symmetric row is {4}, and 4 is linked to its new successor 1
         assert whole[:, 0].tolist() == [True, sym_pool, False, True]
-        assert (_forming_cells(series, self.EGOS, sym_pool, chunk=chunk) == whole).all()
+        monkeypatch.setattr(ego_module, "_FORMING_CHUNK", chunk)
+        assert (_forming_cells(series, self.EGOS, sym_pool) == whole).all()
 
     def test_no_new_successor(self):
         series = make_series([[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)]], 4, directed=True)

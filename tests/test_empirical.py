@@ -3,6 +3,7 @@
 import hashlib
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import growing_snapshots, make_series, random_snapshots
 
+from egolink import ego as ego_module
 from egolink.ego import _forming_cells, resolve_modes
 from egolink.empirical import (
     EXCLUSIONS,
@@ -239,7 +241,8 @@ class TestFormationFirst:
         # with the symmetric pool, a False cell has no usable triad cell
         n, snaps = case
         series = make_series(snaps, n, directed=True)
-        mask = _forming_cells(series, np.arange(n), sym_pool=True, chunk=chunk)
+        with mock.patch.object(ego_module, "_FORMING_CHUNK", chunk):
+            mask = _forming_cells(series, np.arange(n), sym_pool=True)
         for u, t in zip(*np.nonzero(~mask)):
             cells = oracles.triad_cells(n, snaps[t], snaps[t + 1], int(u), ["out"])
             assert all(cell is None for cell in cells.values()), (u, t)

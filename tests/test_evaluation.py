@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import growing_snapshots, make_series, random_snapshots
 
+from egolink import ego as ego_module
 from egolink.ego import _forming_cells, ego_view, sample_egos
 from egolink.errors import ConfigError, EmptyResultError, PreconditionError
 from egolink.evaluation import (
@@ -286,7 +288,8 @@ class TestFormationFirst:
         n, snaps = data.draw(growing_snapshots(directed))
         egos = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         series = make_series(snaps, n, directed=directed)
-        mask = _forming_cells(series, egos, sym_pool=False, chunk=chunk)
+        with mock.patch.object(ego_module, "_FORMING_CHUNK", chunk):
+            mask = _forming_cells(series, egos, sym_pool=False)
         assert mask.shape == (len(egos), len(snaps) - 1)
         for t in range(len(snaps) - 1):
             out, _, sym = oracles.adjacency(n, snaps[t], directed)
