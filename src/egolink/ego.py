@@ -308,8 +308,8 @@ def _forming_cells(series, egos, sym_pool):
         slot, w = np.divmod(key, n)
         new = ~_kernels.contains(held, key) & (w != egos[slot])
         slot, w = slot[new], w[new]
-        # each ego's r-th new successor in round floor(log2(r + 1)): a cell
-        # settled in an early round is not probed in the later ones
+        # rounds by each ego's new-successor rank: [0, 1), [1, 2), [2, 4),
+        # [4, 8), ...; a cell settled in an early round is not probed later
         rank = np.arange(slot.size) - np.searchsorted(slot, slot)
         order = np.argsort(rank, kind="stable")
         slot, w, rank = slot[order], w[order], rank[order]
@@ -322,9 +322,9 @@ def _forming_cells(series, egos, sym_pool):
             stop = max(int(np.searchsorted(ends, before + _FORMING_CHUNK, side="right")),
                        start + 1)
             stop = min(stop, int(np.searchsorted(rank, 1 << int(rank[start]).bit_length())))
-            open_ = ~settled[slot[start:stop]]
-            cell = slot[start:stop][open_]
-            z_slot, z_pos = _kernels.gather_rows(g.sym_indptr, w[start:stop][open_])
+            unsettled = ~settled[slot[start:stop]]
+            cell = slot[start:stop][unsettled]
+            z_slot, z_pos = _kernels.gather_rows(g.sym_indptr, w[start:stop][unsettled])
             cell = cell[z_slot]
             settled[cell[_kernels.contains(pool, cell * n + g.sym_indices[z_pos])]] = True
             start = stop
