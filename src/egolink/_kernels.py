@@ -40,13 +40,18 @@ def contains(base, values):
 def gather_rows(indptr, rows):
     """Slot in ``rows`` and CSR position of every entry of the given
     rows, row by row in ascending order."""
+    if rows.size == 1:
+        # one row: its slice, without the per-row bookkeeping
+        start, stop = indptr[rows[0]], indptr[rows[0] + 1]
+        return np.zeros(stop - start, dtype=np.int64), np.arange(start, stop)
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    slot = np.repeat(np.arange(rows.size), lengths)
+    ends = lengths.cumsum()
+    slot = np.arange(rows.size).repeat(lengths)
     # gathered entry i sits at i - entries gathered before its row
     # + its row's start
-    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    return slot, np.arange(slot.size) + shift
+    shift = (starts - ends + lengths).repeat(lengths)
+    return slot, np.arange(shift.size) + shift
 
 
 def row_intersect_sizes(indptr, indices, base, targets):

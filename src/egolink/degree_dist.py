@@ -1,8 +1,9 @@
 """Degree sampling and log-binned histograms.
 
 Personalized-degree samples pool one value per (ego, neighbor) ordered
-pair over every ego in the snapshot; global samples take one value per
-node, or per pair when asked to mirror the personalized pooling.
+pair over every ego in the snapshot, read from gathers over blocks of
+egos (``ego.ego_blocks``); global samples take one value per node, or
+per pair when asked to mirror the personalized pooling.
 
 Histograms use logarithmic bins with exact decade-fraction edges
 ``10 ** (k / bins_per_decade)``. Zero values cannot sit on a log axis,
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ego import MODE_UNDIRECTED, ego_neighbors, global_degrees, personalized_degrees, validate_mode
+from . import _kernels
+from .ego import MODE_UNDIRECTED, ego_blocks, global_degrees, validate_mode
 from .errors import ConfigError, EmptyInputError
 
 KIND_PERSONALIZED = "personalized"
@@ -43,26 +45,28 @@ class DegreeSampleSet:
         return bool(self.values.size) and int(self.values.min()) == 0
 
 
-def _per_neighbor_samples(graph, egos, kind, mode, values_of):
-    """``values_of(ego, neighbors)`` concatenated over the egos (every node
-    when None) that have neighbors, one value per (ego, neighbor) pair."""
-    if egos is None:
-        egos = np.arange(graph.n_nodes, dtype=np.int64)
-    chunks = []
-    for u in np.asarray(egos, dtype=np.int64):
-        base = ego_neighbors(graph, int(u))
-        if base.size:
-            chunks.append(values_of(int(u), base))
-    values = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+def _per_neighbor_samples(graph, egos, kind, mode):
+    """One value per (ego, neighbor) pair over the egos (every node when
+    None), in ego then neighbor order: the personalized degree, read from
+    ``ego_blocks`` over all the egos, or the global degree of the
+    neighbor, read from one gather of their successor rows."""
+    egos = np.arange(graph.n_nodes, dtype=np.int64) if egos is None else \
+        np.asarray(egos, dtype=np.int64)
+    if kind == KIND_PERSONALIZED:
+        chunks = [block.pd(mode) for block in ego_blocks(graph, egos, (mode,), wedges=False)]
+    else:
+        _, pos = _kernels.gather_rows(graph.out_indptr, egos)
+        chunks = [global_degrees(graph, graph.out_indices[pos], mode)]
+    values = np.concatenate([np.empty(0, dtype=np.int64)] + chunks)
     values.setflags(write=False)
-    return DegreeSampleSet(values=values, kind=kind, mode=mode, n_egos=len(chunks))
+    n_egos = int(np.count_nonzero(graph.out_degree[egos]))
+    return DegreeSampleSet(values=values, kind=kind, mode=mode, n_egos=n_egos)
 
 
 def personalized_degree_samples(graph, mode=MODE_UNDIRECTED, egos=None):
     """Personalized degree of every (ego, neighbor) ordered pair."""
     validate_mode(mode, graph.directed)
-    return _per_neighbor_samples(graph, egos, KIND_PERSONALIZED, mode,
-                                 lambda u, base: personalized_degrees(graph, u, base, mode))
+    return _per_neighbor_samples(graph, egos, KIND_PERSONALIZED, mode)
 
 
 def global_degree_samples(graph, mode=MODE_UNDIRECTED, per_neighbor=False, egos=None):
@@ -70,8 +74,7 @@ def global_degree_samples(graph, mode=MODE_UNDIRECTED, per_neighbor=False, egos=
     (ego, neighbor) pair so the pooling matches the personalized set."""
     validate_mode(mode, graph.directed)
     if per_neighbor:
-        return _per_neighbor_samples(graph, egos, KIND_GLOBAL, mode,
-                                     lambda u, base: global_degrees(graph, base, mode))
+        return _per_neighbor_samples(graph, egos, KIND_GLOBAL, mode)
     all_nodes = np.arange(graph.n_nodes, dtype=np.int64)
     values = global_degrees(graph, all_nodes, mode).copy()
     values.setflags(write=False)

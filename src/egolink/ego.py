@@ -129,7 +129,8 @@ def gathered_pd(graph, slot, pos, n_rows, in_successors, in_row, modes):
     if MODE_OUT in modes or MODE_IN in modes:
         hit = np.flatnonzero(in_successors)
         cfg = graph.sym_config[pos[hit]]
-        for mode, absent in ((MODE_OUT, EdgeConfig.IN), (MODE_IN, EdgeConfig.OUT)):
+        # plain ints: numpy compares them without probing the enum
+        for mode, absent in ((MODE_OUT, int(EdgeConfig.IN)), (MODE_IN, int(EdgeConfig.OUT))):
             if mode in modes:
                 pd[mode] = count(hit[cfg != absent])
     return pd
@@ -225,8 +226,31 @@ def classify_triad(graph, u, z, v):
     return TRIAD_TABLE[(ego_cfg, nb_cfg)]
 
 
+#: budget of one chunk: the gathered entries of a ``_forming_cells``
+#: chunk, and both the bins (egos × nodes) and the gathered entries of an
+#: ``ego_blocks`` block
+_CHUNK = 1 << 16
+
+
+class _Gathered:
+    """Readers shared by ``EgoView`` and ``EgoBlock``: the degrees of the
+    gathered pool ``base`` and the push sums over its wedges."""
+
+    def pd(self, mode):
+        return self._pd[validate_mode(mode, self.graph.directed)]
+
+    def gd(self, mode):
+        return global_degrees(self.graph, self.base, mode)
+
+    def accumulate(self, terms):
+        """Per candidate: the column sums of ``terms`` (row-aligned with
+        ``base``) over its common neighbors, and their number."""
+        return _kernels.accumulate_common_terms(self.wedge_z, self.wedge_v, terms,
+                                                self.candidates.size)
+
+
 @dataclass
-class EgoView:
+class EgoView(_Gathered):
     """Per-ego arrays shared by the scorers: the neighbor pool, the
     candidate set, every wedge ``z -> v`` from the pool onto a
     candidate, and the personalized degrees of the pool in every mode
@@ -242,41 +266,94 @@ class EgoView:
     wedge_v: np.ndarray = field(repr=False)
     _pd: dict = field(repr=False)
 
-    def pd(self, mode):
-        return self._pd[validate_mode(mode, self.graph.directed)]
 
-    def gd(self, mode):
-        return global_degrees(self.graph, self.base, mode)
+@dataclass
+class EgoBlock(_Gathered):
+    """The gathers of a run of egos laid end to end, in ego order: ego
+    ``egos[i]`` has the next ``out_degree[egos[i]]`` entries of ``base``
+    (its successors), and its sorted candidates are the entries of
+    ``candidates`` with ``cand_slot == i``. Wedges and pd index the whole
+    block, and each ego's wedges run in ascending z. Without wedges, the
+    candidate and wedge fields are None."""
 
-    def accumulate(self, terms):
-        """Per candidate: the column sums of ``terms`` (row-aligned with
-        ``base``) over its common neighbors, and their number."""
-        return _kernels.accumulate_common_terms(self.wedge_z, self.wedge_v, terms,
-                                                self.candidates.size)
+    graph: object
+    egos: np.ndarray
+    base: np.ndarray
+    candidates: np.ndarray
+    cand_slot: np.ndarray = field(repr=False)
+    wedge_z: np.ndarray = field(repr=False)
+    wedge_v: np.ndarray = field(repr=False)
+    _pd: dict = field(repr=False)
+
+
+def _gather_block(graph, egos, modes, wedges=True):
+    """One gather for all ``egos``: their successor rows, then the
+    symmetric rows of every successor ``z``. Each entry ``w`` is tested
+    on its ``(ego slot) * n + w`` key against one bool mark per test, so
+    pd of ``modes`` comes from ``gathered_pd``; with ``wedges``, the
+    entries outside the ego and its pool are wedges onto candidates."""
+    n = graph.n_nodes
+    bins = egos.size * n
+    b_slot, b_pos = _kernels.gather_rows(graph.out_indptr, egos)
+    base = graph.out_indices[b_pos]
+    wedge_z, pos = _kernels.gather_rows(graph.sym_indptr, base)
+    reached = graph.sym_indices[pos]
+    slot = b_slot[wedge_z]
+    key = slot * n + reached
+    mark = np.zeros(bins, dtype=bool)
+    mark[b_slot * n + base] = True
+    in_base = mark[key]
+    # undirected graphs: the ego's symmetrized neighborhood is the pool
+    in_row = in_base
+    if graph.directed and MODE_UNDIRECTED in modes:
+        r_slot, r_pos = _kernels.gather_rows(graph.sym_indptr, egos)
+        mark[:] = False
+        mark[r_slot * n + graph.sym_indices[r_pos]] = True
+        in_row = mark[key]
+    pd = gathered_pd(graph, wedge_z, pos, base.size, in_base, in_row, modes)
+    if not wedges:
+        return EgoBlock(graph, egos, base, None, None, None, None, pd)
+    wedge = ~in_base & (reached != egos[slot])
+    key, wedge_z = key[wedge], wedge_z[wedge]
+    # every key's bin ends up holding the position of one of its wedges,
+    # so that wedge alone finds itself there; no bin is read unwritten
+    index = np.empty(bins, dtype=np.int64)
+    at = np.arange(key.size)
+    index[key] = at
+    cand_key = np.sort(key[index[key] == at])
+    index[cand_key] = np.arange(cand_key.size)
+    cand_slot, candidates = np.divmod(cand_key, n)
+    return EgoBlock(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd)
+
+
+def ego_blocks(graph, egos, modes, wedges=True):
+    """``EgoBlock``s over runs of contiguous ``egos``, in order. A run
+    holds one ego, or more while they fit in ``_CHUNK`` bins and
+    ``_CHUNK`` gathered entries, so a block's memory is O(``_CHUNK``)
+    unless a single ego's own gather is larger."""
+    egos = np.asarray(egos, dtype=np.int64)
+    # an ego gathers the symmetric rows of its successors
+    reach = np.concatenate(([0], np.cumsum(graph.sym_degree[graph.out_indices])))
+    ends = np.cumsum(reach[graph.out_indptr[egos + 1]] - reach[graph.out_indptr[egos]])
+    per_block = max(_CHUNK // max(graph.n_nodes, 1), 1)
+    start = 0
+    while start < egos.size:
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + _CHUNK, side="right")), start + 1)
+        stop = min(stop, start + per_block)
+        yield _gather_block(graph, egos[start:stop], modes, wedges)
+        start = stop
 
 
 def ego_view(graph, u):
-    """One gather of the symmetric rows of the ego's neighbors gives the
-    candidates, the wedges onto them, and the personalized degrees of
-    every mode the graph admits (``gathered_pd``)."""
+    """The block of the one ego ``u``: its candidates, the wedges onto
+    them, and the personalized degrees of every mode the graph admits."""
     u = int(u)
-    base = ego_neighbors(graph, u)
-    wedge_z, pos = _kernels.gather_rows(graph.sym_indptr, base)
-    reached = graph.sym_indices[pos]
-    in_base = _kernels.contains(base, reached)
-    # undirected graphs: the ego's symmetrized neighborhood is the pool
-    in_row = (_kernels.contains(graph.neighbors(u), reached) if graph.directed
-              else in_base)
+    graph._check_node(u)
     modes = ALL_MODES if graph.directed else (MODE_UNDIRECTED,)
-    pd = gathered_pd(graph, wedge_z, pos, base.size, in_base, in_row, modes)
-    wedge = ~in_base & (reached != u)
-    candidates, wedge_v = np.unique(reached[wedge], return_inverse=True)
-    return EgoView(graph=graph, ego=u, base=base, candidates=candidates,
-                   wedge_z=wedge_z[wedge], wedge_v=wedge_v, _pd=pd)
-
-
-#: gathered symmetric entries per chunk of ``_forming_cells``
-_FORMING_CHUNK = 1 << 16
+    block = _gather_block(graph, np.array([u], dtype=np.int64), modes)
+    return EgoView(graph=graph, ego=u, base=block.base, candidates=block.candidates,
+                   wedge_z=block.wedge_z, wedge_v=block.wedge_v, _pd=block._pd)
 
 
 def _forming_cells(series, egos, sym_pool):
@@ -290,7 +367,7 @@ def _forming_cells(series, egos, sym_pool):
     pool, a False cell has no formed candidate in any triad pool. Per
     transition, all matches run on sorted ``slot * n + node`` keys (slot:
     the ego's position in ``egos``), and the rows of the new successors
-    are gathered about ``_FORMING_CHUNK`` entries at a time; a cell
+    are gathered about ``_CHUNK`` entries at a time; a cell
     already True is not probed again.
     """
     egos = np.asarray(egos, dtype=np.int64)
@@ -319,7 +396,7 @@ def _forming_cells(series, egos, sym_pool):
         while start < w.size:
             before = ends[start - 1] if start else 0
             # at least one row, however long, and no row of a later round
-            stop = max(int(np.searchsorted(ends, before + _FORMING_CHUNK, side="right")),
+            stop = max(int(np.searchsorted(ends, before + _CHUNK, side="right")),
                        start + 1)
             stop = min(stop, int(np.searchsorted(rank, 1 << int(rank[start]).bit_length())))
             unsettled = ~settled[slot[start:stop]]

@@ -4,9 +4,12 @@ and planted-signal snapshot sequences.
 The planted generator seeds snapshot 0 uniformly at random, then for
 each transition scores every ego's two-hop candidates with a chosen
 method and forms ``ego -> v`` with probability
-``rate * score(v) / max score``, capped at 1. Its output carries
-snapshot indices in the time column (``time_mode == "index"``), ready
-for ``build_snapshots(preassigned=True)``.
+``rate * score(v) / max score``, capped at 1. It scores the egos in
+blocks (``ego.ego_blocks``, ``scorers.score_block``) and makes one
+draw per block over the candidates of the egos whose best score is
+positive, in ego order: the same stream as one draw per ego. Its output
+carries snapshot indices in the time column (``time_mode == "index"``),
+ready for ``build_snapshots(preassigned=True)``.
 
 All node ids are the generator's own 0..n-1 layout (labels are the
 decimal ids); edges come out time-sorted and deduplicated like any
@@ -17,6 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import ego
 from .ego import MODE_UNDIRECTED, validate_mode
 from .errors import ConfigError, check_key
 from .graph import (
@@ -25,7 +29,7 @@ from .graph import (
     TIME_MODE_INDEX,
     TIME_MODE_TIMESTAMP,
 )
-from .scorers import validate_methods, score_candidates
+from .scorers import score_block, validate_methods
 
 KIND_UNIFORM = "uniform-random"
 KIND_PREFERENTIAL = "preferential-attachment"
@@ -72,25 +76,31 @@ def _assemble(n_nodes, src, dst, time, directed, time_mode):
 
 
 def _uniform_structure(rng, n_nodes, edge_prob, directed):
-    """One Bernoulli draw per candidate pair, row by row."""
-    src_parts = []
-    dst_parts = []
-    for u in range(n_nodes):
-        if directed:
-            partners = np.concatenate(
-                [np.arange(0, u, dtype=np.int64), np.arange(u + 1, n_nodes, dtype=np.int64)]
-            )
-        else:
-            partners = np.arange(u + 1, n_nodes, dtype=np.int64)
-        if partners.size == 0:
+    """One Bernoulli draw per candidate pair, row by row (a directed row
+    is every other node, an undirected one the higher ids). The rows are
+    drawn in chunks of about ``ego._CHUNK`` draws, one ``rng.random``
+    call each, which yields the same stream as one call per row; each
+    hit maps back to its (row, column) through the cumulative row
+    sizes."""
+    rows = np.arange(n_nodes, dtype=np.int64)
+    sizes = np.full(n_nodes, n_nodes - 1, dtype=np.int64) if directed else n_nodes - 1 - rows
+    ends = np.cumsum(sizes)
+    src_parts = [np.empty(0, dtype=np.int64)]
+    dst_parts = [np.empty(0, dtype=np.int64)]
+    start = 0
+    while start < n_nodes:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, before + ego._CHUNK, side="right")), start + 1)
+        total = int(ends[stop - 1]) - before
+        start = stop
+        if total == 0:
             continue
-        hit = rng.random(partners.size) < edge_prob
-        chosen = partners[hit]
-        if chosen.size:
-            src_parts.append(np.full(chosen.size, u, dtype=np.int64))
-            dst_parts.append(chosen)
-    if not src_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        hit = np.flatnonzero(rng.random(total) < edge_prob) + before
+        src = np.searchsorted(ends, hit, side="right")
+        col = hit - (ends[src] - sizes[src])
+        # a directed row skips its own node; an undirected one starts past it
+        src_parts.append(src)
+        dst_parts.append(col + (col >= src) if directed else src + 1 + col)
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
@@ -166,32 +176,34 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
     all_time = [np.zeros(src.size, dtype=np.int64)]
 
     rate = float(formation_rate)
+    egos = np.arange(n_nodes, dtype=np.int64)
     for s in range(1, int(n_snapshots)):
         g = SnapshotGraph(n_nodes, np.concatenate(all_src), np.concatenate(all_dst),
                           directed)
-        new_src = []
-        new_dst = []
-        seen = set()  # undirected: both endpoints may pick the same pair
-        for ego in range(n_nodes):
-            table = score_candidates(g, ego, methods=(method,), mode=mode)
-            scores = table.scores(method)
-            if scores.size == 0:
+        new_src = [np.empty(0, dtype=np.int64)]
+        new_dst = [np.empty(0, dtype=np.int64)]
+        for block in ego.ego_blocks(g, egos, (mode,)):
+            scores = score_block(block, (method,), mode)[0][method]
+            top = np.zeros(block.egos.size)
+            np.maximum.at(top, block.cand_slot, scores)
+            # the candidates of egos whose best score is above 0 draw, in ego order
+            top = top[block.cand_slot]
+            live = top > 0.0
+            if not live.any():
                 continue
-            top = float(scores.max())
-            if top <= 0.0:
-                continue
-            p = np.minimum(rate * scores / top, 1.0)
-            chosen = table.candidates[rng.random(scores.size) < p]
-            for v in chosen.tolist():
-                key = (ego, v) if directed else (min(ego, v), max(ego, v))
-                if key in seen:
-                    continue
-                seen.add(key)
-                new_src.append(key[0] if not directed else ego)
-                new_dst.append(key[1] if not directed else v)
-        all_src.append(np.asarray(new_src, dtype=np.int64))
-        all_dst.append(np.asarray(new_dst, dtype=np.int64))
-        all_time.append(np.full(len(new_src), s, dtype=np.int64))
+            p = np.minimum(rate * scores[live] / top[live], 1.0)
+            hit = rng.random(p.size) < p
+            new_src.append(block.egos[block.cand_slot[live][hit]])
+            new_dst.append(block.candidates[live][hit])
+        new_src, new_dst = np.concatenate(new_src), np.concatenate(new_dst)
+        if not directed:
+            # both endpoints may pick the same pair; the first pick stays
+            lo, hi = np.minimum(new_src, new_dst), np.maximum(new_src, new_dst)
+            first = np.sort(np.unique(lo * n_nodes + hi, return_index=True)[1])
+            new_src, new_dst = lo[first], hi[first]
+        all_src.append(new_src)
+        all_dst.append(new_dst)
+        all_time.append(np.full(new_src.size, s, dtype=np.int64))
 
     return _assemble(
         n_nodes,

@@ -2,8 +2,10 @@
 common neighbors, and their personalized-degree variants.
 
 There is one scoring path: ``score_candidates`` scores every two-hop
-candidate of an ego in one pass over its ``ego.EgoView``; a single
-pair's score is that candidate's entry in the table. All four scores
+candidate of an ego in one pass over its ``ego.EgoView``, and
+``score_block`` every candidate of a block of egos (``ego.EgoBlock``)
+through the same term rules; a single pair's score is that candidate's
+entry in the table. All four scores
 decompose over the common neighbors ``z`` of the pair ``(ego, v)``:
 
 * ``cn``     counts them,
@@ -126,18 +128,9 @@ class ScoreTable:
         return self.columns[method]
 
 
-def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
-                     log_base=None, view=None):
-    """Score all two-hop candidates of ``ego`` in one fused pass."""
-    methods = validate_methods(methods)
-    validate_mode(mode, graph.directed)
-    ln_base = _ln_base(log_base)
-    if view is None:
-        view = ego_view(graph, ego)
-    elif view.ego != ego or view.graph is not graph:
-        raise PreconditionError(
-            f"the view of ego {view.ego} does not belong to ego {ego} on this graph")
-
+def _columns(view, methods, mode, ln_base):
+    """Score columns and common-neighbor counts of every candidate of an
+    ``EgoView`` or ``EgoBlock``, aligned with its ``candidates``."""
     term_methods = [m for m in methods if m != METHOD_CN]
     if term_methods:
         pd = view.pd(mode)
@@ -155,6 +148,21 @@ def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
             columns[m] = counts.astype(np.float64)
         else:
             columns[m] = _rescale(m, sums[:, term_methods.index(m)], ln_base)
+    return columns, counts
+
+
+def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
+                     log_base=None, view=None):
+    """Score all two-hop candidates of ``ego`` in one fused pass."""
+    methods = validate_methods(methods)
+    validate_mode(mode, graph.directed)
+    ln_base = _ln_base(log_base)
+    if view is None:
+        view = ego_view(graph, ego)
+    elif view.ego != ego or view.graph is not graph:
+        raise PreconditionError(
+            f"the view of ego {view.ego} does not belong to ego {ego} on this graph")
+    columns, counts = _columns(view, methods, mode, ln_base)
     return ScoreTable(
         ego=int(ego),
         mode=mode,
@@ -162,3 +170,12 @@ def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
         columns=columns,
         cn_counts=counts,
     )
+
+
+def score_block(block, methods=ALL_METHODS, mode=MODE_UNDIRECTED, log_base=None):
+    """Score columns (keyed by method) and common-neighbor counts of every
+    candidate of an ``ego.EgoBlock``, aligned with ``block.candidates``;
+    each ego's entries equal its ``score_candidates`` table."""
+    methods = validate_methods(methods)
+    validate_mode(mode, block.graph.directed)
+    return _columns(block, methods, mode, _ln_base(log_base))

@@ -243,11 +243,11 @@ class TestFormingCells:
     @pytest.mark.parametrize("sym_pool", [False, True], ids=["successors", "symmetric"])
     def test_chunked_equals_unchunked(self, chunk, sym_pool, monkeypatch):
         series = _chunk_series()
-        monkeypatch.setattr(ego_module, "_FORMING_CHUNK", 1 << 40)
+        monkeypatch.setattr(ego_module, "_CHUNK", 1 << 40)
         whole = _forming_cells(series, self.EGOS, sym_pool)
         # ego 3's symmetric row is {4}, and 4 is linked to its new successor 1
         assert whole[:, 0].tolist() == [True, sym_pool, False, True]
-        monkeypatch.setattr(ego_module, "_FORMING_CHUNK", chunk)
+        monkeypatch.setattr(ego_module, "_CHUNK", chunk)
         assert (_forming_cells(series, self.EGOS, sym_pool) == whole).all()
 
     def test_no_new_successor(self):

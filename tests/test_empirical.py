@@ -241,7 +241,7 @@ class TestFormationFirst:
         # with the symmetric pool, a False cell has no usable triad cell
         n, snaps = case
         series = make_series(snaps, n, directed=True)
-        with mock.patch.object(ego_module, "_FORMING_CHUNK", chunk):
+        with mock.patch.object(ego_module, "_CHUNK", chunk):
             mask = _forming_cells(series, np.arange(n), sym_pool=True)
         for u, t in zip(*np.nonzero(~mask)):
             cells = oracles.triad_cells(n, snaps[t], snaps[t + 1], int(u), ["out"])

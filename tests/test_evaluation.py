@@ -288,7 +288,7 @@ class TestFormationFirst:
         n, snaps = data.draw(growing_snapshots(directed))
         egos = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         series = make_series(snaps, n, directed=directed)
-        with mock.patch.object(ego_module, "_FORMING_CHUNK", chunk):
+        with mock.patch.object(ego_module, "_CHUNK", chunk):
             mask = _forming_cells(series, egos, sym_pool=False)
         assert mask.shape == (len(egos), len(snaps) - 1)
         for t in range(len(snaps) - 1):

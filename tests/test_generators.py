@@ -22,6 +22,13 @@ def _pairs(edges):
     return list(zip(edges.src.tolist(), edges.dst.tolist()))
 
 
+def _digest(edges):
+    h = hashlib.sha256()
+    for arr in (edges.src, edges.dst, edges.time):
+        h.update(arr.astype("<i8").tobytes())
+    return edges.n_edges, h.hexdigest()
+
+
 class TestUniform:
     def test_deterministic(self):
         a = uniform_random_edges(50, 0.2, seed=3)
@@ -48,6 +55,16 @@ class TestUniform:
         pairs = _pairs(e)
         assert len(pairs) == len(set(pairs))
         assert all(a != b for a, b in pairs)
+
+    @pytest.mark.parametrize("kwargs, n_edges, digest", [
+        (dict(n_nodes=400, edge_prob=0.05, seed=11), 3976,
+         "d70173613084eada342510985a860c5144409a6158c97eb13de0503a141664ff"),
+        (dict(n_nodes=300, edge_prob=0.03, directed=True, seed=12), 2700,
+         "22c71cc0d00df22bc97d39cbc7f3761949001a84e7274047646c88be9557323e"),
+    ])
+    def test_frozen_output(self, kwargs, n_edges, digest):
+        # both draw more pairs than one chunk of rows holds
+        assert _digest(uniform_random_edges(**kwargs)) == (n_edges, digest)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -131,15 +148,23 @@ class TestPlanted:
         (dict(n_nodes=120, edge_prob=0.2, method="pd-aa", directed=True, mode="out",
               seed=5), 3613,
          "4a463f4d09212082e00ea6b3b192492ba98bbae3d8bda97bbb012a10ad9489b5"),
+        # tied integer scores, over several blocks of egos
+        (dict(n_nodes=400, edge_prob=0.03, method="cn", seed=13), 4767,
+         "cc792c7292504fde4d69e56f63f51f3180ae11271eff5928239c6aba63687a09"),
+        (dict(n_nodes=400, edge_prob=0.03, method="aa", directed=True, mode="in",
+              seed=14), 7819,
+         "ef2ecc13da51b8af05ddba0f105c262abe6c6e56edfe620cb9866032b58cd71b"),
     ])
     def test_frozen_output(self, kwargs, n_edges, digest):
         # frozen edge lists: a change in the order of random draws, or in a
         # score by enough to flip a draw, changes the formed edges
-        e = planted_scorer_edges(**kwargs)
-        h = hashlib.sha256()
-        for arr in (e.src, e.dst, e.time):
-            h.update(arr.astype("<i8").tobytes())
-        assert (e.n_edges, h.hexdigest()) == (n_edges, digest)
+        assert _digest(planted_scorer_edges(**kwargs)) == (n_edges, digest)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empty_graph_forms_nothing(self, directed):
+        # no ego has a candidate, so no block draws
+        e = planted_scorer_edges(50, 0.0, "pd-cn", n_snapshots=3, directed=directed)
+        assert e.n_edges == 0
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ degrees read from it, the snapshot rows and link configs it reads
 set-arithmetic oracle."""
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,16 +13,19 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import make_graph, push_wedges
 
+import egolink.ego as ego_module
 from egolink._kernels import accumulate_common_terms
 from egolink.ego import (
     ALL_MODES,
     EdgeConfig,
     edge_config,
+    ego_blocks,
     ego_view,
     personalized_degrees,
     two_hop_candidates,
 )
 from egolink.errors import ConfigError, PreconditionError
+from egolink.scorers import ALL_METHODS, score_block, score_candidates
 
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -174,3 +178,44 @@ def test_gathered_pd_against_oracle(graph, echo):
             for mode in ("out", "in"):
                 with pytest.raises(ConfigError):
                     view.pd(mode)
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(graph=graphs(), data=st.data())
+@example(graph=_EMPTY, data=None)
+@example(graph=_NO_NEIGHBORS, data=None)
+@example(graph=_HUB, data=None)
+def test_blocks_equal_single_ego_tables(graph, data):
+    # every block budget cuts the same per-ego pd, candidates and scores;
+    # ego 0 of _NO_NEIGHBORS has no successor, and ego 0 of _HUB gathers
+    # 12 entries, more than budgets 1, 2 and 5; budget 30 lets the
+    # gathered entries, not the bins, end some blocks
+    n, directed, pairs, _ = graph
+    g = make_graph(pairs, n, directed)
+    egos = np.arange(n) if data is None else np.array(
+        data.draw(st.permutations(range(n))), dtype=np.int64)
+    for budget in (1, 2, 5, 30, ego_module._CHUNK):
+        for mode in ALL_MODES if directed else ("undirected",):
+            with mock.patch.object(ego_module, "_CHUNK", budget):
+                blocks = list(ego_blocks(g, egos, (mode,)))
+                bare = list(ego_blocks(g, egos, (mode,), wedges=False))
+            assert np.concatenate([b.egos for b in blocks]).tolist() == egos.tolist()
+            for block, pd_only in zip(blocks, bare, strict=True):
+                assert block.egos.size == 1 or (
+                    block.egos.size * n <= budget
+                    and g.sym_degree[block.base].sum() <= budget)
+                assert pd_only.pd(mode).tolist() == block.pd(mode).tolist()
+                columns, counts = score_block(block, ALL_METHODS, mode)
+                base_ptr = np.concatenate(([0], np.cumsum(g.out_degree[block.egos])))
+                cand_ptr = np.searchsorted(block.cand_slot, np.arange(block.egos.size + 1))
+                for i, u in enumerate(block.egos.tolist()):
+                    base = block.base[base_ptr[i]:base_ptr[i + 1]]
+                    assert base.tolist() == g.successors(u).tolist()
+                    assert block.pd(mode)[base_ptr[i]:base_ptr[i + 1]].tolist() == \
+                        personalized_degrees(g, u, base, mode).tolist()
+                    at = slice(cand_ptr[i], cand_ptr[i + 1])
+                    table = score_candidates(g, u, mode=mode)
+                    assert block.candidates[at].tolist() == table.candidates.tolist()
+                    assert counts[at].tolist() == table.cn_counts.tolist()
+                    for method in ALL_METHODS:
+                        assert columns[method][at].tolist() == table.scores(method).tolist()
