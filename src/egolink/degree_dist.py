@@ -52,6 +52,10 @@ def _per_neighbor_samples(graph, egos, kind, mode):
     neighbor, read from one gather of their successor rows."""
     egos = np.arange(graph.n_nodes, dtype=np.int64) if egos is None else \
         np.asarray(egos, dtype=np.int64)
+    if egos.size:
+        # a negative id would wrap around instead of failing
+        graph._check_node(int(egos.min()))
+        graph._check_node(int(egos.max()))
     if kind == KIND_PERSONALIZED:
         chunks = [block.pd(mode) for block in ego_blocks(graph, egos, (mode,), wedges=False)]
     else:

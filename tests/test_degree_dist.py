@@ -53,6 +53,13 @@ class TestSampling:
         assert s.values.tolist() == [0, 0, 0]
         assert s.n_egos == 1
 
+    @pytest.mark.parametrize("ego", [-1, 4])
+    def test_ego_out_of_range(self, ego):
+        with pytest.raises(IndexError):
+            personalized_degree_samples(_star(3), egos=np.array([0, ego]))
+        with pytest.raises(IndexError):
+            global_degree_samples(_star(3), per_neighbor=True, egos=np.array([ego]))
+
     def test_matches_oracle(self):
         for seed in range(30):
             g, pairs = random_graph(seed, 9, 0.35, False)
