@@ -1,5 +1,6 @@
 """Ego-centered primitives: neighborhoods, candidates, personalized
-degree, and directed triad classification.
+degree, directed triad classification, and gathers over blocks of egos
+(``ego_blocks``; ``ego_view`` is the block of one ego).
 
 Conventions for a directed ego ``u``:
 

@@ -5,8 +5,8 @@ There is one scoring path: ``score_candidates`` scores every two-hop
 candidate of an ego in one pass over its ``ego.EgoView``, and
 ``score_block`` every candidate of a block of egos (``ego.EgoBlock``)
 through the same term rules; a single pair's score is that candidate's
-entry in the table. All four scores
-decompose over the common neighbors ``z`` of the pair ``(ego, v)``:
+entry in the table. All four scores decompose over the common neighbors
+``z`` of the pair ``(ego, v)``:
 
 * ``cn``     counts them,
 * ``aa``     adds ``1 / log(effective global degree of z)``,
