@@ -1,9 +1,9 @@
 """Deterministic fan-out over egos.
 
 Workers receive one shared read-only payload via the pool initializer
-(pickled once per worker, not once per task) and results come back in
-submission order, so reductions are independent of worker count and
-completion timing.
+(pickled once per worker, not once per task), each task is a contiguous
+run of items, and results come back in submission order, so reductions
+are independent of worker count and completion timing.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -16,8 +16,8 @@ def _set_payload(payload):
     _PAYLOAD = payload
 
 
-def _invoke(worker, item):
-    return worker(_PAYLOAD, item)
+def _invoke(worker, items):
+    return [worker(_PAYLOAD, item) for item in items]
 
 
 def map_in_order(worker, items, payload, workers=1):
@@ -26,10 +26,13 @@ def map_in_order(worker, items, payload, workers=1):
     items = list(items)
     if workers is None or int(workers) <= 1 or len(items) <= 1:
         return [worker(payload, item) for item in items]
+    workers = min(int(workers), len(items))
+    # about four contiguous runs of items per process, one task each
+    n_runs = min(4 * workers, len(items))
+    cuts = [len(items) * i // n_runs for i in range(n_runs + 1)]
     # a fork pool starts all its processes at once, each unpickling the payload
     with ProcessPoolExecutor(
-        max_workers=min(int(workers), len(items)), initializer=_set_payload,
-        initargs=(payload,),
+        max_workers=workers, initializer=_set_payload, initargs=(payload,),
     ) as pool:
-        futures = [pool.submit(_invoke, worker, item) for item in items]
-        return [f.result() for f in futures]
+        futures = [pool.submit(_invoke, worker, items[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return [result for f in futures for result in f.result()]

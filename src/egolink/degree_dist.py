@@ -1,7 +1,7 @@
 """Degree sampling and log-binned histograms.
 
 Personalized-degree samples pool one value per (ego, neighbor) ordered
-pair over every ego in the snapshot, read from gathers over blocks of
+pair over every ego in the snapshot, read from gathers over runs of
 egos (``ego.ego_blocks``); global samples take one value per node, or
 per pair when asked to mirror the personalized pooling.
 
@@ -57,7 +57,7 @@ def _per_neighbor_samples(graph, egos, kind, mode):
         graph._check_node(int(egos.min()))
         graph._check_node(int(egos.max()))
     if kind == KIND_PERSONALIZED:
-        chunks = [block.pd(mode) for block in ego_blocks(graph, egos, (mode,), wedges=False)]
+        chunks = [view.pd(mode) for view in ego_blocks(graph, egos, (mode,), wedges=False)]
     else:
         _, pos = _kernels.gather_rows(graph.out_indptr, egos)
         chunks = [global_degrees(graph, graph.out_indices[pos], mode)]

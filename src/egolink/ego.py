@@ -1,6 +1,6 @@
 """Ego-centered primitives: neighborhoods, candidates, personalized
-degree, directed triad classification, and gathers over blocks of egos
-(``ego_blocks``; ``ego_view`` is the block of one ego).
+degree, directed triad classification, and ``EgoView``, the gather of
+one ego (``ego_view``) or of a run of egos (``ego_blocks``).
 
 Conventions for a directed ego ``u``:
 
@@ -138,12 +138,15 @@ def gathered_pd(graph, slot, pos, n_rows, in_successors, in_row, modes):
 
 
 def personalized_degree(graph, u, z, mode=MODE_UNDIRECTED):
-    """Number of nodes linked (per mode) to both the ego and ``z``."""
+    """Number of nodes linked (per mode) to both the ego and ``z``, read
+    from the gather of the one ego ``u``."""
     base = ego_neighbors(graph, u)
     pos = np.searchsorted(base, z)
     if not (pos < base.size and base[pos] == z):
         raise PreconditionError(f"{z} is not a neighbor of ego {u}")
-    return int(personalized_degrees(graph, u, np.asarray([z], dtype=np.int64), mode)[0])
+    validate_mode(mode, graph.directed)
+    view = _gather_block(graph, np.array([u], dtype=np.int64), (mode,), wedges=False)
+    return int(view.pd(mode)[pos])
 
 
 def global_degrees(graph, targets, mode):
@@ -227,15 +230,53 @@ def classify_triad(graph, u, z, v):
     return TRIAD_TABLE[(ego_cfg, nb_cfg)]
 
 
-#: budget of one chunk: the gathered entries of a ``_forming_cells``
-#: chunk, and both the bins (egos × nodes) and the gathered entries of an
-#: ``ego_blocks`` block
+#: budget of one run (``_runs``): the gathered entries of a
+#: ``_forming_cells`` run, and both the bins (egos × nodes) and the
+#: gathered entries of an ``ego_blocks`` view
 _CHUNK = 1 << 16
 
 
-class _Gathered:
-    """Readers shared by ``EgoView`` and ``EgoBlock``: the degrees of the
-    gathered pool ``base`` and the push sums over its wedges."""
+def _runs(ends, cap=None):
+    """``(start, stop)`` runs over items with cumulative sizes ``ends``:
+    each run holds at least one item, however large, and more while their
+    sizes sum to at most ``_CHUNK``; ``cap(start)`` (above ``start``)
+    ends a run early."""
+    start = 0
+    while start < ends.size:
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + _CHUNK, side="right")), start + 1)
+        if cap is not None:
+            stop = min(stop, cap(start))
+        yield start, stop
+        start = stop
+
+
+@dataclass
+class EgoView:
+    """The gather of one ego or of a run of egos laid end to end, in ego
+    order: ego ``egos[i]`` has the next ``out_degree[egos[i]]`` entries
+    of ``base`` (its neighbor pool), and its sorted candidates are the
+    entries of ``candidates`` with ``cand_slot == i``. The wedges
+    ``z -> v`` (``wedge_z`` into ``base``, ``wedge_v`` into
+    ``candidates``) and pd index the whole view, and each ego's wedges
+    run in ascending z. Without wedges, the candidate and wedge fields
+    are None."""
+
+    graph: object
+    egos: np.ndarray
+    base: np.ndarray
+    candidates: np.ndarray
+    cand_slot: np.ndarray = field(repr=False)
+    wedge_z: np.ndarray = field(repr=False)
+    wedge_v: np.ndarray = field(repr=False)
+    _pd: dict = field(repr=False)
+
+    @property
+    def ego(self):
+        """The ego of a view of one ego."""
+        if self.egos.size != 1:
+            raise PreconditionError(f"a view of {self.egos.size} egos has no single ego")
+        return int(self.egos[0])
 
     def pd(self, mode):
         return self._pd[validate_mode(mode, self.graph.directed)]
@@ -248,43 +289,6 @@ class _Gathered:
         ``base``) over its common neighbors, and their number."""
         return _kernels.accumulate_common_terms(self.wedge_z, self.wedge_v, terms,
                                                 self.candidates.size)
-
-
-@dataclass
-class EgoView(_Gathered):
-    """Per-ego arrays shared by the scorers: the neighbor pool, the
-    candidate set, every wedge ``z -> v`` from the pool onto a
-    candidate, and the personalized degrees of the pool in every mode
-    the graph admits."""
-
-    graph: object
-    ego: int
-    base: np.ndarray
-    candidates: np.ndarray
-    #: per wedge, the position of ``z`` in ``base`` and of ``v`` in
-    #: ``candidates``, in ascending-z order
-    wedge_z: np.ndarray = field(repr=False)
-    wedge_v: np.ndarray = field(repr=False)
-    _pd: dict = field(repr=False)
-
-
-@dataclass
-class EgoBlock(_Gathered):
-    """The gathers of a run of egos laid end to end, in ego order: ego
-    ``egos[i]`` has the next ``out_degree[egos[i]]`` entries of ``base``
-    (its successors), and its sorted candidates are the entries of
-    ``candidates`` with ``cand_slot == i``. Wedges and pd index the whole
-    block, and each ego's wedges run in ascending z. Without wedges, the
-    candidate and wedge fields are None."""
-
-    graph: object
-    egos: np.ndarray
-    base: np.ndarray
-    candidates: np.ndarray
-    cand_slot: np.ndarray = field(repr=False)
-    wedge_z: np.ndarray = field(repr=False)
-    wedge_v: np.ndarray = field(repr=False)
-    _pd: dict = field(repr=False)
 
 
 def _gather_block(graph, egos, modes, wedges=True):
@@ -313,9 +317,12 @@ def _gather_block(graph, egos, modes, wedges=True):
         in_row = mark[key]
     pd = gathered_pd(graph, wedge_z, pos, base.size, in_base, in_row, modes)
     if not wedges:
-        return EgoBlock(graph, egos, base, None, None, None, None, pd)
+        return EgoView(graph, egos, base, None, None, None, None, pd)
     wedge = ~in_base & (reached != egos[slot])
+    # the candidate step needs only the wedges' keys and pool positions
+    del b_slot, b_pos, pos, reached, slot, mark, in_base, in_row
     key, wedge_z = key[wedge], wedge_z[wedge]
+    del wedge
     # every key's bin ends up holding the position of one of its wedges,
     # so that wedge alone finds itself there; no bin is read unwritten
     index = np.empty(bins, dtype=np.int64)
@@ -324,37 +331,30 @@ def _gather_block(graph, egos, modes, wedges=True):
     cand_key = np.sort(key[index[key] == at])
     index[cand_key] = np.arange(cand_key.size)
     cand_slot, candidates = np.divmod(cand_key, n)
-    return EgoBlock(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd)
+    return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd)
 
 
 def ego_blocks(graph, egos, modes, wedges=True):
-    """``EgoBlock``s over runs of contiguous ``egos``, in order. A run
-    holds one ego, or more while they fit in ``_CHUNK`` bins and
-    ``_CHUNK`` gathered entries, so a block's memory is O(``_CHUNK``)
-    unless a single ego's own gather is larger."""
+    """``EgoView``s over runs of contiguous ``egos``, in order, with pd
+    of ``modes``. A run (``_runs``) holds one ego, or more while they fit
+    in ``_CHUNK`` bins and ``_CHUNK`` gathered entries, so a view's
+    memory is O(``_CHUNK``) unless a single ego's own gather is larger."""
     egos = np.asarray(egos, dtype=np.int64)
     # an ego gathers the symmetric rows of its successors
     reach = np.concatenate(([0], np.cumsum(graph.sym_degree[graph.out_indices])))
     ends = np.cumsum(reach[graph.out_indptr[egos + 1]] - reach[graph.out_indptr[egos]])
     per_block = max(_CHUNK // max(graph.n_nodes, 1), 1)
-    start = 0
-    while start < egos.size:
-        before = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, before + _CHUNK, side="right")), start + 1)
-        stop = min(stop, start + per_block)
+    for start, stop in _runs(ends, lambda start: start + per_block):
         yield _gather_block(graph, egos[start:stop], modes, wedges)
-        start = stop
 
 
 def ego_view(graph, u):
-    """The block of the one ego ``u``: its candidates, the wedges onto
+    """The view of the one ego ``u``: its candidates, the wedges onto
     them, and the personalized degrees of every mode the graph admits."""
     u = int(u)
     graph._check_node(u)
     modes = ALL_MODES if graph.directed else (MODE_UNDIRECTED,)
-    block = _gather_block(graph, np.array([u], dtype=np.int64), modes)
-    return EgoView(graph=graph, ego=u, base=block.base, candidates=block.candidates,
-                   wedge_z=block.wedge_z, wedge_v=block.wedge_v, _pd=block._pd)
+    return _gather_block(graph, np.array([u], dtype=np.int64), modes)
 
 
 def _forming_cells(series, egos, sym_pool):
@@ -368,8 +368,8 @@ def _forming_cells(series, egos, sym_pool):
     pool, a False cell has no formed candidate in any triad pool. Per
     transition, all matches run on sorted ``slot * n + node`` keys (slot:
     the ego's position in ``egos``), and the rows of the new successors
-    are gathered about ``_CHUNK`` entries at a time; a cell
-    already True is not probed again.
+    are gathered in runs (``_runs``) of about ``_CHUNK`` entries, each
+    within one round; a cell already True is not probed again.
     """
     egos = np.asarray(egos, dtype=np.int64)
     mask = np.zeros((egos.size, len(series) - 1), dtype=bool)
@@ -391,19 +391,14 @@ def _forming_cells(series, egos, sym_pool):
         rank = np.arange(slot.size) - np.searchsorted(slot, slot)
         order = np.argsort(rank, kind="stable")
         slot, w, rank = slot[order], w[order], rank[order]
-        ends = np.cumsum(g.sym_degree[w])
         settled = mask[:, t]
-        start = 0
-        while start < w.size:
-            before = ends[start - 1] if start else 0
-            # at least one row, however long, and no row of a later round
-            stop = max(int(np.searchsorted(ends, before + _CHUNK, side="right")),
-                       start + 1)
-            stop = min(stop, int(np.searchsorted(rank, 1 << int(rank[start]).bit_length())))
+        # no run reaches into a later round
+        runs = _runs(np.cumsum(g.sym_degree[w]),
+                     lambda start: int(np.searchsorted(rank, 1 << int(rank[start]).bit_length())))
+        for start, stop in runs:
             unsettled = ~settled[slot[start:stop]]
             cell = slot[start:stop][unsettled]
             z_slot, z_pos = _kernels.gather_rows(g.sym_indptr, w[start:stop][unsettled])
             cell = cell[z_slot]
             settled[cell[_kernels.contains(pool, cell * n + g.sym_indices[z_pos])]] = True
-            start = stop
     return mask

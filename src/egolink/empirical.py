@@ -242,6 +242,9 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
     if egos.size == 0:
         raise EmptyInputError("no egos given")
     egos = np.unique(egos)
+    # a negative id would wrap around instead of failing
+    series[0]._check_node(int(egos[0]))
+    series[0]._check_node(int(egos[-1]))
 
     # settled here, not in the workers, so no result depends on the worker count
     forming = _forming_cells(series, egos, sym_pool=per_triad).tolist()

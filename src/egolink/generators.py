@@ -5,8 +5,8 @@ The planted generator seeds snapshot 0 uniformly at random, then for
 each transition scores every ego's two-hop candidates with a chosen
 method and forms ``ego -> v`` with probability
 ``rate * score(v) / max score``, capped at 1. It scores the egos in
-blocks (``ego.ego_blocks``, ``scorers.score_block``) and makes one
-draw per block over the candidates of the egos whose best score is
+runs (``ego.ego_blocks``, ``scorers.score_block``) and makes one
+draw per run over the candidates of the egos whose best score is
 positive, in ego order: the same stream as one draw per ego. Its output
 carries snapshot indices in the time column (``time_mode == "index"``),
 ready for ``build_snapshots(preassigned=True)``.
@@ -78,21 +78,17 @@ def _assemble(n_nodes, src, dst, time, directed, time_mode):
 def _uniform_structure(rng, n_nodes, edge_prob, directed):
     """One Bernoulli draw per candidate pair, row by row (a directed row
     is every other node, an undirected one the higher ids). The rows are
-    drawn in chunks of about ``ego._CHUNK`` draws, one ``rng.random``
-    call each, which yields the same stream as one call per row; each
-    hit maps back to its (row, column) through the cumulative row
-    sizes."""
+    drawn in runs (``ego._runs``), one ``rng.random`` call each, which
+    yields the same stream as one call per row; each hit maps back to
+    its (row, column) through the cumulative row sizes."""
     rows = np.arange(n_nodes, dtype=np.int64)
     sizes = np.full(n_nodes, n_nodes - 1, dtype=np.int64) if directed else n_nodes - 1 - rows
     ends = np.cumsum(sizes)
     src_parts = [np.empty(0, dtype=np.int64)]
     dst_parts = [np.empty(0, dtype=np.int64)]
-    start = 0
-    while start < n_nodes:
+    for start, stop in ego._runs(ends):
         before = int(ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(ends, before + ego._CHUNK, side="right")), start + 1)
         total = int(ends[stop - 1]) - before
-        start = stop
         if total == 0:
             continue
         hit = np.flatnonzero(rng.random(total) < edge_prob) + before
@@ -182,19 +178,19 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
                           directed)
         new_src = [np.empty(0, dtype=np.int64)]
         new_dst = [np.empty(0, dtype=np.int64)]
-        for block in ego.ego_blocks(g, egos, (mode,)):
-            scores = score_block(block, (method,), mode)[0][method]
-            top = np.zeros(block.egos.size)
-            np.maximum.at(top, block.cand_slot, scores)
+        for view in ego.ego_blocks(g, egos, (mode,)):
+            scores = score_block(view, (method,), mode)[0][method]
+            top = np.zeros(view.egos.size)
+            np.maximum.at(top, view.cand_slot, scores)
             # the candidates of egos whose best score is above 0 draw, in ego order
-            top = top[block.cand_slot]
+            top = top[view.cand_slot]
             live = top > 0.0
             if not live.any():
                 continue
             p = np.minimum(rate * scores[live] / top[live], 1.0)
             hit = rng.random(p.size) < p
-            new_src.append(block.egos[block.cand_slot[live][hit]])
-            new_dst.append(block.candidates[live][hit])
+            new_src.append(view.egos[view.cand_slot[live][hit]])
+            new_dst.append(view.candidates[live][hit])
         new_src, new_dst = np.concatenate(new_src), np.concatenate(new_dst)
         if not directed:
             # both endpoints may pick the same pair; the first pick stays

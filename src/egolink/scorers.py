@@ -1,12 +1,12 @@
 """Candidate scorers for one ego: common neighbors, degree-damped
 common neighbors, and their personalized-degree variants.
 
-There is one scoring path: ``score_candidates`` scores every two-hop
-candidate of an ego in one pass over its ``ego.EgoView``, and
-``score_block`` every candidate of a block of egos (``ego.EgoBlock``)
-through the same term rules; a single pair's score is that candidate's
-entry in the table. All four scores decompose over the common neighbors
-``z`` of the pair ``(ego, v)``:
+There is one scoring path: ``score_block`` scores every candidate of an
+``ego.EgoView``, the gather of one ego or of a run of egos, in one pass
+over its wedges; ``score_candidates`` is its table for one ego, and a
+single pair's score is that candidate's entry in the table. All four
+scores decompose over the common neighbors ``z`` of the pair
+``(ego, v)``:
 
 * ``cn``     counts them,
 * ``aa``     adds ``1 / log(effective global degree of z)``,
@@ -128,9 +128,12 @@ class ScoreTable:
         return self.columns[method]
 
 
-def _columns(view, methods, mode, ln_base):
-    """Score columns and common-neighbor counts of every candidate of an
-    ``EgoView`` or ``EgoBlock``, aligned with its ``candidates``."""
+def score_block(view, methods=ALL_METHODS, mode=MODE_UNDIRECTED, log_base=None):
+    """Score columns (keyed by method) and common-neighbor counts of every
+    candidate of an ``ego.EgoView``, aligned with ``view.candidates``."""
+    methods = validate_methods(methods)
+    validate_mode(mode, view.graph.directed)
+    ln_base = _ln_base(log_base)
     term_methods = [m for m in methods if m != METHOD_CN]
     if term_methods:
         pd = view.pd(mode)
@@ -153,16 +156,17 @@ def _columns(view, methods, mode, ln_base):
 
 def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
                      log_base=None, view=None):
-    """Score all two-hop candidates of ``ego`` in one fused pass."""
+    """Score all two-hop candidates of ``ego`` in one fused pass over its
+    view; methods, mode and log base are checked before the view."""
     methods = validate_methods(methods)
     validate_mode(mode, graph.directed)
-    ln_base = _ln_base(log_base)
+    _ln_base(log_base)
     if view is None:
         view = ego_view(graph, ego)
     elif view.ego != ego or view.graph is not graph:
         raise PreconditionError(
             f"the view of ego {view.ego} does not belong to ego {ego} on this graph")
-    columns, counts = _columns(view, methods, mode, ln_base)
+    columns, counts = score_block(view, methods, mode, log_base)
     return ScoreTable(
         ego=int(ego),
         mode=mode,
@@ -170,12 +174,3 @@ def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
         columns=columns,
         cn_counts=counts,
     )
-
-
-def score_block(block, methods=ALL_METHODS, mode=MODE_UNDIRECTED, log_base=None):
-    """Score columns (keyed by method) and common-neighbor counts of every
-    candidate of an ``ego.EgoBlock``, aligned with ``block.candidates``;
-    each ego's entries equal its ``score_candidates`` table."""
-    methods = validate_methods(methods)
-    validate_mode(mode, block.graph.directed)
-    return _columns(block, methods, mode, _ln_base(log_base))

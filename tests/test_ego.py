@@ -16,6 +16,7 @@ from egolink.ego import (
     classify_triad,
     common_neighbors,
     edge_config,
+    ego_blocks,
     ego_neighbors,
     ego_view,
     global_degrees,
@@ -27,6 +28,7 @@ from egolink.ego import (
     validate_mode,
 )
 from egolink.errors import ConfigError, PreconditionError
+from egolink.scorers import score_candidates
 
 
 class TestTwoBrokerNeighborhood(object):
@@ -219,6 +221,16 @@ class TestEgoView:
         assert view.ego == ids["u"]
         assert view.base.tolist() == ego_neighbors(g, ids["u"]).tolist()
         assert view.candidates.tolist() == two_hop_candidates(g, ids["u"]).tolist()
+
+    def test_view_of_several_egos(self, two_broker_graph):
+        # a view of a run of egos has no single ego, so no score table
+        g, ids = two_broker_graph
+        (view,) = ego_blocks(g, [ids["u"], ids["y1"]], ALL_MODES[:1])
+        assert view.egos.tolist() == [ids["u"], ids["y1"]]
+        with pytest.raises(PreconditionError):
+            view.ego
+        with pytest.raises(PreconditionError):
+            score_candidates(g, ids["u"], view=view)
 
 
 def _chunk_series():

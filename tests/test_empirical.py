@@ -124,6 +124,13 @@ class TestExclusions:
         with pytest.raises(EmptyInputError):
             aggregate_empirical(series, egos=np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("egos", [[-1], [2, -2], [3]])
+    def test_egos_out_of_range(self, egos):
+        # a negative id must not wrap around to a node at the end
+        series = make_series([[(0, 1)], [(0, 1), (1, 2)]], 3)
+        with pytest.raises(IndexError, match="out of range"):
+            aggregate_empirical(series, egos=np.array(egos))
+
 
 class TestDefaults:
     def test_mode_sets(self):

@@ -52,3 +52,26 @@ def test_single_item_runs_inline(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     assert _parallel.map_in_order(_add, [1], 10, workers=8) == [11]
     assert _RecordingPool.sizes == []
+
+
+class _RunRecordingPool(_RecordingPool):
+    """Also records the items of each submitted task."""
+
+    runs = []
+
+    def submit(self, fn, worker, items):
+        self.runs.append(list(items))
+        return super().submit(fn, worker, items)
+
+
+def test_contiguous_runs_in_order(monkeypatch):
+    # about four runs per worker, one task each, flattened in item order
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RunRecordingPool)
+    monkeypatch.setattr(_parallel, "_PAYLOAD", None)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RunRecordingPool, "runs", [])
+    items = list(range(50))
+    assert _parallel.map_in_order(_add, items, 100, workers=2) == [100 + i for i in items]
+    assert len(_RunRecordingPool.runs) == 8
+    assert sum(_RunRecordingPool.runs, []) == items
+    assert all(6 <= len(run) <= 7 for run in _RunRecordingPool.runs)

@@ -21,6 +21,7 @@ from egolink.ego import (
     edge_config,
     ego_blocks,
     ego_view,
+    personalized_degree,
     personalized_degrees,
     two_hop_candidates,
 )
@@ -178,6 +179,27 @@ def test_gathered_pd_against_oracle(graph, echo):
             for mode in ("out", "in"):
                 with pytest.raises(ConfigError):
                     view.pd(mode)
+
+
+@_SETTINGS
+@given(graph=graphs(), echo=_ECHOES)
+@example(graph=_EMPTY, echo=[])
+@example(graph=_NO_NEIGHBORS, echo=[])
+@example(graph=_HUB, echo=[(0, True), (6, False), (7, True)])
+def test_personalized_degree_equals_rows_form(graph, echo):
+    # the one-pair helper reads the ego's gather; the rows' form is the
+    # reference, for every ego, neighbor and mode, and a node outside the
+    # ego's neighborhood has no personalized degree
+    n, directed, pairs, _ = graph
+    g = make_graph(_echoed(pairs, echo), n, directed)
+    for u in range(n):
+        base = g.successors(u)
+        for mode in ALL_MODES if directed else ("undirected",):
+            assert [personalized_degree(g, u, z, mode) for z in base.tolist()] == \
+                personalized_degrees(g, u, base, mode).tolist()
+        for z in sorted(set(range(n)) - set(base.tolist())):
+            with pytest.raises(PreconditionError):
+                personalized_degree(g, u, z)
 
 
 @settings(_SETTINGS, max_examples=100)
