@@ -150,8 +150,10 @@ def empirical_cell(n_nodes, pairs_t, pairs_next, directed, ego, modes):
     return cell
 
 
-def triad_cells(n_nodes, pairs_t, pairs_next, ego, modes):
-    """Per-triad cell stats keyed by triad number 1..9; unusable cells are None."""
+def triad_cells(n_nodes, pairs_t, pairs_next, ego, modes, excluded=None):
+    """Per-triad cell stats keyed by triad number 1..9; unusable cells are
+    None, each counted in ``excluded`` (when given) under its reason: all
+    of its candidates formed, or none did (an empty candidate set too)."""
     out, inn, sym = adjacency(n_nodes, pairs_t, True)
     nout, _, _ = adjacency(n_nodes, pairs_next, True)
     succ, pred = out[ego], inn[ego]
@@ -176,6 +178,8 @@ def triad_cells(n_nodes, pairs_t, pairs_next, ego, modes):
                     by_v[v] = zs
             formed = set(by_v) & nout[ego]
             if not by_v or not formed or formed == set(by_v):
+                if excluded is not None:
+                    excluded["all_formed" if formed else "no_formed_candidate"] += 1
                 cells[triad] = None
                 continue
             cell = {}

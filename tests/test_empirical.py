@@ -177,14 +177,22 @@ class TestAgainstOracle:
     def test_triad_cells(self, n, p, modes):
         # dense graphs give candidates several common neighbors per config
         modes = resolve_modes(True, modes, True)
+        reasons = dict.fromkeys(EXCLUSIONS, 0)
         for seed in range(6):
             snaps = random_snapshots(200 + seed, n, p, True, 3)
             series = make_series(snaps, n, directed=True)
             for t in range(len(snaps) - 1):
                 for ego in range(n):
+                    # each excluded cell under its reason, per (ego, t)
+                    excluded = dict.fromkeys(EXCLUSIONS, 0)
                     got = ego_snapshot_stats(series, t, ego, per_triad=True,
-                                             degree_modes=modes)
-                    want = oracles.triad_cells(n, snaps[t], snaps[t + 1], ego, list(modes))
+                                             degree_modes=modes, excluded=excluded)
+                    want_excluded = dict.fromkeys(EXCLUSIONS, 0)
+                    want = oracles.triad_cells(n, snaps[t], snaps[t + 1], ego, list(modes),
+                                               excluded=want_excluded)
+                    assert excluded == want_excluded, (seed, t, ego)
+                    for reason, count in excluded.items():
+                        reasons[reason] += count
                     assert {int(k) for k in got} == set(want)
                     for key, cell in got.items():
                         ref = want[int(key)]
@@ -197,6 +205,8 @@ class TestAgainstOracle:
                                 assert stats.mean_log_global == pytest.approx(g, abs=1e-12)
                                 assert stats.mean_log_personalized == \
                                     pytest.approx(pd, abs=1e-12)
+        # both reasons occur, so a swapped reason would show
+        assert min(reasons.values()) > 0
 
     def test_per_triad(self):
         for modes, seed in product((("out", "in"), ("out", "in", "undirected")), range(12)):
@@ -239,6 +249,21 @@ class TestDeterminism:
             h.update(repr(row).encode())
         assert (len(rows), h.hexdigest()) == (
             72, "5a0986389ce85d9a496ba7dc3b47fdfc9efa08e19eb2661bc2debe7a618c2667")
+
+    def test_frozen_plain_directed_output(self):
+        # frozen table of plain cells in every directed mode
+        spec = GeneratorSpec(kind="uniform-random", n_nodes=80, edge_prob=0.15,
+                             directed=True, seed=7)
+        series = build_snapshots(generate(spec), fixed_count=4)
+        stats = aggregate_empirical(series, degree_modes=("out", "in", "undirected"))
+        rows = empirical_table(stats)
+        h = hashlib.sha256()
+        for row in rows:
+            h.update(repr(row).encode())
+        assert (len(rows), h.hexdigest()) == (
+            12, "5ff5ef86fb879ec2c59830daba992e298a07235a91dc6a7aab3bd106e41739c2")
+        assert (stats.diagnostics["n_cells"], stats.diagnostics["n_cells_excluded"]) == (
+            159, {"no_formed_candidate": 81, "all_formed": 0})
 
 
 class TestFormationFirst:
