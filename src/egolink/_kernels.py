@@ -17,24 +17,18 @@ order, which is ascending z.
 import numpy as np
 
 
-def _match_positions(base, values):
-    """Mask of the ``values`` present in ``base``, and their positions there."""
+def contains(base, values):
+    """Mask of the ``values`` present in ``base``."""
     if base.size == 0:
-        return np.zeros(values.size, dtype=bool), np.zeros(values.size, dtype=np.int64)
+        return np.zeros(values.size, dtype=bool)
     pos = np.searchsorted(base, values)
     pos[pos == base.size] = base.size - 1
-    return base[pos] == values, pos
+    return base[pos] == values
 
 
 def intersect_values(a, b):
     """Sorted values shared by ``a`` and ``b``."""
-    hit, pos = _match_positions(a, b)
-    return a[pos[hit]]
-
-
-def contains(base, values):
-    """Mask of the ``values`` present in ``base``."""
-    return _match_positions(base, values)[0]
+    return b[contains(a, b)]
 
 
 def gather_rows(indptr, rows):

@@ -135,7 +135,8 @@ class RunConfig:
 
     input: str | None = _opt(None, "str", "path to the raw edge file")
     directed: bool = _opt(False, "bool", "treat edges as directed")
-    delimiter: str | None = _opt(None, "str", "force 'comma' or 'whitespace' field splitting")
+    delimiter: str | None = _opt(None, "str", "force 'comma' or 'whitespace' field splitting",
+                                 _one_of("comma", "whitespace"))
     time_mode: str = _opt(TIME_MODE_TIMESTAMP, "str",
                           "third column semantics: 'timestamp' or 'index'",
                           _one_of(TIME_MODE_TIMESTAMP, TIME_MODE_INDEX))

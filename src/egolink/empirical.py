@@ -14,11 +14,17 @@ A per-triad cell (directed graphs) is the plain cell with the pool and
 the wedges narrowed by link config (``SnapshotGraph.sym_config``). One
 gather of the symmetric rows of the ego's symmetric neighbors feeds all
 nine cells of an (ego, transition): the config of the ego's own entry
-for ``z`` puts ``z`` in one of three pools, and the config of each
-gathered entry ``v`` of row(z) is the neighbor-edge config of the wedge
-``z -> v``; the same gather gives the pool's personalized degrees
-(``ego.gathered_pd``). Plain cells and per-triad cells both sum their
-wedges with ``_kernels.accumulate_common_terms`` in ascending-z order.
+for ``z`` puts ``z`` in one of three pools, so each wedge ``z -> v`` is
+keyed by its pool's candidate ``(ego-edge config of z) * n + v``, and
+one ``np.unique`` of those keys lays every pool's candidates out as one
+contiguous range. The config of the gathered entry ``v`` of row(z) is
+the neighbor-edge config of the wedge, and one accumulate over
+(neighbor-edge config, candidate) bins sums all nine cells; the same
+gather gives the personalized degrees (``ego.gathered_pd``). Plain
+cells and per-triad cells both sum their wedges with
+``_kernels.accumulate_common_terms`` in ascending-z order, and
+``_cell`` alone decides whether a gathered cell is excluded and why: a
+triad's candidates are those of its pool with a wedge of its config.
 
 Cells are settled from the new edges first: before any ego gather,
 ``ego._forming_cells`` marks, in one whole-array pass per transition,
@@ -41,16 +47,14 @@ from ._parallel import map_in_order
 from ._util import pool_egos
 from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
 from .ego import (
-    MODE_UNDIRECTED,
-    EdgeConfig,
     TriadType,
-    TRIAD_TABLE,
     _forming_cells,
     ego_neighbors,
     ego_view,
     gathered_pd,
     global_degrees,
     resolve_modes,
+    sample_egos,
 )
 from .errors import ConfigError, EmptyInputError, EmptyResultError
 
@@ -98,23 +102,16 @@ def _log_degree_terms(columns):
     return np.log(np.column_stack(columns).astype(np.float64) + 1.0)
 
 
-def _excluded(formed, excluded):
-    """Whether candidates with these formed flags make no cell; if so,
-    the cell is counted in ``excluded`` under its reason."""
-    if formed.any() and not formed.all():
-        return False
-    excluded[EXCLUDED_ALL_FORMED if formed.any() else EXCLUDED_NO_FORMED] += 1
-    return True
-
-
 def _cell(sums, counts, formed, modes, excluded):
     """Group stats keyed by mode over the candidates with at least one
     common neighbor, each valued by its mean terms (``sums / counts``);
-    ``formed`` marks the candidates that gained an ego edge. None when
-    none of the kept candidates formed or all did."""
+    ``formed`` marks the candidates that gained an ego edge. None, counted
+    in ``excluded`` under its reason, when none of the kept candidates
+    formed or all did."""
     kept = counts > 0
     formed = formed[kept]
-    if _excluded(formed, excluded):
+    if formed.all() or not formed.any():
+        excluded[EXCLUDED_ALL_FORMED if formed.any() else EXCLUDED_NO_FORMED] += 1
         return None
     means = sums[kept] / counts[kept, None]
 
@@ -136,8 +133,6 @@ def _plain_cell(graph, next_graph, ego, modes, excluded):
     """Group stats keyed by mode for one (ego, transition), or None."""
     view = ego_view(graph, ego)
     formed = _kernels.contains(ego_neighbors(next_graph, ego), view.candidates)
-    if _excluded(formed, excluded):
-        return None
     terms = _log_degree_terms([col for m in modes for col in (view.gd(m), view.pd(m))])
     return _cell(*view.accumulate(terms), formed, modes, excluded)
 
@@ -145,48 +140,39 @@ def _plain_cell(graph, next_graph, ego, modes, excluded):
 def _triad_cells(graph, next_graph, ego, modes, excluded):
     """Group stats keyed by TriadType for one (ego, transition):
     triad -> None (excluded) or {mode: {group: GroupStats}}."""
+    n = graph.n_nodes
     row = graph.neighbors(ego)
     start = graph.sym_indptr[ego]
-    ego_cfg = graph.sym_config[start:start + row.size]
-    # every wedge z -> v from the ego's symmetric row, in ascending-z order
+    ego_cfg = graph.sym_config[start:start + row.size].astype(np.int64)
+    # every wedge z -> v from the ego's symmetric row, in ascending-z order,
+    # keyed by its pool's candidate: (ego-edge config of z) * n + v
     slot, pos = _kernels.gather_rows(graph.sym_indptr, row)
     reached = graph.sym_indices[pos]
-    pool_cfg = ego_cfg[slot]
-    nb_cfg = graph.sym_config[pos]
-    # a node already chosen by the ego is never a candidate, nor the ego
+    key = ego_cfg[slot] * n + reached
+    # a node already chosen by the ego is never a candidate, nor the ego,
+    # nor a node of the wedge's own pool
     in_successors = _kernels.contains(graph.successors(ego), reached)
-    chosen = in_successors | (reached == ego)
-    nxt = ego_neighbors(next_graph, ego)
-    terms = None  # built for the first pool with formed and not-formed candidates
+    wedge = ~(in_successors | (reached == ego)
+              | _kernels.contains(np.sort(ego_cfg * n + row), key))
+    cand, wedge_c = np.unique(key[wedge], return_inverse=True)
+    formed = _kernels.contains(ego_neighbors(next_graph, ego), cand % n)
+    pd = gathered_pd(graph, slot, pos, row.size, in_successors,
+                     _kernels.contains(row, reached), modes)
+    terms = _log_degree_terms(
+        [col for m in modes for col in (global_degrees(graph, row, m), pd[m])])
+    # one bin per (neighbor-edge config of the wedge, candidate)
+    nb_cfg = graph.sym_config[pos[wedge]].astype(np.int64)
+    sums, counts = _kernels.accumulate_common_terms(
+        slot[wedge], nb_cfg * cand.size + wedge_c, terms, 3 * cand.size)
+    sums = sums.reshape(3, cand.size, terms.shape[1])
+    counts = counts.reshape(3, cand.size)
+    # each pool's candidates are one contiguous range of the sorted keys
+    bounds = np.searchsorted(cand, n * np.arange(4))
     out = {}
-    for cfg in EdgeConfig:
-        triads = [TRIAD_TABLE[(cfg, nb)] for nb in EdgeConfig]
-        # wedges from this pool onto nodes outside it
-        wedge = (pool_cfg == cfg) & ~chosen
-        wedge[wedge] = ~_kernels.contains(row[ego_cfg == cfg], reached[wedge])
-        cand, wedge_v = np.unique(reached[wedge], return_inverse=True)
-        formed = _kernels.contains(nxt, cand)
-        if formed.all() or not formed.any():
-            out.update(dict.fromkeys(triads, None))
-            # each triad's candidates are some of the pool's: if the pool's
-            # all formed, so did those of every triad that has candidates
-            n_all = (int(np.count_nonzero(np.bincount(nb_cfg[wedge], minlength=3)))
-                     if formed.any() else 0)
-            excluded[EXCLUDED_ALL_FORMED] += n_all
-            excluded[EXCLUDED_NO_FORMED] += len(triads) - n_all
-            continue
-        if terms is None:
-            in_row = (_kernels.contains(row, reached) if MODE_UNDIRECTED in modes
-                      else None)
-            pd = gathered_pd(graph, slot, pos, row.size, in_successors, in_row, modes)
-            terms = _log_degree_terms(
-                [col for m in modes for col in (global_degrees(graph, row, m), pd[m])])
-        wedge_z, wedge_nb = slot[wedge], nb_cfg[wedge]
-        for nb, triad in zip(EdgeConfig, triads):
-            sel = wedge_nb == nb
-            sums, counts = _kernels.accumulate_common_terms(
-                wedge_z[sel], wedge_v[sel], terms, cand.size)
-            out[triad] = _cell(sums, counts, formed, modes, excluded)
+    for triad in TriadType:
+        lo, hi = bounds[triad.ego_config], bounds[triad.ego_config + 1]
+        nb = triad.neighbor_config
+        out[triad] = _cell(sums[nb, lo:hi], counts[nb, lo:hi], formed[lo:hi], modes, excluded)
     return out
 
 
@@ -232,12 +218,14 @@ def _ego_worker(payload, item):
 
 
 def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, workers=1):
-    """Pool per-ego means into grand means with standard errors."""
+    """Pool per-ego means into grand means with standard errors, over
+    ``egos`` or by default ``sample_egos(series)``, the nodes with
+    neighbors in the first snapshot."""
     if len(series) < 2:
         raise ConfigError("empirical analysis needs at least 2 snapshots")
     modes = resolve_modes(series.directed, degree_modes, per_triad)
     if egos is None:
-        egos = np.arange(series.n_nodes, dtype=np.int64)
+        egos = sample_egos(series)
     egos = np.asarray(egos, dtype=np.int64)
     if egos.size == 0:
         raise EmptyInputError("no egos given")

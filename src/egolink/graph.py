@@ -93,10 +93,8 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
     given, substitutes for empty or ``\\N`` timestamp fields; otherwise
     those raise :class:`ParseError`.
     """
-    if delimiter not in (None, "comma", "space", "tab", "whitespace"):
+    if delimiter not in (None, "comma", "whitespace"):
         raise ConfigError(f"unknown delimiter {delimiter!r}")
-    if delimiter in ("space", "tab", "whitespace"):
-        delimiter = "whitespace"
     src_labels = []
     dst_labels = []
     times = []
@@ -380,8 +378,6 @@ class SnapshotSeries:
     windows ``0..i``."""
 
     graphs: list
-    window_starts: np.ndarray
-    window_width: int
     new_edges: np.ndarray
     directed: bool
     n_nodes: int = field(default=0)
@@ -448,8 +444,6 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
         if edges.n_edges == 0:
             return SnapshotSeries(
                 graphs=[],
-                window_starts=np.empty(0, dtype=np.int64),
-                window_width=1,
                 new_edges=np.empty(0, dtype=np.int64),
                 directed=edges.directed,
                 n_nodes=edges.n_nodes,
@@ -483,8 +477,6 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
     new_counts.setflags(write=False)
     return SnapshotSeries(
         graphs=graphs,
-        window_starts=starts,
-        window_width=int(width),
         new_edges=new_counts,
         directed=edges.directed,
         n_nodes=edges.n_nodes,

@@ -158,11 +158,13 @@ class TestAgainstOracle:
             series = make_series(snaps, n, directed=directed)
             modes = resolve_modes(directed, None, False)
             want = oracles.empirical_aggregate(n, snaps, directed, False, list(modes))
+            # the oracle covers every node, not only those with neighbors at t = 0
+            egos = np.arange(n)
             if not want:
                 with pytest.raises(EmptyResultError):
-                    aggregate_empirical(series)
+                    aggregate_empirical(series, egos)
                 continue
-            rows = _row_map(aggregate_empirical(series))
+            rows = _row_map(aggregate_empirical(series, egos))
             assert set(rows) == set(want)
             for key, (mean, se, n_egos) in want.items():
                 assert rows[key].mean == pytest.approx(mean, abs=1e-12)

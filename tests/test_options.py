@@ -15,6 +15,7 @@ CHECKED = [f.name for f in dataclasses.fields(RunConfig) if f.metadata["check"]]
 
 # one value per checked field that its check must reject
 BAD_VALUES = {
+    "delimiter": "pipe",
     "time_mode": "hourly",
     "window_days": "0",
     "window_seconds": "0",
