@@ -1,10 +1,10 @@
-"""Deterministic fan-out over egos.
+"""Deterministic fan-out over egos (``empirical``) or blocks of egos
+(``evaluate``).
 
 Workers receive one shared read-only payload via the pool initializer
 (pickled once per worker, not once per task), each task is a contiguous
 run of items, and results come back in submission order, so reductions
-are independent of worker count and completion timing.
-"""
+are independent of worker count and completion timing."""
 
 from concurrent.futures import ProcessPoolExecutor
 

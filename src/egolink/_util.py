@@ -33,17 +33,30 @@ def pool_egos(per_ego):
     ``per_ego`` yields, one ego at a time in ascending ego order, a dict
     ``{key: [value per usable cell, in transition order]}``; None or an
     empty dict is an ego without usable cells. Each ego's cells average
-    first (``np.mean``), so an ego weighs the same however many cells it
-    has. Per key, those per-ego means then average in ego order across
-    the ``n_egos`` egos that have the key, and their spread across egos
-    gives the standard error (``mean_and_stderr``). Keys come out in the
-    order they are first seen.
+    first, so an ego weighs the same however many cells it has. Per key,
+    those per-ego means then average in ego order across the ``n_egos``
+    egos that have the key, and their spread across egos gives the
+    standard error (``mean_and_stderr``). Keys come out in the order
+    they are first seen.
+
+    The (ego, key) value lists are grouped by length, and each group's
+    means are one row-wise mean of a C-contiguous matrix, which sums
+    each row as ``np.mean`` sums that row alone (a strided or
+    Fortran-order reduction does not).
     """
-    means = {}
+    keys, entry_key, groups = {}, [], {}  # entry_key: key id of each (ego, key) list
     for cells in per_ego:
         for key, values in (cells or {}).items():
-            means.setdefault(key, []).append(float(np.mean(values)))
-    return {key: (*mean_and_stderr(m), len(m)) for key, m in means.items()}
+            groups.setdefault(len(values), []).append((len(entry_key), values))
+            entry_key.append(keys.setdefault(key, len(keys)))
+    means = np.empty(len(entry_key))
+    for group in groups.values():
+        entries, rows = zip(*group)
+        means[list(entries)] = np.array(rows, dtype=np.float64).mean(axis=1)
+    # each key's per-ego means, still in ego order
+    per_key = np.split(means[np.argsort(entry_key, kind="stable")],
+                       np.cumsum(np.bincount(entry_key))[:-1])
+    return {key: (*mean_and_stderr(m), m.size) for key, m in zip(keys, per_key)}
 
 
 def csv_field(text):

@@ -334,17 +334,25 @@ def _gather_block(graph, egos, modes, wedges=True):
     return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd)
 
 
-def ego_blocks(graph, egos, modes, wedges=True):
-    """``EgoView``s over runs of contiguous ``egos``, in order, with pd
-    of ``modes``. A run (``_runs``) holds one ego, or more while they fit
-    in ``_CHUNK`` bins and ``_CHUNK`` gathered entries, so a view's
-    memory is O(``_CHUNK``) unless a single ego's own gather is larger."""
-    egos = np.asarray(egos, dtype=np.int64)
-    # an ego gathers the symmetric rows of its successors
+def _gather_sizes(graph, egos):
+    """Each ego's gathered entries, the symmetric rows of its successors:
+    its wedge count, a bound on its candidate count."""
     reach = np.concatenate(([0], np.cumsum(graph.sym_degree[graph.out_indices])))
-    ends = np.cumsum(reach[graph.out_indptr[egos + 1]] - reach[graph.out_indptr[egos]])
+    return reach[graph.out_indptr[egos + 1]] - reach[graph.out_indptr[egos]]
+
+
+def _block_runs(graph, sizes):
+    """Runs (``_runs``) of egos with gather ``sizes``: one ego, or more
+    while they fit in ``_CHUNK`` bins and ``_CHUNK`` gathered entries, so
+    a block's memory is O(``_CHUNK``) unless one ego's gather is larger."""
     per_block = max(_CHUNK // max(graph.n_nodes, 1), 1)
-    for start, stop in _runs(ends, lambda start: start + per_block):
+    return _runs(np.cumsum(sizes), lambda start: start + per_block)
+
+
+def ego_blocks(graph, egos, modes, wedges=True):
+    """``EgoView``s over ``_block_runs`` of ``egos``, with pd of ``modes``."""
+    egos = np.asarray(egos, dtype=np.int64)
+    for start, stop in _block_runs(graph, _gather_sizes(graph, egos)):
         yield _gather_block(graph, egos[start:stop], modes, wedges)
 
 

@@ -11,10 +11,14 @@ the two-hop cutoff are dropped whole and reported.
 Cells are settled from the new edges first: before any ego gather,
 ``ego._forming_cells`` marks, in one whole-array pass per transition,
 the cells where some candidate forms. When formation is required, an
-unmarked cell is skipped without its gather if the ego's wedge count,
-an upper bound on its candidate count, is within the cutoff; every other
-cell takes the full ``ego_view``. The cells left out are counted per
-reason (``EXCLUSIONS``) in the result's metadata.
+unmarked cell is settled without a gather if the ego's wedge count, an
+upper bound on its candidate count, is within the cutoff. The other
+cells run in blocks of egos (``ego._block_runs``), cut in the parent so
+that no result depends on the worker count. A block takes one gather,
+one ``scorers.score_block`` per degree mode, one ranking per column
+over all its egos, and P@K for every kept ego from one cumulative sum.
+The cells left out are counted per reason (``EXCLUSIONS``) in the
+result's metadata.
 """
 
 from dataclasses import dataclass
@@ -24,15 +28,10 @@ import numpy as np
 from . import _kernels
 from ._parallel import map_in_order
 from ._util import pool_egos
-from .ego import _forming_cells, ego_neighbors, ego_view, resolve_modes, sample_egos
+from .ego import (_block_runs, _forming_cells, _gather_block, _gather_sizes, resolve_modes,
+                  sample_egos)
 from .errors import ConfigError, EmptyResultError, PreconditionError
-from .scorers import (
-    ALL_METHODS,
-    METHOD_CN,
-    MODE_NONE,
-    score_candidates,
-    validate_methods,
-)
+from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_block, validate_methods
 
 DEFAULT_KS = (1, 3, 5, 10, 20, 30, 50)
 DEFAULT_CUTOFF = 100_000
@@ -97,14 +96,16 @@ def validate_ks(ks):
     return ks
 
 
-def _ranking_order(scores, candidates):
-    """Positions of ``candidates`` by descending score, ties by ascending id."""
-    return np.lexsort((candidates, -scores))
+def _ranking_order(scores, candidates, slot=None):
+    """Positions of ``candidates`` by descending score, ties by ascending
+    id; with ``slot``, ranked within each slot, slots in ascending order."""
+    return np.lexsort((candidates, -scores) + (() if slot is None else (slot,)))
 
 
 def _precisions(hit, ks):
-    """P@K for each K of the int array ``ks`` from a ranking's hit flags."""
-    return np.cumsum(hit)[ks - 1] / ks
+    """P@K for each K of the int array ``ks`` from the hit flags of a
+    ranking, or of each row of a matrix of rankings."""
+    return np.cumsum(hit, axis=-1)[..., ks - 1] / ks
 
 
 def rank_candidates(table, method=None):
@@ -148,50 +149,39 @@ def method_mode_pairs(methods, modes):
 
 
 def _cell_worker(payload, item):
-    """``(cells, excluded)`` of one ego: ``{((method, mode), k): [P@K per
-    qualifying cell]}``, or None when its candidate set ever exceeds the
-    two-hop cutoff, and its cells counted per reason of exclusion.
-    ``item`` is the ego and, when formation is required, its row of
-    ``ego._forming_cells``."""
-    series, methods, modes, ks, cutoff, min_cand, log_base = payload
-    ego, forming = item
-    max_k = max(ks)
-    k_array = np.array(ks)
-    # one table per degree mode; cn reads no degree: ranked once, from the first
+    """``(reason, p)`` of one block of egos at transition ``t``: for each
+    ego, the index in ``EXCLUSIONS`` of the first reason its cell is left
+    out, or -1 when it is kept; and P@K of the kept cells, one row per
+    kept ego and one column per ((method, mode), K), pairs first."""
+    series, methods, modes, ks, cutoff, need, require_formation, log_base = payload
+    t, egos = item
+    g, nxt = series[t], series[t + 1]
+    view = _gather_block(g, egos, modes)
+    slot, n = view.cand_slot, g.n_nodes
+    n_cand = np.bincount(slot, minlength=egos.size)
+    next_slot, pos = _kernels.gather_rows(nxt.out_indptr, egos)
+    formed = _kernels.contains(next_slot * n + nxt.out_indices[pos],
+                               slot * n + view.candidates)
+    no_formed = require_formation & (np.bincount(slot[formed], minlength=egos.size) == 0)
+    # the first reason that holds, in EXCLUSIONS order
+    reason = np.select([n_cand > cutoff, no_formed, n_cand < need], range(3), -1)
+    kept = np.flatnonzero(reason < 0)
+    pairs = method_mode_pairs(methods, modes)
+    ks = np.array(ks)
+    if not kept.size:
+        return reason, np.empty((0, len(pairs) * ks.size))
+    # each kept ego's top max(ks) positions: its slot's run of a ranking
+    top = (np.cumsum(n_cand) - n_cand)[kept, None] + np.arange(ks[-1])
+    # one scoring per degree mode; cn reads no degree: ranked once, from the first
     term_methods = tuple(m for m in methods if m != METHOD_CN)
     passes = [(modes[0], methods)] + [(mode, term_methods) for mode in modes[1:] if term_methods]
-
-    cells = {}
-    excluded = dict.fromkeys(EXCLUSIONS, 0)
-    for t, (g, nxt) in enumerate(zip(series.graphs, series.graphs[1:])):
-        # settled without a gather when nothing forms and the wedge count,
-        # a bound on the candidate count, keeps the ego within the cutoff
-        if (forming is not None and not forming[t]
-                and g.sym_degree[ego_neighbors(g, ego)].sum() <= cutoff):
-            excluded[EXCLUDED_NO_FORMED] += 1
-            continue
-        view = ego_view(g, ego)
-        if view.candidates.size > cutoff:
-            # over the two-hop cutoff: drop the ego whole
-            return None, {**dict.fromkeys(EXCLUSIONS, 0),
-                          EXCLUDED_OVER_CUTOFF: len(series) - 1}
-        formed = _kernels.contains(ego_neighbors(nxt, ego), view.candidates)
-        if forming is not None and not formed.any():
-            excluded[EXCLUDED_NO_FORMED] += 1
-            continue
-        if view.candidates.size < max(min_cand, max_k):
-            excluded[EXCLUDED_TOO_FEW] += 1
-            continue
-
-        for mode, scored in passes:
-            table = score_candidates(g, ego, methods=scored, mode=mode,
-                                     log_base=log_base, view=view)
-            for m in scored:
-                order = _ranking_order(table.scores(m), table.candidates)[:max_k]
-                pair = (m, MODE_NONE if m == METHOD_CN else mode)
-                for k, p in zip(ks, _precisions(formed[order], k_array).tolist()):
-                    cells.setdefault((pair, k), []).append(p)
-    return cells, excluded
+    p = {}
+    for mode, scored in passes:
+        columns, _ = score_block(view, scored, mode, log_base)
+        for m in scored:
+            order = _ranking_order(columns[m], view.candidates, slot)
+            p[(m, MODE_NONE if m == METHOD_CN else mode)] = _precisions(formed[order[top]], ks)
+    return reason, np.hstack([p[pair] for pair in pairs])
 
 
 def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
@@ -205,40 +195,59 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     ks = validate_ks(ks)
     modes = resolve_modes(series.directed, modes)
     pairs = method_mode_pairs(methods, modes)
+    keys = [(pair, k) for pair in pairs for k in ks]
+    cutoff, n_t = int(cutoff), len(series) - 1
 
     egos = sample_egos(series, sample_size, seed)
-    # settled here, not in the workers, so no result depends on the worker count
-    forming = (_forming_cells(series, egos, sym_pool=False).tolist() if require_formation
-               else [None] * egos.size)
-    payload = (series, methods, modes, ks, int(cutoff), int(min_candidates), log_base)
-    results = map_in_order(_cell_worker, list(zip(egos.tolist(), forming)), payload,
+    forming = (_forming_cells(series, egos, sym_pool=False) if require_formation
+               else np.ones((egos.size, n_t), dtype=bool))
+    # per (transition, ego): the index in EXCLUSIONS of the reason its cell
+    # is left out, or -1 when it is kept; a settled cell has nothing formed
+    reason = np.full((n_t, egos.size), EXCLUSIONS.index(EXCLUDED_NO_FORMED))
+    blocks = []
+    for t, g in enumerate(series.graphs[:-1]):
+        sizes = _gather_sizes(g, egos)
+        gathered = np.flatnonzero(forming[:, t] | (sizes > cutoff))
+        blocks += [(t, gathered[a:b]) for a, b in _block_runs(g, sizes[gathered])]
+    payload = (series, methods, modes, ks, cutoff, max(int(min_candidates), ks[-1]),
+               bool(require_formation), log_base)
+    results = map_in_order(_cell_worker, [(t, egos[at]) for t, at in blocks], payload,
                            workers=workers)
-    per_ego = [cells for cells, _ in results]
+    cell_ego, values = [np.empty(0, dtype=np.int64)], [np.empty((0, len(keys)))]
+    for (t, at), (block_reason, p) in zip(blocks, results):
+        reason[t, at] = block_reason
+        cell_ego.append(at[block_reason < 0])
+        values.append(p)
 
-    # every key of an ego holds one value per cell of that ego
-    first = (pairs[0], ks[0])
-    kept = [cells for cells in per_ego if cells]
+    # an ego over the cutoff at some transition is dropped whole; a settled
+    # cell never is, as its candidates are at most its wedges
+    dropped = (reason == EXCLUSIONS.index(EXCLUDED_OVER_CUTOFF)).any(axis=0)
+    excluded = {r: int((reason[:, ~dropped] == i).sum()) for i, r in enumerate(EXCLUSIONS)}
+    excluded[EXCLUDED_OVER_CUTOFF] = int(dropped.sum()) * n_t
+    cell_ego, values = np.concatenate(cell_ego), np.concatenate(values)
+    cell_ego, values = cell_ego[~dropped[cell_ego]], values[~dropped[cell_ego]]
+    n_cells = np.bincount(cell_ego, minlength=egos.size)
     metadata = {
         "seed": int(seed),
         "sample_size": int(egos.size),
-        "two_hop_cutoff": int(cutoff),
+        "two_hop_cutoff": cutoff,
         "min_candidates": int(min_candidates),
         "require_formation": bool(require_formation),
-        "n_egos_contributing": len(kept),
-        "n_egos_skipped_cutoff": sum(1 for cells in per_ego if cells is None),
-        "n_cells": sum(len(cells[first]) for cells in kept),
-        "n_cells_excluded": {reason: sum(excluded[reason] for _, excluded in results)
-                             for reason in EXCLUSIONS},
+        "n_egos_contributing": int(np.count_nonzero(n_cells)),
+        "n_egos_skipped_cutoff": int(dropped.sum()),
+        "n_cells": int(n_cells.sum()),
+        "n_cells_excluded": excluded,
     }
-    if not kept:
-        raise EmptyResultError(
-            "no (ego, transition) cell met the qualification rule",
-            diagnostics=metadata,
-        )
+    if not cell_ego.size:
+        raise EmptyResultError("no (ego, transition) cell met the qualification rule",
+                               diagnostics=metadata)
 
-    pooled = pool_egos(per_ego)
+    # each ego's cells in transition order, one list per key
+    per_ego = np.split(values[np.argsort(cell_ego, kind="stable")],
+                       np.cumsum(n_cells[n_cells > 0])[:-1])
+    pooled = pool_egos(dict(zip(keys, cells.T.tolist())) for cells in per_ego)
     rows = [EvalRow(*pair, k, *pooled[(pair, k)][:2], metadata["n_cells"])
-            for pair in pairs for k in ks]
+            for pair, k in keys]
     return EvalResult(rows=rows, pairs=pairs, ks=ks, metadata=metadata)
 
 

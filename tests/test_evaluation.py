@@ -190,6 +190,7 @@ class TestEvaluate:
         one = evaluate_methods(series, ks=(1, 3), workers=1)
         two = evaluate_methods(series, ks=(1, 3), workers=2)
         assert one.rows == two.rows
+        assert one.metadata == two.metadata
 
     def test_log_base_does_not_move_precision(self):
         snaps = random_snapshots(6, 18, 0.3, False, 3)
@@ -331,6 +332,33 @@ class TestFormationFirst:
             assert min(excluded.values()) > 0
         else:
             assert excluded["no_formed_candidate"] == 0
+
+
+class TestBlockCuts:
+    """Blocks of one ego and the default blocks give the same result at
+    every worker count, with every exclusion reason in play."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kw", [
+        {},
+        dict(require_formation=False),
+        dict(cutoff=18, min_candidates=9),
+        dict(cutoff=18, min_candidates=9, require_formation=False),
+    ], ids=["default", "no-formation", "cutoff", "cutoff-no-formation"])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_one_ego_blocks_agree(self, monkeypatch, directed, kw, workers):
+        seed, n = (8, 24) if directed else (5, 30)
+        series = make_series(random_snapshots(seed, n, 0.15, directed, 4, growth=0.5), n,
+                             directed=directed)
+        modes = ("out", "in", "undirected") if directed else None
+        default = evaluate_methods(series, modes=modes, ks=(1, 3), workers=workers, **kw)
+        meta = default.metadata
+        if "cutoff" in kw:
+            assert 0 < meta["n_egos_skipped_cutoff"] < meta["sample_size"]
+        monkeypatch.setattr(ego_module, "_CHUNK", 1)
+        single = evaluate_methods(series, modes=modes, ks=(1, 3), workers=workers, **kw)
+        assert single.rows == default.rows
+        assert single.metadata == meta
 
 
 class TestImprovement:
