@@ -98,8 +98,13 @@ def validate_ks(ks):
 
 def _ranking_order(scores, candidates, slot=None):
     """Positions of ``candidates`` by descending score, ties by ascending
-    id; with ``slot``, ranked within each slot, slots in ascending order."""
-    return np.lexsort((candidates, -scores) + (() if slot is None else (slot,)))
+    id; with ``slot``, ranked within each slot, slots in ascending order.
+    With ``slot``, the candidates of each slot must already ascend, as
+    ``ego._gather_block`` yields them: the stable sort then keeps ties in
+    id order without a key for them."""
+    if slot is None:
+        return np.lexsort((candidates, -scores))
+    return np.lexsort((-scores, slot))
 
 
 def _precisions(hit, ks):

@@ -11,10 +11,20 @@ Normalization of a raw edge list:
 Step 5 runs after the sort so that normalizing an already-normalized
 list is the identity: ids, row order, and orientations all survive a
 round trip through ``write_normalized_csv`` / ``ingest_edges``.
+
+Loading reads a file once. A regular file, ``src<sep>dst<sep>time``
+lines of ASCII with one separator byte and nothing to strip, is checked
+with NumPy on its bytes and split whole; any other input goes through
+the per-line ``parse_edge_lines``, which alone numbers the line of a
+``ParseError``. A cumulative snapshot series is cut from one sort of the
+2E symmetric entries of its edges: snapshot ``i`` keeps the entries that
+hold by window ``i``, with no sort of its own.
 """
 
+import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -60,10 +70,14 @@ class TemporalEdgeList:
     def n_nodes(self):
         return len(self.labels)
 
+    @cached_property
+    def _ids(self):
+        return {label: i for i, label in enumerate(self.labels)}
+
     def id_of(self, label):
         try:
-            return self.labels.index(str(label))
-        except ValueError:
+            return self._ids[str(label)]
+        except KeyError:
             raise KeyError(f"unknown node label: {label!r}") from None
 
 
@@ -187,13 +201,80 @@ def normalize_edges(src_labels, dst_labels, times, directed=False,
     )
 
 
+#: bytes a field of a regular edge-list line may hold: printable ASCII
+#: except space, ``#`` and ``,``; every other byte of a regular body is a
+#: separator or a newline
+_FIELD_BYTE = np.zeros(256, dtype=bool)
+_FIELD_BYTE[0x21:0x7F] = True
+_FIELD_BYTE[[ord("#"), ord(",")]] = False
+_HEADER_LINE = (NORMALIZED_HEADER + "\n").encode()
+
+
+def _parse_regular(data, delimiter):
+    """``parse_edge_lines`` of a whole file's bytes when the file shows it
+    is regular, else None.
+
+    Regular is ASCII with no ``\\r``; then optional leading ``#`` comment
+    lines and a normalized-CSV header; then only lines
+    ``src<sep>dst<sep>time\\n`` of non-empty fields, ``sep`` being the
+    one byte the per-line rule splits them on (a comma when the body holds
+    one or ``delimiter`` is ``comma``, else a space); and every time reads
+    as an ``int``. Any such line reads the same under the per-line rule,
+    which splits on that separator and strips nothing.
+    """
+    if delimiter not in (None, "comma", "whitespace") or not data.isascii() or b"\r" in data:
+        return None
+    start = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1
+        if not start:
+            return None
+    if data.startswith(_HEADER_LINE, start):
+        start += len(_HEADER_LINE)
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    if not body.size or body[-1] != ord("\n"):
+        return None
+    sep = b"," if delimiter == "comma" or (
+        delimiter is None and data.find(b",", start) >= 0) else b" "
+    # each line ends in sep, sep, newline, and each field holds a byte
+    marks = np.flatnonzero(~_FIELD_BYTE[body])
+    line_end = np.frombuffer(sep + sep + b"\n", dtype=np.uint8)
+    if (marks.size % 3 or not (body[marks].reshape(-1, 3) == line_end).all()
+            or not (np.diff(marks, prepend=-1) > 1).all()):
+        return None
+    # each line's second separator and time, split apart from the labels
+    # so that the time strings are made and freed together, leaving no
+    # holes among the label strings
+    step = np.zeros(body.size, dtype=np.int8)
+    step[marks[1::3]] = 1
+    step[marks[2::3]] = -1
+    in_time = np.cumsum(step, dtype=np.int8).view(bool)
+    del step, marks
+    try:
+        times = list(map(int, str(body[in_time], "ascii").replace(",", " ").split()))
+    except ValueError:
+        return None
+    labels = str(body[~in_time], "ascii").replace(",", " ").split()
+    return labels[0::2], labels[1::2], times
+
+
 def ingest_edges(source, directed=False, delimiter=None, time_mode=TIME_MODE_TIMESTAMP,
                  missing_time=None, drop_zero_out=False):
-    """Normalize an edge list from a path, file object, or line iterable."""
+    """Normalize an edge list from a path, file object, or line iterable.
+
+    A path is read once. A regular file (``_parse_regular``) is split
+    whole; any other goes through ``parse_edge_lines``, decoded as a text
+    file would be (utf-8, universal newlines), like a file object.
+    """
+    triples = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            triples = parse_edge_lines(fh, delimiter=delimiter, missing_time=missing_time)
-    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        triples = _parse_regular(data, delimiter)
+        if triples is None:
+            source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        del data
+    if triples is None:
         triples = parse_edge_lines(source, delimiter=delimiter, missing_time=missing_time)
     edges = normalize_edges(*triples, directed=directed, time_mode=time_mode)
     if drop_zero_out:
@@ -232,11 +313,17 @@ def drop_zero_out_degree(edges):
     )
 
 
+#: rows per run of ``write_normalized_csv``: only one run's Python ints
+#: are alive at once
+_WRITE_RUN = 1 << 16
+
+
 def write_normalized_csv(edges, path):
-    rows = zip(edges.src.tolist(), edges.dst.tolist(), edges.time.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(NORMALIZED_HEADER + "\n")
-        fh.writelines(f"{s},{d},{t}\n" for s, d, t in rows)
+        for i in range(0, edges.n_edges, _WRITE_RUN):
+            rows = zip(*(a[i:i + _WRITE_RUN].tolist() for a in (edges.src, edges.dst, edges.time)))
+            fh.writelines(f"{s},{d},{t}\n" for s, d, t in rows)
 
 
 def write_label_map_csv(edges, path):
@@ -250,17 +337,41 @@ def write_label_map_csv(edges, path):
 # snapshot graphs
 
 
-def _sorted_entries(src, dst, bits=None):
-    """Row and column of each distinct entry ``src -> dst``, sorted by
-    (row, column), and ``bits``, if given, OR-ed over each entry's copies."""
-    order = np.lexsort((dst, src))
-    s = src[order]
-    d = dst[order]
-    keep = np.ones(s.size, dtype=bool)
-    keep[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
-    if bits is not None:
-        bits = np.bitwise_or.reduceat(bits[order], np.flatnonzero(keep))
-    return s[keep], d[keep], bits
+def _snapshot_entries(n_nodes, src, dst, window, n_windows, directed):
+    """The distinct symmetric entries of each cumulative snapshot
+    ``i < n_windows`` of the edges ``src -> dst``, edge ``k`` in the
+    snapshots from ``window[k]`` on, all cut from one sort of the 2E
+    entries ``(row, col)``: one ``(rows, cols, out, inn)`` per snapshot,
+    sorted by (row, col), where ``out``/``inn`` (directed only) flag the
+    entries whose ``row -> col``/``col -> row`` link holds by then.
+    ``window`` has a dtype that holds ``n_windows``."""
+    n = np.int64(n_nodes)
+    key = np.concatenate([src * n + dst, dst * n + src])
+    order = np.argsort(key)
+    key = key[order]
+    # keys are >= 0, so the -1 before them opens the first group
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    rows, cols = np.divmod(key[starts], n)
+    del key
+    window = np.concatenate([window, window])[order]
+    if directed:
+        # an entry's link row -> col holds from the first window of its
+        # copies inserted as src -> dst, the first half; col -> row from
+        # that of the others; n_windows stands for never
+        forward = order < src.size
+        first_out = np.minimum.reduceat(np.where(forward, window, n_windows), starts)
+        first_in = np.minimum.reduceat(np.where(forward, n_windows, window), starts)
+        first = np.minimum(first_out, first_in)
+        del forward
+    else:
+        first = np.minimum.reduceat(window, starts)
+    del order, window, starts
+    for i in range(n_windows):
+        held = first <= i
+        if directed:
+            yield rows[held], cols[held], first_out[held] <= i, first_in[held] <= i
+        else:
+            yield rows[held], cols[held], None, None
 
 
 def _indptr(n_nodes, rows):
@@ -301,23 +412,28 @@ class SnapshotGraph:
                  window_start=None, window_end=None):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
+        (entries,) = _snapshot_entries(n_nodes, src, dst, np.zeros(src.size, dtype=np.uint8),
+                                       1, directed)
+        self._set_entries(n_nodes, directed, index, window_start, window_end, *entries)
+
+    def _set_entries(self, n_nodes, directed, index, window_start, window_end,
+                     rows, cols, out, inn):
+        """Every array from the distinct symmetric entries ``(rows, cols)``,
+        sorted by (row, col); ``out``/``inn`` (directed only) flag the
+        entries whose ``row -> col``/``col -> row`` link exists."""
         self.n_nodes = n = int(n_nodes)
         self.directed = bool(directed)
         self.index = index
         self.window_start = window_start
         self.window_end = window_end
-        # direction bit of each entry: 1 if inserted as row -> col, 2 if
-        # inserted as col -> row; a reciprocal link's entries merge to 3
-        bits = np.repeat(np.array([1, 2], dtype=np.int8), src.size) if directed else None
-        rows, self.sym_indices, bits = _sorted_entries(
-            np.concatenate([src, dst]), np.concatenate([dst, src]), bits)
-        self.sym_indptr = _indptr(n, rows)
-        self._sym_config = 1 + (bits >> 1) - (bits & 1) if directed else None
+        self.sym_indptr, self.sym_indices = _indptr(n, rows), cols
         if directed:
-            out, inn = bits != 2, bits != 1
-            self.out_indptr, self.out_indices = _indptr(n, rows[out]), self.sym_indices[out]
-            self.in_indptr, self.in_indices = _indptr(n, rows[inn]), self.sym_indices[inn]
+            # 0 for row -> col only, 1 reciprocal, 2 col -> row only
+            self._sym_config = inn.astype(np.int8) - out + 1
+            self.out_indptr, self.out_indices = _indptr(n, rows[out]), cols[out]
+            self.in_indptr, self.in_indices = _indptr(n, rows[inn]), cols[inn]
         else:
+            self._sym_config = None
             self.out_indptr, self.out_indices = self.sym_indptr, self.sym_indices
             self.in_indptr, self.in_indices = self.sym_indptr, self.sym_indices
         self.out_degree = np.diff(self.out_indptr)
@@ -462,18 +578,15 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
         )
         n = starts.size
 
-    # snapshot i holds the first ends[i] edges in window order
     new_counts = np.bincount(idx, minlength=n)
-    ends = np.cumsum(new_counts)
-    order = np.argsort(idx, kind="stable")
-    src, dst = edges.src[order], edges.dst[order]
-    graphs = [
-        SnapshotGraph(
-            edges.n_nodes, src[:end], dst[:end], edges.directed,
-            index=i, window_start=int(starts[i]), window_end=int(starts[i]) + width,
-        )
-        for i, end in enumerate(ends.tolist())
-    ]
+    window = idx.astype(np.min_scalar_type(n))
+    graphs = []
+    for i, entries in enumerate(_snapshot_entries(
+            edges.n_nodes, edges.src, edges.dst, window, n, edges.directed)):
+        g = SnapshotGraph.__new__(SnapshotGraph)
+        start = int(starts[i])
+        g._set_entries(edges.n_nodes, edges.directed, i, start, start + width, *entries)
+        graphs.append(g)
     new_counts.setflags(write=False)
     return SnapshotSeries(
         graphs=graphs,

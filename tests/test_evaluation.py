@@ -43,6 +43,10 @@ class TestRanking:
         assert ranked.ranking.tolist() == [3, 9, 5]
         assert ranked.method == "cn"
 
+    def test_ties_break_by_id_when_candidates_unsorted(self):
+        ranked = rank_candidates(_table([9, 3], [1.0, 1.0]))
+        assert ranked.ranking.tolist() == [3, 9]
+
     def test_needs_single_method(self):
         t = ScoreTable(ego=0, mode="none",
                        candidates=np.array([1], dtype=np.int64),

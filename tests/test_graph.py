@@ -104,6 +104,15 @@ class TestNormalization:
         with pytest.raises(KeyError):
             edges.id_of("zzz")
 
+    def test_id_of_every_label(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_text("".join(f"n{i} n{(7 * i) % 40} {i % 9}\n" for i in range(1, 60)))
+        edges = ingest_edges(path)
+        assert [edges.id_of(label) for label in edges.labels] == list(range(edges.n_nodes))
+        assert edges.id_of(edges.labels[3]) == 3
+        with pytest.raises(KeyError, match="unknown node label: 'zzz'"):
+            edges.id_of("zzz")
+
     def test_times_sorted(self):
         edges = _ingest(["a,b,10", "c,d,1", "e,f,5"])
         assert edges.time.tolist() == [1, 5, 10]

@@ -1,5 +1,6 @@
-"""The load path: normalization against a reference, frozen CLI bytes,
-snapshot prefixes over unsorted input, and read-only graphs after pickling."""
+"""The load path: normalization against a reference, the whole-file parse
+against the per-line parser, frozen CLI bytes, snapshot prefixes over
+unsorted input, and read-only graphs after pickling."""
 
 import hashlib
 import pickle
@@ -9,13 +10,17 @@ import pytest
 
 import oracles
 
+from egolink import graph as graph_module
 from egolink.cli import main
+from egolink.errors import ParseError
 from egolink.graph import (
     SnapshotGraph,
     TemporalEdgeList,
     assign_windows,
     build_snapshots,
+    ingest_edges,
     normalize_edges,
+    parse_edge_lines,
 )
 
 from conftest import make_graph
@@ -58,6 +63,74 @@ class TestNormalizeOracle:
         assert edges.n_edges == 0 and edges.labels == ()
 
 
+def _rows_text(seed, sep):
+    return "".join(f"{s}{sep}{d}{sep}{t}\n" for s, d, t in _raw_rows(seed))
+
+
+#: (id, file bytes, ingest keywords, whether the whole-file parse takes it)
+FILES = [
+    ("normalized", b"src_id,dst_id,time\n0,1,3\n2,0,1\n1,2,1\n", {}, True),
+    ("normalized-directed", b"src_id,dst_id,time\n0,1,3\n1,0,1\n", dict(directed=True), True),
+    ("raw-comma", _rows_text(4, ",").encode(), {}, True),
+    ("raw-comma-directed", _rows_text(5, ",").encode(), dict(directed=True), True),
+    ("single-space", _rows_text(6, " ").encode(), {}, True),
+    ("single-space-forced", b"a b 1\nb c 2\n", dict(delimiter="whitespace"), True),
+    ("comma-forced", b"a,b,1\nb,c,2\n", dict(delimiter="comma"), True),
+    ("leading-comment", b"# src dst time\n# more\nsrc_id,dst_id,time\na b 1\n", {}, True),
+    ("index-times", b"a,b,0\nb,c,2\nc,a,1\n", dict(time_mode="index"), True),
+    ("comment-after-data", b"a,b,1\n# mid\nb,c,2\n", {}, False),
+    ("comment-with-separators", b"a,b,1\n#c,d,2\n", {}, False),
+    ("cr-in-comment", b"# x\ry z 1\na b 3\n", {}, False),
+    ("blank-lines", b"a,b,1\n\nb,c,2\n", {}, False),
+    ("crlf", b"a,b,1\r\nb,c,2\r\n", {}, False),
+    ("tabs", b"a\tb\t1\nb\tc\t2\n", {}, False),
+    ("spaces-around-commas", b"a , b , 1\nb,c,2\n", {}, False),
+    ("comma-labels-forced-whitespace", b"a,x b 1\n", dict(delimiter="whitespace"), False),
+    ("spaces-forced-comma", b"a b 1\n", dict(delimiter="comma"), False),
+    ("extra-fields", b"a,b,1,x\nb,c,2\n", {}, False),
+    ("missing-time", b"a,b,1\nb,c,\\N\nc,d,\n", dict(missing_time=0), False),
+    ("missing-time-unset", b"a,b,1\nb,c,\\N\n", {}, False),
+    ("empty-field", b"a,,1\n", {}, False),
+    ("non-ascii-label", "\u00e4,b,1\nb,c,2\n".encode(), {}, False),
+    ("bad-time-line-3", b"a,b,1\nb,c,2\nc,d,x\n", {}, False),
+    ("signed-times", b"a,b,+1\nb,c,-2\nc,d,1_0\n", {}, True),
+    ("no-final-newline", b"a,b,1\nb,c,2", {}, False),
+    ("partial-last-line", b"a,b,1\nbc", {}, False),
+    ("empty", b"", {}, False),
+    ("header-only", b"src_id,dst_id,time\n", {}, False),
+    ("comment-only", b"# nothing", {}, False),
+    ("unknown-delimiter", b"a,b,1\n", dict(delimiter="pipe"), False),
+    ("bad-utf8", b"a,b,1\n\xff,c,2\n", {}, False),
+]
+
+
+def _outcome(load):
+    try:
+        edges = load()
+    except Exception as exc:
+        return type(exc), getattr(exc, "lineno", None) if isinstance(exc, ParseError) else None
+    return (edges.src.tolist(), edges.dst.tolist(), edges.time.tolist(), edges.labels,
+            edges.directed, edges.time_mode)
+
+
+class TestRegularParse:
+    @pytest.mark.parametrize("data, kwargs, regular", [f[1:] for f in FILES],
+                             ids=[f[0] for f in FILES])
+    def test_matches_per_line_parser(self, tmp_path, data, kwargs, regular):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(data)
+        parse_kw = {k: v for k, v in kwargs.items() if k in ("delimiter", "missing_time")}
+        norm_kw = {k: v for k, v in kwargs.items() if k not in parse_kw}
+
+        def per_line():
+            with open(path, encoding="utf-8") as fh:
+                return normalize_edges(*parse_edge_lines(fh, **parse_kw), **norm_kw)
+
+        assert _outcome(lambda: ingest_edges(path, **kwargs)) == _outcome(per_line)
+        taken = graph_module._parse_regular(data, kwargs.get("delimiter")) is not None
+        assert taken == regular
+
+
 class TestFrozenLoad:
     # recorded before the load path was vectorized; every byte must survive
     @pytest.mark.parametrize("argv, names, digest", [
@@ -83,33 +156,48 @@ class TestFrozenLoad:
         assert h.hexdigest() == digest
 
 
-def _unsorted_edges(seed, directed):
+#: links added to a seeded list: a pair written twice, in the first and
+#: the last window, and a reciprocal pair whose directions land there
+_CRAFTED = {
+    "duplicate": ([0, 0], [1, 1], [2, 90]),
+    "reciprocal": ([2, 3], [3, 2], [5, 80]),
+}
+
+
+def _unsorted_edges(case, directed):
+    seed = case if isinstance(case, int) else 0
     rng = np.random.default_rng(seed)
     n_nodes, n_edges = 30, 200
     src = rng.integers(0, n_nodes, n_edges)
     dst = (src + rng.integers(1, n_nodes, n_edges)) % n_nodes
     time = rng.integers(0, 100, n_edges)
     assert np.any(np.diff(time) < 0)
+    if case in _CRAFTED:
+        src, dst, time = (np.concatenate([a, b]) for a, b in zip((src, dst, time), _CRAFTED[case]))
     return TemporalEdgeList(src=src, dst=dst, time=time,
                             labels=tuple(str(i) for i in range(n_nodes)),
                             directed=directed)
 
 
 class TestPrefixSnapshots:
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", [0, 1, 2, *_CRAFTED])
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("policy", [dict(window_length=13), dict(fixed_count=5)])
-    def test_unsorted_times_match_window_masks(self, seed, directed, policy):
-        edges = _unsorted_edges(seed, directed)
+    def test_unsorted_times_match_window_masks(self, case, directed, policy):
+        edges = _unsorted_edges(case, directed)
         series = build_snapshots(edges, **policy)
         idx, starts, _ = assign_windows(edges.time, **policy)
         assert len(series) == starts.size
+        names = ["out_indptr", "out_indices", "in_indptr", "in_indices", "sym_indptr",
+                 "sym_indices", "out_degree", "in_degree", "sym_degree"]
+        if directed:
+            names.append("sym_config")
         for i, g in enumerate(series.graphs):
             mask = idx <= i
             want = SnapshotGraph(edges.n_nodes, edges.src[mask], edges.dst[mask], directed)
-            for name in ("out_indptr", "out_indices", "in_indptr", "in_indices",
-                         "sym_indptr", "sym_indices"):
-                assert getattr(g, name).tolist() == getattr(want, name).tolist()
+            for name in names:
+                assert getattr(g, name).tolist() == getattr(want, name).tolist(), name
+            assert g.n_edges == want.n_edges
             assert int(series.new_edges[i]) == int((idx == i).sum())
 
     def test_unsorted_preassigned(self):
