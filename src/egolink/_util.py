@@ -1,5 +1,5 @@
-"""Small shared helpers: float formatting, the ego pooling rule, and the
-CSV/JSON table writers every pipeline output goes through."""
+"""Small shared helpers: float formatting, the ego pooling rule of cell
+arrays, and the CSV/JSON table writers every pipeline output goes through."""
 
 import json
 import math
@@ -27,36 +27,30 @@ def mean_and_stderr(values):
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
-def pool_egos(per_ego):
-    """Pool cell values across egos: ``{key: (mean, stderr, n_egos)}``.
+def pool_egos(ego, values):
+    """Pool cell values across egos: one ``(mean, stderr, n_egos)`` per column.
 
-    ``per_ego`` yields, one ego at a time in ascending ego order, a dict
-    ``{key: [value per usable cell, in transition order]}``; None or an
-    empty dict is an ego without usable cells. Each ego's cells average
-    first, so an ego weighs the same however many cells it has. Per key,
-    those per-ego means then average in ego order across the ``n_egos``
-    egos that have the key, and their spread across egos gives the
-    standard error (``mean_and_stderr``). Keys come out in the order
-    they are first seen.
+    Row ``i`` of the float (cells x columns) matrix ``values`` is a usable
+    cell of ego ``ego[i]``. Each ego's rows are in transition order; rows
+    of different egos may interleave, as a transition-major fan-out emits
+    them. Each ego's cells average first, so an ego weighs the same however
+    many cells it has; per column, the per-ego means then average in
+    ascending ego order, and their spread gives the standard error
+    (``mean_and_stderr``). Callers pass only the egos that have the column.
 
-    The (ego, key) value lists are grouped by length, and each group's
-    means are one row-wise mean of a C-contiguous matrix, which sums
-    each row as ``np.mean`` sums that row alone (a strided or
+    Egos with equally many cells form a group, whose means are one mean
+    over the last axis of a C-contiguous (egos, columns, cells) array: it
+    sums each ego's column as ``np.mean`` sums it alone (a strided or
     Fortran-order reduction does not).
     """
-    keys, entry_key, groups = {}, [], {}  # entry_key: key id of each (ego, key) list
-    for cells in per_ego:
-        for key, values in (cells or {}).items():
-            groups.setdefault(len(values), []).append((len(entry_key), values))
-            entry_key.append(keys.setdefault(key, len(keys)))
-    means = np.empty(len(entry_key))
-    for group in groups.values():
-        entries, rows = zip(*group)
-        means[list(entries)] = np.array(rows, dtype=np.float64).mean(axis=1)
-    # each key's per-ego means, still in ego order
-    per_key = np.split(means[np.argsort(entry_key, kind="stable")],
-                       np.cumsum(np.bincount(entry_key))[:-1])
-    return {key: (*mean_and_stderr(m), m.size) for key, m in zip(keys, per_key)}
+    order = np.argsort(ego, kind="stable")
+    _, start, count = np.unique(ego[order], return_index=True, return_counts=True)
+    means = np.empty((start.size, values.shape[1]))
+    for c in np.unique(count):
+        at = np.flatnonzero(count == c)
+        cells = values[order[start[at, None] + np.arange(c)]]  # (egos, cells, columns)
+        means[at] = np.ascontiguousarray(cells.transpose(0, 2, 1)).mean(axis=-1)
+    return [(*mean_and_stderr(m), m.size) for m in np.ascontiguousarray(means.T)]
 
 
 def csv_field(text):

@@ -67,7 +67,7 @@ from .graph import (
 from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_candidates, validate_methods
 
 SECONDS_PER_DAY = 86_400
-_MAX_WINDOW = int(np.iinfo(np.int64).max)  # window lengths are int64 time units
+_MAX_WINDOW = int(np.iinfo(np.int64).max)  # times and window lengths are int64 time units
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -99,6 +99,11 @@ def _one_of(*choices):
         if value not in choices:
             raise ConfigError(f"expected {' or '.join(map(repr, choices))}, got {value!r}")
     return check
+
+
+def _in_int64(value):
+    if not -_MAX_WINDOW - 1 <= value <= _MAX_WINDOW:
+        raise ConfigError(f"{value} is outside int64")
 
 
 def _window_length(units):
@@ -141,7 +146,8 @@ class RunConfig:
                           "third column semantics: 'timestamp' or 'index'",
                           _one_of(TIME_MODE_TIMESTAMP, TIME_MODE_INDEX))
     missing_time: int | None = _opt(None, "int",
-                                    "timestamp substituted for blank or \\N time fields")
+                                    "timestamp substituted for blank or \\N time fields",
+                                    _in_int64)
     drop_zero_out: bool = _opt(False, "bool",
                                "drop nodes that never appear as a source (directed only)")
     window_days: float | None = _opt(None, "float", "snapshot window length in days",

@@ -94,23 +94,19 @@ def common_neighbors(graph, u, v):
     return _kernels.intersect_values(ego_neighbors(graph, u), graph.neighbors(v))
 
 
-def _pd_context(graph, u, mode):
-    """(anchor set, adjacency indptr, adjacency indices) for a mode."""
-    validate_mode(mode, graph.directed)
-    if mode == MODE_OUT:
-        return graph.successors(u), graph.out_indptr, graph.out_indices
-    if mode == MODE_IN:
-        return graph.successors(u), graph.in_indptr, graph.in_indices
-    return graph.neighbors(u), graph.sym_indptr, graph.sym_indices
-
-
 def personalized_degrees(graph, u, targets, mode):
     """Personalized degree of each target node w.r.t. ego ``u``, read
     from the targets' own out, in or symmetric rows; ``gathered_pd``
     reads the same counts from a gather of symmetric rows already held.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    anchor, indptr, indices = _pd_context(graph, u, mode)
+    validate_mode(mode, graph.directed)
+    if mode == MODE_OUT:
+        anchor, indptr, indices = graph.successors(u), graph.out_indptr, graph.out_indices
+    elif mode == MODE_IN:
+        anchor, indptr, indices = graph.successors(u), graph.in_indptr, graph.in_indices
+    else:
+        anchor, indptr, indices = graph.neighbors(u), graph.sym_indptr, graph.sym_indices
     return _kernels.row_intersect_sizes(indptr, indices, anchor, targets)
 
 

@@ -7,8 +7,9 @@ neighbors ``z`` of ``log(degree(z) + 1)``, once with global and once
 with personalized degrees; the two groups average those per-candidate
 means. A transition counts for an ego only when both groups are
 non-empty, so formed and not-formed aggregates always cover identical
-(ego, snapshot) cells. Usable cells pool across egos by the rule of
-``_util.pool_egos``.
+(ego, snapshot) cells. A usable cell is one row of values, one column per
+(mode, group, degree kind); per triad key, the rows pool across egos as
+one array by the rule of ``_util.pool_egos``.
 
 A per-triad cell (directed graphs) is the plain cell with the pool and
 the wedges narrowed by link config (``SnapshotGraph.sym_config``). One
@@ -192,29 +193,24 @@ def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, exclu
 
 
 def _ego_worker(payload, item):
-    """``(cells, excluded)`` of one ego: ``{(triad, mode, group, kind):
-    [value per usable cell]}`` and its cells counted per reason of
-    exclusion. ``item`` is the ego and its row of ``ego._forming_cells``:
-    a False cell has no formed candidate."""
+    """``(triad, values, excluded)`` of one ego: for each usable cell, in
+    transition order, its index in the triad keys and its row of values,
+    ordered as ``product(modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED))``;
+    and its gathered cells counted per reason of exclusion. ``item`` is the
+    ego and the transitions ``ego._forming_cells`` marked for it."""
     series, per_triad, modes = payload
-    ego, forming = item
-    n_keys = len(TriadType) if per_triad else 1
-    cells = {}
+    ego, transitions = item
+    triad, values = [], []
     excluded = dict.fromkeys(EXCLUSIONS, 0)
-    for t in range(len(series) - 1):
-        if not forming[t]:
-            excluded[EXCLUDED_NO_FORMED] += n_keys
-            continue
+    for t in transitions:
         stats_t = ego_snapshot_stats(series, t, ego, per_triad=per_triad, degree_modes=modes,
                                      excluded=excluded)
-        for triad, cell in stats_t.items():
-            for mode, groups in (cell or {}).items():
-                for group, stats in groups.items():
-                    cells.setdefault((triad, mode, group, KIND_GLOBAL), []).append(
-                        stats.mean_log_global)
-                    cells.setdefault((triad, mode, group, KIND_PERSONALIZED), []).append(
-                        stats.mean_log_personalized)
-    return cells, excluded
+        for i, cell in enumerate(stats_t.values()):
+            if cell is not None:
+                triad.append(i)
+                values.append([v for m in modes for g in GROUPS for v in
+                               (cell[m][g].mean_log_global, cell[m][g].mean_log_personalized)])
+    return triad, values, excluded
 
 
 def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, workers=1):
@@ -235,25 +231,27 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
     series[0]._check_node(int(egos[-1]))
 
     # settled here, not in the workers, so no result depends on the worker count
-    forming = _forming_cells(series, egos, sym_pool=per_triad).tolist()
-    results = map_in_order(_ego_worker, list(zip(egos.tolist(), forming)),
+    forming = _forming_cells(series, egos, sym_pool=per_triad)
+    results = map_in_order(_ego_worker, list(zip(egos.tolist(), map(np.flatnonzero, forming))),
                            (series, per_triad, modes), workers=workers)
-    per_ego = [cells for cells, _ in results]
-    pooled = pool_egos(per_ego)
     triad_keys = list(TriadType) if per_triad else [None]
-    keys = product(triad_keys, modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED))
-    rows = [EmpiricalRow(triad, group, kind, mode, *pooled[(triad, mode, group, kind)])
-            for triad, mode, group, kind in keys if (triad, mode, group, kind) in pooled]
+    ego = np.repeat(egos, [len(t) for t, _, _ in results])
+    triad = np.array([i for t, _, _ in results for i in t], dtype=np.int64)
+    columns = list(product(modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED)))
+    values = np.array([row for _, v, _ in results for row in v])
+    rows = []
+    for i in np.unique(triad):
+        at = triad == i
+        rows += [EmpiricalRow(triad_keys[i], group, kind, mode, *pooled)
+                 for (mode, group, kind), pooled in zip(columns, pool_egos(ego[at], values[at]))]
+    excluded = {reason: sum(e[reason] for _, _, e in results) for reason in EXCLUSIONS}
+    excluded[EXCLUDED_NO_FORMED] += int((~forming).sum()) * len(triad_keys)
     diagnostics = {
         "n_egos_requested": int(egos.size),
-        "n_egos_contributing": sum(1 for cells in per_ego if cells),
+        "n_egos_contributing": int(np.unique(ego).size),
         "n_transitions": len(series) - 1,
-        # one value per usable cell under each key of a cell
-        "n_cells": sum(len(values) for cells in per_ego
-                       for (_, mode, group, kind), values in cells.items()
-                       if (mode, group, kind) == (modes[0], GROUP_FORMED, KIND_GLOBAL)),
-        "n_cells_excluded": {reason: sum(excluded[reason] for _, excluded in results)
-                             for reason in EXCLUSIONS},
+        "n_cells": int(ego.size),
+        "n_cells_excluded": excluded,
     }
     if not rows:
         raise EmptyResultError(

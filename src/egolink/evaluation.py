@@ -4,9 +4,10 @@ snapshot.
 A cell is one (ego, transition) pair. By default a cell qualifies when
 the ego has at least ``max(ks)`` candidates and at least one next-
 snapshot formation; the identical cell set feeds every method, so
-method columns are directly comparable. Cell values pool across egos by
-the rule of ``_util.pool_egos``. Egos whose candidate set ever exceeds
-the two-hop cutoff are dropped whole and reported.
+method columns are directly comparable. The kept cells' P@K array (a
+column per ((method, mode), K)) pools across egos by the rule of
+``_util.pool_egos``. Egos whose candidate set ever exceeds the two-hop
+cutoff are dropped whole and reported.
 
 Cells are settled from the new edges first: before any ego gather,
 ``ego._forming_cells`` marks, in one whole-array pass per transition,
@@ -231,28 +232,23 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     excluded[EXCLUDED_OVER_CUTOFF] = int(dropped.sum()) * n_t
     cell_ego, values = np.concatenate(cell_ego), np.concatenate(values)
     cell_ego, values = cell_ego[~dropped[cell_ego]], values[~dropped[cell_ego]]
-    n_cells = np.bincount(cell_ego, minlength=egos.size)
     metadata = {
         "seed": int(seed),
         "sample_size": int(egos.size),
         "two_hop_cutoff": cutoff,
         "min_candidates": int(min_candidates),
         "require_formation": bool(require_formation),
-        "n_egos_contributing": int(np.count_nonzero(n_cells)),
+        "n_egos_contributing": int(np.unique(cell_ego).size),
         "n_egos_skipped_cutoff": int(dropped.sum()),
-        "n_cells": int(n_cells.sum()),
+        "n_cells": int(cell_ego.size),
         "n_cells_excluded": excluded,
     }
     if not cell_ego.size:
         raise EmptyResultError("no (ego, transition) cell met the qualification rule",
                                diagnostics=metadata)
 
-    # each ego's cells in transition order, one list per key
-    per_ego = np.split(values[np.argsort(cell_ego, kind="stable")],
-                       np.cumsum(n_cells[n_cells > 0])[:-1])
-    pooled = pool_egos(dict(zip(keys, cells.T.tolist())) for cells in per_ego)
-    rows = [EvalRow(*pair, k, *pooled[(pair, k)][:2], metadata["n_cells"])
-            for pair, k in keys]
+    rows = [EvalRow(*pair, k, mean, stderr, metadata["n_cells"])
+            for (pair, k), (mean, stderr, _) in zip(keys, pool_egos(cell_ego, values))]
     return EvalResult(rows=rows, pairs=pairs, ks=ks, metadata=metadata)
 
 

@@ -22,7 +22,6 @@ hold by window ``i``, with no sort of its own.
 """
 
 import io
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -40,6 +39,9 @@ TIME_MODE_INDEX = "index"
 
 #: timestamp field values treated as missing when a fill is configured
 _MISSING_TIMES = ("", r"\N")
+
+#: the range of a timestamp, which is an int64 from parsing on
+_INT64 = np.iinfo(np.int64)
 
 #: cap on the edges stored across a whole cumulative snapshot series,
 #: each edge counted once per snapshot that holds it; windowing fails
@@ -105,7 +107,7 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
     Lines may carry extra trailing fields, which are ignored. A leading
     normalized-CSV header line is skipped. ``missing_time``, when
     given, substitutes for empty or ``\\N`` timestamp fields; otherwise
-    those raise :class:`ParseError`.
+    those raise :class:`ParseError`, as does a time outside int64.
     """
     if delimiter not in (None, "comma", "whitespace"):
         raise ConfigError(f"unknown delimiter {delimiter!r}")
@@ -136,6 +138,8 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
                 tv = int(t)
             except ValueError:
                 raise ParseError(lineno, f"bad timestamp {t!r}") from None
+        if not _INT64.min <= tv <= _INT64.max:
+            raise ParseError(lineno, f"timestamp {tv} is outside int64")
         src_labels.append(s)
         dst_labels.append(d)
         times.append(tv)
@@ -219,8 +223,8 @@ def _parse_regular(data, delimiter):
     ``src<sep>dst<sep>time\\n`` of non-empty fields, ``sep`` being the
     one byte the per-line rule splits them on (a comma when the body holds
     one or ``delimiter`` is ``comma``, else a space); and every time reads
-    as an ``int``. Any such line reads the same under the per-line rule,
-    which splits on that separator and strips nothing.
+    as an ``int`` within int64. Any such line reads the same under the
+    per-line rule, which splits on that separator and strips nothing.
     """
     if delimiter not in (None, "comma", "whitespace") or not data.isascii() or b"\r" in data:
         return None
@@ -251,8 +255,9 @@ def _parse_regular(data, delimiter):
     in_time = np.cumsum(step, dtype=np.int8).view(bool)
     del step, marks
     try:
-        times = list(map(int, str(body[in_time], "ascii").replace(",", " ").split()))
-    except ValueError:
+        times = np.fromiter(map(int, str(body[in_time], "ascii").replace(",", " ").split()),
+                            dtype=np.int64)
+    except (ValueError, OverflowError):
         return None
     labels = str(body[~in_time], "ascii").replace(",", " ").split()
     return labels[0::2], labels[1::2], times
@@ -533,14 +538,17 @@ def assign_windows(times, window_length=None, fixed_count=None):
         width = int(window_length)
         if width <= 0:
             raise ConfigError(f"window length must be positive, got {window_length}")
-        n = math.ceil(span / width)
+        n = -(-span // width)
         what = f"window length {width}"
     else:
         n = int(fixed_count)
         if n <= 0:
             raise ConfigError(f"window count must be positive, got {fixed_count}")
-        width = math.ceil(span / n)
+        width = -(-span // n)
         what = f"window count {n}"
+    if span - 1 > _INT64.max or width > _INT64.max:
+        raise ConfigError(f"{what} over times {t_min}..{t_max} needs window "
+                          f"arithmetic beyond int64")
     idx = (times - t_min) // width
     _check_cumulative_edges(idx, n, what)
     starts = t_min + width * np.arange(n, dtype=np.int64)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from egolink import graph as graph_module
+from egolink.cli import main
 from egolink.ego import EdgeConfig
 from egolink.errors import ConfigError, ParseError, PreconditionError
 from egolink.graph import (
@@ -192,6 +193,32 @@ class TestWindows:
             assign_windows(np.array([0, 10**15]), window_length=1)
         with pytest.raises(ConfigError, match="window count"):
             assign_windows(np.array([0, 10**15]), fixed_count=10**9)
+
+    def test_window_count_exact_above_2_pow_53(self):
+        # a float ceiling makes one window of span 10**16 + 1: the newest
+        # edge would land in window 1, held by no snapshot
+        idx, starts, width = assign_windows(np.array([0, 5, 10**16]), window_length=10**16)
+        assert idx.tolist() == [0, 0, 1] and starts.tolist() == [0, 10**16]
+        series = build_snapshots(_ingest(["a,b,0", "b,c,5", f"c,d,{2**53}"]), fixed_count=1)
+        assert [g.n_edges for g in series.graphs] == [3]
+        assert series.new_edges.tolist() == [3]
+        assert series[0].window_end == 2**53 + 1
+
+    def test_cli_keeps_newest_edges(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"a,b,0\nb,c,5\nc,d,{10**16}\n")
+        out = tmp_path / "out"
+        assert main(["snapshots", "--input", str(raw), "--window-seconds", str(10**16),
+                     "--output-dir", str(out)]) == 0
+        rows = (out / "snapshots.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["2", "3"]
+
+    @pytest.mark.parametrize("policy, key", [(dict(fixed_count=2), "window count 2"),
+                                             (dict(window_length=2**62), "window length")])
+    def test_span_beyond_int64_refused(self, policy, key):
+        times = np.array([-2**63, 2**63 - 1])
+        with pytest.raises(ConfigError, match=f"{key} .* beyond int64"):
+            assign_windows(times, **policy)
 
     def test_cumulative_edges_capped(self, monkeypatch):
         # 3 windows holding 3 + 2 + 1 edges: 6 cumulative edges in total

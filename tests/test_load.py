@@ -93,6 +93,8 @@ FILES = [
     ("empty-field", b"a,,1\n", {}, False),
     ("non-ascii-label", "\u00e4,b,1\nb,c,2\n".encode(), {}, False),
     ("bad-time-line-3", b"a,b,1\nb,c,2\nc,d,x\n", {}, False),
+    ("time-outside-int64", b"a,b,1\nb,c,9223372036854775808\n", {}, False),
+    ("times-at-int64-ends", b"a,b,-9223372036854775808\nb,c,9223372036854775807\n", {}, True),
     ("signed-times", b"a,b,+1\nb,c,-2\nc,d,1_0\n", {}, True),
     ("no-final-newline", b"a,b,1\nb,c,2", {}, False),
     ("partial-last-line", b"a,b,1\nbc", {}, False),
@@ -129,6 +131,31 @@ class TestRegularParse:
         assert _outcome(lambda: ingest_edges(path, **kwargs)) == _outcome(per_line)
         taken = graph_module._parse_regular(data, kwargs.get("delimiter")) is not None
         assert taken == regular
+
+
+class TestInt64Times:
+    """A time outside int64 is a malformed line, named by its number."""
+
+    @pytest.mark.parametrize("data", [
+        b"a b 1\nb c 99999999999999999999\n",  # regular: the whole-file parse falls back
+        b"a,b,1\nb,c,-9223372036854775809\n",
+        b"a\tb\t1\nb\tc\t9223372036854775808\n",  # irregular: per-line parse only
+    ], ids=["regular-space", "regular-comma", "irregular"])
+    def test_time_outside_int64(self, tmp_path, data):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="line 2: timestamp .* is outside int64"):
+            ingest_edges(path)
+
+    def test_missing_time_outside_int64(self):
+        with pytest.raises(ParseError, match="line 2: timestamp .* is outside int64"):
+            parse_edge_lines(["a,b,1", "b,c,\\N"], missing_time=2**63)
+
+    def test_cli_names_the_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(b"a b 1\nb c 99999999999999999999\n")
+        assert main(["ingest", "--input", str(raw), "--output-dir", str(tmp_path / "out")]) == 1
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestFrozenLoad:

@@ -17,6 +17,7 @@ CHECKED = [f.name for f in dataclasses.fields(RunConfig) if f.metadata["check"]]
 BAD_VALUES = {
     "delimiter": "pipe",
     "time_mode": "hourly",
+    "missing_time": "9223372036854775808",
     "window_days": "0",
     "window_seconds": "0",
     "window_count": "0",

@@ -6,62 +6,68 @@ import pytest
 from egolink._util import mean_and_stderr, pool_egos
 
 
+def _reference_pool(ego, values):
+    """The pooling rule written out: per column, one ``np.mean`` per ego
+    over its rows in the order given, then ``mean_and_stderr`` across the
+    egos in ascending ego order."""
+    ego, values = np.asarray(ego), np.asarray(values, dtype=np.float64)
+    out = []
+    for column in values.T:
+        means = [float(np.mean(column[ego == e])) for e in np.unique(ego)]
+        out.append((*mean_and_stderr(means), len(means)))
+    return out
+
+
+def _ragged_cells(rng, n_egos, n_columns):
+    """Ragged egos, each with 1-300 cells over six decades of values, as
+    (ego, transition, values) rows sorted by ego; ego ids are not dense."""
+    counts = np.array([int(rng.choice([1, 2, 3, 7, 8, 9, 64, 129, 300])) if rng.random() < 0.5
+                       else int(rng.integers(1, 301)) for _ in range(n_egos)])
+    ego = np.repeat(np.sort(rng.choice(10 * n_egos, n_egos, replace=False)), counts)
+    transition = np.arange(ego.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ego, transition, 10.0 ** rng.uniform(-3.0, 3.0, (ego.size, n_columns))
+
+
+def _transition_major(ego, transition, values):
+    """The same rows, transition-major as the cell stages emit them: each
+    ego's rows stay in transition order, different egos interleave."""
+    order = np.lexsort((ego, transition))
+    return ego[order], values[order]
+
+
 def test_keeps_ego_order_and_counts_egos_per_key():
-    pooled = pool_egos([{"a": [1.0, 3.0], "b": [5.0]}, None, {}, {"a": [4.0]}])
-    assert list(pooled) == ["a", "b"]
-    mean, stderr, n_egos = pooled["a"]
-    assert (mean, n_egos) == (3.0, 2)  # per-ego means 2.0 and 4.0
+    # egos 4 and 2 given out of order; per-ego means 2.0 (ego 2) and 4.0
+    mean, stderr, n_egos = pool_egos(np.array([4, 2, 2]), np.array([[4.0], [1.0], [3.0]]))[0]
+    assert (mean, n_egos) == (3.0, 2)
     assert stderr == pytest.approx(1.0)
-    assert pooled["b"] == (5.0, 0.0, 1)  # one ego: standard error 0.0
+    # a column only one ego has is pooled from that ego alone: standard error 0.0
+    assert pool_egos(np.array([7]), np.array([[5.0]])) == [(5.0, 0.0, 1)]
+    assert pool_egos(np.array([7, 7]), np.array([[5.0], [6.0]])) == [(5.5, 0.0, 1)]
 
 
-def test_first_seen_key_order():
-    pooled = pool_egos([{"b": [1.0]}, {"a": [2.0], "b": [3.0]}])
-    assert list(pooled) == ["b", "a"]
-    assert pooled["b"][2] == 2 and pooled["a"][2] == 1
+def test_columns_keep_their_order():
+    pooled = pool_egos(np.array([0, 1]), np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]))
+    assert [mean for mean, _, _ in pooled] == [2.0, 3.0, 4.0]
+    assert all(n_egos == 2 for _, _, n_egos in pooled)
 
 
 def test_bitwise_equal_to_mean_of_means():
     rng = np.random.default_rng(3)
-    per_ego = [{"k": list(rng.random(rng.integers(1, 9)) * 10.0 ** rng.integers(-3, 4))}
-               for _ in range(40)]
-    means = [float(np.mean(cells["k"])) for cells in per_ego]
-    assert pool_egos(per_ego)["k"] == (*mean_and_stderr(means), 40)
+    cells = [rng.random(rng.integers(1, 9)) * 10.0 ** rng.integers(-3, 4) for _ in range(40)]
+    means = [float(np.mean(c)) for c in cells]
+    ego = np.repeat(np.arange(40), [c.size for c in cells])
+    assert pool_egos(ego, np.concatenate(cells)[:, None]) == [(*mean_and_stderr(means), 40)]
 
 
-def _reference_pool(per_ego):
-    """The pooling rule written out: one ``np.mean`` per (ego, key), then
-    ``mean_and_stderr`` per key over the egos that have it, in ego order."""
-    means = {}
-    for cells in per_ego:
-        for key, values in (cells or {}).items():
-            means.setdefault(key, []).append(float(np.mean(values)))
-    return {key: (*mean_and_stderr(m), len(m)) for key, m in means.items()}
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(6))
 def test_grouped_pool_equals_reference(seed):
-    # ragged egos: cell counts 1-300, values over six decades, keys missing
-    # for some egos (the per-triad empirical shape), and one-ego keys
+    # ragged egos with 1-300 cells, values over six decades, rows interleaved
     rng = np.random.default_rng(seed)
-    keys = [("k", i) for i in range(12)]
-    per_ego = []
-    for e in range(150):
-        if rng.random() < 0.1:
-            per_ego.append(None if rng.random() < 0.5 else {})
-            continue
-        cells = {}
-        for key in keys:
-            if rng.random() < 0.3:
-                continue
-            n = (int(rng.choice([1, 2, 3, 7, 8, 9, 64, 129, 300])) if rng.random() < 0.5
-                 else int(rng.integers(1, 301)))
-            values = 10.0 ** rng.uniform(-3.0, 3.0, n)
-            cells[key] = values.tolist() if rng.random() < 0.5 else values
-        cells[("only", e)] = [float(rng.uniform(1e-3, 1e3))]
-        per_ego.append(cells)
-    expected = _reference_pool(per_ego)
-    pooled = pool_egos(per_ego)
-    assert list(pooled) == list(expected)
-    assert pooled == expected
-    assert all(pooled[key][1:] == (0.0, 1) for key in pooled if key[0] == "only")
+    ego, values = _transition_major(*_ragged_cells(rng, 120, 12))
+    assert pool_egos(ego, values) == _reference_pool(ego, values)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interleaved_rows_pool_as_sorted(seed):
+    ego, transition, values = _ragged_cells(np.random.default_rng(seed), 60, 5)
+    assert pool_egos(*_transition_major(ego, transition, values)) == pool_egos(ego, values)
