@@ -5,7 +5,7 @@ Normalization of a raw edge list:
 1. drop self-loops,
 2. canonicalize undirected pairs,
 3. collapse duplicate pairs keeping the earliest timestamp,
-4. stable-sort by time (input order breaks ties),
+4. sort by time (input order breaks ties),
 5. assign dense int ids by first appearance in the sorted edge order.
 
 Step 5 runs after the sort so that normalizing an already-normalized
@@ -14,11 +14,13 @@ round trip through ``write_normalized_csv`` / ``ingest_edges``.
 
 Loading reads a file once. A regular file, ``src<sep>dst<sep>time``
 lines of ASCII with one separator byte and nothing to strip, is checked
-with NumPy on its bytes and split whole; any other input goes through
-the per-line ``parse_edge_lines``, which alone numbers the line of a
-``ParseError``. A cumulative snapshot series is cut from one sort of the
-2E symmetric entries of its edges: snapshot ``i`` keeps the entries that
-hold by window ``i``, with no sort of its own.
+and read with NumPy on its bytes: labels are factorized in 8-byte words
+and times summed digit by digit, with no Python object per line. Any
+other input goes through the per-line ``parse_edge_lines``, which alone
+numbers the line of a ``ParseError``, and ``normalize_edges``; both
+paths share ``_normalize_ids``. A cumulative snapshot series is cut from
+one sort of the 2E symmetric entries of its edges: snapshot ``i`` keeps
+the entries that hold by window ``i``, with no sort of its own.
 """
 
 import io
@@ -146,50 +148,87 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
     return src_labels, dst_labels, times
 
 
+def _groups(keys):
+    """The order that sorts an array of int64 keys >= 0 and the start of
+    each run of equal keys in it. Any sort serves: the smallest index of
+    a run, ``np.minimum.reduceat(order, starts)``, is its key's first
+    occurrence whether or not the sort kept ties in input order."""
+    order = np.argsort(keys)
+    # keys are >= 0, so the -1 before them opens the first group
+    return order, np.flatnonzero(np.diff(keys[order], prepend=-1))
+
+
 def dedupe_and_sort(src, dst, time, n_key, directed):
-    """Collapse duplicate pairs to their earliest time and stable-sort
-    by time, first occurrence breaking ties. Arrays are int64 ids.
+    """Collapse duplicate pairs to their earliest time and sort by time,
+    first occurrence breaking ties. Arrays are int64 ids below ``n_key``.
     The surviving row keeps the orientation it was first written with."""
     if directed:
         key_src, key_dst = src, dst
     else:
         key_src = np.minimum(src, dst)
         key_dst = np.maximum(src, dst)
-    key = key_src * np.int64(n_key) + key_dst
-    # a stable sort keeps each pair's rows in input order, first row first;
-    # keys are >= 0, so the -1 before them opens the first group
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    first = order[starts]
+    order, starts = _groups(key_src * np.int64(n_key) + key_dst)
+    first = np.minimum.reduceat(order, starts)
     earliest = np.minimum.reduceat(time[order], starts)
-    rows = np.lexsort((first, earliest))
+    # (earliest, first) as one key: first < src.size and the rank of a
+    # time < src.size, so the key fits int64 for any list that fits memory
+    rank = np.unique(earliest, return_inverse=True)[1]
+    rows = np.argsort(rank * np.int64(src.size) + first)
     first = first[rows]
     return src[first], dst[first], earliest[rows]
+
+
+def _int64_times(times):
+    """``times`` as an int64 array; ConfigError naming the first row whose
+    time is not an int64."""
+    try:
+        return np.asarray(times, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        for row, t in enumerate(times):
+            try:
+                np.asarray(t, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                raise ConfigError(f"time {t!r} in row {row} is not an int64") from None
+        raise
 
 
 def normalize_edges(src_labels, dst_labels, times, directed=False,
                     time_mode=TIME_MODE_TIMESTAMP):
     """Build a :class:`TemporalEdgeList` from parsed triples."""
-    if time_mode not in (TIME_MODE_TIMESTAMP, TIME_MODE_INDEX):
-        raise ConfigError(f"unknown time mode {time_mode!r}")
+    if not len(src_labels) == len(dst_labels) == len(times):
+        raise ConfigError(f"source labels, destination labels and times differ in length: "
+                          f"{len(src_labels)}, {len(dst_labels)} and {len(times)}")
+    times = _int64_times(times)
     # temporary ids by first appearance in the raw rows, only to make pair keys
     tmp = {}
     ids = np.array([tmp.setdefault(x, len(tmp)) for x in chain(src_labels, dst_labels)],
                    dtype=np.int64)
-    src, dst = ids[:len(src_labels)], ids[len(src_labels):]
+    n = len(src_labels)
+    return _normalize_ids(ids[:n], ids[n:], list(tmp), times, directed, time_mode)
+
+
+def _normalize_ids(src, dst, table, times, directed, time_mode):
+    """``normalize_edges`` of rows whose labels are already numbered:
+    ``src``/``dst`` are int64 indices into ``table``, the list of labels,
+    and ``times`` is int64. Any injective numbering of ``table`` gives
+    the same edge list: ``dedupe_and_sort`` orders rows by time and
+    position only, and the final ids are assigned after it."""
+    if time_mode not in (TIME_MODE_TIMESTAMP, TIME_MODE_INDEX):
+        raise ConfigError(f"unknown time mode {time_mode!r}")
     keep = src != dst
     if not keep.any():
         return _empty_edge_list(directed, time_mode)
-    tarr = np.asarray(times, dtype=np.int64)[keep]
-    if time_mode == TIME_MODE_INDEX and tarr.min() < 0:
+    times = times[keep]
+    if time_mode == TIME_MODE_INDEX and times.min() < 0:
         raise ConfigError("pre-assigned snapshot indices must be >= 0")
 
-    f_src, f_dst, f_time = dedupe_and_sort(src[keep], dst[keep], tarr, len(tmp), directed)
+    f_src, f_dst, f_time = dedupe_and_sort(src[keep], dst[keep], times, len(table), directed)
 
     # final ids by first appearance in the sorted edge order
-    tmp_ids, first = np.unique(np.column_stack((f_src, f_dst)).ravel(), return_index=True)
-    tmp_ids = tmp_ids[np.argsort(first)]
-    remap = np.empty(len(tmp), dtype=np.int64)
+    endpoints = np.column_stack((f_src, f_dst)).ravel()
+    order, starts = _groups(endpoints)
+    tmp_ids = endpoints[np.sort(np.minimum.reduceat(order, starts))]
+    remap = np.empty(len(table), dtype=np.int64)
     remap[tmp_ids] = np.arange(tmp_ids.size, dtype=np.int64)
     f_src = remap[f_src]
     f_dst = remap[f_dst]
@@ -200,7 +239,7 @@ def normalize_edges(src_labels, dst_labels, times, directed=False,
         arr.setflags(write=False)
     return TemporalEdgeList(
         src=f_src, dst=f_dst, time=f_time,
-        labels=tuple(map(list(tmp).__getitem__, tmp_ids.tolist())),
+        labels=tuple(map(table.__getitem__, tmp_ids.tolist())),
         directed=directed, time_mode=time_mode,
     )
 
@@ -213,10 +252,63 @@ _FIELD_BYTE[0x21:0x7F] = True
 _FIELD_BYTE[[ord("#"), ord(",")]] = False
 _HEADER_LINE = (NORMALIZED_HEADER + "\n").encode()
 
+#: ``_KEEP[k]`` keeps the first ``k`` bytes of a big-endian 8-byte word
+#: and zeroes the rest
+_KEEP = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], dtype=np.uint64)
+
+
+def _field_codes(padded, starts, lengths):
+    """Codes of the fields ``padded[starts[i]:starts[i] + lengths[i]]``:
+    a dense int64 code per field, equal for equal bytes, and one field
+    index per code. No field byte is 0 and ``padded`` ends in 8 zeros.
+
+    A field is read in big-endian 8-byte words, zero past its end, so
+    the zeros tell a field from its prefixes. The word at byte ``offset``
+    of the fields longer than ``offset`` is factorized with their code so
+    far into codes above every code given before; fields no longer than
+    ``offset`` already differ from those in length and keep their codes."""
+    # every 8-byte word of ``padded``, one starting at each byte
+    words = np.ndarray((padded.size - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    code = np.unique(words[starts] & _KEEP[np.minimum(lengths, 8)], return_inverse=True)[1]
+    n_codes = int(code.max()) + 1
+    longest = int(lengths.max())
+    for offset in range(8, longest, 8):
+        rows = np.flatnonzero(lengths > offset)
+        word = np.unique(words[starts[rows] + offset]
+                         & _KEEP[np.minimum(lengths[rows] - offset, 8)], return_inverse=True)[1]
+        word = np.unique(code[rows] * (int(word.max()) + 1) + word, return_inverse=True)[1]
+        code[rows] = n_codes + word
+        n_codes += int(word.max()) + 1
+    if longest > 8:
+        # close the gaps left by codes that only longer fields had held
+        code = np.unique(code, return_inverse=True)[1]
+    rep = np.empty(int(code.max()) + 1, dtype=np.int64)
+    rep[code] = np.arange(code.size)
+    return code, rep
+
+
+def _digit_times(padded, starts, ends):
+    """int64 values of the time fields ``padded[starts[i]:ends[i]]`` when
+    each is 1 to 18 ASCII digits, which always fit int64, else None.
+    Digit ``k`` of every field is read at once."""
+    lengths = ends - starts
+    if lengths.max() > 18:
+        return None
+    times = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        live = lengths > k
+        # a field's end is its newline, read in place of digits it lacks
+        digit = np.where(live, padded[np.minimum(starts + k, ends)] - ord("0"), 0)
+        if digit.max() > 9:
+            return None
+        times = np.where(live, times * 10 + digit, times)
+    return times
+
 
 def _parse_regular(data, delimiter):
-    """``parse_edge_lines`` of a whole file's bytes when the file shows it
-    is regular, else None.
+    """The rows of a whole file's bytes for ``_normalize_ids``, as
+    ``(src ids, dst ids, label table, times)``, when the file shows it is
+    regular, else None.
 
     Regular is ASCII with no ``\\r``; then optional leading ``#`` comment
     lines and a normalized-CSV header; then only lines
@@ -225,6 +317,13 @@ def _parse_regular(data, delimiter):
     one or ``delimiter`` is ``comma``, else a space); and every time reads
     as an ``int`` within int64. Any such line reads the same under the
     per-line rule, which splits on that separator and strips nothing.
+
+    Labels and times are read on the bytes, with no Python object per
+    line: the label fields are factorized in 8-byte words
+    (``_field_codes``) and one field of each distinct label is decoded;
+    times of 1 to 18 digits are summed digit by digit (``_digit_times``),
+    and only a file with a sign, an underscore or 19 digits in some time
+    has its times read by ``int``.
     """
     if delimiter not in (None, "comma", "whitespace") or not data.isascii() or b"\r" in data:
         return None
@@ -246,42 +345,52 @@ def _parse_regular(data, delimiter):
     if (marks.size % 3 or not (body[marks].reshape(-1, 3) == line_end).all()
             or not (np.diff(marks, prepend=-1) > 1).all()):
         return None
-    # each line's second separator and time, split apart from the labels
-    # so that the time strings are made and freed together, leaving no
-    # holes among the label strings
-    step = np.zeros(body.size, dtype=np.int8)
-    step[marks[1::3]] = 1
-    step[marks[2::3]] = -1
-    in_time = np.cumsum(step, dtype=np.int8).view(bool)
-    del step, marks
-    try:
-        times = np.fromiter(map(int, str(body[in_time], "ascii").replace(",", " ").split()),
-                            dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    labels = str(body[~in_time], "ascii").replace(",", " ").split()
-    return labels[0::2], labels[1::2], times
+    marks = marks.reshape(-1, 3)
+    padded = np.zeros(body.size + 8, dtype=np.uint8)
+    padded[:body.size] = body
+
+    times = _digit_times(padded, marks[:, 1] + 1, marks[:, 2])
+    if times is None:
+        # a sign, an underscore or 19 digits somewhere: int reads every time
+        try:
+            times = np.array([int(data[a + 1:b]) for a, b in (marks[:, 1:] + start).tolist()],
+                             dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+
+    # the label fields, sources then destinations
+    n = marks.shape[0]
+    starts = np.concatenate([[0], marks[:-1, 2] + 1, marks[:, 0] + 1])
+    lengths = np.concatenate([marks[:, 0], marks[:, 1]]) - starts
+    del marks
+    code, rep = _field_codes(padded, starts, lengths)
+    del padded
+    table = [str(data[a:a + m], "ascii")
+             for a, m in zip((starts[rep] + start).tolist(), lengths[rep].tolist())]
+    return code[:n], code[n:], table, times
 
 
 def ingest_edges(source, directed=False, delimiter=None, time_mode=TIME_MODE_TIMESTAMP,
                  missing_time=None, drop_zero_out=False):
     """Normalize an edge list from a path, file object, or line iterable.
 
-    A path is read once. A regular file (``_parse_regular``) is split
-    whole; any other goes through ``parse_edge_lines``, decoded as a text
-    file would be (utf-8, universal newlines), like a file object.
+    A path is read once. A regular file (``_parse_regular``) is read on
+    its bytes; any other goes through ``parse_edge_lines``, decoded as a
+    text file would be (utf-8, universal newlines), like a file object.
     """
-    triples = None
+    rows = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:
             data = fh.read()
-        triples = _parse_regular(data, delimiter)
-        if triples is None:
+        rows = _parse_regular(data, delimiter)
+        if rows is None:
             source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         del data
-    if triples is None:
+    if rows is None:
         triples = parse_edge_lines(source, delimiter=delimiter, missing_time=missing_time)
-    edges = normalize_edges(*triples, directed=directed, time_mode=time_mode)
+        edges = normalize_edges(*triples, directed=directed, time_mode=time_mode)
+    else:
+        edges = _normalize_ids(*rows, directed, time_mode)
     if drop_zero_out:
         edges = drop_zero_out_degree(edges)
     return edges
@@ -319,16 +428,16 @@ def drop_zero_out_degree(edges):
 
 
 #: rows per run of ``write_normalized_csv``: only one run's Python ints
-#: are alive at once
-_WRITE_RUN = 1 << 16
+#: and text are alive at once
+_WRITE_RUN = 1 << 14
 
 
 def write_normalized_csv(edges, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(NORMALIZED_HEADER + "\n")
         for i in range(0, edges.n_edges, _WRITE_RUN):
-            rows = zip(*(a[i:i + _WRITE_RUN].tolist() for a in (edges.src, edges.dst, edges.time)))
-            fh.writelines(f"{s},{d},{t}\n" for s, d, t in rows)
+            run = np.column_stack([a[i:i + _WRITE_RUN] for a in (edges.src, edges.dst, edges.time)])
+            fh.write("%d,%d,%d\n" * len(run) % tuple(run.ravel().tolist()))
 
 
 def write_label_map_csv(edges, path):

@@ -4,20 +4,25 @@ unsorted input, and read-only graphs after pickling."""
 
 import hashlib
 import pickle
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
 from egolink import graph as graph_module
 from egolink.cli import main
-from egolink.errors import ParseError
+from egolink.errors import ConfigError, ParseError
 from egolink.graph import (
     SnapshotGraph,
     TemporalEdgeList,
     assign_windows,
     build_snapshots,
+    dedupe_and_sort,
     ingest_edges,
     normalize_edges,
     parse_edge_lines,
@@ -62,6 +67,45 @@ class TestNormalizeOracle:
         edges = normalize_edges(["a", "b"], ["a", "b"], [1, 2])
         assert edges.n_edges == 0 and edges.labels == ()
 
+    @pytest.mark.parametrize("src, dst, times, match", [
+        (["a"], ["b"], [2**63], "time 9223372036854775808 in row 0 is not an int64"),
+        (["a", "b"], ["b", "c"], [1, "x"], "time 'x' in row 1 is not an int64"),
+        (["a", "b"], ["b", "c"], [1, None], "time None in row 1 is not an int64"),
+        (["a", "b"], ["b"], [1], "differ in length: 2, 1 and 1"),
+        (["a"], ["b"], [1, 2], "differ in length: 1, 1 and 2"),
+    ], ids=["time-over-int64", "time-not-a-number", "time-none", "short-dst", "long-times"])
+    def test_bad_input_names_the_row(self, src, dst, times, match):
+        with pytest.raises(ConfigError, match=match):
+            normalize_edges(src, dst, times)
+
+
+def _dedupe_reference(rows, directed):
+    """Each pair (unordered unless directed) once, at its earliest time,
+    written as its first row was; ordered by (earliest time, first row)."""
+    kept = {}
+    for row, (s, d, t) in enumerate(rows):
+        key = (s, d) if directed else frozenset((s, d))
+        if key in kept:
+            kept[key][0] = min(kept[key][0], t)
+        else:
+            kept[key] = [t, row, s, d]
+    return [(s, d, t) for t, _, s, d in sorted(kept.values(), key=lambda k: (k[0], k[1]))]
+
+
+_INT64_ENDS = [-2**63, 2**63 - 1]
+
+
+class TestDedupeAndSort:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                   st.one_of(st.integers(0, 3), st.sampled_from(_INT64_ENDS))),
+                         min_size=1, max_size=60),
+           directed=st.booleans())
+    def test_matches_reference(self, rows, directed):
+        src, dst, time = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        got = dedupe_and_sort(src, dst, time, 5, directed)
+        assert list(zip(*(a.tolist() for a in got))) == _dedupe_reference(rows, directed)
+
 
 def _rows_text(seed, sep):
     return "".join(f"{s}{sep}{d}{sep}{t}\n" for s, d, t in _raw_rows(seed))
@@ -103,6 +147,15 @@ FILES = [
     ("comment-only", b"# nothing", {}, False),
     ("unknown-delimiter", b"a,b,1\n", dict(delimiter="pipe"), False),
     ("bad-utf8", b"a,b,1\n\xff,c,2\n", {}, False),
+    ("long-labels", b"abcdefgh1,abcdefgh12,1\nabcdefghijklmnop,abcdefghijklmnopq,2\n"
+                    b"abcdefghijklmnopqrstuvwx,abcdefgh1,3\n"
+                    b"abcdefghijklmnopq,abcdefghijklmnopqrstuvw,4\n"
+                    b"abcdefgh12,abcdefghijklmnopqrstuvwx,5\n", {}, True),
+    ("prefix-labels", b"a aa 1\naaaaaaaa aaaaaaaaa 2\naa aaaaaaaaa 3\naaaaaaaa a 4\n", {}, True),
+    ("leading-zero-labels", b"01,1,1\n1,001,2\n01,001,3\n", {}, True),
+    ("zero-padded-times", b"a,b,007\nb,c,000000000000000001\nc,d,0\n", {}, True),
+    ("18-digit-times", b"a,b,999999999999999999\nb,c,100000000000000000\nc,d,1\n", {}, True),
+    ("19-digit-times", b"a,b,9223372036854775807\nb,c,0000000000000000001\nc,d,1\n", {}, True),
 ]
 
 
@@ -131,6 +184,59 @@ class TestRegularParse:
         assert _outcome(lambda: ingest_edges(path, **kwargs)) == _outcome(per_line)
         taken = graph_module._parse_regular(data, kwargs.get("delimiter")) is not None
         assert taken == regular
+
+
+#: every byte a label of a regular file may hold
+_FIELD_CHARS = "".join(chr(b) for b in range(0x21, 0x7F) if chr(b) not in "#,")
+
+
+@st.composite
+def _regular_files(draw):
+    """Text of a regular file: labels of 1-20 field bytes, many sharing
+    prefixes across 8-byte words, and times from 0 to 2**63 - 1."""
+    label = st.one_of(st.text(alphabet="ab", min_size=1, max_size=20),
+                      st.text(alphabet=_FIELD_CHARS, min_size=1, max_size=20))
+    pool = draw(st.lists(label, min_size=1, max_size=8))
+    time = st.one_of(st.integers(0, 20), st.integers(0, 2**63 - 1))
+    rows = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), time),
+                         min_size=1, max_size=30))
+    sep = draw(st.sampled_from([",", " "]))
+    return "".join(f"{s}{sep}{d}{sep}{t}\n" for s, d, t in rows)
+
+
+class TestRegularProperty:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(text=_regular_files(), directed=st.booleans())
+    def test_matches_per_line_parser(self, text, directed):
+        assert graph_module._parse_regular(text.encode(), None) is not None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.txt"
+            path.write_text(text)
+            got = _outcome(lambda: ingest_edges(path, directed=directed))
+        want = _outcome(lambda: normalize_edges(*parse_edge_lines(text.splitlines()),
+                                                directed=directed))
+        assert got == want
+
+
+class TestLoadMemory:
+    def test_regular_load_peak(self, tmp_path):
+        """Loading a regular file allocates at most 14 times its size at
+        the peak (tracemalloc, which sees NumPy's buffers)."""
+        rng = np.random.default_rng(5)
+        n_lines, n_nodes = 200_000, 50_000
+        names = [f"u{i:x}" for i in rng.permutation(n_nodes).tolist()]
+        ends = rng.integers(0, n_nodes, (n_lines, 2)).tolist()
+        times = rng.integers(0, 1_000_000, n_lines).tolist()
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{names[a]} {names[b]} {t}\n"
+                                for (a, b), t in zip(ends, times)))
+        tracemalloc.start()
+        try:
+            ingest_edges(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * path.stat().st_size
 
 
 class TestInt64Times:
