@@ -1,5 +1,4 @@
-"""Deterministic fan-out over egos (``empirical``) or blocks of egos
-(``evaluate``).
+"""Deterministic fan-out over blocks of egos (``ego._cell_blocks``).
 
 Workers receive one shared read-only payload via the pool initializer
 (pickled once per worker, not once per task), each task is a contiguous

@@ -1,5 +1,6 @@
-"""Small shared helpers: float formatting, the ego pooling rule of cell
-arrays, and the CSV/JSON table writers every pipeline output goes through."""
+"""Small shared helpers: float formatting, the group-mean and ego pooling
+rules of cell arrays, and the CSV/JSON table writers every pipeline
+output goes through."""
 
 import json
 import math
@@ -27,29 +28,42 @@ def mean_and_stderr(values):
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
+def group_means(group, values):
+    """Per column, the mean of each group's rows of the float (rows x
+    columns) matrix ``values``, row ``i`` being in group ``group[i]``:
+    ``(means, sizes)``, one row of means and one size per group, in
+    ascending group order. Each group's rows average in the order given,
+    and each mean is bit-identical to one ``np.mean`` of that group's
+    column.
+
+    Groups with equally many rows are averaged together, as one mean over
+    the last axis of a C-contiguous (groups, columns, rows) array: it sums
+    each group's column as ``np.mean`` sums it alone (a strided or
+    Fortran-order reduction does not).
+    """
+    order = np.argsort(group, kind="stable")
+    _, start, size = np.unique(group[order], return_index=True, return_counts=True)
+    means = np.empty((start.size, values.shape[1]))
+    for c in np.unique(size):
+        at = np.flatnonzero(size == c)
+        rows = values[order[start[at, None] + np.arange(c)]]  # (groups, rows, columns)
+        means[at] = np.ascontiguousarray(rows.transpose(0, 2, 1)).mean(axis=-1)
+    return means, size
+
+
 def pool_egos(ego, values):
     """Pool cell values across egos: one ``(mean, stderr, n_egos)`` per column.
 
     Row ``i`` of the float (cells x columns) matrix ``values`` is a usable
     cell of ego ``ego[i]``. Each ego's rows are in transition order; rows
     of different egos may interleave, as a transition-major fan-out emits
-    them. Each ego's cells average first, so an ego weighs the same however
-    many cells it has; per column, the per-ego means then average in
-    ascending ego order, and their spread gives the standard error
-    (``mean_and_stderr``). Callers pass only the egos that have the column.
-
-    Egos with equally many cells form a group, whose means are one mean
-    over the last axis of a C-contiguous (egos, columns, cells) array: it
-    sums each ego's column as ``np.mean`` sums it alone (a strided or
-    Fortran-order reduction does not).
+    them. Each ego's cells average first (``group_means``), so an ego
+    weighs the same however many cells it has; per column, the per-ego
+    means then average in ascending ego order, and their spread gives the
+    standard error (``mean_and_stderr``). Callers pass only the egos that
+    have the column.
     """
-    order = np.argsort(ego, kind="stable")
-    _, start, count = np.unique(ego[order], return_index=True, return_counts=True)
-    means = np.empty((start.size, values.shape[1]))
-    for c in np.unique(count):
-        at = np.flatnonzero(count == c)
-        cells = values[order[start[at, None] + np.arange(c)]]  # (egos, cells, columns)
-        means[at] = np.ascontiguousarray(cells.transpose(0, 2, 1)).mean(axis=-1)
+    means, _ = group_means(ego, values)
     return [(*mean_and_stderr(m), m.size) for m in np.ascontiguousarray(means.T)]
 
 

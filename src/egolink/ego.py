@@ -23,6 +23,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import _kernels
+from ._parallel import map_in_order
 from .errors import ConfigError, EmptyInputError, PreconditionError
 
 MODE_UNDIRECTED = "undirected"
@@ -96,8 +97,8 @@ def common_neighbors(graph, u, v):
 
 def personalized_degrees(graph, u, targets, mode):
     """Personalized degree of each target node w.r.t. ego ``u``, read
-    from the targets' own out, in or symmetric rows; ``gathered_pd``
-    reads the same counts from a gather of symmetric rows already held.
+    from the targets' own out, in or symmetric rows; ``_gather_block``
+    reads the same counts from its gather of symmetric rows.
     """
     targets = np.asarray(targets, dtype=np.int64)
     validate_mode(mode, graph.directed)
@@ -108,29 +109,6 @@ def personalized_degrees(graph, u, targets, mode):
     else:
         anchor, indptr, indices = graph.neighbors(u), graph.sym_indptr, graph.sym_indices
     return _kernels.row_intersect_sizes(indptr, indices, anchor, targets)
-
-
-def gathered_pd(graph, slot, pos, n_rows, in_successors, in_row, modes):
-    """Personalized degree of each gathered node ``z``, keyed by mode,
-    from one gather of symmetric rows (``slot`` and CSR position of each
-    entry ``w``): mode ``undirected`` counts the entries in the ego's
-    symmetric row (``in_row``); of the entries among the ego's
-    successors (``in_successors``), mode ``out`` counts those with
-    ``z -> w`` and mode ``in`` those with ``w -> z``."""
-    def count(hit):
-        return np.bincount(slot[hit], minlength=n_rows).astype(np.int64)
-
-    pd = {}
-    if MODE_UNDIRECTED in modes:
-        pd[MODE_UNDIRECTED] = count(in_row)
-    if MODE_OUT in modes or MODE_IN in modes:
-        hit = np.flatnonzero(in_successors)
-        cfg = graph.sym_config[pos[hit]]
-        # plain ints: numpy compares them without probing the enum
-        for mode, absent in ((MODE_OUT, int(EdgeConfig.IN)), (MODE_IN, int(EdgeConfig.OUT))):
-            if mode in modes:
-                pd[mode] = count(hit[cfg != absent])
-    return pd
 
 
 def personalized_degree(graph, u, z, mode=MODE_UNDIRECTED):
@@ -227,7 +205,7 @@ def classify_triad(graph, u, z, v):
 
 
 #: budget of one run (``_runs``): the gathered entries of a
-#: ``_forming_cells`` run, and both the bins (egos × nodes) and the
+#: ``_forming_cells`` run, and both the bins (pools × nodes) and the
 #: gathered entries of an ``ego_blocks`` view
 _CHUNK = 1 << 16
 
@@ -250,13 +228,15 @@ def _runs(ends, cap=None):
 @dataclass
 class EgoView:
     """The gather of one ego or of a run of egos laid end to end, in ego
-    order: ego ``egos[i]`` has the next ``out_degree[egos[i]]`` entries
-    of ``base`` (its neighbor pool), and its sorted candidates are the
-    entries of ``candidates`` with ``cand_slot == i``. The wedges
-    ``z -> v`` (``wedge_z`` into ``base``, ``wedge_v`` into
-    ``candidates``) and pd index the whole view, and each ego's wedges
-    run in ascending z. Without wedges, the candidate and wedge fields
-    are None."""
+    order: ego ``egos[i]`` has the next entries of ``base`` (its neighbor
+    pool: its successors, or its symmetric row), and its sorted candidates
+    are the entries of ``candidates`` with ``cand_slot == i``; a symmetric
+    pool has ``cand_slot == 3 * i + c`` for those reached from the ``z``
+    of ego-edge config ``c``. The wedges ``z -> v`` (``wedge_z`` into
+    ``base``, ``wedge_v`` into ``candidates``, and with a symmetric pool
+    ``wedge_cfg``, the config of the ``z``-``v`` link read from ``z``)
+    and pd index the whole view, and each ego's wedges run in ascending
+    z. Without wedges, the candidate and wedge fields are None."""
 
     graph: object
     egos: np.ndarray
@@ -266,6 +246,7 @@ class EgoView:
     wedge_z: np.ndarray = field(repr=False)
     wedge_v: np.ndarray = field(repr=False)
     _pd: dict = field(repr=False)
+    wedge_cfg: np.ndarray = field(default=None, repr=False)
 
     @property
     def ego(self):
@@ -287,61 +268,104 @@ class EgoView:
                                                 self.candidates.size)
 
 
-def _gather_block(graph, egos, modes, wedges=True):
-    """One gather for all ``egos``: their successor rows, then the
-    symmetric rows of every successor ``z``. Each entry ``w`` is tested
-    on its ``(ego slot) * n + w`` key against one bool mark per test, so
-    pd of ``modes`` comes from ``gathered_pd``; with ``wedges``, the
-    entries outside the ego and its pool are wedges onto candidates."""
+def _pool_rows(graph, sym_pool):
+    """CSR ``(indptr, indices)`` of the egos' neighbor pools."""
+    if sym_pool:
+        return graph.sym_indptr, graph.sym_indices
+    return graph.out_indptr, graph.out_indices
+
+
+def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
+    """One gather for all ``egos``: their pool rows (successors, or with
+    ``sym_pool`` symmetric rows, split by ego-edge config), then the
+    symmetric rows of every pool node ``z``. Each entry ``w`` is tested
+    on its ``(ego slot) * n + w`` key against one bool mark per test,
+    which gives the personalized degrees of ``modes``; with ``wedges``, the
+    entries outside the ego, its successors and the pool of ``z`` are
+    wedges onto candidates."""
     n = graph.n_nodes
-    bins = egos.size * n
-    b_slot, b_pos = _kernels.gather_rows(graph.out_indptr, egos)
-    base = graph.out_indices[b_pos]
+    pools = 3 if sym_pool else 1
+    indptr, indices = _pool_rows(graph, sym_pool)
+    b_slot, b_pos = _kernels.gather_rows(indptr, egos)
+    base = indices[b_pos]
     wedge_z, pos = _kernels.gather_rows(graph.sym_indptr, base)
     reached = graph.sym_indices[pos]
     slot = b_slot[wedge_z]
     key = slot * n + reached
-    mark = np.zeros(bins, dtype=bool)
-    mark[b_slot * n + base] = True
-    in_base = mark[key]
-    # undirected graphs: the ego's symmetrized neighborhood is the pool
-    in_row = in_base
-    if graph.directed and MODE_UNDIRECTED in modes:
-        r_slot, r_pos = _kernels.gather_rows(graph.sym_indptr, egos)
+    mark = np.zeros(pools * egos.size * n, dtype=bool)
+
+    def marked(row_key, probe):
         mark[:] = False
-        mark[r_slot * n + graph.sym_indices[r_pos]] = True
-        in_row = mark[key]
-    pd = gathered_pd(graph, wedge_z, pos, base.size, in_base, in_row, modes)
+        mark[row_key] = True
+        return mark[probe]
+
+    in_base = marked(b_slot * n + base, key)
+    # the pool is the ego's successors, which on undirected graphs are its
+    # symmetric row, or with sym_pool its symmetric row
+    in_succ = in_row = in_base
+    if sym_pool:
+        s_slot, s_pos = _kernels.gather_rows(graph.out_indptr, egos)
+        in_succ = marked(s_slot * n + graph.out_indices[s_pos], key)
+    elif graph.directed and MODE_UNDIRECTED in modes:
+        r_slot, r_pos = _kernels.gather_rows(graph.sym_indptr, egos)
+        in_row = marked(r_slot * n + graph.sym_indices[r_pos], key)
+
+    # pd of each z: mode undirected counts its entries w in the ego's
+    # symmetric row; of those among the ego's successors, mode out counts
+    # the w with z -> w and mode in those with w -> z
+    def count(hit):
+        return np.bincount(wedge_z[hit], minlength=base.size).astype(np.int64)
+
+    pd = {}
+    if MODE_UNDIRECTED in modes:
+        pd[MODE_UNDIRECTED] = count(in_row)
+    if MODE_OUT in modes or MODE_IN in modes:
+        hit = np.flatnonzero(in_succ)
+        cfg = graph.sym_config[pos[hit]]
+        # plain ints: numpy compares them without probing the enum
+        for mode, absent in ((MODE_OUT, int(EdgeConfig.IN)), (MODE_IN, int(EdgeConfig.OUT))):
+            if mode in modes:
+                pd[mode] = count(hit[cfg != absent])
     if not wedges:
         return EgoView(graph, egos, base, None, None, None, None, pd)
-    wedge = ~in_base & (reached != egos[slot])
+    wedge = ~in_succ & (reached != egos[slot])
+    wedge_cfg = None
+    if sym_pool:
+        # pool (ego slot, ego-edge config of z): a wedge's key is its pool's
+        # candidate, and no node of the pool is a candidate of it
+        pool = b_slot * 3 + graph.sym_config[b_pos]
+        key = pool[wedge_z] * n + reached
+        wedge &= ~marked(pool * n + base, key)
+        wedge_cfg = graph.sym_config[pos[wedge]]
     # the candidate step needs only the wedges' keys and pool positions
-    del b_slot, b_pos, pos, reached, slot, mark, in_base, in_row
+    del b_slot, b_pos, pos, reached, slot, mark, in_base, in_succ, in_row
     key, wedge_z = key[wedge], wedge_z[wedge]
     del wedge
     # every key's bin ends up holding the position of one of its wedges,
     # so that wedge alone finds itself there; no bin is read unwritten
-    index = np.empty(bins, dtype=np.int64)
+    index = np.empty(pools * egos.size * n, dtype=np.int64)
     at = np.arange(key.size)
     index[key] = at
     cand_key = np.sort(key[index[key] == at])
     index[cand_key] = np.arange(cand_key.size)
     cand_slot, candidates = np.divmod(cand_key, n)
-    return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd)
+    return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd, wedge_cfg)
 
 
-def _gather_sizes(graph, egos):
-    """Each ego's gathered entries, the symmetric rows of its successors:
-    its wedge count, a bound on its candidate count."""
-    reach = np.concatenate(([0], np.cumsum(graph.sym_degree[graph.out_indices])))
-    return reach[graph.out_indptr[egos + 1]] - reach[graph.out_indptr[egos]]
+def _gather_sizes(graph, egos, sym_pool=False):
+    """Each ego's gathered entries, the symmetric rows of its pool: its
+    wedge count, a bound on its candidate count."""
+    indptr, indices = _pool_rows(graph, sym_pool)
+    reach = np.concatenate(([0], np.cumsum(graph.sym_degree[indices])))
+    return reach[indptr[egos + 1]] - reach[indptr[egos]]
 
 
-def _block_runs(graph, sizes):
+def _block_runs(graph, sizes, sym_pool=False):
     """Runs (``_runs``) of egos with gather ``sizes``: one ego, or more
-    while they fit in ``_CHUNK`` bins and ``_CHUNK`` gathered entries, so
-    a block's memory is O(``_CHUNK``) unless one ego's gather is larger."""
-    per_block = max(_CHUNK // max(graph.n_nodes, 1), 1)
+    while they fit in ``_CHUNK`` bins (three pools per ego with
+    ``sym_pool``) and ``_CHUNK`` gathered entries, so a block's memory is
+    O(``_CHUNK``) unless one ego's gather is larger."""
+    per_block = max(_CHUNK // max((3 if sym_pool else 1) * graph.n_nodes, 1), 1)
     return _runs(np.cumsum(sizes), lambda start: start + per_block)
 
 
@@ -406,3 +430,40 @@ def _forming_cells(series, egos, sym_pool):
             cell = cell[z_slot]
             settled[cell[_kernels.contains(pool, cell * n + g.sym_indices[z_pos])]] = True
     return mask
+
+
+def _cell_blocks(worker, payload, series, egos, settled, n_columns, workers, sym_pool=False,
+                 require_formation=True, cutoff=np.inf):
+    """Run ``worker`` on the cells of ``egos`` at every transition, in
+    blocks of egos: ``(reason, cell, values)``.
+
+    A cell is gathered when ``_forming_cells`` marks it (every cell
+    without ``require_formation``) or when its ego's ``_gather_sizes``
+    exceeds ``cutoff``. At each transition, the gathered egos are cut into
+    ``_block_runs`` in the parent, so no result depends on the worker
+    count. ``worker(payload, (t, egos))`` returns, per cell of its egos
+    (nine per ego with ``sym_pool``, one per triad, else one), the index
+    of its first reason of exclusion or -1 when it is kept, then one row
+    of ``n_columns`` values per kept cell, then anything, unread.
+    ``reason`` is (transitions × ego cells), ``settled`` where nothing was
+    gathered; row ``i`` of ``values`` belongs to ego cell ``cell[i]``,
+    rows in transition order.
+    """
+    cells = 9 if sym_pool else 1
+    reason = np.full((len(series) - 1, egos.size * cells), settled)
+    forming = (_forming_cells(series, egos, sym_pool) if require_formation
+               else np.ones((egos.size, len(series) - 1), dtype=bool))
+    blocks = []
+    for t, g in enumerate(series.graphs[:-1]):
+        sizes = _gather_sizes(g, egos, sym_pool)
+        at = np.flatnonzero(forming[:, t] | (sizes > cutoff))
+        blocks += [(t, at[a:b]) for a, b in _block_runs(g, sizes[at], sym_pool)]
+    results = map_in_order(worker, [(t, egos[at]) for t, at in blocks], payload,
+                           workers=workers)
+    cell, values = [np.empty(0, dtype=np.int64)], [np.empty((0, n_columns))]
+    for (t, at), (block_reason, block_values, *_) in zip(blocks, results):
+        columns = (at[:, None] * cells + np.arange(cells)).ravel()
+        reason[t, columns] = block_reason
+        cell.append(columns[block_reason < 0])
+        values.append(block_values)
+    return reason, np.concatenate(cell), np.concatenate(values)

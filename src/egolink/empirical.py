@@ -7,35 +7,24 @@ neighbors ``z`` of ``log(degree(z) + 1)``, once with global and once
 with personalized degrees; the two groups average those per-candidate
 means. A transition counts for an ego only when both groups are
 non-empty, so formed and not-formed aggregates always cover identical
-(ego, snapshot) cells. A usable cell is one row of values, one column per
-(mode, group, degree kind); per triad key, the rows pool across egos as
-one array by the rule of ``_util.pool_egos``.
+(ego, snapshot) cells. A per-triad cell (directed graphs) narrows the
+pool by the config of the ego's link to ``z`` and the wedges by the
+config of the ``z``-``v`` link (``SnapshotGraph.sym_config``); its
+candidates are those of its pool with a wedge of its config.
 
-A per-triad cell (directed graphs) is the plain cell with the pool and
-the wedges narrowed by link config (``SnapshotGraph.sym_config``). One
-gather of the symmetric rows of the ego's symmetric neighbors feeds all
-nine cells of an (ego, transition): the config of the ego's own entry
-for ``z`` puts ``z`` in one of three pools, so each wedge ``z -> v`` is
-keyed by its pool's candidate ``(ego-edge config of z) * n + v``, and
-one ``np.unique`` of those keys lays every pool's candidates out as one
-contiguous range. The config of the gathered entry ``v`` of row(z) is
-the neighbor-edge config of the wedge, and one accumulate over
-(neighbor-edge config, candidate) bins sums all nine cells; the same
-gather gives the personalized degrees (``ego.gathered_pd``). Plain
-cells and per-triad cells both sum their wedges with
-``_kernels.accumulate_common_terms`` in ascending-z order, and
-``_cell`` alone decides whether a gathered cell is excluded and why: a
-triad's candidates are those of its pool with a wedge of its config.
-
-Cells are settled from the new edges first: before any ego gather,
-``ego._forming_cells`` marks, in one whole-array pass per transition,
-the (ego, transition) pairs where a new successor of the ego is linked
-to its successors (plain: exactly the pairs where a candidate forms) or,
-per triad, to its symmetric row. The cell of an unmarked pair, or all
-nine per triad, have no formed candidate and are skipped; every other
-pair takes the full path, which is what ``ego_snapshot_stats`` computes.
-The cells left out are counted per reason (``EXCLUSIONS``) in the
-diagnostics.
+Cells run on the block driver that ``evaluate`` shares
+(``ego._cell_blocks``). ``ego._forming_cells`` first marks the (ego,
+transition) pairs where a candidate can form; the cells of an unmarked
+pair, one or nine per triad, have none and are left out without a
+gather. The marked egos of a transition run in blocks: one
+``ego._gather_block`` (per triad with symmetric pools), one accumulate
+over its wedges in ascending-z order, the reason of each left-out cell
+from counts per cell, and every (cell, group) mean by
+``_util.group_means``. A usable cell is one row of values, one column
+per (mode, group, degree kind); per triad key, the rows pool across
+egos by the rule of ``_util.pool_egos``. The cells left out are counted
+per reason (``EXCLUSIONS``) in the diagnostics. ``ego_snapshot_stats``
+is the block of one ego at one transition.
 """
 
 from dataclasses import dataclass
@@ -44,19 +33,9 @@ from itertools import product
 import numpy as np
 
 from . import _kernels
-from ._parallel import map_in_order
-from ._util import pool_egos
+from ._util import group_means, pool_egos
 from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
-from .ego import (
-    TriadType,
-    _forming_cells,
-    ego_neighbors,
-    ego_view,
-    gathered_pd,
-    global_degrees,
-    resolve_modes,
-    sample_egos,
-)
+from .ego import TriadType, _cell_blocks, _gather_block, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyInputError, EmptyResultError
 
 GROUP_FORMED = "formed"
@@ -103,78 +82,46 @@ def _log_degree_terms(columns):
     return np.log(np.column_stack(columns).astype(np.float64) + 1.0)
 
 
-def _cell(sums, counts, formed, modes, excluded):
-    """Group stats keyed by mode over the candidates with at least one
-    common neighbor, each valued by its mean terms (``sums / counts``);
-    ``formed`` marks the candidates that gained an ego edge. None, counted
-    in ``excluded`` under its reason, when none of the kept candidates
-    formed or all did."""
-    kept = counts > 0
-    formed = formed[kept]
-    if formed.all() or not formed.any():
-        excluded[EXCLUDED_ALL_FORMED if formed.any() else EXCLUDED_NO_FORMED] += 1
-        return None
-    means = sums[kept] / counts[kept, None]
-
-    out = {}
-    for i, m in enumerate(modes):
-        per_group = {}
-        for group, mask in zip(GROUPS, (formed, ~formed)):
-            per_group[group] = GroupStats(
-                group=group,
-                mean_log_global=float(means[mask, 2 * i].mean()),
-                mean_log_personalized=float(means[mask, 2 * i + 1].mean()),
-                n_candidates=int(mask.sum()),
-            )
-        out[m] = per_group
-    return out
-
-
-def _plain_cell(graph, next_graph, ego, modes, excluded):
-    """Group stats keyed by mode for one (ego, transition), or None."""
-    view = ego_view(graph, ego)
-    formed = _kernels.contains(ego_neighbors(next_graph, ego), view.candidates)
+def _ego_worker(payload, item):
+    """``(reason, values, n_candidates)`` of one block of egos at
+    transition ``t``: per cell, ego by ego and per triad key in
+    ``TriadType`` order, the index in ``EXCLUSIONS`` of the reason it is
+    left out, or -1 when it is usable; for each usable cell, its row of
+    values, ordered as ``product(modes, GROUPS, (KIND_GLOBAL,
+    KIND_PERSONALIZED))``, and its candidate count per group. A cell's
+    candidates are those with a common neighbor in it, each valued by its
+    mean terms."""
+    series, per_triad, modes = payload
+    t, egos = item
+    g, nxt = series[t], series[t + 1]
+    n = g.n_nodes
+    view = _gather_block(g, egos, modes, sym_pool=per_triad)
+    # per triad: three pools per ego (``EgoView``), and one bin per
+    # (candidate, neighbor-edge config)
+    configs = 3 if per_triad else 1
     terms = _log_degree_terms([col for m in modes for col in (view.gd(m), view.pd(m))])
-    return _cell(*view.accumulate(terms), formed, modes, excluded)
-
-
-def _triad_cells(graph, next_graph, ego, modes, excluded):
-    """Group stats keyed by TriadType for one (ego, transition):
-    triad -> None (excluded) or {mode: {group: GroupStats}}."""
-    n = graph.n_nodes
-    row = graph.neighbors(ego)
-    start = graph.sym_indptr[ego]
-    ego_cfg = graph.sym_config[start:start + row.size].astype(np.int64)
-    # every wedge z -> v from the ego's symmetric row, in ascending-z order,
-    # keyed by its pool's candidate: (ego-edge config of z) * n + v
-    slot, pos = _kernels.gather_rows(graph.sym_indptr, row)
-    reached = graph.sym_indices[pos]
-    key = ego_cfg[slot] * n + reached
-    # a node already chosen by the ego is never a candidate, nor the ego,
-    # nor a node of the wedge's own pool
-    in_successors = _kernels.contains(graph.successors(ego), reached)
-    wedge = ~(in_successors | (reached == ego)
-              | _kernels.contains(np.sort(ego_cfg * n + row), key))
-    cand, wedge_c = np.unique(key[wedge], return_inverse=True)
-    formed = _kernels.contains(ego_neighbors(next_graph, ego), cand % n)
-    pd = gathered_pd(graph, slot, pos, row.size, in_successors,
-                     _kernels.contains(row, reached), modes)
-    terms = _log_degree_terms(
-        [col for m in modes for col in (global_degrees(graph, row, m), pd[m])])
-    # one bin per (neighbor-edge config of the wedge, candidate)
-    nb_cfg = graph.sym_config[pos[wedge]].astype(np.int64)
     sums, counts = _kernels.accumulate_common_terms(
-        slot[wedge], nb_cfg * cand.size + wedge_c, terms, 3 * cand.size)
-    sums = sums.reshape(3, cand.size, terms.shape[1])
-    counts = counts.reshape(3, cand.size)
-    # each pool's candidates are one contiguous range of the sorted keys
-    bounds = np.searchsorted(cand, n * np.arange(4))
-    out = {}
-    for triad in TriadType:
-        lo, hi = bounds[triad.ego_config], bounds[triad.ego_config + 1]
-        nb = triad.neighbor_config
-        out[triad] = _cell(sums[nb, lo:hi], counts[nb, lo:hi], formed[lo:hi], modes, excluded)
-    return out
+        view.wedge_z, view.wedge_v * configs + (view.wedge_cfg if per_triad else 0), terms,
+        configs * view.candidates.size)
+    kept = np.flatnonzero(counts)
+    cand, nb_cfg = np.divmod(kept, configs)
+    pool = view.cand_slot[cand]
+    # cell: the candidate's pool, then its neighbor-edge config; per triad,
+    # (ego slot) * 9 + triad - 1
+    cell = pool * configs + nb_cfg
+    next_slot, pos = _kernels.gather_rows(nxt.out_indptr, egos)
+    formed = _kernels.contains(next_slot * n + nxt.out_indices[pos],
+                               pool // configs * n + view.candidates[cand])
+    n_cells = egos.size * configs ** 2
+    n_formed = np.bincount(cell[formed], minlength=n_cells)
+    reason = np.select([n_formed == 0, n_formed == np.bincount(cell, minlength=n_cells)],
+                       range(len(EXCLUSIONS)), -1)
+    usable = reason[cell] < 0
+    # groups: each usable cell's formed, then its not-formed candidates
+    means, n_candidates = group_means(
+        2 * cell[usable] + ~formed[usable], sums[kept[usable]] / counts[kept[usable], None])
+    values = means.reshape(-1, len(GROUPS), len(modes), 2).transpose(0, 2, 1, 3)
+    return reason, values.reshape(-1, 4 * len(modes)), n_candidates
 
 
 def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, excluded=None):
@@ -184,33 +131,23 @@ def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, exclu
     keyed by ``EXCLUSIONS`` is given."""
     if not 0 <= t < len(series) - 1:
         raise IndexError(f"transition index {t} needs a following snapshot")
+    series[t]._check_node(int(ego))
     modes = resolve_modes(series.directed, degree_modes, per_triad)
-    if excluded is None:
-        excluded = dict.fromkeys(EXCLUSIONS, 0)
-    if per_triad:
-        return _triad_cells(series[t], series[t + 1], ego, modes, excluded)
-    return {None: _plain_cell(series[t], series[t + 1], ego, modes, excluded)}
-
-
-def _ego_worker(payload, item):
-    """``(triad, values, excluded)`` of one ego: for each usable cell, in
-    transition order, its index in the triad keys and its row of values,
-    ordered as ``product(modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED))``;
-    and its gathered cells counted per reason of exclusion. ``item`` is the
-    ego and the transitions ``ego._forming_cells`` marked for it."""
-    series, per_triad, modes = payload
-    ego, transitions = item
-    triad, values = [], []
-    excluded = dict.fromkeys(EXCLUSIONS, 0)
-    for t in transitions:
-        stats_t = ego_snapshot_stats(series, t, ego, per_triad=per_triad, degree_modes=modes,
-                                     excluded=excluded)
-        for i, cell in enumerate(stats_t.values()):
-            if cell is not None:
-                triad.append(i)
-                values.append([v for m in modes for g in GROUPS for v in
-                               (cell[m][g].mean_log_global, cell[m][g].mean_log_personalized)])
-    return triad, values, excluded
+    reason, values, n_candidates = _ego_worker(
+        (series, per_triad, modes), (t, np.array([ego], dtype=np.int64)))
+    if excluded is not None:
+        for i, r in enumerate(EXCLUSIONS):
+            excluded[r] += int((reason == i).sum())
+    keys = list(TriadType) if per_triad else [None]
+    out = dict.fromkeys(keys)
+    usable = [key for key, r in zip(keys, reason) if r < 0]
+    for key, cell, sizes in zip(usable, values.reshape(-1, len(modes), len(GROUPS), 2),
+                                n_candidates.reshape(-1, len(GROUPS))):
+        out[key] = {m: {group: GroupStats(group, float(cell[i, j, 0]), float(cell[i, j, 1]),
+                                          int(sizes[j]))
+                        for j, group in enumerate(GROUPS)}
+                    for i, m in enumerate(modes)}
+    return out
 
 
 def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, workers=1):
@@ -222,7 +159,13 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
     modes = resolve_modes(series.directed, degree_modes, per_triad)
     if egos is None:
         egos = sample_egos(series)
-    egos = np.asarray(egos, dtype=np.int64)
+    egos = np.asarray(egos)
+    if egos.dtype.kind not in "iu":
+        # an id that is not a whole number is named, not cut down to one
+        bad = [e for e in egos.ravel().tolist() if not float(e).is_integer()]
+        if bad:
+            raise ConfigError(f"egos: ids must be integers, got {bad[0]!r}")
+    egos = egos.astype(np.int64)
     if egos.size == 0:
         raise EmptyInputError("no egos given")
     egos = np.unique(egos)
@@ -230,28 +173,24 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
     series[0]._check_node(int(egos[0]))
     series[0]._check_node(int(egos[-1]))
 
-    # settled here, not in the workers, so no result depends on the worker count
-    forming = _forming_cells(series, egos, sym_pool=per_triad)
-    results = map_in_order(_ego_worker, list(zip(egos.tolist(), map(np.flatnonzero, forming))),
-                           (series, per_triad, modes), workers=workers)
-    triad_keys = list(TriadType) if per_triad else [None]
-    ego = np.repeat(egos, [len(t) for t, _, _ in results])
-    triad = np.array([i for t, _, _ in results for i in t], dtype=np.int64)
     columns = list(product(modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED)))
-    values = np.array([row for _, v, _ in results for row in v])
+    reason, cell, values = _cell_blocks(
+        _ego_worker, (series, per_triad, modes), series, egos,
+        EXCLUSIONS.index(EXCLUDED_NO_FORMED), len(columns), workers, sym_pool=per_triad)
+    triad_keys = list(TriadType) if per_triad else [None]
+    ego, triad = np.divmod(cell, len(triad_keys))
+    ego = egos[ego]
     rows = []
     for i in np.unique(triad):
         at = triad == i
         rows += [EmpiricalRow(triad_keys[i], group, kind, mode, *pooled)
                  for (mode, group, kind), pooled in zip(columns, pool_egos(ego[at], values[at]))]
-    excluded = {reason: sum(e[reason] for _, _, e in results) for reason in EXCLUSIONS}
-    excluded[EXCLUDED_NO_FORMED] += int((~forming).sum()) * len(triad_keys)
     diagnostics = {
         "n_egos_requested": int(egos.size),
         "n_egos_contributing": int(np.unique(ego).size),
         "n_transitions": len(series) - 1,
         "n_cells": int(ego.size),
-        "n_cells_excluded": excluded,
+        "n_cells_excluded": {r: int((reason == i).sum()) for i, r in enumerate(EXCLUSIONS)},
     }
     if not rows:
         raise EmptyResultError(

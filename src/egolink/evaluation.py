@@ -14,10 +14,10 @@ Cells are settled from the new edges first: before any ego gather,
 the cells where some candidate forms. When formation is required, an
 unmarked cell is settled without a gather if the ego's wedge count, an
 upper bound on its candidate count, is within the cutoff. The other
-cells run in blocks of egos (``ego._block_runs``), cut in the parent so
-that no result depends on the worker count. A block takes one gather,
-one ``scorers.score_block`` per degree mode, one ranking per column
-over all its egos, and P@K for every kept ego from one cumulative sum.
+cells run on the block driver that ``empirical`` shares
+(``ego._cell_blocks``). A block takes one gather, one
+``scorers.score_block`` per degree mode, one ranking per column over all
+its egos, and P@K for every kept ego from one cumulative sum.
 The cells left out are counted per reason (``EXCLUSIONS``) in the
 result's metadata.
 """
@@ -27,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._parallel import map_in_order
 from ._util import pool_egos
-from .ego import (_block_runs, _forming_cells, _gather_block, _gather_sizes, resolve_modes,
-                  sample_egos)
+from .ego import _cell_blocks, _gather_block, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_block, validate_methods
 
@@ -205,32 +203,19 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     cutoff, n_t = int(cutoff), len(series) - 1
 
     egos = sample_egos(series, sample_size, seed)
-    forming = (_forming_cells(series, egos, sym_pool=False) if require_formation
-               else np.ones((egos.size, n_t), dtype=bool))
-    # per (transition, ego): the index in EXCLUSIONS of the reason its cell
-    # is left out, or -1 when it is kept; a settled cell has nothing formed
-    reason = np.full((n_t, egos.size), EXCLUSIONS.index(EXCLUDED_NO_FORMED))
-    blocks = []
-    for t, g in enumerate(series.graphs[:-1]):
-        sizes = _gather_sizes(g, egos)
-        gathered = np.flatnonzero(forming[:, t] | (sizes > cutoff))
-        blocks += [(t, gathered[a:b]) for a, b in _block_runs(g, sizes[gathered])]
     payload = (series, methods, modes, ks, cutoff, max(int(min_candidates), ks[-1]),
                bool(require_formation), log_base)
-    results = map_in_order(_cell_worker, [(t, egos[at]) for t, at in blocks], payload,
-                           workers=workers)
-    cell_ego, values = [np.empty(0, dtype=np.int64)], [np.empty((0, len(keys)))]
-    for (t, at), (block_reason, p) in zip(blocks, results):
-        reason[t, at] = block_reason
-        cell_ego.append(at[block_reason < 0])
-        values.append(p)
+    # per (transition, ego): the index in EXCLUSIONS of the reason its cell
+    # is left out, or -1 when it is kept; a settled cell has nothing formed
+    reason, cell_ego, values = _cell_blocks(
+        _cell_worker, payload, series, egos, EXCLUSIONS.index(EXCLUDED_NO_FORMED), len(keys),
+        workers, require_formation=require_formation, cutoff=cutoff)
 
     # an ego over the cutoff at some transition is dropped whole; a settled
     # cell never is, as its candidates are at most its wedges
     dropped = (reason == EXCLUSIONS.index(EXCLUDED_OVER_CUTOFF)).any(axis=0)
     excluded = {r: int((reason[:, ~dropped] == i).sum()) for i, r in enumerate(EXCLUSIONS)}
     excluded[EXCLUDED_OVER_CUTOFF] = int(dropped.sum()) * n_t
-    cell_ego, values = np.concatenate(cell_ego), np.concatenate(values)
     cell_ego, values = cell_ego[~dropped[cell_ego]], values[~dropped[cell_ego]]
     metadata = {
         "seed": int(seed),

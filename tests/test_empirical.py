@@ -131,6 +131,22 @@ class TestExclusions:
         with pytest.raises(IndexError, match="out of range"):
             aggregate_empirical(series, egos=np.array(egos))
 
+    def test_fractional_ego_ids_named(self):
+        # ids are not cut down to whole numbers: 1.7 is not ego 1
+        series = make_series([[(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]], 6)
+        with pytest.raises(ConfigError, match="1.7"):
+            aggregate_empirical(series, egos=[1.7, 2.9, 5.2])
+        with pytest.raises(ConfigError, match="nan"):
+            aggregate_empirical(series, egos=[0.0, float("nan")])
+
+    @pytest.mark.parametrize("per_triad", [False, True], ids=["plain", "per-triad"])
+    @pytest.mark.parametrize("ego", [-1, 3])
+    def test_one_cell_ego_out_of_range(self, ego, per_triad):
+        # the block gather reads out_indptr[egos]: -1 would wrap around
+        series = make_series([[(0, 1)], [(0, 1), (1, 2)]], 3, directed=True)
+        with pytest.raises(IndexError, match="out of range"):
+            ego_snapshot_stats(series, 0, ego, per_triad=per_triad)
+
 
 class TestDefaults:
     def test_mode_sets(self):
@@ -266,6 +282,26 @@ class TestDeterminism:
             12, "5ff5ef86fb879ec2c59830daba992e298a07235a91dc6a7aab3bd106e41739c2")
         assert (stats.diagnostics["n_cells"], stats.diagnostics["n_cells_excluded"]) == (
             159, {"no_formed_candidate": 81, "all_formed": 0})
+
+
+class TestBlockCuts:
+    """Blocks of one ego and the default blocks give the same result at
+    every worker count, with both exclusion reasons in play."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("directed, per_triad, seed", [
+        (False, False, 26), (True, False, 25), (True, True, 25),
+    ], ids=["undirected", "directed", "per-triad"])
+    def test_one_ego_blocks_agree(self, monkeypatch, directed, per_triad, seed, workers):
+        n = 40
+        series = make_series(random_snapshots(seed, n, 0.04, directed, 4, growth=1.0), n,
+                             directed=directed)
+        default = aggregate_empirical(series, per_triad=per_triad, workers=workers)
+        assert min(default.diagnostics["n_cells_excluded"].values()) > 0
+        monkeypatch.setattr(ego_module, "_CHUNK", 1)
+        single = aggregate_empirical(series, per_triad=per_triad, workers=workers)
+        assert single.rows == default.rows
+        assert single.diagnostics == default.diagnostics
 
 
 class TestFormationFirst:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from egolink._util import mean_and_stderr, pool_egos
+from egolink._util import group_means, mean_and_stderr, pool_egos
 
 
 def _reference_pool(ego, values):
@@ -57,6 +57,20 @@ def test_bitwise_equal_to_mean_of_means():
     means = [float(np.mean(c)) for c in cells]
     ego = np.repeat(np.arange(40), [c.size for c in cells])
     assert pool_egos(ego, np.concatenate(cells)[:, None]) == [(*mean_and_stderr(means), 40)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_group_means_bitwise_equal_to_mean(seed):
+    # groups of 1-40 rows, equal lengths among them, rows in shuffled order
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice([1, 2, 3, 7, 8, 9, 16, 17, 33, 40], 60)
+    group = rng.permutation(np.repeat(rng.choice(1000, sizes.size, replace=False), sizes))
+    values = 10.0 ** rng.uniform(-3.0, 3.0, (group.size, 3))
+    means, size = group_means(group, values)
+    for i, g in enumerate(np.unique(group)):
+        assert size[i] == np.count_nonzero(group == g)
+        for col in range(values.shape[1]):
+            assert means[i, col] == np.mean(values[group == g, col])
 
 
 @pytest.mark.parametrize("seed", range(6))
