@@ -7,10 +7,11 @@ samples, ``empirical`` compares formed against not-formed candidates,
 precision@k, and ``generate`` writes synthetic edge lists.
 
 Each option is declared once, as a field of :class:`RunConfig` with its
-default, value kind, help text and check.  It is both a ``--flag`` and a key
-of a flat ``key = value`` config file passed via ``--config``.  Precedence:
-``--flag`` > ``EGOLINK_OUTPUT_DIR`` (for ``output_dir``) > config file >
-default.  Every check runs before any input is read.
+default, value kind, help text and check.  ``_COMMANDS`` names the keys each
+command reads: each is a ``--flag`` and a key of the flat ``key = value``
+config file passed via ``--config``, and any other key is rejected.
+Precedence: ``--flag`` > ``EGOLINK_OUTPUT_DIR`` (for ``output_dir``) >
+config file > default.  Every check runs before any input is read.
 Exit codes: 0 on success, 1 for bad input or configuration, 2 for runtime
 failures such as empty results.
 """
@@ -72,6 +73,11 @@ _MAX_WINDOW = int(np.iinfo(np.int64).max)  # times and window lengths are int64 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 _WINDOW_KEYS = ("window_days", "window_seconds", "window_count")
+# the keys of the commands that load an input, and of those that cut it into snapshots
+_LOAD_KEYS = ("input", "directed", "delimiter", "time_mode", "missing_time", "drop_zero_out")
+_SERIES_KEYS = _LOAD_KEYS + _WINDOW_KEYS + ("preassigned", "output_dir", "format")
+# a GeneratorSpec field is the RunConfig key of the same name and default
+_GENERATOR_KEYS = tuple(f.name for f in fields(GeneratorSpec))
 
 
 def _opt(default, kind, help, check=None):
@@ -230,8 +236,8 @@ def _parse_value(key, raw):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
 
 
-def read_config_file(path):
-    """Parse a flat ``key = value`` config file into typed values."""
+def read_config_file(path, command):
+    """Parse a flat ``key = value`` config file of ``command``'s keys into typed values."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -246,8 +252,8 @@ def read_config_file(path):
             raise ConfigError(f"config: line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FIELDS:
-            raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
+        if key not in _COMMANDS[command][2]:
+            raise ConfigError(f"config: line {lineno}: key {key!r} is not read by {command}")
         values[key] = _parse_value(key, raw)
     return values
 
@@ -262,15 +268,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    parser = _Parser(prog="egolink", description=__doc__.split("\n\n")[0])
+    # no abbreviations: a prefix of a flag another command has, such as
+    # ``evaluate --k``, must fail rather than parse as ``--ks``
+    parser = _Parser(prog="egolink", description=__doc__.split("\n\n")[0],
+                     allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"egolink {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (description, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, description=description, add_help=True)
+    for name, (description, _, keys) in _COMMANDS.items():
+        cmd = sub.add_parser(name, description=description, allow_abbrev=False)
         cmd.add_argument("--config", default=None, help="flat key = value config file")
-        for f in fields(RunConfig):
-            flag = "--" + f.name.replace("_", "-")
-            kind, text = f.metadata["kind"], f.metadata["help"]
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            kind, text = _FIELDS[key].metadata["kind"], _FIELDS[key].metadata["help"]
             if kind == "bool":
                 cmd.add_argument(flag, nargs="?", const="true", default=None,
                                  metavar="BOOL", help=text)
@@ -280,15 +289,16 @@ def build_parser():
 
 
 def resolve_config(args):
-    """Merge defaults, config file, env override, and flags into a RunConfig.
+    """Merge defaults, config file, env override, and flags of the keys the
+    command reads into a RunConfig.
 
     Precedence: flag > ``EGOLINK_OUTPUT_DIR`` > config file > default."""
-    file_values = read_config_file(args.config) if args.config else {}
+    file_values = read_config_file(args.config, args.command) if args.config else {}
     env_dir = os.environ.get("EGOLINK_OUTPUT_DIR")
     if env_dir:  # the env var outranks the file, so it overwrites its value
         file_values["output_dir"] = env_dir
     cfg = RunConfig()
-    for key in _FIELDS:
+    for key in _COMMANDS[args.command][2]:
         raw = getattr(args, key)
         value = _parse_value(key, raw) if raw is not None else file_values.get(key)
         if value is not None:
@@ -312,21 +322,21 @@ def _validate_config(cfg):
         raise ConfigError(f"window policy: {policy[0]} conflicts with {policy[1]}")
 
 
-def config_echo(cfg):
-    """Flat string map of the resolved config, usable as a config file."""
+def config_echo(cfg, command):
+    """Flat string map of the keys ``command`` reads, usable as its config file."""
     echo = {}
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
+    for key in _COMMANDS[command][2]:
+        value = getattr(cfg, key)
         if value is None:
-            echo[f.name] = ""
+            echo[key] = ""
         elif isinstance(value, bool):
-            echo[f.name] = "true" if value else "false"
+            echo[key] = "true" if value else "false"
         elif isinstance(value, tuple):
-            echo[f.name] = ",".join(str(v) for v in value)
+            echo[key] = ",".join(str(v) for v in value)
         elif isinstance(value, float):
-            echo[f.name] = fmt_float(value)
+            echo[key] = fmt_float(value)
         else:
-            echo[f.name] = str(value)
+            echo[key] = str(value)
     return echo
 
 
@@ -340,14 +350,8 @@ def _load_edges(cfg):
     _require(cfg, "input")
     if not os.path.exists(cfg.input):
         raise ConfigError(f"input: no such file {cfg.input!r}")
-    edges = ingest_edges(
-        cfg.input,
-        directed=cfg.directed,
-        delimiter=cfg.delimiter,
-        time_mode=cfg.time_mode,
-        missing_time=cfg.missing_time,
-        drop_zero_out=cfg.drop_zero_out,
-    )
+    # the other load keys are ingest_edges' parameters of the same name
+    edges = ingest_edges(cfg.input, **{key: getattr(cfg, key) for key in _LOAD_KEYS[1:]})
     if edges.n_edges == 0:
         raise EmptyInputError(f"input: no edges found in {cfg.input!r}")
     return edges
@@ -383,8 +387,7 @@ def _out_path(cfg, name):
 def _write_manifest(cfg, command, outputs, started, extra):
     manifest = {
         "command": command,
-        "config": config_echo(cfg),
-        "seed": cfg.seed,
+        "config": config_echo(cfg, command),
         "versions": {
             "egolink": __version__,
             "numpy": np.__version__,
@@ -534,31 +537,29 @@ def _cmd_evaluate(cfg):
 
 def _cmd_generate(cfg):
     _require(cfg, "kind", "n_nodes")
-    spec = GeneratorSpec(
-        kind=cfg.kind,
-        n_nodes=cfg.n_nodes,
-        seed=cfg.seed,
-        directed=cfg.directed,
-        edge_prob=cfg.edge_prob,
-        n_attach=cfg.n_attach,
-        method=cfg.method,
-        mode=cfg.mode,
-        n_snapshots=cfg.n_snapshots,
-        formation_rate=cfg.formation_rate,
-        time_span=cfg.time_span,
-    )
+    spec = GeneratorSpec(**{key: getattr(cfg, key) for key in _GENERATOR_KEYS})
     return _write_edges(cfg, generate(spec), "generated")
 
 
-# command -> (description, runner), in ``--help`` order
+# command -> (description, runner, the RunConfig keys its runner reads),
+# in ``--help`` order
 _COMMANDS = {
-    "ingest": ("normalize a raw edge file into contiguous integer ids", _cmd_ingest),
-    "snapshots": ("summarize cumulative snapshot windows", _cmd_snapshots),
-    "degree-dist": ("log-binned degree distribution of one snapshot", _cmd_degree_dist),
-    "empirical": ("formed vs not-formed degree statistics across snapshots", _cmd_empirical),
-    "recommend": ("ranked candidate list for one ego", _cmd_recommend),
-    "evaluate": ("precision@k evaluation of scoring methods", _cmd_evaluate),
-    "generate": ("write a synthetic edge list", _cmd_generate),
+    "ingest": ("normalize a raw edge file into contiguous integer ids", _cmd_ingest,
+               _LOAD_KEYS + ("output_dir",)),
+    "snapshots": ("summarize cumulative snapshot windows", _cmd_snapshots, _SERIES_KEYS),
+    "degree-dist": ("log-binned degree distribution of one snapshot", _cmd_degree_dist,
+                    _SERIES_KEYS + ("snapshot", "kind", "mode", "per_neighbor",
+                                    "bins_per_decade")),
+    "empirical": ("formed vs not-formed degree statistics across snapshots", _cmd_empirical,
+                  _SERIES_KEYS + ("seed", "sample_size", "modes", "per_triad", "workers")),
+    "recommend": ("ranked candidate list for one ego", _cmd_recommend,
+                  _SERIES_KEYS + ("snapshot", "ego", "method", "mode", "k", "log_base")),
+    "evaluate": ("precision@k evaluation of scoring methods", _cmd_evaluate,
+                 _SERIES_KEYS + ("seed", "sample_size", "cutoff", "ks", "methods", "modes",
+                                 "min_candidates", "require_formation", "workers",
+                                 "log_base")),
+    "generate": ("write a synthetic edge list", _cmd_generate,
+                 _GENERATOR_KEYS + ("output_dir",)),
 }
 
 _VALIDATION_ERRORS = (ConfigError, PreconditionError, EmptyInputError, ParseError,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .ego import MODE_UNDIRECTED, ego_blocks, global_degrees, validate_mode
+from .ego import MODE_UNDIRECTED, _ego_ids, ego_blocks, global_degrees, validate_mode
 from .errors import ConfigError, EmptyInputError
 
 KIND_PERSONALIZED = "personalized"
@@ -51,11 +51,7 @@ def _per_neighbor_samples(graph, egos, kind, mode):
     ``ego_blocks`` over all the egos, or the global degree of the
     neighbor, read from one gather of their successor rows."""
     egos = np.arange(graph.n_nodes, dtype=np.int64) if egos is None else \
-        np.asarray(egos, dtype=np.int64)
-    if egos.size:
-        # a negative id would wrap around instead of failing
-        graph._check_node(int(egos.min()))
-        graph._check_node(int(egos.max()))
+        _ego_ids(graph, egos)
     if kind == KIND_PERSONALIZED:
         chunks = [view.pd(mode) for view in ego_blocks(graph, egos, (mode,), wedges=False)]
     else:

@@ -82,6 +82,22 @@ def sample_egos(series, sample_size=None, seed=0):
     return np.sort(rng.choice(eligible, size=int(sample_size), replace=False))
 
 
+def _ego_ids(graph, egos):
+    """``egos`` as int64 node ids of ``graph``. An id that is not a whole
+    number is a ConfigError naming it, not cut down to one; an id out of
+    range is an IndexError, since a negative one would wrap around."""
+    egos = np.asarray(egos)
+    if egos.dtype.kind not in "iu":
+        bad = [e for e in egos.ravel().tolist() if not float(e).is_integer()]
+        if bad:
+            raise ConfigError(f"egos: ids must be integers, got {bad[0]!r}")
+    egos = egos.astype(np.int64)
+    if egos.size:
+        graph._check_node(int(egos.min()))
+        graph._check_node(int(egos.max()))
+    return egos
+
+
 def two_hop_candidates(graph, u):
     """Nodes two steps out (through either edge direction at the second
     hop), excluding the ego and its direct neighborhood. Sorted."""
@@ -379,10 +395,8 @@ def ego_blocks(graph, egos, modes, wedges=True):
 def ego_view(graph, u):
     """The view of the one ego ``u``: its candidates, the wedges onto
     them, and the personalized degrees of every mode the graph admits."""
-    u = int(u)
-    graph._check_node(u)
     modes = ALL_MODES if graph.directed else (MODE_UNDIRECTED,)
-    return _gather_block(graph, np.array([u], dtype=np.int64), modes)
+    return _gather_block(graph, _ego_ids(graph, [u]), modes)
 
 
 def _forming_cells(series, egos, sym_pool):

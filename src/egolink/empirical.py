@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from ._util import group_means, pool_egos
 from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
-from .ego import TriadType, _cell_blocks, _gather_block, resolve_modes, sample_egos
+from .ego import TriadType, _cell_blocks, _ego_ids, _gather_block, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyInputError, EmptyResultError
 
 GROUP_FORMED = "formed"
@@ -131,10 +131,9 @@ def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, exclu
     keyed by ``EXCLUSIONS`` is given."""
     if not 0 <= t < len(series) - 1:
         raise IndexError(f"transition index {t} needs a following snapshot")
-    series[t]._check_node(int(ego))
+    egos = _ego_ids(series[t], [ego])
     modes = resolve_modes(series.directed, degree_modes, per_triad)
-    reason, values, n_candidates = _ego_worker(
-        (series, per_triad, modes), (t, np.array([ego], dtype=np.int64)))
+    reason, values, n_candidates = _ego_worker((series, per_triad, modes), (t, egos))
     if excluded is not None:
         for i, r in enumerate(EXCLUSIONS):
             excluded[r] += int((reason == i).sum())
@@ -159,19 +158,9 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
     modes = resolve_modes(series.directed, degree_modes, per_triad)
     if egos is None:
         egos = sample_egos(series)
-    egos = np.asarray(egos)
-    if egos.dtype.kind not in "iu":
-        # an id that is not a whole number is named, not cut down to one
-        bad = [e for e in egos.ravel().tolist() if not float(e).is_integer()]
-        if bad:
-            raise ConfigError(f"egos: ids must be integers, got {bad[0]!r}")
-    egos = egos.astype(np.int64)
+    egos = np.unique(_ego_ids(series[0], egos))
     if egos.size == 0:
         raise EmptyInputError("no egos given")
-    egos = np.unique(egos)
-    # a negative id would wrap around instead of failing
-    series[0]._check_node(int(egos[0]))
-    series[0]._check_node(int(egos[-1]))
 
     columns = list(product(modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED)))
     reason, cell, values = _cell_blocks(

@@ -1,10 +1,11 @@
-"""The traced benchmark names only functions and graph arrays that exist.
+"""The benchmark names only functions, graph arrays and flags that exist.
 
 ``pipebench/tracing.py`` wraps each function its ``SPANS`` table names
 with ``getattr``, so a renamed or deleted function would crash a traced
 benchmark run. Its per-item workers are matched by name. The benchmark
 also reads a few ``SnapshotGraph`` arrays directly, so a refactor of the
-graph must keep them.
+graph must keep them, and ``pipebench/workloads.py`` passes each CLI
+stage flags that its command must still take.
 """
 
 import importlib
@@ -14,20 +15,22 @@ import os
 import numpy as np
 import pytest
 
+from egolink.cli import build_parser
 from egolink.graph import SnapshotGraph
 
-_TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        os.pardir, "pipebench", "tracing.py")
+_PIPEBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pipebench")
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("pipebench_tracing", _TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"pipebench_{name}", os.path.join(_PIPEBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("mod_name, attr", [(m, a) for m, a, _, _ in tracing.SPANS])
@@ -58,3 +61,11 @@ def test_graph_arrays_read_by_benchmark(directed):
     for name in BENCH_GRAPH_ARRAYS:
         assert isinstance(getattr(g, name), np.ndarray), name
     assert callable(g.successors)
+
+
+@pytest.mark.parametrize("size", ["smoke", "full"])
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_stage_argv_parses(name, size, tmp_path):
+    parser = build_parser()
+    for stage, argv in workloads.plan(name, 0, size, str(tmp_path)).stage_argv.items():
+        assert parser.parse_args(argv).command == stage

@@ -159,19 +159,33 @@ class TestConfigFile:
         assert "workers" in capsys.readouterr().err
 
     def test_manifest_echo_reproduces(self, tmp_path):
+        # every command's manifest replays as its config file
         data = _planted(tmp_path)
-        out1 = tmp_path / "e1"
-        assert main(["evaluate", "--input", str(data), "--time-mode", "index",
-                     "--ks", "1,3,5", "--seed", "4",
-                     "--output-dir", str(out1)]) == 0
-        manifest = json.loads((out1 / "run_manifest.json").read_text())
-        cfg = tmp_path / "replay.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n"
-                               for k, v in manifest["config"].items() if v != ""))
-        out2 = tmp_path / "e2"
-        assert main(["evaluate", "--config", str(cfg),
-                     "--output-dir", str(out2)]) == 0
-        assert (out1 / "eval.csv").read_bytes() == (out2 / "eval.csv").read_bytes()
+        for argv in (
+            ["ingest"],
+            ["snapshots", "--format", "json"],
+            ["degree-dist", "--kind", "global", "--per-neighbor", "--bins-per-decade", "5"],
+            ["empirical", "--sample-size", "40", "--seed", "4"],
+            ["recommend", "--ego", "3", "--method", "pd-aa", "--k", "5", "--log-base", "2"],
+            ["evaluate", "--ks", "1,3,5", "--seed", "4"],
+            ["generate", "--kind", "planted-scorer", "--n-nodes", "60", "--edge-prob", "0.1",
+             "--method", "pd-cn", "--n-snapshots", "3", "--seed", "5"],
+        ):
+            if argv[0] != "generate":
+                argv = argv + ["--input", str(data), "--time-mode", "index"]
+            out1, out2 = tmp_path / argv[0] / "1", tmp_path / argv[0] / "2"
+            assert main(argv + ["--output-dir", str(out1)]) == 0
+            manifest = json.loads((out1 / "run_manifest.json").read_text())
+            # no manifest names a seed its command does not read; evaluate's
+            # cell counts repeat the seed it read
+            if "seed" in manifest:
+                assert manifest["config"]["seed"] == str(manifest["seed"])
+            cfg = tmp_path / argv[0] / "replay.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n"
+                                   for k, v in manifest["config"].items() if v != ""))
+            assert main([argv[0], "--config", str(cfg), "--output-dir", str(out2)]) == 0
+            for name in manifest["outputs"]:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestOutputs:

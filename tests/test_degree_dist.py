@@ -60,6 +60,14 @@ class TestSampling:
         with pytest.raises(IndexError):
             global_degree_samples(_star(3), per_neighbor=True, egos=np.array([ego]))
 
+    def test_fractional_ego_named(self):
+        # 1.7 is not ego 1: the id is named, not cut down to a whole number
+        with pytest.raises(ConfigError, match="1.7"):
+            personalized_degree_samples(_star(3), egos=[0, 1.7])
+        with pytest.raises(ConfigError, match="1.7"):
+            global_degree_samples(_star(3), per_neighbor=True, egos=[1.7])
+        assert personalized_degree_samples(_star(3), egos=[0.0]).values.tolist() == [0, 0, 0]
+
     def test_matches_oracle(self):
         for seed in range(30):
             g, pairs = random_graph(seed, 9, 0.35, False)

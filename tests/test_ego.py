@@ -222,6 +222,18 @@ class TestEgoView:
         assert view.base.tolist() == ego_neighbors(g, ids["u"]).tolist()
         assert view.candidates.tolist() == two_hop_candidates(g, ids["u"]).tolist()
 
+    def test_fractional_ego_named(self, two_broker_graph):
+        # 1.7 is not ego 1: the id is named, not cut down to a whole number
+        g, ids = two_broker_graph
+        for call in (ego_view, two_hop_candidates, score_candidates):
+            with pytest.raises(ConfigError, match="1.7"):
+                call(g, 1.7)
+        u = ids["u"]
+        assert ego_view(g, float(u)).egos.tolist() == [u]
+        assert two_hop_candidates(g, float(u)).tolist() == two_hop_candidates(g, u).tolist()
+        with pytest.raises(IndexError, match="out of range"):
+            ego_view(g, -1)
+
     def test_view_of_several_egos(self, two_broker_graph):
         # a view of a run of egos has no single ego, so no score table
         g, ids = two_broker_graph

@@ -138,6 +138,18 @@ class TestExclusions:
             aggregate_empirical(series, egos=[1.7, 2.9, 5.2])
         with pytest.raises(ConfigError, match="nan"):
             aggregate_empirical(series, egos=[0.0, float("nan")])
+        # whole-number floats are the ids they name
+        series = make_series([[(0, 1), (1, 2), (1, 3)], [(0, 1), (1, 2), (1, 3), (0, 2)]], 4)
+        assert aggregate_empirical(series, egos=[0.0, 1.0]) == \
+            aggregate_empirical(series, egos=[0, 1])
+
+    @pytest.mark.parametrize("per_triad", [False, True], ids=["plain", "per-triad"])
+    def test_one_cell_fractional_ego_named(self, per_triad):
+        series = make_series([[(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]], 3, directed=True)
+        with pytest.raises(ConfigError, match="1.7"):
+            ego_snapshot_stats(series, 0, 1.7, per_triad=per_triad)
+        assert ego_snapshot_stats(series, 0, 1.0, per_triad=per_triad) == \
+            ego_snapshot_stats(series, 0, 1, per_triad=per_triad)
 
     @pytest.mark.parametrize("per_triad", [False, True], ids=["plain", "per-triad"])
     @pytest.mark.parametrize("ego", [-1, 3])

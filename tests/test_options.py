@@ -1,5 +1,6 @@
-"""The option table: every ``RunConfig`` field is one flag, one config key and
-one manifest echo entry, and its check fails fast with the key named."""
+"""The option table: every ``RunConfig`` field is a flag, a config key and a
+manifest echo entry of each command that reads it, and of no other; its
+check fails fast with the key named."""
 
 import dataclasses
 import os
@@ -7,7 +8,9 @@ import re
 
 import pytest
 
-from egolink.cli import RunConfig, build_parser, config_echo, main
+from egolink.cli import _COMMANDS, RunConfig, build_parser, config_echo, main, read_config_file
+from egolink.errors import ConfigError
+from egolink.generators import GeneratorSpec
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
@@ -37,8 +40,26 @@ BAD_VALUES = {
     "k": "0",
 }
 
-COMMANDS = ("ingest", "snapshots", "degree-dist", "empirical", "recommend",
-            "evaluate", "generate")
+LOAD = ("input", "directed", "delimiter", "time_mode", "missing_time", "drop_zero_out")
+WINDOWS = ("window_days", "window_seconds", "window_count", "preassigned")
+SERIES = LOAD + WINDOWS + ("output_dir", "format")
+
+#: the keys each command reads, and so its flags, config keys and echo
+KEYS = {
+    "ingest": LOAD + ("output_dir",),
+    "snapshots": SERIES,
+    "degree-dist": SERIES + ("snapshot", "kind", "mode", "per_neighbor", "bins_per_decade"),
+    "empirical": SERIES + ("seed", "sample_size", "modes", "per_triad", "workers"),
+    "recommend": SERIES + ("snapshot", "ego", "method", "mode", "k", "log_base"),
+    "evaluate": SERIES + ("seed", "sample_size", "cutoff", "ks", "methods", "modes",
+                          "min_candidates", "require_formation", "workers", "log_base"),
+    "generate": tuple(f.name for f in dataclasses.fields(GeneratorSpec)) + ("output_dir",),
+}
+COMMANDS = tuple(KEYS)
+
+#: a command that reads each checked key, for the checks' fail-fast tests
+CHECKED_VIA = {"bins_per_decade": "degree-dist", "mode": "degree-dist",
+               "method": "recommend", "k": "recommend"}
 
 
 def _flag(key):
@@ -60,7 +81,9 @@ def test_every_check_has_a_bad_value():
 @pytest.mark.parametrize("key", CHECKED)
 def test_bad_value_fails_before_input(key, via, tmp_path, capsys):
     # the input does not exist, so only a check that runs first names the key
-    argv = ["evaluate", "--input", str(tmp_path / "missing.csv"),
+    command = CHECKED_VIA.get(key, "evaluate")
+    assert key in KEYS[command]
+    argv = [command, "--input", str(tmp_path / "missing.csv"),
             "--output-dir", str(tmp_path / "out")]
     if via == "flag":
         argv += [_flag(key), BAD_VALUES[key]]
@@ -73,21 +96,77 @@ def test_bad_value_fails_before_input(key, via, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_every_field_belongs_to_a_command():
+    assert {key for keys in KEYS.values() for key in keys} == set(FIELDS)
+    assert {name: set(keys) for name, (_, _, keys) in _COMMANDS.items()} == \
+        {name: set(keys) for name, keys in KEYS.items()}
+    assert sum(map(len, KEYS.values())) == 105
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_every_field_is_a_flag_and_echoed(command):
+def test_every_field_is_a_flag_and_echoed(command, tmp_path):
+    # each field is a flag, config key and echo entry of every command that
+    # reads it (see test_every_field_belongs_to_a_command), and of no other
     parser = build_parser()
-    for key in FIELDS:
+    keys = KEYS[command]
+    assert set(vars(parser.parse_args([command]))) == {"command", "config", *keys}
+    for key in keys:
         args = parser.parse_args([command, _flag(key), "1"])
         assert getattr(args, key) == "1", key
-    assert list(config_echo(RunConfig())) == FIELDS
+    assert sorted(config_echo(RunConfig(), command)) == sorted(keys)
+    # a key some other command reads is neither a flag nor a config key here
+    other = next(key for key in FIELDS if key not in keys)
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args([command, _flag(other), "1"])
+    assert info.value.code == 1
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(f"{other} = 1\n")
+    with pytest.raises(ConfigError, match=f"key '{other}' is not read by {command}"):
+        read_config_file(cfg, command)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ingest", "--ks", "1,2"], "--ks"),
+    (["ingest", "--format", "json"], "--format"),
+    (["evaluate", "--mode", "out"], "--mode"),
+    (["evaluate", "--k", "5"], "--k"),
+], ids=["ingest-ks", "ingest-format", "evaluate-mode", "evaluate-k"])
+def test_flag_the_command_does_not_read(argv, flag, tmp_path, capsys):
+    # not a prefix of --modes or --ks either: no flag is abbreviated
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--input", str(tmp_path / "missing.csv"),
+                     "--output-dir", str(tmp_path / "out")])
+    assert info.value.code == 1
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_key_the_command_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("ks = 1,2\nk = 5\n")
+    assert main(["evaluate", "--config", str(cfg), "--input", str(tmp_path / "missing.csv"),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert "config: line 2: key 'k' is not read by evaluate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_lists_every_key():
     text = open(README, encoding="utf-8").read()
     section = text.split("### Options and config files", 1)[1].split("\n#", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
-    listed = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[2])]
-    assert sorted(listed) == sorted(FIELDS)
+    # a row names a *group* of keys or a `command`; a *group* in a row's
+    # keys stands for that group's keys
+    groups, listed = {}, {}
+    for row in rows:
+        name, cell = (part.strip() for part in row.split("|")[1:3])
+        keys = []
+        for group, key in re.findall(r"\*(\w+)\*|`(\w+)`", cell):
+            keys += groups[group] if group else [key]
+        if name.startswith("*"):
+            groups[name.strip("*")] = keys
+        else:
+            listed[name.strip("`")] = sorted(keys)
+    assert listed == {name: sorted(keys) for name, keys in KEYS.items()}
 
 
 class TestFiniteFloats:
@@ -167,8 +246,9 @@ class TestModeRules:
           "--method", "pd-cn", "--mode", "out", "--n-snapshots", "2"], "mode"),
     ], ids=["evaluate", "empirical", "degree-dist", "recommend", "per-triad", "generate"])
     def test_undirected_input(self, argv, key, idx_file, tmp_path, capsys):
-        assert main(argv + ["--input", str(idx_file), "--time-mode", "index",
-                            "--output-dir", str(tmp_path / "o")]) == 1
+        # generate reads no input: its graph is undirected without --directed
+        read = [] if argv[0] == "generate" else ["--input", str(idx_file), "--time-mode", "index"]
+        assert main(argv + read + ["--output-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"error: {key}: " in err and "directed graph" in err
 
