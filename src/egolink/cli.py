@@ -12,8 +12,15 @@ command reads: each is a ``--flag`` and a key of the flat ``key = value``
 config file passed via ``--config``, and any other key is rejected.
 Precedence: ``--flag`` > ``EGOLINK_OUTPUT_DIR`` (for ``output_dir``) >
 config file > default.  Every check runs before any input is read.
+``time_mode = index`` is the one way to say the time column holds snapshot
+indices, which take no window key.
+
+Each run writes ``run_manifest.json`` with six keys: ``command``, ``config``
+(the echo of the command's keys), ``versions``, ``wall_time_s``, ``outputs``
+and the runner's ``counts``.
 Exit codes: 0 on success, 1 for bad input or configuration, 2 for runtime
-failures such as empty results.
+failures such as empty results; an unexpected error also writes its
+traceback after the ``failed:`` line.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import math
 import os
 import sys
 import time as _time
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -75,7 +83,7 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 _WINDOW_KEYS = ("window_days", "window_seconds", "window_count")
 # the keys of the commands that load an input, and of those that cut it into snapshots
 _LOAD_KEYS = ("input", "directed", "delimiter", "time_mode", "missing_time", "drop_zero_out")
-_SERIES_KEYS = _LOAD_KEYS + _WINDOW_KEYS + ("preassigned", "output_dir", "format")
+_SERIES_KEYS = _LOAD_KEYS + _WINDOW_KEYS + ("output_dir", "format")
 # a GeneratorSpec field is the RunConfig key of the same name and default
 _GENERATOR_KEYS = tuple(f.name for f in fields(GeneratorSpec))
 
@@ -149,7 +157,7 @@ class RunConfig:
     delimiter: str | None = _opt(None, "str", "force 'comma' or 'whitespace' field splitting",
                                  _one_of("comma", "whitespace"))
     time_mode: str = _opt(TIME_MODE_TIMESTAMP, "str",
-                          "third column semantics: 'timestamp' or 'index'",
+                          "third column: 'timestamp', or 'index' for snapshot indices",
                           _one_of(TIME_MODE_TIMESTAMP, TIME_MODE_INDEX))
     missing_time: int | None = _opt(None, "int",
                                     "timestamp substituted for blank or \\N time fields",
@@ -162,7 +170,6 @@ class RunConfig:
                                       _window_length)
     window_count: int | None = _opt(None, "int", "number of equal-width snapshot windows",
                                     _at_least(1))
-    preassigned: bool = _opt(False, "bool", "treat times as snapshot indices")
     seed: int = _opt(0, "int", "RNG seed for ego sampling and generators", _at_least(0))
     sample_size: int | None = _opt(None, "int",
                                    "number of egos to sample (default: all eligible)",
@@ -267,13 +274,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _CommandParser(_Parser):
+    # argparse hands a command's unknown arguments up to the top-level
+    # parser, whose message names no command; report them here instead
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser():
     # no abbreviations: a prefix of a flag another command has, such as
     # ``evaluate --k``, must fail rather than parse as ``--ks``
     parser = _Parser(prog="egolink", description=__doc__.split("\n\n")[0],
                      allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"egolink {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                parser_class=_CommandParser)
     for name, (description, _, keys) in _COMMANDS.items():
         cmd = sub.add_parser(name, description=description, allow_abbrev=False)
         cmd.add_argument("--config", default=None, help="flat key = value config file")
@@ -312,11 +330,9 @@ def _validate_config(cfg):
         value = getattr(cfg, key)
         if f.metadata["check"] is not None and value is not None:
             check_key(key, f.metadata["check"], value)
-    # at most one window policy; pre-assigned indices take none
+    # at most one window policy; snapshot indices take none
     policy = [key for key in _WINDOW_KEYS if getattr(cfg, key) is not None]
-    if cfg.preassigned:
-        policy.append("preassigned")
-    elif cfg.time_mode == TIME_MODE_INDEX:
+    if cfg.time_mode == TIME_MODE_INDEX:
         policy.append("time_mode=index")
     if len(policy) > 1:
         raise ConfigError(f"window policy: {policy[0]} conflicts with {policy[1]}")
@@ -360,7 +376,7 @@ def _load_edges(cfg):
 def _load_series(cfg):
     """The input's edges and their cumulative snapshots."""
     edges = _load_edges(cfg)
-    if cfg.preassigned or edges.time_mode == TIME_MODE_INDEX:
+    if cfg.time_mode == TIME_MODE_INDEX:
         return edges, build_snapshots(edges, preassigned=True)
     if cfg.window_count is not None:
         return edges, build_snapshots(edges, fixed_count=cfg.window_count)
@@ -384,7 +400,7 @@ def _out_path(cfg, name):
     return os.path.join(cfg.output_dir, name)
 
 
-def _write_manifest(cfg, command, outputs, started, extra):
+def _write_manifest(cfg, command, outputs, started, counts):
     manifest = {
         "command": command,
         "config": config_echo(cfg, command),
@@ -394,15 +410,15 @@ def _write_manifest(cfg, command, outputs, started, extra):
         },
         "wall_time_s": round(_time.monotonic() - started, 3),
         "outputs": [os.path.basename(path) for path in outputs],
+        "counts": counts,
     }
-    manifest.update(extra)
     path = _out_path(cfg, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-# Each runner returns (output paths, manifest extras, summary line).
+# Each runner returns (output paths, manifest counts, summary line).
 
 def _write_edges(cfg, edges, verb):
     normalized = _out_path(cfg, "normalized.csv")
@@ -538,7 +554,9 @@ def _cmd_evaluate(cfg):
 def _cmd_generate(cfg):
     _require(cfg, "kind", "n_nodes")
     spec = GeneratorSpec(**{key: getattr(cfg, key) for key in _GENERATOR_KEYS})
-    return _write_edges(cfg, generate(spec), "generated")
+    outputs, counts, summary = _write_edges(cfg, generate(spec), "generated")
+    del counts["n_nodes"]  # the config's n_nodes states it
+    return outputs, counts, summary
 
 
 # command -> (description, runner, the RunConfig keys its runner reads),
@@ -576,8 +594,8 @@ def main(argv=None):
     started = _time.monotonic()
     try:
         cfg = resolve_config(args)
-        outputs, extra, summary = _COMMANDS[args.command][1](cfg)
-        _write_manifest(cfg, args.command, outputs, started, extra)
+        outputs, counts, summary = _COMMANDS[args.command][1](cfg)
+        _write_manifest(cfg, args.command, outputs, started, counts)
         print(summary)
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"egolink {args.command}: error: {exc}\n")
@@ -587,8 +605,9 @@ def main(argv=None):
         if exc.diagnostics:
             sys.stderr.write(f"  diagnostics: {exc.diagnostics}\n")
         return 2
-    except Exception as exc:  # last resort: report, never traceback-dump
+    except Exception as exc:  # last resort: report, then the traceback
         sys.stderr.write(f"egolink {args.command}: failed: {exc}\n")
+        traceback.print_exc()
         return 2
     return 0
 

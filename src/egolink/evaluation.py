@@ -218,11 +218,7 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     excluded[EXCLUDED_OVER_CUTOFF] = int(dropped.sum()) * n_t
     cell_ego, values = cell_ego[~dropped[cell_ego]], values[~dropped[cell_ego]]
     metadata = {
-        "seed": int(seed),
-        "sample_size": int(egos.size),
-        "two_hop_cutoff": cutoff,
-        "min_candidates": int(min_candidates),
-        "require_formation": bool(require_formation),
+        "n_egos_requested": int(egos.size),
         "n_egos_contributing": int(np.unique(cell_ego).size),
         "n_egos_skipped_cutoff": int(dropped.sum()),
         "n_cells": int(cell_ego.size),

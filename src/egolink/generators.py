@@ -57,19 +57,11 @@ class GeneratorSpec:
 
 
 def _assemble(n_nodes, src, dst, time, directed, time_mode):
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    time = np.asarray(time, dtype=np.int64)
-    if not directed and src.size:
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        src, dst = lo, hi
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
     order = np.argsort(time, kind="stable")
-    src, dst, time = src[order], dst[order], time[order]
-    for arr in (src, dst, time):
-        arr.setflags(write=False)
     return TemporalEdgeList(
-        src=src, dst=dst, time=time,
+        src=src[order], dst=dst[order], time=time[order],
         labels=tuple(str(i) for i in range(n_nodes)),
         directed=directed, time_mode=time_mode,
     )
@@ -147,7 +139,8 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
             dst.append(v)
             time.append(u)
             pool.extend((u, v))
-    return _assemble(n_nodes, src, dst, time, directed, TIME_MODE_TIMESTAMP)
+    return _assemble(n_nodes, np.array(src), np.array(dst), np.array(time), directed,
+                     TIME_MODE_TIMESTAMP)
 
 
 def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=False,

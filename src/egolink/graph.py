@@ -66,6 +66,18 @@ class TemporalEdgeList:
     directed: bool
     time_mode: str = TIME_MODE_TIMESTAMP
 
+    def __post_init__(self):
+        # read-only int64 views: the caller's arrays keep their own flags
+        for name in ("src", "dst", "time"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __setstate__(self, state):
+        # unpickling skips __post_init__, and arrays unpickle writeable
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def n_edges(self):
         return int(self.src.size)
@@ -86,13 +98,8 @@ class TemporalEdgeList:
 
 
 def _empty_edge_list(directed, time_mode):
-    arrs = [np.empty(0, dtype=np.int64) for _ in range(3)]
-    for a in arrs:
-        a.setflags(write=False)
-    return TemporalEdgeList(
-        src=arrs[0], dst=arrs[1], time=arrs[2], labels=(),
-        directed=directed, time_mode=time_mode,
-    )
+    return TemporalEdgeList(src=(), dst=(), time=(), labels=(),
+                            directed=directed, time_mode=time_mode)
 
 
 def _split_line(line, delimiter):
@@ -235,8 +242,6 @@ def _normalize_ids(src, dst, table, times, directed, time_mode):
     if not directed:
         f_src, f_dst = np.minimum(f_src, f_dst), np.maximum(f_src, f_dst)
 
-    for arr in (f_src, f_dst, f_time):
-        arr.setflags(write=False)
     return TemporalEdgeList(
         src=f_src, dst=f_dst, time=f_time,
         labels=tuple(map(table.__getitem__, tmp_ids.tolist())),
@@ -419,8 +424,6 @@ def drop_zero_out_degree(edges):
     src = remap[src]
     dst = remap[dst]
     labels = tuple(l for l, k in zip(edges.labels, keep_node) if k)
-    for arr in (src, dst, time):
-        arr.setflags(write=False)
     return TemporalEdgeList(
         src=src, dst=dst, time=time, labels=labels,
         directed=True, time_mode=edges.time_mode,
@@ -619,20 +622,6 @@ class SnapshotSeries:
         return self.graphs[i]
 
 
-def _check_cumulative_edges(idx, n_windows, what):
-    """ConfigError when the cumulative snapshots over windows ``idx`` would
-    hold more than MAX_CUMULATIVE_EDGES edges: snapshot ``i`` holds the
-    edges with ``idx <= i``, ``n_windows * n_edges - sum(idx)`` in all.
-    The earliest edge alone adds ``n_windows``, so testing that first
-    keeps ``sum(idx)`` from overflowing."""
-    if (n_windows > MAX_CUMULATIVE_EDGES
-            or n_windows * idx.size - int(idx.sum()) > MAX_CUMULATIVE_EDGES):
-        raise ConfigError(
-            f"{what} gives {n_windows} windows, whose cumulative snapshots "
-            f"would hold more than {MAX_CUMULATIVE_EDGES} edges in total"
-        )
-
-
 def assign_windows(times, window_length=None, fixed_count=None):
     """Map timestamps to window indices; returns (indices, starts, width)."""
     times = np.asarray(times, dtype=np.int64)
@@ -659,7 +648,12 @@ def assign_windows(times, window_length=None, fixed_count=None):
         raise ConfigError(f"{what} over times {t_min}..{t_max} needs window "
                           f"arithmetic beyond int64")
     idx = (times - t_min) // width
-    _check_cumulative_edges(idx, n, what)
+    # snapshot i holds the edges with idx <= i, n * n_edges - sum(idx) in
+    # all; the earliest edge alone adds n, so testing n first keeps the sum
+    # from overflowing
+    if n > MAX_CUMULATIVE_EDGES or n * idx.size - int(idx.sum()) > MAX_CUMULATIVE_EDGES:
+        raise ConfigError(f"{what} gives {n} windows, whose cumulative snapshots "
+                          f"would hold more than {MAX_CUMULATIVE_EDGES} edges in total")
     starts = t_min + width * np.arange(n, dtype=np.int64)
     return idx, starts, width
 
@@ -681,19 +675,14 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
                 directed=edges.directed,
                 n_nodes=edges.n_nodes,
             )
-        idx = edges.time.astype(np.int64)
-        present = np.unique(idx)
-        n = int(present[-1]) + 1
-        if present[0] < 0 or present.size != n:
+        present = np.unique(edges.time)
+        if present[0] != 0 or present.size != present[-1] + 1:
             raise ConfigError("pre-assigned snapshot indices must be contiguous from 0")
-        _check_cumulative_edges(idx, n, f"pre-assigned snapshot count {n}")
-        starts = np.arange(n, dtype=np.int64)
-        width = 1
-    else:
-        idx, starts, width = assign_windows(
-            edges.time, window_length=window_length, fixed_count=fixed_count
-        )
-        n = starts.size
+        window_length = 1  # contiguous from 0: index i is the window [i, i + 1)
+    idx, starts, width = assign_windows(
+        edges.time, window_length=window_length, fixed_count=fixed_count
+    )
+    n = starts.size
 
     new_counts = np.bincount(idx, minlength=n)
     window = idx.astype(np.min_scalar_type(n))

@@ -5,16 +5,19 @@ with ``getattr``, so a renamed or deleted function would crash a traced
 benchmark run. Its per-item workers are matched by name. The benchmark
 also reads a few ``SnapshotGraph`` arrays directly, so a refactor of the
 graph must keep them, and ``pipebench/workloads.py`` passes each CLI
-stage flags that its command must still take.
+stage flags that its command must still take. Each counter of ``SPANS``
+reads its target's real output.
 """
 
 import importlib
 import importlib.util
 import os
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from conftest import make_series, random_snapshots
 from egolink.cli import build_parser
 from egolink.graph import SnapshotGraph
 
@@ -69,3 +72,43 @@ def test_stage_argv_parses(name, size, tmp_path):
     parser = build_parser()
     for stage, argv in workloads.plan(name, 0, size, str(tmp_path)).stage_argv.items():
         assert parser.parse_args(argv).command == stage
+
+
+def _counted_calls():
+    """Arguments, on small fixtures, for each span target that has a counter."""
+    series = make_series(random_snapshots(5, 30, 0.15, False, 3), 30)
+    g = series[-1]
+    u = int(np.argmax(g.sym_degree))
+    return {
+        ("graph", "parse_edge_lines"): ((["a b 1", "b c 2"],), {}),
+        ("graph", "SnapshotGraph.__init__"): (
+            (SnapshotGraph.__new__(SnapshotGraph), 3, np.array([0, 1]), np.array([1, 2]), True),
+            {}),
+        ("ego", "two_hop_candidates"): ((g, u), {}),
+        ("ego", "personalized_degrees"): ((g, u, g.successors(u), "undirected"), {}),
+        ("_kernels", "accumulate_common_terms"): (
+            (np.array([0]), np.array([0]), np.ones((1, 1)), 1), {}),
+        ("_kernels", "intersect_values"): ((np.array([1, 2]), np.array([2, 3])), {}),
+        ("scorers", "score_candidates"): ((g, u), {}),
+        ("empirical", "ego_snapshot_stats"): ((series, 0, u), {}),
+        ("evaluation", "evaluate_methods"): ((series,), {"ks": (1,)}),
+        ("degree_dist", "personalized_degree_samples"): ((g,), {}),
+    }
+
+
+_COUNTED = [(m, a, c) for m, a, _, c in tracing.SPANS if c is not None]
+
+
+@pytest.mark.parametrize("mod_name, attr, count", _COUNTED,
+                         ids=[f"{m}.{a}" for m, a, _ in _COUNTED])
+def test_counter_reads_real_output(mod_name, attr, count):
+    # a counter reads its target's arguments and result by key and field,
+    # so a renamed result key would break a traced run without this
+    args, kwargs = _counted_calls()[mod_name, attr]
+    target = importlib.import_module(f"egolink.{mod_name}")
+    for part in attr.split("."):
+        target = getattr(target, part)
+    counts = defaultdict(int)
+    count(counts, args, kwargs, target(*args, **kwargs))
+    assert set(counts) <= set(tracing.COUNT_METRICS)
+    assert sum(counts.values()) > 0

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 
+from egolink import cli
 from egolink.cli import main
 
 
@@ -25,6 +26,10 @@ def raw_file(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text(RAW)
     return path
+
+
+#: the top-level keys of every run_manifest.json
+MANIFEST_KEYS = {"command", "config", "versions", "wall_time_s", "outputs", "counts"}
 
 
 def _planted(tmp_path, **overrides):
@@ -52,6 +57,17 @@ class TestExitCodes:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    def test_unexpected_error_keeps_traceback(self, raw_file, tmp_path, capsys, monkeypatch):
+        def boom(cfg):
+            raise RuntimeError("boom")
+        description, _, keys = cli._COMMANDS["ingest"]
+        monkeypatch.setitem(cli._COMMANDS, "ingest", (description, boom, keys))
+        assert main(["ingest", "--input", str(raw_file),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "egolink ingest: failed: boom" in err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["evaluate", "--input", str(tmp_path / "nope.csv")])
@@ -129,6 +145,7 @@ class TestIngest:
         assert manifest["config"]["input"] == str(raw_file)
         assert "normalized.csv" in manifest["outputs"]
         assert "egolink" in manifest["versions"]
+        assert manifest["counts"] == {"n_nodes": 4, "n_edges": 5}
 
 
 class TestConfigFile:
@@ -143,6 +160,9 @@ class TestConfigFile:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["seed"] == "3"     # flag wins
         assert manifest["config"]["ks"] == "1,2"     # file fills the rest
+        assert set(manifest["counts"]) == {"n_egos_requested", "n_egos_contributing",
+                                           "n_egos_skipped_cutoff", "n_cells",
+                                           "n_cells_excluded"}
 
     def test_unknown_key_named(self, raw_file, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -176,10 +196,9 @@ class TestConfigFile:
             out1, out2 = tmp_path / argv[0] / "1", tmp_path / argv[0] / "2"
             assert main(argv + ["--output-dir", str(out1)]) == 0
             manifest = json.loads((out1 / "run_manifest.json").read_text())
-            # no manifest names a seed its command does not read; evaluate's
-            # cell counts repeat the seed it read
-            if "seed" in manifest:
-                assert manifest["config"]["seed"] == str(manifest["seed"])
+            # each fact once: the run's counts sit apart from its config echo
+            assert set(manifest) == MANIFEST_KEYS
+            assert not set(manifest["counts"]) & set(manifest["config"])
             cfg = tmp_path / argv[0] / "replay.cfg"
             cfg.write_text("".join(f"{k} = {v}\n"
                                    for k, v in manifest["config"].items() if v != ""))
@@ -309,4 +328,4 @@ class TestEgoSets:
                      "--output-dir", str(tmp_path / "ev")]) == 0
         emp = json.loads((tmp_path / "emp" / "run_manifest.json").read_text())
         ev = json.loads((tmp_path / "ev" / "run_manifest.json").read_text())
-        assert emp["n_egos_requested"] == ev["sample_size"] <= 120
+        assert emp["counts"]["n_egos_requested"] == ev["counts"]["n_egos_requested"] <= 120

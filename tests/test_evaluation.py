@@ -186,7 +186,7 @@ class TestEvaluate:
         a = evaluate_methods(series, ks=(1, 2), sample_size=6, seed=9)
         b = evaluate_methods(series, ks=(1, 2), sample_size=6, seed=9)
         assert a.rows == b.rows
-        assert a.metadata["sample_size"] == 6
+        assert a.metadata["n_egos_requested"] == 6
 
     def test_workers_agree(self):
         snaps = random_snapshots(4, 18, 0.3, True, 3)
@@ -327,7 +327,7 @@ class TestFormationFirst:
         excluded = meta["n_cells_excluded"]
         n_t = len(series) - 1
         assert excluded["ego_over_cutoff"] == meta["n_egos_skipped_cutoff"] * n_t
-        kept_egos = meta["sample_size"] - meta["n_egos_skipped_cutoff"]
+        kept_egos = meta["n_egos_requested"] - meta["n_egos_skipped_cutoff"]
         assert (excluded["no_formed_candidate"] + excluded["too_few_candidates"]
                 + meta["n_cells"]) == kept_egos * n_t
         if require_formation:
@@ -358,7 +358,7 @@ class TestBlockCuts:
         default = evaluate_methods(series, modes=modes, ks=(1, 3), workers=workers, **kw)
         meta = default.metadata
         if "cutoff" in kw:
-            assert 0 < meta["n_egos_skipped_cutoff"] < meta["sample_size"]
+            assert 0 < meta["n_egos_skipped_cutoff"] < meta["n_egos_requested"]
         monkeypatch.setattr(ego_module, "_CHUNK", 1)
         single = evaluate_methods(series, modes=modes, ks=(1, 3), workers=workers, **kw)
         assert single.rows == default.rows

@@ -12,6 +12,7 @@ from egolink.ego import EdgeConfig
 from egolink.errors import ConfigError, ParseError, PreconditionError
 from egolink.graph import (
     SnapshotGraph,
+    TemporalEdgeList,
     assign_windows,
     build_snapshots,
     drop_zero_out_degree,
@@ -79,6 +80,19 @@ class TestParsing:
 
 
 class TestNormalization:
+    def test_edge_list_holds_read_only_int64(self):
+        edges = TemporalEdgeList(src=[0], dst=[1], time=[5], labels=("a", "b"),
+                                 directed=False)
+        copy = pickle.loads(pickle.dumps(edges))
+        for arr in (edges.src, edges.dst, edges.time, copy.src, copy.dst, copy.time):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.int64
+            assert not arr.flags.writeable
+        assert edges.time.tolist() == [5]
+        # the caller's array keeps its own flags
+        src = np.array([0, 1])
+        TemporalEdgeList(src=src, dst=src, time=src, labels=("a", "b"), directed=True)
+        assert src.flags.writeable
+
     def test_self_loops_dropped(self):
         edges = _ingest(["a,a,1", "a,b,2"])
         assert edges.n_edges == 1
@@ -229,7 +243,7 @@ class TestWindows:
         with pytest.raises(ConfigError, match="gives 3 windows"):
             assign_windows(times, window_length=10)
         edges = _ingest(["a,b,0", "b,c,1", "c,d,2"], time_mode="index")
-        with pytest.raises(ConfigError, match="pre-assigned snapshot count 3"):
+        with pytest.raises(ConfigError, match="gives 3 windows"):
             build_snapshots(edges, preassigned=True)
 
 

@@ -41,7 +41,7 @@ BAD_VALUES = {
 }
 
 LOAD = ("input", "directed", "delimiter", "time_mode", "missing_time", "drop_zero_out")
-WINDOWS = ("window_days", "window_seconds", "window_count", "preassigned")
+WINDOWS = ("window_days", "window_seconds", "window_count")
 SERIES = LOAD + WINDOWS + ("output_dir", "format")
 
 #: the keys each command reads, and so its flags, config keys and echo
@@ -100,7 +100,11 @@ def test_every_field_belongs_to_a_command():
     assert {key for keys in KEYS.values() for key in keys} == set(FIELDS)
     assert {name: set(keys) for name, (_, _, keys) in _COMMANDS.items()} == \
         {name: set(keys) for name, keys in KEYS.items()}
-    assert sum(map(len, KEYS.values())) == 105
+    assert len(FIELDS) == 36
+    assert {name: len(keys) for name, keys in KEYS.items()} == {
+        "ingest": 7, "snapshots": 11, "degree-dist": 16, "empirical": 16, "recommend": 17,
+        "evaluate": 21, "generate": 12}
+    assert sum(map(len, KEYS.values())) == 100
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -137,7 +141,11 @@ def test_flag_the_command_does_not_read(argv, flag, tmp_path, capsys):
         main(argv + ["--input", str(tmp_path / "missing.csv"),
                      "--output-dir", str(tmp_path / "out")])
     assert info.value.code == 1
-    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the command's own parser reports it, with the command's usage line
+    assert f"egolink {argv[0]}: error: unrecognized arguments: {flag} " in err
+    assert err.startswith(f"usage: egolink {argv[0]} ")
+    assert "COMMAND" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -192,21 +200,40 @@ class TestFiniteFloats:
 
 class TestWindowPolicy:
     @pytest.mark.parametrize("flags, other", [
-        (["--preassigned"], "preassigned"),
+        (["--config", "index.cfg"], "time_mode"),
         (["--time-mode", "index"], "time_mode"),
     ])
     @pytest.mark.parametrize("window", ["window_days", "window_seconds", "window_count"])
-    def test_window_with_indices(self, flags, other, window, idx_file, tmp_path, capsys):
+    def test_window_with_indices(self, flags, other, window, idx_file, tmp_path, monkeypatch,
+                                 capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "index.cfg").write_text("time_mode = index\n")
         assert main(["snapshots", "--input", str(idx_file), *flags, _flag(window), "2",
                      "--output-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert window in err and other in err
 
-    def test_preassigned_index_agree(self, idx_file, tmp_path):
+    def test_preassigned_index_agree(self, idx_file, tmp_path, capsys):
+        # time_mode = index is the one switch for snapshot indices;
+        # preassigned is neither a flag nor a config key
         out = tmp_path / "o"
-        assert main(["snapshots", "--input", str(idx_file), "--preassigned",
-                     "--time-mode", "index", "--output-dir", str(out)]) == 0
-        assert len((out / "snapshots.csv").read_text().splitlines()) == 4
+        assert main(["snapshots", "--input", str(idx_file), "--time-mode", "index",
+                     "--output-dir", str(out)]) == 0
+        assert len((out / "snapshots.csv").read_text().splitlines()) == 4  # 3 windows
+        capsys.readouterr()
+        gone = tmp_path / "gone"
+        with pytest.raises(SystemExit) as info:
+            main(["snapshots", "--input", str(idx_file), "--preassigned",
+                  "--output-dir", str(gone)])
+        assert info.value.code == 1
+        assert "egolink snapshots: error: unrecognized arguments: --preassigned" in \
+            capsys.readouterr().err
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preassigned = true\n")
+        assert main(["snapshots", "--input", str(idx_file), "--config", str(cfg),
+                     "--output-dir", str(gone)]) == 1
+        assert "key 'preassigned' is not read by snapshots" in capsys.readouterr().err
+        assert not gone.exists()
 
 
 class TestWindowLength:
