@@ -5,9 +5,14 @@ Workers receive one shared read-only payload via the pool initializer
 run of items, and results come back in submission order, so reductions
 are independent of worker count and completion timing."""
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 _PAYLOAD = None
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _set_payload(payload):
@@ -23,9 +28,9 @@ def map_in_order(worker, items, payload, workers=1):
     """``[worker(payload, item) for item in items]``, optionally across
     processes. ``worker`` must be a module-level function."""
     items = list(items)
-    if workers is None or int(workers) <= 1 or len(items) <= 1:
+    workers = min(int(workers or 1), len(items), _usable_cpus())
+    if workers <= 1:
         return [worker(payload, item) for item in items]
-    workers = min(int(workers), len(items))
     # about four contiguous runs of items per process, one task each
     n_runs = min(4 * workers, len(items))
     cuts = [len(items) * i // n_runs for i in range(n_runs + 1)]

@@ -70,11 +70,13 @@ def personalized_degree_samples(graph, mode=MODE_UNDIRECTED, egos=None):
 
 
 def global_degree_samples(graph, mode=MODE_UNDIRECTED, per_neighbor=False, egos=None):
-    """Global degrees, one per node; with ``per_neighbor`` one per
-    (ego, neighbor) pair so the pooling matches the personalized set."""
+    """Global degrees, one per node; with ``per_neighbor`` one per (ego,
+    neighbor) pair of ``egos``, so the pooling matches the personalized set."""
     validate_mode(mode, graph.directed)
     if per_neighbor:
         return _per_neighbor_samples(graph, egos, KIND_GLOBAL, mode)
+    if egos is not None:
+        raise ConfigError("egos: only the per-neighbor global samples take egos")
     all_nodes = np.arange(graph.n_nodes, dtype=np.int64)
     values = global_degrees(graph, all_nodes, mode).copy()
     values.setflags(write=False)

@@ -83,19 +83,21 @@ def sample_egos(series, sample_size=None, seed=0):
 
 
 def _ego_ids(graph, egos):
-    """``egos`` as int64 node ids of ``graph``. An id that is not a whole
-    number is a ConfigError naming it, not cut down to one; an id out of
-    range is an IndexError, since a negative one would wrap around."""
+    """The ego-set rule: ``egos`` as int64 node ids of ``graph``, each once,
+    ascending; an id that is not a whole number is a ConfigError naming it,
+    one out of range an IndexError (a negative one would wrap around), and
+    an empty list an EmptyInputError. A lone id (a scalar) is not de-duplicated."""
     egos = np.asarray(egos)
     if egos.dtype.kind not in "iu":
         bad = [e for e in egos.ravel().tolist() if not float(e).is_integer()]
         if bad:
             raise ConfigError(f"egos: ids must be integers, got {bad[0]!r}")
-    egos = egos.astype(np.int64)
-    if egos.size:
-        graph._check_node(int(egos.min()))
-        graph._check_node(int(egos.max()))
-    return egos
+    egos = np.unique(egos) if egos.ndim else egos.reshape(1)
+    if not egos.size:
+        raise EmptyInputError("egos: need at least one ego, got an empty list")
+    graph._check_node(int(egos[0]))
+    graph._check_node(int(egos[-1]))
+    return egos.astype(np.int64)
 
 
 def two_hop_candidates(graph, u):
@@ -252,7 +254,8 @@ class EgoView:
     ``base``, ``wedge_v`` into ``candidates``, and with a symmetric pool
     ``wedge_cfg``, the config of the ``z``-``v`` link read from ``z``)
     and pd index the whole view, and each ego's wedges run in ascending
-    z. Without wedges, the candidate and wedge fields are None."""
+    z. Without wedges, the candidate and wedge fields are None.
+    ``formed`` tests the candidates against the next snapshot."""
 
     graph: object
     egos: np.ndarray
@@ -282,6 +285,21 @@ class EgoView:
         ``base``) over its common neighbors, and their number."""
         return _kernels.accumulate_common_terms(self.wedge_z, self.wedge_v, terms,
                                                 self.candidates.size)
+
+    def formed(self, next_graph):
+        """Per candidate: whether it is a successor of its ego in the next
+        snapshot; a symmetric pool (with ``wedge_cfg``) has 3 slots per ego."""
+        ego_slot = self.cand_slot if self.wedge_cfg is None else self.cand_slot // 3
+        n = self.graph.n_nodes
+        return _kernels.contains(_row_keys(next_graph.out_indptr, next_graph.out_indices,
+                                           self.egos, n), ego_slot * n + self.candidates)
+
+
+def _row_keys(indptr, indices, egos, n):
+    """The ``slot * n + node`` key of each entry of the CSR rows of
+    ``egos`` (slot: the ego's position in ``egos``), row by row."""
+    slot, pos = _kernels.gather_rows(indptr, egos)
+    return slot * n + indices[pos]
 
 
 def _pool_rows(graph, sym_pool):
@@ -320,11 +338,9 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     # symmetric row, or with sym_pool its symmetric row
     in_succ = in_row = in_base
     if sym_pool:
-        s_slot, s_pos = _kernels.gather_rows(graph.out_indptr, egos)
-        in_succ = marked(s_slot * n + graph.out_indices[s_pos], key)
+        in_succ = marked(_row_keys(graph.out_indptr, graph.out_indices, egos, n), key)
     elif graph.directed and MODE_UNDIRECTED in modes:
-        r_slot, r_pos = _kernels.gather_rows(graph.sym_indptr, egos)
-        in_row = marked(r_slot * n + graph.sym_indices[r_pos], key)
+        in_row = marked(_row_keys(graph.sym_indptr, graph.sym_indices, egos, n), key)
 
     # pd of each z: mode undirected counts its entries w in the ego's
     # symmetric row; of those among the ego's successors, mode out counts
@@ -386,7 +402,7 @@ def _block_runs(graph, sizes, sym_pool=False):
 
 
 def ego_blocks(graph, egos, modes, wedges=True):
-    """``EgoView``s over ``_block_runs`` of ``egos``, with pd of ``modes``."""
+    """``EgoView``s over ``_block_runs`` of ``egos`` as ordered, with pd of ``modes``."""
     egos = np.asarray(egos, dtype=np.int64)
     for start, stop in _block_runs(graph, _gather_sizes(graph, egos)):
         yield _gather_block(graph, egos[start:stop], modes, wedges)
@@ -396,7 +412,7 @@ def ego_view(graph, u):
     """The view of the one ego ``u``: its candidates, the wedges onto
     them, and the personalized degrees of every mode the graph admits."""
     modes = ALL_MODES if graph.directed else (MODE_UNDIRECTED,)
-    return _gather_block(graph, _ego_ids(graph, [u]), modes)
+    return _gather_block(graph, _ego_ids(graph, u), modes)
 
 
 def _forming_cells(series, egos, sym_pool):
@@ -417,14 +433,9 @@ def _forming_cells(series, egos, sym_pool):
     mask = np.zeros((egos.size, len(series) - 1), dtype=bool)
     for t, (g, nxt) in enumerate(zip(series.graphs, series.graphs[1:])):
         n = g.n_nodes
-
-        def row_keys(indptr, indices):
-            slot, pos = _kernels.gather_rows(indptr, egos)
-            return slot * n + indices[pos]
-
-        held = row_keys(g.out_indptr, g.out_indices)
-        pool = row_keys(g.sym_indptr, g.sym_indices) if sym_pool else held
-        key = row_keys(nxt.out_indptr, nxt.out_indices)
+        held = _row_keys(g.out_indptr, g.out_indices, egos, n)
+        pool = _row_keys(g.sym_indptr, g.sym_indices, egos, n) if sym_pool else held
+        key = _row_keys(nxt.out_indptr, nxt.out_indices, egos, n)
         slot, w = np.divmod(key, n)
         new = ~_kernels.contains(held, key) & (w != egos[slot])
         slot, w = slot[new], w[new]

@@ -36,7 +36,7 @@ from . import _kernels
 from ._util import group_means, pool_egos
 from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
 from .ego import TriadType, _cell_blocks, _ego_ids, _gather_block, resolve_modes, sample_egos
-from .errors import ConfigError, EmptyInputError, EmptyResultError
+from .errors import ConfigError, EmptyResultError
 
 GROUP_FORMED = "formed"
 GROUP_NOT_FORMED = "not-formed"
@@ -93,9 +93,7 @@ def _ego_worker(payload, item):
     mean terms."""
     series, per_triad, modes = payload
     t, egos = item
-    g, nxt = series[t], series[t + 1]
-    n = g.n_nodes
-    view = _gather_block(g, egos, modes, sym_pool=per_triad)
+    view = _gather_block(series[t], egos, modes, sym_pool=per_triad)
     # per triad: three pools per ego (``EgoView``), and one bin per
     # (candidate, neighbor-edge config)
     configs = 3 if per_triad else 1
@@ -105,13 +103,10 @@ def _ego_worker(payload, item):
         configs * view.candidates.size)
     kept = np.flatnonzero(counts)
     cand, nb_cfg = np.divmod(kept, configs)
-    pool = view.cand_slot[cand]
     # cell: the candidate's pool, then its neighbor-edge config; per triad,
     # (ego slot) * 9 + triad - 1
-    cell = pool * configs + nb_cfg
-    next_slot, pos = _kernels.gather_rows(nxt.out_indptr, egos)
-    formed = _kernels.contains(next_slot * n + nxt.out_indices[pos],
-                               pool // configs * n + view.candidates[cand])
+    cell = view.cand_slot[cand] * configs + nb_cfg
+    formed = view.formed(series[t + 1])[cand]
     n_cells = egos.size * configs ** 2
     n_formed = np.bincount(cell[formed], minlength=n_cells)
     reason = np.select([n_formed == 0, n_formed == np.bincount(cell, minlength=n_cells)],
@@ -131,7 +126,7 @@ def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, exclu
     keyed by ``EXCLUSIONS`` is given."""
     if not 0 <= t < len(series) - 1:
         raise IndexError(f"transition index {t} needs a following snapshot")
-    egos = _ego_ids(series[t], [ego])
+    egos = _ego_ids(series[t], ego)
     modes = resolve_modes(series.directed, degree_modes, per_triad)
     reason, values, n_candidates = _ego_worker((series, per_triad, modes), (t, egos))
     if excluded is not None:
@@ -156,11 +151,7 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
     if len(series) < 2:
         raise ConfigError("empirical analysis needs at least 2 snapshots")
     modes = resolve_modes(series.directed, degree_modes, per_triad)
-    if egos is None:
-        egos = sample_egos(series)
-    egos = np.unique(_ego_ids(series[0], egos))
-    if egos.size == 0:
-        raise EmptyInputError("no egos given")
+    egos = _ego_ids(series[0], sample_egos(series) if egos is None else egos)
 
     columns = list(product(modes, GROUPS, (KIND_GLOBAL, KIND_PERSONALIZED)))
     reason, cell, values = _cell_blocks(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._util import pool_egos
 from .ego import _cell_blocks, _gather_block, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyResultError, PreconditionError
@@ -159,13 +158,10 @@ def _cell_worker(payload, item):
     kept ego and one column per ((method, mode), K), pairs first."""
     series, methods, modes, ks, cutoff, need, require_formation, log_base = payload
     t, egos = item
-    g, nxt = series[t], series[t + 1]
-    view = _gather_block(g, egos, modes)
-    slot, n = view.cand_slot, g.n_nodes
+    view = _gather_block(series[t], egos, modes)
+    slot = view.cand_slot
     n_cand = np.bincount(slot, minlength=egos.size)
-    next_slot, pos = _kernels.gather_rows(nxt.out_indptr, egos)
-    formed = _kernels.contains(next_slot * n + nxt.out_indices[pos],
-                               slot * n + view.candidates)
+    formed = view.formed(series[t + 1])
     no_formed = require_formation & (np.bincount(slot[formed], minlength=egos.size) == 0)
     # the first reason that holds, in EXCLUSIONS order
     reason = np.select([n_cand > cutoff, no_formed, n_cand < need], range(3), -1)

@@ -155,16 +155,6 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
     return src_labels, dst_labels, times
 
 
-def _groups(keys):
-    """The order that sorts an array of int64 keys >= 0 and the start of
-    each run of equal keys in it. Any sort serves: the smallest index of
-    a run, ``np.minimum.reduceat(order, starts)``, is its key's first
-    occurrence whether or not the sort kept ties in input order."""
-    order = np.argsort(keys)
-    # keys are >= 0, so the -1 before them opens the first group
-    return order, np.flatnonzero(np.diff(keys[order], prepend=-1))
-
-
 def dedupe_and_sort(src, dst, time, n_key, directed):
     """Collapse duplicate pairs to their earliest time and sort by time,
     first occurrence breaking ties. Arrays are int64 ids below ``n_key``.
@@ -174,7 +164,11 @@ def dedupe_and_sort(src, dst, time, n_key, directed):
     else:
         key_src = np.minimum(src, dst)
         key_dst = np.maximum(src, dst)
-    order, starts = _groups(key_src * np.int64(n_key) + key_dst)
+    key = key_src * np.int64(n_key) + key_dst
+    # any sort serves: a run's smallest index is its pair's first occurrence
+    order = np.argsort(key)
+    # keys are >= 0, so the -1 before them opens the first run
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     first = np.minimum.reduceat(order, starts)
     earliest = np.minimum.reduceat(time[order], starts)
     # (earliest, first) as one key: first < src.size and the rank of a
@@ -233,8 +227,10 @@ def _normalize_ids(src, dst, table, times, directed, time_mode):
 
     # final ids by first appearance in the sorted edge order
     endpoints = np.column_stack((f_src, f_dst)).ravel()
-    order, starts = _groups(endpoints)
-    tmp_ids = endpoints[np.sort(np.minimum.reduceat(order, starts))]
+    first = np.full(len(table), endpoints.size, dtype=np.int64)
+    np.minimum.at(first, endpoints, np.arange(endpoints.size))
+    tmp_ids = np.flatnonzero(first < endpoints.size)
+    tmp_ids = tmp_ids[np.argsort(first[tmp_ids])]
     remap = np.empty(len(table), dtype=np.int64)
     remap[tmp_ids] = np.arange(tmp_ids.size, dtype=np.int64)
     f_src = remap[f_src]
@@ -669,14 +665,11 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
         if window_length is not None or fixed_count is not None:
             raise ConfigError("preassigned windows take no length/count")
         if edges.n_edges == 0:
-            return SnapshotSeries(
-                graphs=[],
-                new_edges=np.empty(0, dtype=np.int64),
-                directed=edges.directed,
-                n_nodes=edges.n_nodes,
-            )
-        present = np.unique(edges.time)
-        if present[0] != 0 or present.size != present[-1] + 1:
+            return SnapshotSeries(graphs=[], new_edges=np.empty(0, dtype=np.int64),
+                                  directed=edges.directed, n_nodes=edges.n_nodes)
+        # a bincount sized below the edge count; contiguous indices fill every bin
+        time = edges.time
+        if time.min() != 0 or time.max() >= edges.n_edges or not np.bincount(time).all():
             raise ConfigError("pre-assigned snapshot indices must be contiguous from 0")
         window_length = 1  # contiguous from 0: index i is the window [i, i + 1)
     idx, starts, width = assign_windows(

@@ -93,6 +93,23 @@ class TestExitCodes:
         # ann's 2-hop candidates exist here, so pick an ego without any
         assert code in (0, 2)
 
+    def test_no_candidates_is_empty_result(self, tmp_path, capsys):
+        # the centre of a star reaches only itself two steps out
+        star = tmp_path / "star.csv"
+        star.write_text("hub,a,1\nhub,b,2\nhub,c,3\n")
+        code = main(["recommend", "--input", str(star), "--ego", "hub",
+                     "--method", "cn", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "egolink recommend: empty result: ego 'hub' has no candidates" in err
+        assert "  diagnostics: {'ego': 'hub', 'n_neighbors': 3}" in err
+
+    def test_comments_only_input(self, tmp_path, capsys):
+        path = tmp_path / "comments.csv"
+        path.write_text("# nothing\n# here\n")
+        assert main(["ingest", "--input", str(path), "--output-dir", str(tmp_path / "o")]) == 1
+        assert "input: no edges found" in capsys.readouterr().err
+
     def test_unknown_ego_label(self, raw_file, tmp_path, capsys):
         code = main(["recommend", "--input", str(raw_file), "--ego", "zed",
                      "--method", "cn", "--output-dir", str(tmp_path / "o")])
@@ -170,6 +187,17 @@ class TestConfigFile:
         assert main(["evaluate", "--config", str(cfg),
                      "--input", str(raw_file)]) == 1
         assert "serd" in capsys.readouterr().err
+
+    def test_line_without_equals(self, raw_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# seeds\nseed 9\n")
+        assert main(["evaluate", "--config", str(cfg), "--input", str(raw_file)]) == 1
+        assert "config: line 2: expected key = value" in capsys.readouterr().err
+
+    def test_unreadable_path(self, raw_file, tmp_path, capsys):
+        # a directory cannot be read as a config file
+        assert main(["evaluate", "--config", str(tmp_path), "--input", str(raw_file)]) == 1
+        assert f"config: cannot read {str(tmp_path)!r}" in capsys.readouterr().err
 
     def test_bad_value_named(self, raw_file, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_graph, make_series, random_graph
+from conftest import make_graph, make_series, random_graph, random_snapshots
 
 from egolink import ego as ego_module
+from egolink.degree_dist import global_degree_samples, personalized_degree_samples
 from egolink.ego import (
     _forming_cells,
+    _gather_block,
     ALL_MODES,
     EdgeConfig,
     TRIAD_TABLE,
@@ -27,7 +29,8 @@ from egolink.ego import (
     two_hop_candidates,
     validate_mode,
 )
-from egolink.errors import ConfigError, PreconditionError
+from egolink.empirical import aggregate_empirical
+from egolink.errors import ConfigError, EmptyInputError, PreconditionError
 from egolink.scorers import score_candidates
 
 
@@ -243,6 +246,64 @@ class TestEgoView:
             view.ego
         with pytest.raises(PreconditionError):
             score_candidates(g, ids["u"], view=view)
+
+    @pytest.mark.parametrize("sym_pool", [False, True], ids=["plain", "per-triad"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_formed_reads_next_successors(self, seed, sym_pool):
+        # a candidate formed when it is a successor of its own ego in the
+        # next snapshot; per triad, each ego has three pools of candidates
+        series = make_series(random_snapshots(seed, 12, 0.2, True, 2, growth=1.0), 12,
+                             directed=True)
+        egos = np.arange(12, dtype=np.int64)[::2]
+        view = _gather_block(series[0], egos, (), sym_pool=sym_pool)
+        ego = egos[view.cand_slot // (3 if sym_pool else 1)]
+        want = [c in series[1].successors(u).tolist()
+                for u, c in zip(ego.tolist(), view.candidates.tolist())]
+        assert any(want) and not all(want)
+        assert view.formed(series[1]).tolist() == want
+
+
+class TestEgoSetRule:
+    """Every function that takes a list of egos reads it as a set: each
+    id once, in ascending order, and never empty."""
+
+    SNAPS = [[(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)],
+             [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (0, 3)]]
+
+    @staticmethod
+    def _entry(name):
+        """The entry point as ``call(egos)``, its result comparable by ==."""
+        series = make_series(TestEgoSetRule.SNAPS, 5)
+        if name == "empirical":
+            return lambda egos: aggregate_empirical(series, egos=egos)
+
+        def call(egos):
+            if name == "global":
+                s = global_degree_samples(series[0], per_neighbor=True, egos=egos)
+            else:
+                s = personalized_degree_samples(series[0], egos=egos)
+            return s.values.tolist(), s.n_egos
+        return call
+
+    @pytest.mark.parametrize("name", ["personalized", "global", "empirical"])
+    def test_duplicates_and_order(self, name):
+        call = self._entry(name)
+        assert call([1, 0, 1, 0]) == call([0, 1])
+        assert call(np.array([0, 0])) == call([0])
+
+    @pytest.mark.parametrize("name", ["personalized", "global", "empirical"])
+    def test_empty_named(self, name):
+        with pytest.raises(EmptyInputError, match="egos:"):
+            self._entry(name)([])
+
+    def test_global_per_node_takes_no_egos(self):
+        with pytest.raises(ConfigError, match="egos"):
+            global_degree_samples(make_series(self.SNAPS, 5)[0], egos=[0])
+
+    def test_blocks_keep_given_order(self, two_broker_graph):
+        g, ids = two_broker_graph
+        (view,) = ego_blocks(g, [ids["y1"], ids["u"]], ALL_MODES[:1])
+        assert view.egos.tolist() == [ids["y1"], ids["u"]]
 
 
 def _chunk_series():

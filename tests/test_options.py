@@ -309,6 +309,15 @@ def test_generator_check_names_key(argv, key, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_generator_defaults_agree():
+    # cli passes every GeneratorSpec field from the RunConfig key of the same
+    # name, so a spec default is the config default; a required one is None
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for f in dataclasses.fields(GeneratorSpec):
+        want = None if f.default is dataclasses.MISSING else f.default
+        assert defaults[f.name] == want, f.name
+
+
 @pytest.mark.parametrize("argv, key, kind", [
     (_UNIFORM + ["--n-attach", "2"], "n_attach", "uniform-random"),
     (_UNIFORM + ["--method", "pd-cn"], "method", "uniform-random"),

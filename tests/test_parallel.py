@@ -1,4 +1,5 @@
-"""Fan-out sizing: the pool never starts more processes than there are items."""
+"""Fan-out sizing: the pool never starts more processes than there are items
+or usable CPUs."""
 
 from concurrent.futures import Future
 
@@ -38,6 +39,7 @@ class _RecordingPool:
     (4, 4, 4),
 ])
 def test_pool_size_capped_by_items(workers, n_items, expected, monkeypatch):
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 64)
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_parallel, "_PAYLOAD", None)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
@@ -45,6 +47,19 @@ def test_pool_size_capped_by_items(workers, n_items, expected, monkeypatch):
     out = _parallel.map_in_order(_add, items, 100, workers=workers)
     assert out == [100 + i for i in items]
     assert _RecordingPool.sizes == [expected]
+
+
+@pytest.mark.parametrize("cpus, expected", [(3, 3), (1, None)])
+def test_pool_size_capped_by_cpus(cpus, expected, monkeypatch):
+    # --workers 1000 over 1000 blocks must not fork 1000 processes at once;
+    # one usable CPU runs the items inline
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_parallel, "_PAYLOAD", None)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    items = list(range(1000))
+    assert _parallel.map_in_order(_add, items, 100, workers=1000) == [100 + i for i in items]
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
 
 
 def test_single_item_runs_inline(monkeypatch):
@@ -66,6 +81,7 @@ class _RunRecordingPool(_RecordingPool):
 
 def test_contiguous_runs_in_order(monkeypatch):
     # about four runs per worker, one task each, flattened in item order
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RunRecordingPool)
     monkeypatch.setattr(_parallel, "_PAYLOAD", None)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
