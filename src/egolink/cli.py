@@ -387,12 +387,13 @@ def _load_series(cfg):
 
 
 def _pick_snapshot(cfg, series):
+    """The index of the snapshot a command reads, the last by default."""
     index = cfg.snapshot if cfg.snapshot is not None else len(series) - 1
     if not 0 <= index < len(series):
         raise ConfigError(
             f"snapshot: index {index} out of range for {len(series)} snapshots"
         )
-    return series[index]
+    return index
 
 
 def _out_path(cfg, name):
@@ -436,10 +437,9 @@ def _cmd_ingest(cfg):
 def _cmd_snapshots(cfg):
     _, series = _load_series(cfg)
     header = ("snapshot", "window_start", "window_end", "new_edges", "total_edges")
-    rows = [
-        (g.index, g.window_start, g.window_end, int(series.new_edges[i]), g.n_edges)
-        for i, g in enumerate(series.graphs)
-    ]
+    starts, new = series.window_starts.tolist(), series.new_edges.tolist()
+    rows = [(i, starts[i], starts[i] + series.window_width, new[i], g.n_edges)
+            for i, g in enumerate(series.graphs)]
     path = write_table(_out_path(cfg, "snapshots"), cfg.format, header, rows)
     return ([path], {"n_snapshots": len(series)},
             f"built {len(series)} cumulative snapshots -> {path}")
@@ -458,7 +458,7 @@ def _cmd_degree_dist(cfg):
     if cfg.per_neighbor and kind == KIND_PERSONALIZED:
         raise ConfigError(f"per_neighbor: not used by sample kind {kind!r}")
     _, series = _load_series(cfg)
-    graph = _pick_snapshot(cfg, series)
+    graph = series[_pick_snapshot(cfg, series)]
     if kind == KIND_PERSONALIZED:
         samples = personalized_degree_samples(graph, mode=mode)
     else:
@@ -495,7 +495,8 @@ def _cmd_recommend(cfg):
         raise ConfigError(f"mode: not used by method {METHOD_CN!r}")
     score_mode = _single_mode(cfg)
     edges, series = _load_series(cfg)
-    graph = _pick_snapshot(cfg, series)
+    index = _pick_snapshot(cfg, series)
+    graph = series[index]
     try:
         ego = edges.id_of(cfg.ego)
     except KeyError:
@@ -515,7 +516,7 @@ def _cmd_recommend(cfg):
             for r, (c, s) in enumerate(zip(top.tolist(), scores.tolist()))]
     metadata = {"ego": cfg.ego, "method": cfg.method,
                 "mode": MODE_NONE if cfg.method == METHOD_CN else score_mode,
-                "snapshot": graph.index}
+                "snapshot": index}
     path = write_table(_out_path(cfg, "recommendations"), cfg.format, header, rows,
                        metadata=metadata)
     return ([path], {"n_candidates": int(view.candidates.size)},

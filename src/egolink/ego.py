@@ -88,15 +88,12 @@ def _ego_ids(graph, egos):
     one out of range an IndexError (a negative one would wrap around), and
     an empty list an EmptyInputError. A lone id (a scalar) is not de-duplicated."""
     egos = np.asarray(egos)
-    if egos.dtype.kind not in "iu":
-        bad = [e for e in egos.ravel().tolist() if not float(e).is_integer()]
-        if bad:
-            raise ConfigError(f"egos: ids must be integers, got {bad[0]!r}")
     egos = np.unique(egos) if egos.ndim else egos.reshape(1)
     if not egos.size:
         raise EmptyInputError("egos: need at least one ego, got an empty list")
-    graph._check_node(int(egos[0]))
-    graph._check_node(int(egos[-1]))
+    # whole numbers need no check of the ids between the least and the largest
+    for e in egos.tolist() if egos.dtype.kind not in "iu" else (egos[0], egos[-1]):
+        graph._check_node(e)
     return egos.astype(np.int64)
 
 

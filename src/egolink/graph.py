@@ -20,7 +20,8 @@ other input goes through the per-line ``parse_edge_lines``, which alone
 numbers the line of a ``ParseError``, and ``normalize_edges``; both
 paths share ``_normalize_ids``. A cumulative snapshot series is cut from
 one sort of the 2E symmetric entries of its edges: snapshot ``i`` keeps
-the entries that hold by window ``i``, with no sort of its own.
+the entries that hold by window ``i``, with no sort of its own, and a
+window that adds no edge shares the snapshot before it.
 """
 
 import io
@@ -46,8 +47,8 @@ _MISSING_TIMES = ("", r"\N")
 _INT64 = np.iinfo(np.int64)
 
 #: cap on the edges stored across a whole cumulative snapshot series,
-#: each edge counted once per snapshot that holds it; windowing fails
-#: with ConfigError above it instead of building one CSR per window
+#: each edge counted once per distinct snapshot that holds it (one per
+#: window that adds an edge); windowing fails with ConfigError above it
 MAX_CUMULATIVE_EDGES = 50_000_000
 
 
@@ -506,9 +507,6 @@ class SnapshotGraph:
     __slots__ = (
         "n_nodes",
         "directed",
-        "index",
-        "window_start",
-        "window_end",
         "out_indptr",
         "out_indices",
         "in_indptr",
@@ -521,24 +519,19 @@ class SnapshotGraph:
         "_sym_config",
     )
 
-    def __init__(self, n_nodes, src, dst, directed, index=None,
-                 window_start=None, window_end=None):
+    def __init__(self, n_nodes, src, dst, directed):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         (entries,) = _snapshot_entries(n_nodes, src, dst, np.zeros(src.size, dtype=np.uint8),
                                        1, directed)
-        self._set_entries(n_nodes, directed, index, window_start, window_end, *entries)
+        self._set_entries(n_nodes, directed, *entries)
 
-    def _set_entries(self, n_nodes, directed, index, window_start, window_end,
-                     rows, cols, out, inn):
+    def _set_entries(self, n_nodes, directed, rows, cols, out, inn):
         """Every array from the distinct symmetric entries ``(rows, cols)``,
         sorted by (row, col); ``out``/``inn`` (directed only) flag the
         entries whose ``row -> col``/``col -> row`` link exists."""
         self.n_nodes = n = int(n_nodes)
         self.directed = bool(directed)
-        self.index = index
-        self.window_start = window_start
-        self.window_end = window_end
         self.sym_indptr, self.sym_indices = _indptr(n, rows), cols
         if directed:
             # 0 for row -> col only, 1 reciprocal, 2 col -> row only
@@ -574,20 +567,25 @@ class SnapshotGraph:
         return int(self.sym_indices.size) // 2
 
     def _check_node(self, u):
+        """``u`` as an int node id: a ConfigError names an id that is not a
+        whole number, an IndexError one out of range."""
+        if not isinstance(u, (int, np.integer)) and not float(u).is_integer():
+            raise ConfigError(f"node id {u} is not a whole number")
         if not 0 <= u < self.n_nodes:
             raise IndexError(f"node id {u} out of range [0, {self.n_nodes})")
+        return int(u)
 
     def successors(self, u):
-        self._check_node(u)
+        u = self._check_node(u)
         return self.out_indices[self.out_indptr[u]:self.out_indptr[u + 1]]
 
     def predecessors(self, u):
-        self._check_node(u)
+        u = self._check_node(u)
         return self.in_indices[self.in_indptr[u]:self.in_indptr[u + 1]]
 
     def neighbors(self, u):
         """Symmetrized neighborhood (equals successors when undirected)."""
-        self._check_node(u)
+        u = self._check_node(u)
         return self.sym_indices[self.sym_indptr[u]:self.sym_indptr[u + 1]]
 
     @property
@@ -604,11 +602,15 @@ class SnapshotGraph:
 @dataclass(frozen=True)
 class SnapshotSeries:
     """Cumulative snapshots: graph ``i`` holds every edge assigned to
-    windows ``0..i``."""
+    windows ``0..i``, window ``i`` being the times from
+    ``window_starts[i]`` up to ``window_starts[i] + window_width``. A
+    window that adds no edge holds the graph before it, the same object."""
 
     graphs: list
     new_edges: np.ndarray
     directed: bool
+    window_starts: np.ndarray
+    window_width: int
     n_nodes: int = field(default=0)
 
     def __len__(self):
@@ -644,10 +646,11 @@ def assign_windows(times, window_length=None, fixed_count=None):
         raise ConfigError(f"{what} over times {t_min}..{t_max} needs window "
                           f"arithmetic beyond int64")
     idx = (times - t_min) // width
-    # snapshot i holds the edges with idx <= i, n * n_edges - sum(idx) in
-    # all; the earliest edge alone adds n, so testing n first keeps the sum
-    # from overflowing
-    if n > MAX_CUMULATIVE_EDGES or n * idx.size - int(idx.sum()) > MAX_CUMULATIVE_EDGES:
+    # a series stores a snapshot per window that adds an edge, holding the
+    # edges with idx up to its window: at most n_edges ** 2 in all, which
+    # fits int64; the window count goes first, as each window is a slot
+    added = np.unique(idx, return_counts=True)[1]
+    if n > MAX_CUMULATIVE_EDGES or np.cumsum(added).sum() > MAX_CUMULATIVE_EDGES:
         raise ConfigError(f"{what} gives {n} windows, whose cumulative snapshots "
                           f"would hold more than {MAX_CUMULATIVE_EDGES} edges in total")
     starts = t_min + width * np.arange(n, dtype=np.int64)
@@ -665,8 +668,9 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
         if window_length is not None or fixed_count is not None:
             raise ConfigError("preassigned windows take no length/count")
         if edges.n_edges == 0:
-            return SnapshotSeries(graphs=[], new_edges=np.empty(0, dtype=np.int64),
-                                  directed=edges.directed, n_nodes=edges.n_nodes)
+            empty = np.empty(0, dtype=np.int64)
+            return SnapshotSeries(graphs=[], new_edges=empty, directed=edges.directed,
+                                  window_starts=empty, window_width=1, n_nodes=edges.n_nodes)
         # a bincount sized below the edge count; contiguous indices fill every bin
         time = edges.time
         if time.min() != 0 or time.max() >= edges.n_edges or not np.bincount(time).all():
@@ -675,21 +679,20 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
     idx, starts, width = assign_windows(
         edges.time, window_length=window_length, fixed_count=fixed_count
     )
-    n = starts.size
-
-    new_counts = np.bincount(idx, minlength=n)
-    window = idx.astype(np.min_scalar_type(n))
-    graphs = []
-    for i, entries in enumerate(_snapshot_entries(
-            edges.n_nodes, edges.src, edges.dst, window, n, edges.directed)):
+    new_counts = np.bincount(idx, minlength=starts.size)
+    # graph k is built for the k-th window that adds an edge (window 0, the
+    # earliest edge's, always does); a window holds the last graph built by it
+    graph_of = np.cumsum(new_counts > 0) - 1
+    n_built = int(graph_of[-1]) + 1
+    built = []
+    for entries in _snapshot_entries(edges.n_nodes, edges.src, edges.dst,
+                                     graph_of[idx].astype(np.min_scalar_type(n_built)),
+                                     n_built, edges.directed):
         g = SnapshotGraph.__new__(SnapshotGraph)
-        start = int(starts[i])
-        g._set_entries(edges.n_nodes, edges.directed, i, start, start + width, *entries)
-        graphs.append(g)
+        g._set_entries(edges.n_nodes, edges.directed, *entries)
+        built.append(g)
     new_counts.setflags(write=False)
-    return SnapshotSeries(
-        graphs=graphs,
-        new_edges=new_counts,
-        directed=edges.directed,
-        n_nodes=edges.n_nodes,
-    )
+    starts.setflags(write=False)
+    return SnapshotSeries(graphs=list(map(built.__getitem__, graph_of.tolist())),
+                          new_edges=new_counts, directed=edges.directed, window_starts=starts,
+                          window_width=width, n_nodes=edges.n_nodes)

@@ -13,8 +13,7 @@ def make_graph(pairs, n_nodes, directed=False):
     pairs = list(pairs)
     src = np.array([a for a, _ in pairs], dtype=np.int64)
     dst = np.array([b for _, b in pairs], dtype=np.int64)
-    return SnapshotGraph(n_nodes, src, dst, directed, index=0,
-                         window_start=0, window_end=1)
+    return SnapshotGraph(n_nodes, src, dst, directed)
 
 
 def push_wedges(indptr, indices, base, targets):

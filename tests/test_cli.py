@@ -9,6 +9,7 @@ import oracles
 
 from egolink import cli
 from egolink.cli import main
+from egolink.graph import build_snapshots, ingest_edges
 
 
 RAW = "\n".join([
@@ -86,12 +87,17 @@ class TestExitCodes:
         assert code == 1
         assert "2 snapshots" in capsys.readouterr().err
 
-    def test_empty_result_is_runtime_failure(self, raw_file, tmp_path, capsys):
-        # window per edge, but nothing ever forms within candidate sets
-        code = main(["recommend", "--input", str(raw_file), "--ego", "ann",
-                     "--method", "cn", "--output-dir", str(tmp_path / "o")])
-        # ann's 2-hop candidates exist here, so pick an ego without any
-        assert code in (0, 2)
+    def test_empty_result_is_runtime_failure(self, tmp_path, capsys):
+        # a window per edge of the path a-b-c-d: a and c, each the other's
+        # only candidate, never link, so no cell qualifies
+        path = tmp_path / "path.csv"
+        path.write_text("a,b,100\nb,c,200\nc,d,300\n")
+        code = main(["evaluate", "--input", str(path), "--window-seconds", "100",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("egolink evaluate: empty result: no (ego, transition) cell met the "
+                "qualification rule") in err
 
     def test_no_candidates_is_empty_result(self, tmp_path, capsys):
         # the centre of a star reaches only itself two steps out
@@ -312,6 +318,41 @@ class TestOutputs:
         lines = (out / "snapshots.csv").read_text().splitlines()
         assert lines[0] == "snapshot,window_start,window_end,new_edges,total_edges"
         assert len(lines) == 4
+
+
+class TestEmptyWindows:
+    """Windows that add no edge share the snapshot before them."""
+
+    def test_snapshots_rows(self, tmp_path):
+        # window [10, 20) adds no edge
+        raw = tmp_path / "gap.csv"
+        raw.write_text("a,b,0\nb,c,5\nc,d,25\nd,a,27\n")
+        out = tmp_path / "s"
+        assert main(["snapshots", "--input", str(raw), "--window-seconds", "10",
+                     "--output-dir", str(out)]) == 0
+        assert (out / "snapshots.csv").read_text() == (
+            "snapshot,window_start,window_end,new_edges,total_edges\n"
+            "0,0,10,2,2\n"
+            "1,10,20,0,2\n"
+            "2,20,30,2,4\n")
+
+    @pytest.mark.parametrize("command", [["evaluate", "--ks", "1,3"], ["empirical"]])
+    def test_worker_count_stable_bytes(self, tmp_path, command):
+        # the planted snapshots 0, 1, 2 at times 0, 2, 4: windows 1 and 3 add no edge
+        lines = _planted(tmp_path).read_text().splitlines()
+        raw = tmp_path / "gapped.csv"
+        raw.write_text("".join(f"{s},{d},{2 * int(t)}\n"
+                               for s, d, t in (line.split(",") for line in lines[1:])))
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main([*command, "--input", str(raw), "--window-seconds", "1",
+                         "--workers", workers, "--output-dir", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                         if p.name != "run_manifest.json"})
+        assert outs[0] == outs[1] and outs[0]
+        series = build_snapshots(ingest_edges(str(raw)), window_length=1)
+        assert series.new_edges.tolist()[1::2] == [0, 0]
 
 
 class TestEnvOverride:

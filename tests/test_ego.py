@@ -237,6 +237,20 @@ class TestEgoView:
         with pytest.raises(IndexError, match="out of range"):
             ego_view(g, -1)
 
+    def test_fractional_node_named(self, two_broker_graph):
+        # one id check for every single-node function: 1.7 is named, not
+        # left to NumPy's IndexError
+        g, ids = two_broker_graph
+        u, z = ids["u"], ids["z1"]
+        with pytest.raises(ConfigError, match="node id 1.7 is not a whole number"):
+            personalized_degree(g, 1.7, z)
+        with pytest.raises(ConfigError, match="1.7"):
+            common_neighbors(g, 1.7, z)
+        with pytest.raises(ConfigError, match="1.7"):
+            common_neighbors(g, u, 1.7)
+        assert personalized_degree(g, float(u), z) == personalized_degree(g, u, z)
+        assert common_neighbors(g, float(u), z).tolist() == common_neighbors(g, u, z).tolist()
+
     def test_view_of_several_egos(self, two_broker_graph):
         # a view of a run of egos has no single ego, so no score table
         g, ids = two_broker_graph

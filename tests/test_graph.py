@@ -1,5 +1,6 @@
 """Parsing, normalization, snapshot windowing, and adjacency structure."""
 
+import dataclasses
 import io
 import pickle
 
@@ -9,7 +10,9 @@ import pytest
 from egolink import graph as graph_module
 from egolink.cli import main
 from egolink.ego import EdgeConfig
+from egolink.empirical import aggregate_empirical, empirical_table
 from egolink.errors import ConfigError, ParseError, PreconditionError
+from egolink.evaluation import eval_table, evaluate_methods
 from egolink.graph import (
     SnapshotGraph,
     TemporalEdgeList,
@@ -216,7 +219,7 @@ class TestWindows:
         series = build_snapshots(_ingest(["a,b,0", "b,c,5", f"c,d,{2**53}"]), fixed_count=1)
         assert [g.n_edges for g in series.graphs] == [3]
         assert series.new_edges.tolist() == [3]
-        assert series[0].window_end == 2**53 + 1
+        assert series.window_starts.tolist() == [0] and series.window_width == 2**53 + 1
 
     def test_cli_keeps_newest_edges(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -233,6 +236,22 @@ class TestWindows:
         times = np.array([-2**63, 2**63 - 1])
         with pytest.raises(ConfigError, match=f"{key} .* beyond int64"):
             assign_windows(times, **policy)
+
+    def test_cumulative_edges_count_distinct_snapshots(self, monkeypatch):
+        # 4 windows of which 1 and 2 add no edge: the series stores the 2 + 3
+        # edges of snapshots 0 and 3, not 2 + 2 + 2 + 3 = 9 counted per window
+        times = np.array([0, 5, 30])
+        monkeypatch.setattr(graph_module, "MAX_CUMULATIVE_EDGES", 5)
+        assert assign_windows(times, window_length=10)[1].size == 4
+        series = build_snapshots(_ingest(["a,b,0", "b,c,5", "c,d,30"]), window_length=10)
+        assert len(series) == 4 and len({id(g) for g in series.graphs}) == 2
+        monkeypatch.setattr(graph_module, "MAX_CUMULATIVE_EDGES", 4)
+        with pytest.raises(ConfigError, match="gives 4 windows"):
+            assign_windows(times, window_length=10)
+        # the window count is capped first, whatever the windows hold
+        monkeypatch.setattr(graph_module, "MAX_CUMULATIVE_EDGES", 3)
+        with pytest.raises(ConfigError, match="gives 4 windows"):
+            assign_windows(np.array([0, 0, 0]), fixed_count=4)
 
     def test_cumulative_edges_capped(self, monkeypatch):
         # 3 windows holding 3 + 2 + 1 edges: 6 cumulative edges in total
@@ -254,7 +273,7 @@ class TestSnapshots:
         assert len(series) == 3
         assert [g.n_edges for g in series.graphs] == [1, 2, 3]
         assert series.new_edges.tolist() == [1, 1, 1]
-        assert [g.index for g in series.graphs] == [0, 1, 2]
+        assert series.window_starts.tolist() == [0, 1, 2] and series.window_width == 1
         # later snapshots contain the earlier edges
         last = series[2]
         a, b = edges.id_of("a"), edges.id_of("b")
@@ -263,9 +282,8 @@ class TestSnapshots:
     def test_window_bounds_recorded(self):
         edges = _ingest(["a,b,0", "b,c,25"])
         series = build_snapshots(edges, window_length=10)
-        assert series[0].window_start == 0
-        assert series[0].window_end == 10
-        assert series[2].window_start == 20
+        assert series.window_starts.tolist() == [0, 10, 20]
+        assert series.window_width == 10
 
     def test_preassigned_gap_rejected(self):
         edges = _ingest(["a,b,0", "b,c,2"], time_mode="index")
@@ -275,6 +293,87 @@ class TestSnapshots:
     def test_preassigned_negative_rejected(self):
         with pytest.raises(ConfigError):
             _ingest(["a,b,-1", "b,c,0"], time_mode="index")
+
+
+#: every array a snapshot graph exposes
+_GRAPH_ARRAYS = ("out_indptr", "out_indices", "in_indptr", "in_indices", "sym_indptr",
+                 "sym_indices", "out_degree", "in_degree", "sym_degree")
+
+
+def _gapped_series(seed, directed):
+    """A series of 8 two-unit windows of which windows 2, 5 and 6 add no
+    edge, the edges' window indices, and the series with every window's
+    graph built on its own."""
+    rng = np.random.default_rng(seed)
+    n_nodes, n_edges = 40, 300
+    src = rng.integers(0, n_nodes, n_edges)
+    dst = (src + rng.integers(1, n_nodes, n_edges)) % n_nodes
+    time = rng.choice([0, 1, 2, 7, 8, 15], n_edges)
+    time[:2] = 0, 15
+    edges = TemporalEdgeList(src=src, dst=dst, time=time,
+                             labels=tuple(str(i) for i in range(n_nodes)), directed=directed)
+    series = build_snapshots(edges, window_length=2)
+    idx = assign_windows(edges.time, window_length=2)[0]
+    apart = dataclasses.replace(series, graphs=[
+        SnapshotGraph(n_nodes, src[idx <= i], dst[idx <= i], directed)
+        for i in range(len(series))])
+    return series, idx, apart
+
+
+class TestSharedSnapshots:
+    """A window that adds no edge holds the snapshot before it."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_window_matches_its_own_build(self, directed, seed):
+        series, idx, apart = _gapped_series(seed, directed)
+        assert series.new_edges.tolist() == np.bincount(idx, minlength=8).tolist()
+        assert np.flatnonzero(series.new_edges == 0).tolist() == [2, 5, 6]
+        names = _GRAPH_ARRAYS + (("sym_config",) if directed else ())
+        for g, want in zip(series.graphs, apart.graphs):
+            for name in names:
+                assert np.array_equal(getattr(g, name), getattr(want, name)), name
+            assert g.n_edges == want.n_edges
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_empty_window_is_the_snapshot_before(self, directed):
+        series, _, _ = _gapped_series(0, directed)
+        for i in range(1, len(series)):
+            assert (series[i] is series[i - 1]) == (series.new_edges[i] == 0)
+        assert len({id(g) for g in series.graphs}) == 5
+        for i in (2, 5, 6):
+            for name in _GRAPH_ARRAYS:
+                assert not getattr(series[i], name).flags.writeable, name
+                with pytest.raises(ValueError):
+                    getattr(series[i], name)[:1] = 0
+        assert series.window_starts.tolist() == list(range(0, 16, 2))
+        assert series.window_width == 2
+        assert not series.window_starts.flags.writeable
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_pickle_keeps_one_object_per_snapshot(self, directed):
+        series, _, _ = _gapped_series(1, directed)
+        copy = pickle.loads(pickle.dumps(series))
+        assert [copy[i] is copy[i - 1] for i in range(1, 8)] == \
+            [series[i] is series[i - 1] for i in range(1, 8)]
+        assert len({id(g) for g in copy.graphs}) == 5
+        for g, h in zip(series.graphs, copy.graphs):
+            for name in _GRAPH_ARRAYS:
+                assert np.array_equal(getattr(g, name), getattr(h, name))
+                assert not getattr(h, name).flags.writeable, name
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_analyses_match_graphs_built_apart(self, directed, workers):
+        series, _, apart = _gapped_series(2, directed)
+        got = evaluate_methods(series, ks=(1, 3), workers=workers)
+        want = evaluate_methods(apart, ks=(1, 3), workers=1)
+        assert eval_table(got) == eval_table(want)
+        assert got.metadata == want.metadata
+        got = aggregate_empirical(series, per_triad=directed, workers=workers)
+        want = aggregate_empirical(apart, per_triad=directed, workers=1)
+        assert empirical_table(got) == empirical_table(want)
+        assert got.diagnostics == want.diagnostics
 
 
 class TestAdjacency:
@@ -298,6 +397,19 @@ class TestAdjacency:
             g.successors(2)
         with pytest.raises(IndexError):
             g.neighbors(-1)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_whole_number_ids(self, directed):
+        g = make_graph([(0, 1), (1, 2)], 3, directed=directed)
+        for row in (g.successors, g.predecessors, g.neighbors):
+            for bad in (1.7, float("nan"), np.float64(0.5)):
+                with pytest.raises(ConfigError, match="is not a whole number"):
+                    row(bad)
+            assert row(1.0).tolist() == row(np.int64(1)).tolist() == row(1).tolist()
+        with pytest.raises(ConfigError, match="node id 1.7 is not a whole number"):
+            g.successors(1.7)
+        with pytest.raises(IndexError, match="out of range"):
+            g.successors(3.0)
 
     def test_pickle_roundtrip(self):
         g = make_graph([(0, 1), (1, 2)], 3, directed=True)
