@@ -538,7 +538,6 @@ def _cmd_evaluate(cfg):
         min_candidates=cfg.min_candidates,
         require_formation=cfg.require_formation,
         workers=cfg.workers,
-        log_base=cfg.log_base,
     )
     eval_path = write_table(_out_path(cfg, "eval"), cfg.format, EVAL_HEADER,
                             eval_table(result))
@@ -575,8 +574,7 @@ _COMMANDS = {
                   _SERIES_KEYS + ("snapshot", "ego", "method", "mode", "k", "log_base")),
     "evaluate": ("precision@k evaluation of scoring methods", _cmd_evaluate,
                  _SERIES_KEYS + ("seed", "sample_size", "cutoff", "ks", "methods", "modes",
-                                 "min_candidates", "require_formation", "workers",
-                                 "log_base")),
+                                 "min_candidates", "require_formation", "workers")),
     "generate": ("write a synthetic edge list", _cmd_generate,
                  _GENERATOR_KEYS + ("output_dir",)),
 }

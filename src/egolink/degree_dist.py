@@ -153,16 +153,9 @@ def log_binned_histogram(samples, bins_per_decade=10):
     )
 
 
-def distribution_metadata(dist, kind=None, mode=None):
-    meta = {}
-    if kind is not None:
-        meta["kind"] = kind
-    if mode is not None:
-        meta["mode"] = mode
-    meta["shifted"] = "true" if dist.shifted else "false"
-    meta["n_samples"] = dist.n_samples
-    meta["bins_per_decade"] = dist.bins_per_decade
-    return meta
+def distribution_metadata(dist, kind, mode):
+    return {"kind": kind, "mode": mode, "shifted": "true" if dist.shifted else "false",
+            "n_samples": dist.n_samples, "bins_per_decade": dist.bins_per_decade}
 
 
 def distribution_rows(dist):

@@ -429,6 +429,8 @@ def _forming_cells(series, egos, sym_pool):
     egos = np.asarray(egos, dtype=np.int64)
     mask = np.zeros((egos.size, len(series) - 1), dtype=bool)
     for t, (g, nxt) in enumerate(zip(series.graphs, series.graphs[1:])):
+        if nxt is g:  # the next window adds no edge: nothing forms
+            continue
         n = g.n_nodes
         held = _row_keys(g.out_indptr, g.out_indices, egos, n)
         pool = _row_keys(g.sym_indptr, g.sym_indices, egos, n) if sym_pool else held
@@ -477,7 +479,8 @@ def _cell_blocks(worker, payload, series, egos, settled, n_columns, workers, sym
                else np.ones((egos.size, len(series) - 1), dtype=bool))
     blocks = []
     for t, g in enumerate(series.graphs[:-1]):
-        sizes = _gather_sizes(g, egos, sym_pool)
+        if not t or g is not series[t - 1]:  # once per distinct snapshot
+            sizes = _gather_sizes(g, egos, sym_pool)
         at = np.flatnonzero(forming[:, t] | (sizes > cutoff))
         blocks += [(t, at[a:b]) for a, b in _block_runs(g, sizes[at], sym_pool)]
     results = map_in_order(worker, [(t, egos[at]) for t, at in blocks], payload,

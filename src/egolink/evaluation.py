@@ -94,15 +94,12 @@ def validate_ks(ks):
     return ks
 
 
-def _ranking_order(scores, candidates, slot=None):
-    """Positions of ``candidates`` by descending score, ties by ascending
-    id; with ``slot``, ranked within each slot, slots in ascending order.
-    With ``slot``, the candidates of each slot must already ascend, as
-    ``ego._gather_block`` yields them: the stable sort then keeps ties in
-    id order without a key for them."""
-    if slot is None:
-        return np.lexsort((candidates, -scores))
-    return np.lexsort((-scores, slot))
+def _ranking_order(scores, slot=None):
+    """Positions of ascending candidates by descending score, ties by id;
+    with ``slot``, within each slot, slots ascending. A ``ScoreTable`` and
+    each slot of ``ego._gather_block`` hold ascending candidates, so the
+    stable sort keeps ties in id order."""
+    return np.lexsort((-scores,) if slot is None else (-scores, slot))
 
 
 def _precisions(hit, ks):
@@ -117,7 +114,7 @@ def rank_candidates(table, method=None):
         if len(table.columns) != 1:
             raise ConfigError("table has several methods; name one")
         method = next(iter(table.columns))
-    order = _ranking_order(table.scores(method), table.candidates)
+    order = _ranking_order(table.scores(method))
     return RankedList(
         ego=table.ego, method=method, mode=table.mode, ranking=table.candidates[order]
     )
@@ -156,7 +153,7 @@ def _cell_worker(payload, item):
     ego, the index in ``EXCLUSIONS`` of the first reason its cell is left
     out, or -1 when it is kept; and P@K of the kept cells, one row per
     kept ego and one column per ((method, mode), K), pairs first."""
-    series, methods, modes, ks, cutoff, need, require_formation, log_base = payload
+    series, methods, modes, ks, cutoff, need, require_formation = payload
     t, egos = item
     view = _gather_block(series[t], egos, modes)
     slot = view.cand_slot
@@ -177,17 +174,16 @@ def _cell_worker(payload, item):
     passes = [(modes[0], methods)] + [(mode, term_methods) for mode in modes[1:] if term_methods]
     p = {}
     for mode, scored in passes:
-        columns, _ = score_block(view, scored, mode, log_base)
+        columns, _ = score_block(view, scored, mode)
         for m in scored:
-            order = _ranking_order(columns[m], view.candidates, slot)
+            order = _ranking_order(columns[m], slot)
             p[(m, MODE_NONE if m == METHOD_CN else mode)] = _precisions(formed[order[top]], ks)
     return reason, np.hstack([p[pair] for pair in pairs])
 
 
 def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
                      sample_size=None, seed=0, cutoff=DEFAULT_CUTOFF,
-                     min_candidates=0, require_formation=True, workers=1,
-                     log_base=None):
+                     min_candidates=0, require_formation=True, workers=1):
     """Mean P@K per (method, degree mode, K) over a shared cell set."""
     if len(series) < 2:
         raise ConfigError("evaluation needs at least 2 snapshots")
@@ -200,7 +196,7 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
 
     egos = sample_egos(series, sample_size, seed)
     payload = (series, methods, modes, ks, cutoff, max(int(min_candidates), ks[-1]),
-               bool(require_formation), log_base)
+               bool(require_formation))
     # per (transition, ego): the index in EXCLUSIONS of the reason its cell
     # is left out, or -1 when it is kept; a settled cell has nothing formed
     reason, cell_ego, values = _cell_blocks(

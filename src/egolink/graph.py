@@ -52,8 +52,24 @@ _INT64 = np.iinfo(np.int64)
 MAX_CUMULATIVE_EDGES = 50_000_000
 
 
+class _ReadOnlyArrays:
+    """Base of a frozen dataclass whose ``_ARRAYS`` fields hold read-only int64
+    views, after unpickling too; the caller's arrays keep their own flags."""
+
+    def __post_init__(self):
+        for name in self._ARRAYS:
+            arr = np.asarray(getattr(self, name), dtype=np.int64).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __setstate__(self, state):
+        # unpickling skips __post_init__, and arrays unpickle writeable
+        self.__dict__.update(state)
+        self.__post_init__()
+
+
 @dataclass(frozen=True)
-class TemporalEdgeList:
+class TemporalEdgeList(_ReadOnlyArrays):
     """Normalized edges plus the id -> original-label mapping.
 
     ``time_mode`` says whether the time column holds raw timestamps or
@@ -67,17 +83,7 @@ class TemporalEdgeList:
     directed: bool
     time_mode: str = TIME_MODE_TIMESTAMP
 
-    def __post_init__(self):
-        # read-only int64 views: the caller's arrays keep their own flags
-        for name in ("src", "dst", "time"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64).view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __setstate__(self, state):
-        # unpickling skips __post_init__, and arrays unpickle writeable
-        self.__dict__.update(state)
-        self.__post_init__()
+    _ARRAYS = ("src", "dst", "time")
 
     @property
     def n_edges(self):
@@ -501,7 +507,8 @@ class SnapshotGraph:
     Directed graphs carry three adjacencies, out, in, and the
     symmetrized union, and the link config of each symmetric entry; one
     sort builds them all. Undirected graphs store the symmetric
-    adjacency once and alias all three views to it. Immutable once built.
+    adjacency and its degrees once and alias all three views to them.
+    Immutable once built.
     """
 
     __slots__ = (
@@ -533,18 +540,18 @@ class SnapshotGraph:
         self.n_nodes = n = int(n_nodes)
         self.directed = bool(directed)
         self.sym_indptr, self.sym_indices = _indptr(n, rows), cols
+        self.sym_degree = np.diff(self.sym_indptr)
         if directed:
             # 0 for row -> col only, 1 reciprocal, 2 col -> row only
             self._sym_config = inn.astype(np.int8) - out + 1
             self.out_indptr, self.out_indices = _indptr(n, rows[out]), cols[out]
             self.in_indptr, self.in_indices = _indptr(n, rows[inn]), cols[inn]
+            self.out_degree, self.in_degree = np.diff(self.out_indptr), np.diff(self.in_indptr)
         else:
             self._sym_config = None
             self.out_indptr, self.out_indices = self.sym_indptr, self.sym_indices
             self.in_indptr, self.in_indices = self.sym_indptr, self.sym_indices
-        self.out_degree = np.diff(self.out_indptr)
-        self.in_degree = np.diff(self.in_indptr)
-        self.sym_degree = np.diff(self.sym_indptr)
+            self.out_degree = self.in_degree = self.sym_degree
         self._freeze()
 
     def _freeze(self):
@@ -600,7 +607,7 @@ class SnapshotGraph:
 
 
 @dataclass(frozen=True)
-class SnapshotSeries:
+class SnapshotSeries(_ReadOnlyArrays):
     """Cumulative snapshots: graph ``i`` holds every edge assigned to
     windows ``0..i``, window ``i`` being the times from
     ``window_starts[i]`` up to ``window_starts[i] + window_width``. A
@@ -612,6 +619,8 @@ class SnapshotSeries:
     window_starts: np.ndarray
     window_width: int
     n_nodes: int = field(default=0)
+
+    _ARRAYS = ("new_edges", "window_starts")
 
     def __len__(self):
         return len(self.graphs)
@@ -691,8 +700,6 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
         g = SnapshotGraph.__new__(SnapshotGraph)
         g._set_entries(edges.n_nodes, edges.directed, *entries)
         built.append(g)
-    new_counts.setflags(write=False)
-    starts.setflags(write=False)
     return SnapshotSeries(graphs=list(map(built.__getitem__, graph_of.tolist())),
                           new_edges=new_counts, directed=edges.directed, window_starts=starts,
                           window_width=width, n_nodes=edges.n_nodes)

@@ -18,8 +18,9 @@ Shifts keep every logarithm positive: in/out modes use ``gd + 2``
 where mode ``undirected`` uses the raw (``aa``) or ``+1`` (``pd-aa``)
 symmetrized degree. On directed graphs, mode ``undirected`` computes
 degrees on the reciprocated graph while candidate and common-neighbor
-enumeration stay directed. Changing the log base rescales each method
-by one positive constant, so rankings never depend on it.
+enumeration stay directed. Scores are in natural logs until
+``score_candidates`` applies another base: one positive constant per
+method, so rankings never depend on it.
 """
 
 import math
@@ -112,13 +113,21 @@ def validate_methods(methods):
 @dataclass(frozen=True)
 class ScoreTable:
     """Scores for every two-hop candidate of one ego, one column per
-    method. Candidates are sorted by node id."""
+    method. Candidates are sorted by node id, with their scores."""
 
     ego: int
     mode: str
     candidates: np.ndarray
     columns: dict
     cn_counts: np.ndarray
+
+    def __post_init__(self):
+        # ranking ties and score lookups read ascending ids: sort any others
+        if (self.candidates[1:] < self.candidates[:-1]).any():
+            order = np.argsort(self.candidates, kind="stable")
+            object.__setattr__(self, "candidates", self.candidates[order])
+            object.__setattr__(self, "columns", {m: c[order] for m, c in self.columns.items()})
+            object.__setattr__(self, "cn_counts", self.cn_counts[order])
 
     @property
     def methods(self):
@@ -128,49 +137,42 @@ class ScoreTable:
         return self.columns[method]
 
 
-def score_block(view, methods=ALL_METHODS, mode=MODE_UNDIRECTED, log_base=None):
-    """Score columns (keyed by method) and common-neighbor counts of every
-    candidate of an ``ego.EgoView``, aligned with ``view.candidates``."""
+def score_block(view, methods=ALL_METHODS, mode=MODE_UNDIRECTED):
+    """Natural-log score columns (keyed by method) and common-neighbor
+    counts of every candidate of an ``ego.EgoView``, aligned with
+    ``view.candidates``."""
     methods = validate_methods(methods)
     validate_mode(mode, view.graph.directed)
-    ln_base = _ln_base(log_base)
     term_methods = [m for m in methods if m != METHOD_CN]
+    terms = np.empty((view.base.size, len(term_methods)))
     if term_methods:
-        pd = view.pd(mode)
-        gd = view.gd(mode)
-        terms = np.column_stack(
-            [_TERM_BUILDERS[m](pd, gd, mode) for m in term_methods]
-        )
-    else:
-        terms = np.zeros((view.base.size, 0), dtype=np.float64)
-
+        pd, gd = view.pd(mode), view.gd(mode)
+        for i, m in enumerate(term_methods):
+            terms[:, i] = _TERM_BUILDERS[m](pd, gd, mode)
     sums, counts = view.accumulate(terms)
-    columns = {}
-    for m in methods:
-        if m == METHOD_CN:
-            columns[m] = counts.astype(np.float64)
-        else:
-            columns[m] = _rescale(m, sums[:, term_methods.index(m)], ln_base)
+    columns = {m: counts.astype(np.float64) if m == METHOD_CN else sums[:, term_methods.index(m)]
+               for m in methods}
     return columns, counts
 
 
 def score_candidates(graph, ego, methods=ALL_METHODS, mode=MODE_UNDIRECTED,
                      log_base=None, view=None):
-    """Score all two-hop candidates of ``ego`` in one fused pass over its
-    view; methods, mode and log base are checked before the view."""
+    """Score all two-hop candidates of ``ego`` in one fused pass over its view, in
+    log base ``log_base`` (default e); methods, mode and base are checked first."""
     methods = validate_methods(methods)
     validate_mode(mode, graph.directed)
-    _ln_base(log_base)
+    ln_base = _ln_base(log_base)
     if view is None:
         view = ego_view(graph, ego)
     elif view.ego != ego or view.graph is not graph:
         raise PreconditionError(
             f"the view of ego {view.ego} does not belong to ego {ego} on this graph")
-    columns, counts = score_block(view, methods, mode, log_base)
+    columns, counts = score_block(view, methods, mode)
     return ScoreTable(
         ego=int(ego),
         mode=mode,
         candidates=view.candidates,
-        columns=columns,
+        columns={m: col if m == METHOD_CN else _rescale(m, col, ln_base)
+                 for m, col in columns.items()},
         cn_counts=counts,
     )

@@ -47,6 +47,13 @@ class TestRanking:
         ranked = rank_candidates(_table([9, 3], [1.0, 1.0]))
         assert ranked.ranking.tolist() == [3, 9]
 
+    def test_table_sorts_unsorted_ids_with_their_scores(self):
+        t = ScoreTable(ego=0, mode="none", candidates=np.array([5, 3, 9]),
+                       columns={"aa": np.array([1.0, 2.0, 3.0])}, cn_counts=np.array([1, 2, 3]))
+        assert t.candidates.tolist() == [3, 5, 9]
+        assert t.scores("aa").tolist() == [2.0, 1.0, 3.0]
+        assert t.cn_counts.tolist() == [2, 1, 3]
+
     def test_needs_single_method(self):
         t = ScoreTable(ego=0, mode="none",
                        candidates=np.array([1], dtype=np.int64),
@@ -195,13 +202,6 @@ class TestEvaluate:
         two = evaluate_methods(series, ks=(1, 3), workers=2)
         assert one.rows == two.rows
         assert one.metadata == two.metadata
-
-    def test_log_base_does_not_move_precision(self):
-        snaps = random_snapshots(6, 18, 0.3, False, 3)
-        series = make_series(snaps, 18)
-        a = evaluate_methods(series, ks=(1, 2, 3))
-        b = evaluate_methods(series, ks=(1, 2, 3), log_base=10.0)
-        assert a.rows == b.rows
 
     def test_directed_default_modes(self):
         snaps = random_snapshots(8, 16, 0.3, True, 3)

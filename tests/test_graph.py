@@ -9,7 +9,7 @@ import pytest
 
 from egolink import graph as graph_module
 from egolink.cli import main
-from egolink.ego import EdgeConfig
+from egolink.ego import EdgeConfig, _forming_cells
 from egolink.empirical import aggregate_empirical, empirical_table
 from egolink.errors import ConfigError, ParseError, PreconditionError
 from egolink.evaluation import eval_table, evaluate_methods
@@ -361,6 +361,10 @@ class TestSharedSnapshots:
             for name in _GRAPH_ARRAYS:
                 assert np.array_equal(getattr(g, name), getattr(h, name))
                 assert not getattr(h, name).flags.writeable, name
+        assert np.array_equal(copy.new_edges, series.new_edges)
+        assert np.array_equal(copy.window_starts, series.window_starts)
+        assert not copy.new_edges.flags.writeable
+        assert not copy.window_starts.flags.writeable
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -374,6 +378,9 @@ class TestSharedSnapshots:
         want = aggregate_empirical(apart, per_triad=directed, workers=1)
         assert empirical_table(got) == empirical_table(want)
         assert got.diagnostics == want.diagnostics
+        # transition t ends in window t + 1; windows 2, 5 and 6 add no edge
+        mask = _forming_cells(series, np.arange(series.n_nodes), sym_pool=directed)
+        assert not mask[:, [1, 4, 5]].any() and mask.any()
 
 
 class TestAdjacency:
@@ -390,6 +397,7 @@ class TestAdjacency:
         g = make_graph([(0, 1), (1, 2)], 3)
         assert g.successors(1).tolist() == g.neighbors(1).tolist() == [0, 2]
         assert g.sym_degree.tolist() == [1, 2, 1]
+        assert g.out_degree is g.sym_degree and g.in_degree is g.sym_degree
 
     def test_bounds_checked(self):
         g = make_graph([(0, 1)], 2)

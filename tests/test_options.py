@@ -52,14 +52,14 @@ KEYS = {
     "empirical": SERIES + ("seed", "sample_size", "modes", "per_triad", "workers"),
     "recommend": SERIES + ("snapshot", "ego", "method", "mode", "k", "log_base"),
     "evaluate": SERIES + ("seed", "sample_size", "cutoff", "ks", "methods", "modes",
-                          "min_candidates", "require_formation", "workers", "log_base"),
+                          "min_candidates", "require_formation", "workers"),
     "generate": tuple(f.name for f in dataclasses.fields(GeneratorSpec)) + ("output_dir",),
 }
 COMMANDS = tuple(KEYS)
 
 #: a command that reads each checked key, for the checks' fail-fast tests
 CHECKED_VIA = {"bins_per_decade": "degree-dist", "mode": "degree-dist",
-               "method": "recommend", "k": "recommend"}
+               "method": "recommend", "k": "recommend", "log_base": "recommend"}
 
 
 def _flag(key):
@@ -103,8 +103,8 @@ def test_every_field_belongs_to_a_command():
     assert len(FIELDS) == 36
     assert {name: len(keys) for name, keys in KEYS.items()} == {
         "ingest": 7, "snapshots": 11, "degree-dist": 16, "empirical": 16, "recommend": 17,
-        "evaluate": 21, "generate": 12}
-    assert sum(map(len, KEYS.values())) == 100
+        "evaluate": 20, "generate": 12}
+    assert sum(map(len, KEYS.values())) == 99
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -134,7 +134,8 @@ def test_every_field_is_a_flag_and_echoed(command, tmp_path):
     (["ingest", "--format", "json"], "--format"),
     (["evaluate", "--mode", "out"], "--mode"),
     (["evaluate", "--k", "5"], "--k"),
-], ids=["ingest-ks", "ingest-format", "evaluate-mode", "evaluate-k"])
+    (["evaluate", "--log-base", "2"], "--log-base"),
+], ids=["ingest-ks", "ingest-format", "evaluate-mode", "evaluate-k", "evaluate-log-base"])
 def test_flag_the_command_does_not_read(argv, flag, tmp_path, capsys):
     # not a prefix of --modes or --ks either: no flag is abbreviated
     with pytest.raises(SystemExit) as info:
@@ -155,6 +156,16 @@ def test_config_key_the_command_does_not_read(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg), "--input", str(tmp_path / "missing.csv"),
                  "--output-dir", str(tmp_path / "out")]) == 1
     assert "config: line 2: key 'k' is not read by evaluate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_rejects_log_base_key(tmp_path, capsys):
+    # rankings never depend on the base, so only recommend, which writes scores, reads it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("log_base = 2\n")
+    assert main(["evaluate", "--config", str(cfg), "--input", str(tmp_path / "missing.csv"),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert "config: line 1: key 'log_base' is not read by evaluate" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
