@@ -336,6 +336,8 @@ def _validate_config(cfg):
         policy.append("time_mode=index")
     if len(policy) > 1:
         raise ConfigError(f"window policy: {policy[0]} conflicts with {policy[1]}")
+    if cfg.drop_zero_out and not cfg.directed:
+        raise ConfigError("drop_zero_out: out-degree filtering applies to directed graphs only")
 
 
 def config_echo(cfg, command):

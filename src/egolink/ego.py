@@ -1,6 +1,7 @@
 """Ego-centered primitives: neighborhoods, candidates, personalized
 degree, directed triad classification, and ``EgoView``, the gather of
-one ego (``ego_view``) or of a run of egos (``ego_blocks``).
+one ego (``ego_view``) or of a run of egos (``ego_blocks``); every
+personalized degree, ``personalized_degrees`` too, is read from a gather.
 
 Conventions for a directed ego ``u``:
 
@@ -71,7 +72,9 @@ def ego_neighbors(graph, u):
 def sample_egos(series, sample_size=None, seed=0):
     """Sorted, seeded sample of the nodes with neighbors in the first
     snapshot; all of them when ``sample_size`` is None or covers them."""
-    if sample_size is not None and int(sample_size) < 1:
+    if sample_size is not None and not float(sample_size).is_integer():
+        raise ConfigError(f"sample_size: must be a whole number, got {sample_size}")
+    if sample_size is not None and sample_size < 1:
         raise ConfigError(f"sample_size: must be >= 1, got {sample_size}")
     eligible = np.flatnonzero(series[0].sym_degree > 0).astype(np.int64)
     if eligible.size == 0:
@@ -111,31 +114,24 @@ def common_neighbors(graph, u, v):
 
 
 def personalized_degrees(graph, u, targets, mode):
-    """Personalized degree of each target node w.r.t. ego ``u``, read
-    from the targets' own out, in or symmetric rows; ``_gather_block``
-    reads the same counts from its gather of symmetric rows.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
+    """Personalized degree of each target, a neighbor of ego ``u``, read
+    from the gather of the one ego ``u`` (``_gather_block``); a target
+    outside the ego's neighborhood is a PreconditionError naming it."""
     validate_mode(mode, graph.directed)
-    if mode == MODE_OUT:
-        anchor, indptr, indices = graph.successors(u), graph.out_indptr, graph.out_indices
-    elif mode == MODE_IN:
-        anchor, indptr, indices = graph.successors(u), graph.in_indptr, graph.in_indices
-    else:
-        anchor, indptr, indices = graph.neighbors(u), graph.sym_indptr, graph.sym_indices
-    return _kernels.row_intersect_sizes(indptr, indices, anchor, targets)
+    base = ego_neighbors(graph, u)
+    targets = np.asarray(targets)
+    pos = np.searchsorted(base, targets)
+    found = pos < base.size
+    found[found] = base[pos[found]] == targets[found]
+    if not found.all():
+        raise PreconditionError(f"{targets[~found][0]} is not a neighbor of ego {u}")
+    view = _gather_block(graph, _ego_ids(graph, u), (mode,), wedges=False)
+    return view.pd(mode)[pos]
 
 
 def personalized_degree(graph, u, z, mode=MODE_UNDIRECTED):
-    """Number of nodes linked (per mode) to both the ego and ``z``, read
-    from the gather of the one ego ``u``."""
-    base = ego_neighbors(graph, u)
-    pos = np.searchsorted(base, z)
-    if not (pos < base.size and base[pos] == z):
-        raise PreconditionError(f"{z} is not a neighbor of ego {u}")
-    validate_mode(mode, graph.directed)
-    view = _gather_block(graph, np.array([u], dtype=np.int64), (mode,), wedges=False)
-    return int(view.pd(mode)[pos])
+    """``personalized_degrees`` of the one neighbor ``z``."""
+    return int(personalized_degrees(graph, u, [z], mode)[0])
 
 
 def global_degrees(graph, targets, mode):

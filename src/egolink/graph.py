@@ -10,7 +10,8 @@ Normalization of a raw edge list:
 
 Step 5 runs after the sort so that normalizing an already-normalized
 list is the identity: ids, row order, and orientations all survive a
-round trip through ``write_normalized_csv`` / ``ingest_edges``.
+round trip through ``write_normalized_csv`` / ``ingest_edges``, and so
+does the output of ``drop_zero_out_degree``, which numbers by this rule.
 
 Loading reads a file once. A regular file, ``src<sep>dst<sep>time``
 lines of ASCII with one separator byte and nothing to strip, is checked
@@ -383,8 +384,9 @@ def ingest_edges(source, directed=False, delimiter=None, time_mode=TIME_MODE_TIM
     """Normalize an edge list from a path, file object, or line iterable.
 
     A path is read once. A regular file (``_parse_regular``) is read on
-    its bytes; any other goes through ``parse_edge_lines``, decoded as a
-    text file would be (utf-8, universal newlines), like a file object.
+    its bytes; any other goes through ``parse_edge_lines``, decoded as
+    UTF-8 with universal newlines, a byte that is not UTF-8 being a
+    ParseError of its line.
     """
     rows = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -392,7 +394,12 @@ def ingest_edges(source, directed=False, delimiter=None, time_mode=TIME_MODE_TIM
             data = fh.read()
         rows = _parse_regular(data, delimiter)
         if rows is None:
-            source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            try:
+                source = io.StringIO(data.decode("utf-8"), newline=None)
+            except UnicodeDecodeError as exc:
+                head = data[:exc.start].replace(b"\r\n", b"\n")
+                raise ParseError(head.count(b"\n") + head.count(b"\r") + 1,
+                                 f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
         del data
     if rows is None:
         triples = parse_edge_lines(source, delimiter=delimiter, missing_time=missing_time)
@@ -406,31 +413,16 @@ def ingest_edges(source, directed=False, delimiter=None, time_mode=TIME_MODE_TIM
 
 def drop_zero_out_degree(edges):
     """Remove nodes that never appear as a source, plus their incident
-    edges. One pass only: removals that create new zero-out-degree
-    nodes are kept (matching a single preprocessing sweep)."""
+    edges, in one pass (removals that create new zero-out-degree nodes are
+    kept, matching a single preprocessing sweep); ``_normalize_ids``
+    numbers the kept edges, so a node in none of them leaves the labels."""
     if not edges.directed:
         raise ConfigError("out-degree filtering applies to directed graphs only")
-    if edges.n_edges == 0:
-        return edges
     has_out = np.zeros(edges.n_nodes, dtype=bool)
     has_out[edges.src] = True
-    if has_out.all():
-        return edges
-    keep_edge = has_out[edges.dst]
-    src = edges.src[keep_edge]
-    dst = edges.dst[keep_edge]
-    time = edges.time[keep_edge]
-    keep_node = has_out.copy()
-    # survivors keep their relative id order
-    remap = np.full(edges.n_nodes, -1, dtype=np.int64)
-    remap[keep_node] = np.arange(int(keep_node.sum()), dtype=np.int64)
-    src = remap[src]
-    dst = remap[dst]
-    labels = tuple(l for l, k in zip(edges.labels, keep_node) if k)
-    return TemporalEdgeList(
-        src=src, dst=dst, time=time, labels=labels,
-        directed=True, time_mode=edges.time_mode,
-    )
+    keep = has_out[edges.dst]
+    return _normalize_ids(edges.src[keep], edges.dst[keep], edges.labels, edges.time[keep],
+                          True, edges.time_mode)
 
 
 #: rows per run of ``write_normalized_csv``: only one run's Python ints

@@ -6,12 +6,16 @@ benchmark run. Its per-item workers are matched by name. The benchmark
 also reads a few ``SnapshotGraph`` arrays directly, so a refactor of the
 graph must keep them, and ``pipebench/workloads.py`` passes each CLI
 stage flags that its command must still take. Each counter of ``SPANS``
-reads its target's real output.
+reads its target's real output. The smoke run covers the calls the
+benchmark makes itself, through the library and the CLI.
 """
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -112,3 +116,13 @@ def test_counter_reads_real_output(mod_name, attr, count):
     count(counts, args, kwargs, target(*args, **kwargs))
     assert set(counts) <= set(tracing.COUNT_METRICS)
     assert sum(counts.values()) > 0
+
+
+def test_smoke_run_is_correct():
+    # every stage at toy sizes, checked against the benchmark's own references
+    root = os.path.dirname(_PIPEBENCH)
+    run = subprocess.run([sys.executable, os.path.join("pipebench", "run.py"), "--smoke"],
+                         cwd=root, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout.splitlines()[-1])
+    assert doc["correct"] is True and doc["failed"] == 0, run.stderr

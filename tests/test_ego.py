@@ -97,6 +97,12 @@ class TestPreconditions:
         with pytest.raises(PreconditionError):
             personalized_degree(g, ids["u"], ids["y1"])
 
+    def test_pds_need_neighbors(self, two_broker_graph):
+        # every target is checked, not only a lone one
+        g, ids = two_broker_graph
+        with pytest.raises(PreconditionError, match=f"^{ids['y1']} is not a neighbor of ego"):
+            personalized_degrees(g, ids["u"], [ids["z2"], ids["y1"]], "undirected")
+
     def test_common_needs_distinct(self, two_broker_graph):
         g, ids = two_broker_graph
         with pytest.raises(PreconditionError):
@@ -109,6 +115,11 @@ class TestSampleEgos:
         series = make_series([[(0, 1), (1, 2)]], 3)
         with pytest.raises(ConfigError, match=f"sample_size: must be >= 1, got {size}"):
             sample_egos(series, size)
+
+    def test_fractional_size_named(self):
+        series = make_series([[(0, 1), (1, 2)]], 3)
+        with pytest.raises(ConfigError, match="sample_size: must be a whole number, got 2.5"):
+            sample_egos(series, 2.5)
 
 
 class TestAgainstOracle:

@@ -172,6 +172,18 @@ class TestDropZeroOut:
         assert edges.labels == ("a", "b")
         assert edges.n_edges == 1
 
+    def test_ids_follow_first_appearance_in_kept_edges(self):
+        # x never points anywhere, so a -> x goes and b appears first
+        edges = _ingest(["a,x,1", "b,a,2", "a,b,3"], directed=True, drop_zero_out=True)
+        assert edges.labels == ("b", "a")
+        assert edges.src.tolist() == [0, 1] and edges.dst.tolist() == [1, 0]
+
+    def test_source_left_without_edges_leaves_labels(self):
+        # a points only at x, which never points anywhere: a is in no kept edge
+        edges = _ingest(["a,x,1", "b,c,2", "c,b,3"], directed=True, drop_zero_out=True)
+        assert edges.labels == ("b", "c")
+        assert edges.src.tolist() == [0, 1] and edges.dst.tolist() == [1, 0]
+
     def test_requires_directed(self):
         edges = _ingest(["a,b,1"])
         with pytest.raises(ConfigError):

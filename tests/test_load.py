@@ -147,6 +147,7 @@ FILES = [
     ("comment-only", b"# nothing", {}, False),
     ("unknown-delimiter", b"a,b,1\n", dict(delimiter="pipe"), False),
     ("bad-utf8", b"a,b,1\n\xff,c,2\n", {}, False),
+    ("bad-utf8-after-cr", b"# x\ra,b,1\r\nb,c,2\nc,\xe4,3\n", {}, False),
     ("long-labels", b"abcdefgh1,abcdefgh12,1\nabcdefghijklmnop,abcdefghijklmnopq,2\n"
                     b"abcdefghijklmnopqrstuvwx,abcdefgh1,3\n"
                     b"abcdefghijklmnopq,abcdefghijklmnopqrstuvw,4\n"
@@ -178,6 +179,12 @@ class TestRegularParse:
         norm_kw = {k: v for k, v in kwargs.items() if k not in parse_kw}
 
         def per_line():
+            # a byte that is not UTF-8 is a parse error of the line that holds it
+            for lineno, line in enumerate(data.splitlines(), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError(lineno, "not UTF-8") from None
             with open(path, encoding="utf-8") as fh:
                 return normalize_edges(*parse_edge_lines(fh, **parse_kw), **norm_kw)
 
@@ -257,6 +264,14 @@ class TestInt64Times:
         with pytest.raises(ParseError, match="line 2: timestamp .* is outside int64"):
             parse_edge_lines(["a,b,1", "b,c,\\N"], missing_time=2**63)
 
+    def test_cli_names_a_byte_that_is_not_utf8(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(b"a,b,1\n\xff,c,2\n")
+        assert main(["ingest", "--input", str(raw), "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: line 2: invalid UTF-8 byte 0xff" in err
+        assert "Traceback" not in err
+
     def test_cli_names_the_line(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
         raw.write_bytes(b"a b 1\nb c 99999999999999999999\n")
@@ -287,6 +302,29 @@ class TestFrozenLoad:
         for name in names:
             h.update((out / name).read_bytes())
         assert h.hexdigest() == digest
+
+
+class TestDropZeroOutRoundTrip:
+    """``--drop-zero-out`` output is numbered like any normalized list, so
+    ingesting it again gives the same rows, with each id its own label."""
+
+    @pytest.mark.parametrize("rows", [
+        [("a", "x", 1), ("b", "a", 2), ("a", "b", 3)],
+        *(_raw_rows(seed) for seed in range(3)),
+    ], ids=["x-dropped", "raw-0", "raw-1", "raw-2"])
+    def test_reingest_is_identity(self, rows, tmp_path):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("".join(f"{s} {d} {t}\n" for s, d, t in rows))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["ingest", "--directed", "--drop-zero-out", "--input", str(raw),
+                     "--output-dir", str(first)]) == 0
+        assert main(["ingest", "--directed", "--input", str(first / "normalized.csv"),
+                     "--output-dir", str(second)]) == 0
+        assert (second / "normalized.csv").read_text() == \
+            (first / "normalized.csv").read_text()
+        n = len((first / "label_map.csv").read_text().splitlines()) - 1
+        assert (second / "label_map.csv").read_text() == \
+            "node_id,label\n" + "".join(f"{i},{i}\n" for i in range(n))
 
 
 #: links added to a seeded list: a pair written twice, in the first and

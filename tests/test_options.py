@@ -291,6 +291,16 @@ class TestModeRules:
         assert f"error: {key}: " in err and "directed graph" in err
 
 
+@pytest.mark.parametrize("command", ["ingest", "snapshots"])
+def test_drop_zero_out_needs_directed(command, tmp_path, capsys):
+    # the input does not exist, so only a check that runs first names the key
+    assert main([command, "--drop-zero-out", "--input", str(tmp_path / "missing.csv"),
+                 "--output-dir", str(tmp_path / "o")]) == 1
+    assert "error: drop_zero_out: out-degree filtering applies to directed graphs only" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 _UNIFORM = ["--kind", "uniform-random", "--n-nodes", "5", "--edge-prob", "0.1"]
 _PREFERENTIAL = ["--kind", "preferential-attachment", "--n-nodes", "10", "--n-attach", "2"]
 _PLANTED = ["--kind", "planted-scorer", "--n-nodes", "20", "--edge-prob", "0.2",
