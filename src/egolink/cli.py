@@ -439,9 +439,10 @@ def _cmd_ingest(cfg):
 def _cmd_snapshots(cfg):
     _, series = _load_series(cfg)
     header = ("snapshot", "window_start", "window_end", "new_edges", "total_edges")
-    starts, new = series.window_starts.tolist(), series.new_edges.tolist()
-    rows = [(i, starts[i], starts[i] + series.window_width, new[i], g.n_edges)
-            for i, g in enumerate(series.graphs)]
+    starts, new, total = (a.tolist() for a in (series.window_starts, series.new_edges,
+                                                series.total_edges))
+    rows = [(i, starts[i], starts[i] + series.window_width, new[i], total[i])
+            for i in range(len(series))]
     path = write_table(_out_path(cfg, "snapshots"), cfg.format, header, rows)
     return ([path], {"n_snapshots": len(series)},
             f"built {len(series)} cumulative snapshots -> {path}")

@@ -424,7 +424,8 @@ def _forming_cells(series, egos, sym_pool):
     """
     egos = np.asarray(egos, dtype=np.int64)
     mask = np.zeros((egos.size, len(series) - 1), dtype=bool)
-    for t, (g, nxt) in enumerate(zip(series.graphs, series.graphs[1:])):
+    graphs = series.graphs
+    for t, (g, nxt) in enumerate(zip(graphs, graphs[1:])):
         if nxt is g:  # the next window adds no edge: nothing forms
             continue
         n = g.n_nodes

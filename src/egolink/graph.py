@@ -20,13 +20,15 @@ and times summed digit by digit, with no Python object per line. Any
 other input goes through the per-line ``parse_edge_lines``, which alone
 numbers the line of a ``ParseError``, and ``normalize_edges``; both
 paths share ``_normalize_ids``. A cumulative snapshot series is cut from
-one sort of the 2E symmetric entries of its edges: snapshot ``i`` keeps
-the entries that hold by window ``i``, with no sort of its own, and a
-window that adds no edge shares the snapshot before it.
+one sort of the 2E symmetric entries of its edges (``_EntrySort``):
+snapshot ``i`` keeps the entries that hold by window ``i``, with no sort
+of its own, and is built only when first read; a window that adds no
+edge shares the snapshot before it. ``SnapshotGraph`` builds a single
+graph through the same sort and cut.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -54,8 +56,9 @@ MAX_CUMULATIVE_EDGES = 50_000_000
 
 
 class _ReadOnlyArrays:
-    """Base of a frozen dataclass whose ``_ARRAYS`` fields hold read-only int64
-    views, after unpickling too; the caller's arrays keep their own flags."""
+    """Base of a class whose ``_ARRAYS`` attributes hold read-only int64
+    views, after unpickling too; the caller's arrays keep their own flags.
+    A dataclass runs ``__post_init__`` itself, any other class by hand."""
 
     def __post_init__(self):
         for name in self._ARRAYS:
@@ -415,12 +418,19 @@ def drop_zero_out_degree(edges):
     """Remove nodes that never appear as a source, plus their incident
     edges, in one pass (removals that create new zero-out-degree nodes are
     kept, matching a single preprocessing sweep); ``_normalize_ids``
-    numbers the kept edges, so a node in none of them leaves the labels."""
+    numbers the kept edges, so a node in none of them leaves the labels.
+    With pre-assigned snapshot indices, a ConfigError names the first
+    index whose every edge is removed."""
     if not edges.directed:
         raise ConfigError("out-degree filtering applies to directed graphs only")
     has_out = np.zeros(edges.n_nodes, dtype=bool)
     has_out[edges.src] = True
     keep = has_out[edges.dst]
+    if edges.time_mode == TIME_MODE_INDEX:
+        emptied = np.setdiff1d(edges.time, edges.time[keep])
+        if emptied.size:
+            raise ConfigError(f"drop_zero_out: removing the nodes that are never a source "
+                              f"removes every edge of snapshot index {emptied[0]}")
     return _normalize_ids(edges.src[keep], edges.dst[keep], edges.labels, edges.time[keep],
                           True, edges.time_mode)
 
@@ -449,41 +459,55 @@ def write_label_map_csv(edges, path):
 # snapshot graphs
 
 
-def _snapshot_entries(n_nodes, src, dst, window, n_windows, directed):
-    """The distinct symmetric entries of each cumulative snapshot
-    ``i < n_windows`` of the edges ``src -> dst``, edge ``k`` in the
-    snapshots from ``window[k]`` on, all cut from one sort of the 2E
-    entries ``(row, col)``: one ``(rows, cols, out, inn)`` per snapshot,
-    sorted by (row, col), where ``out``/``inn`` (directed only) flag the
-    entries whose ``row -> col``/``col -> row`` link holds by then.
-    ``window`` has a dtype that holds ``n_windows``."""
-    n = np.int64(n_nodes)
-    key = np.concatenate([src * n + dst, dst * n + src])
-    order = np.argsort(key)
-    key = key[order]
-    # keys are >= 0, so the -1 before them opens the first group
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    rows, cols = np.divmod(key[starts], n)
-    del key
-    window = np.concatenate([window, window])[order]
-    if directed:
-        # an entry's link row -> col holds from the first window of its
-        # copies inserted as src -> dst, the first half; col -> row from
-        # that of the others; n_windows stands for never
-        forward = order < src.size
-        first_out = np.minimum.reduceat(np.where(forward, window, n_windows), starts)
-        first_in = np.minimum.reduceat(np.where(forward, n_windows, window), starts)
-        first = np.minimum(first_out, first_in)
-        del forward
-    else:
-        first = np.minimum.reduceat(window, starts)
-    del order, window, starts
-    for i in range(n_windows):
-        held = first <= i
+class _EntrySort:
+    """One sort of the 2E symmetric entries ``(row, col)`` of the edges
+    ``src -> dst``, edge ``k`` held from window ``window[k]`` on, out of
+    ``n_windows``: the distinct entries ``rows``/``cols``, sorted by
+    (row, col), and ``first``, the first window that holds each. Directed
+    entries also get ``first_out``/``first_in``, the first window that
+    holds their ``row -> col``/``col -> row`` link, ``n_windows`` standing
+    for never. ``window`` has a dtype that holds ``n_windows``. Each
+    cumulative snapshot is a ``cut`` of it, with no sort of its own."""
+
+    def __init__(self, n_nodes, src, dst, window, n_windows, directed):
+        self.n_windows, self.directed = n_windows, directed
+        n = np.int64(n_nodes)
+        key = np.concatenate([src * n + dst, dst * n + src])
+        order = np.argsort(key)
+        key = key[order]
+        # keys are >= 0, so the -1 before them opens the first group
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        self.rows, self.cols = np.divmod(key[starts], n)
+        del key
+        window = np.concatenate([window, window])[order]
         if directed:
-            yield rows[held], cols[held], first_out[held] <= i, first_in[held] <= i
+            # an entry's link row -> col holds from the first window of its
+            # copies inserted as src -> dst, the first half; col -> row from
+            # that of the others
+            forward = order < src.size
+            self.first_out = np.minimum.reduceat(np.where(forward, window, n_windows), starts)
+            self.first_in = np.minimum.reduceat(np.where(forward, n_windows, window), starts)
+            self.first = np.minimum(self.first_out, self.first_in)
         else:
-            yield rows[held], cols[held], None, None
+            self.first = np.minimum.reduceat(window, starts)
+
+    def cut(self, k):
+        """``(rows, cols, out, inn)``: the entries held by window ``k``,
+        where ``out``/``inn`` (directed only, else None) flag those whose
+        ``row -> col``/``col -> row`` link holds by then."""
+        held = self.first <= k
+        if not self.directed:
+            return self.rows[held], self.cols[held], None, None
+        return (self.rows[held], self.cols[held],
+                self.first_out[held] <= k, self.first_in[held] <= k)
+
+    def edge_counts(self):
+        """The edges each window's cut holds, as ``SnapshotGraph.n_edges``
+        counts them: directed, the entries whose ``row -> col`` link holds;
+        undirected, half the entries."""
+        held_from = self.first_out if self.directed else self.first
+        counts = np.cumsum(np.bincount(held_from, minlength=self.n_windows + 1))[:self.n_windows]
+        return counts if self.directed else counts // 2
 
 
 def _indptr(n_nodes, rows):
@@ -521,9 +545,8 @@ class SnapshotGraph:
     def __init__(self, n_nodes, src, dst, directed):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        (entries,) = _snapshot_entries(n_nodes, src, dst, np.zeros(src.size, dtype=np.uint8),
-                                       1, directed)
-        self._set_entries(n_nodes, directed, *entries)
+        entries = _EntrySort(n_nodes, src, dst, np.zeros(src.size, dtype=np.uint8), 1, directed)
+        self._set_entries(n_nodes, directed, *entries.cut(0))
 
     def _set_entries(self, n_nodes, directed, rows, cols, out, inn):
         """Every array from the distinct symmetric entries ``(rows, cols)``,
@@ -598,27 +621,66 @@ class SnapshotGraph:
         return self._sym_config
 
 
-@dataclass(frozen=True)
 class SnapshotSeries(_ReadOnlyArrays):
     """Cumulative snapshots: graph ``i`` holds every edge assigned to
     windows ``0..i``, window ``i`` being the times from
     ``window_starts[i]`` up to ``window_starts[i] + window_width``. A
-    window that adds no edge holds the graph before it, the same object."""
+    window that adds no edge holds the graph before it, the same object.
 
-    graphs: list
-    new_edges: np.ndarray
-    directed: bool
-    window_starts: np.ndarray
-    window_width: int
-    n_nodes: int = field(default=0)
+    A graph is built when it is first read, as a cut of the series' one
+    entry sort (``_EntrySort``), and kept; ``graphs`` builds them all.
+    ``total_edges``, the edges each window's graph holds, is counted from
+    the sort, so it builds none. The sort is released once every graph is
+    built, and pickling builds every graph first, so a pickled series
+    never carries it.
+    """
 
-    _ARRAYS = ("new_edges", "window_starts")
+    _ARRAYS = ("new_edges", "window_starts", "total_edges", "_graph_of")
+
+    def __init__(self, edges, window, window_starts, window_width):
+        """The series of ``edges``, edge ``k`` added in window ``window[k]``
+        of those starting at ``window_starts``."""
+        self.new_edges = np.bincount(window, minlength=window_starts.size)
+        self.directed = edges.directed
+        self.window_starts = window_starts
+        self.window_width = window_width
+        self.n_nodes = edges.n_nodes
+        # graph k is the cut of the k-th window that adds an edge (window 0,
+        # the earliest edge's, always does); a window holds the last one by it
+        self._graph_of = np.cumsum(self.new_edges > 0) - 1
+        n_graphs = int(np.count_nonzero(self.new_edges))
+        self._entries = _EntrySort(edges.n_nodes, edges.src, edges.dst,
+                                   self._graph_of[window].astype(np.min_scalar_type(n_graphs)),
+                                   n_graphs, edges.directed)
+        self.total_edges = self._entries.edge_counts()[self._graph_of]
+        self._graphs = [None] * n_graphs
+        self._unbuilt = n_graphs
+        self.__post_init__()
 
     def __len__(self):
-        return len(self.graphs)
+        return self._graph_of.size
 
     def __getitem__(self, i):
-        return self.graphs[i]
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        k = int(self._graph_of[i])
+        if self._graphs[k] is None:
+            g = SnapshotGraph.__new__(SnapshotGraph)
+            g._set_entries(self.n_nodes, self.directed, *self._entries.cut(k))
+            self._graphs[k] = g
+            self._unbuilt -= 1
+            if not self._unbuilt:
+                self._entries = None
+        return self._graphs[k]
+
+    @property
+    def graphs(self):
+        """Every window's graph, in window order; builds those not yet built."""
+        return self[:]
+
+    def __getstate__(self):
+        self.graphs  # builds every graph
+        return dict(self.__dict__, _entries=None)
 
 
 def assign_windows(times, window_length=None, fixed_count=None):
@@ -670,8 +732,7 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
             raise ConfigError("preassigned windows take no length/count")
         if edges.n_edges == 0:
             empty = np.empty(0, dtype=np.int64)
-            return SnapshotSeries(graphs=[], new_edges=empty, directed=edges.directed,
-                                  window_starts=empty, window_width=1, n_nodes=edges.n_nodes)
+            return SnapshotSeries(edges, empty, empty, 1)
         # a bincount sized below the edge count; contiguous indices fill every bin
         time = edges.time
         if time.min() != 0 or time.max() >= edges.n_edges or not np.bincount(time).all():
@@ -680,18 +741,4 @@ def build_snapshots(edges, window_length=None, fixed_count=None, preassigned=Fal
     idx, starts, width = assign_windows(
         edges.time, window_length=window_length, fixed_count=fixed_count
     )
-    new_counts = np.bincount(idx, minlength=starts.size)
-    # graph k is built for the k-th window that adds an edge (window 0, the
-    # earliest edge's, always does); a window holds the last graph built by it
-    graph_of = np.cumsum(new_counts > 0) - 1
-    n_built = int(graph_of[-1]) + 1
-    built = []
-    for entries in _snapshot_entries(edges.n_nodes, edges.src, edges.dst,
-                                     graph_of[idx].astype(np.min_scalar_type(n_built)),
-                                     n_built, edges.directed):
-        g = SnapshotGraph.__new__(SnapshotGraph)
-        g._set_entries(edges.n_nodes, edges.directed, *entries)
-        built.append(g)
-    return SnapshotSeries(graphs=list(map(built.__getitem__, graph_of.tolist())),
-                          new_edges=new_counts, directed=edges.directed, window_starts=starts,
-                          window_width=width, n_nodes=edges.n_nodes)
+    return SnapshotSeries(edges, idx, starts, width)

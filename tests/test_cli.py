@@ -9,7 +9,7 @@ import oracles
 
 from egolink import cli
 from egolink.cli import main
-from egolink.graph import build_snapshots, ingest_edges
+from egolink.graph import SnapshotGraph, build_snapshots, ingest_edges
 
 
 RAW = "\n".join([
@@ -353,6 +353,72 @@ class TestEmptyWindows:
         assert outs[0] == outs[1] and outs[0]
         series = build_snapshots(ingest_edges(str(raw)), window_length=1)
         assert series.new_edges.tolist()[1::2] == [0, 0]
+
+
+class TestDropZeroOutIndices:
+    """``--drop-zero-out`` may not empty a pre-assigned snapshot index."""
+
+    @pytest.mark.parametrize("command", ["ingest", "snapshots"])
+    def test_emptied_index_named(self, tmp_path, command, capsys):
+        # index 1 holds only a -> x, and x is never a source
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,b,0\nb,a,0\na,x,1\nb,c,2\nc,a,2\n")
+        assert main([command, "--time-mode", "index", "--directed", "--drop-zero-out",
+                     "--input", str(raw), "--output-dir", str(tmp_path / "out")]) == 1
+        assert ("error: drop_zero_out: removing the nodes that are never a source removes "
+                "every edge of snapshot index 1") in capsys.readouterr().err
+
+    def test_index_kept_by_another_edge(self, tmp_path):
+        # a -> x goes, but b -> a keeps index 1
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,b,0\nb,a,1\na,x,1\n")
+        out = tmp_path / "out"
+        assert main(["snapshots", "--time-mode", "index", "--directed", "--drop-zero-out",
+                     "--input", str(raw), "--output-dir", str(out)]) == 0
+        assert (out / "snapshots.csv").read_text().splitlines()[1:] == ["0,0,1,1,1", "1,1,2,1,2"]
+
+
+class TestSnapshotBuilds:
+    """Each command builds only the snapshots it reads, each once."""
+
+    @pytest.fixture()
+    def gapped(self, tmp_path):
+        # 6 one-unit windows over times 0..5, of which window 3 adds no edge
+        rng = np.random.default_rng(4)
+        src = rng.integers(0, 40, 600)
+        dst = (src + rng.integers(1, 40, 600)) % 40
+        time = rng.choice([0, 1, 2, 4, 5], 600)
+        raw = tmp_path / "gapped.csv"
+        raw.write_text("".join(f"n{s},n{d},{t}\n" for s, d, t in zip(src, dst, time)))
+        series = build_snapshots(ingest_edges(str(raw), directed=True), fixed_count=6)
+        assert np.flatnonzero(series.new_edges == 0).tolist() == [3]
+        return ["--input", str(raw), "--directed", "--window-count", "6"]
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        count = []
+        set_entries = SnapshotGraph._set_entries
+
+        def counting(graph, *args):
+            count.append(1)
+            return set_entries(graph, *args)
+
+        monkeypatch.setattr(SnapshotGraph, "_set_entries", counting)
+        return count
+
+    @pytest.mark.parametrize("argv, n_builds", [
+        pytest.param(["snapshots"], 0, id="snapshots"),
+        pytest.param(["degree-dist"], 1, id="degree-dist"),
+        pytest.param(["degree-dist", "--snapshot", "0"], 1, id="degree-dist-first"),
+        pytest.param(["recommend", "--ego", "n1", "--method", "cn"], 1, id="recommend"),
+        # one build per distinct snapshot, all in this process
+        *(pytest.param([command, *flags, "--workers", w], 5, id=f"{command}-{w}")
+          for command, flags in (("evaluate", ["--ks", "1,3"]), ("empirical", ["--per-triad"]))
+          for w in ("1", "2")),
+    ])
+    def test_builds_per_command(self, gapped, builds, tmp_path, argv, n_builds):
+        assert main([*argv, *gapped, "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(builds) == n_builds
 
 
 class TestEnvOverride:

@@ -1,11 +1,11 @@
 """Parsing, normalization, snapshot windowing, and adjacency structure."""
 
-import dataclasses
 import io
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egolink import graph as graph_module
 from egolink.cli import main
@@ -15,6 +15,7 @@ from egolink.errors import ConfigError, ParseError, PreconditionError
 from egolink.evaluation import eval_table, evaluate_methods
 from egolink.graph import (
     SnapshotGraph,
+    SnapshotSeries,
     TemporalEdgeList,
     assign_windows,
     build_snapshots,
@@ -326,10 +327,19 @@ def _gapped_series(seed, directed):
                              labels=tuple(str(i) for i in range(n_nodes)), directed=directed)
     series = build_snapshots(edges, window_length=2)
     idx = assign_windows(edges.time, window_length=2)[0]
-    apart = dataclasses.replace(series, graphs=[
-        SnapshotGraph(n_nodes, src[idx <= i], dst[idx <= i], directed)
-        for i in range(len(series))])
+    apart = _BuiltApart(series, [SnapshotGraph(n_nodes, src[idx <= i], dst[idx <= i], directed)
+                                 for i in range(len(series))])
     return series, idx, apart
+
+
+class _BuiltApart(SnapshotSeries):
+    """``series``, except that window ``i`` reads ``graphs[i]``."""
+
+    def __init__(self, series, graphs):
+        vars(self).update(vars(series), _apart=graphs)
+
+    def __getitem__(self, i):
+        return self._apart[i]
 
 
 class TestSharedSnapshots:
@@ -393,6 +403,61 @@ class TestSharedSnapshots:
         # transition t ends in window t + 1; windows 2, 5 and 6 add no edge
         mask = _forming_cells(series, np.arange(series.n_nodes), sym_pool=directed)
         assert not mask[:, [1, 4, 5]].any() and mask.any()
+
+
+@st.composite
+def _hand_built_lists(draw):
+    """A ``TemporalEdgeList`` built by hand, so it may hold duplicate
+    pairs, reversed duplicates and self-loops, which ingest never makes,
+    and a window length; times 0..11 leave windows empty."""
+    n_nodes = draw(st.integers(1, 8))
+    node = st.integers(0, n_nodes - 1)
+    rows = draw(st.lists(st.tuples(node, node, st.integers(0, 11)), min_size=1, max_size=30))
+    src, dst, time = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    edges = TemporalEdgeList(src=src, dst=dst, time=time,
+                             labels=tuple(str(i) for i in range(n_nodes)),
+                             directed=draw(st.booleans()))
+    return edges, draw(st.integers(1, 4))
+
+
+class TestOnDemandSeries:
+    """A series builds each graph on first read, equal to its own build."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=_hand_built_lists(), data=st.data())
+    def test_any_read_order_matches_own_build(self, case, data):
+        edges, width = case
+        series = build_snapshots(edges, window_length=width)
+        idx = assign_windows(edges.time, window_length=width)[0]
+        n = len(series)
+        names = _GRAPH_ARRAYS + (("sym_config",) if edges.directed else ())
+        for i in data.draw(st.permutations(range(n))):
+            # a negative index reads the same window
+            g = series[data.draw(st.sampled_from([i, i - n]))]
+            want = SnapshotGraph(edges.n_nodes, edges.src[idx <= i], edges.dst[idx <= i],
+                                 edges.directed)
+            for name in names:
+                assert np.array_equal(getattr(g, name), getattr(want, name)), name
+            assert series.total_edges[i] == g.n_edges == want.n_edges
+        for i in range(1, n):
+            assert (series[i] is series[i - 1]) == (series.new_edges[i] == 0)
+        assert series[1::2] == series.graphs[1::2]
+        assert not series.total_edges.flags.writeable
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_pickle_of_partly_built_series(self, directed):
+        series, _, apart = _gapped_series(1, directed)
+        series[3]
+        copy = pickle.loads(pickle.dumps(series))
+        assert vars(copy)["_entries"] is None
+        assert [copy[i] is copy[i - 1] for i in range(1, 8)] == \
+            [series[i] is series[i - 1] for i in range(1, 8)]
+        for i in range(8):
+            for name in _GRAPH_ARRAYS:
+                assert np.array_equal(getattr(copy[i], name), getattr(apart[i], name)), name
+                assert not getattr(copy[i], name).flags.writeable, name
+        assert copy.total_edges.tolist() == series.total_edges.tolist()
+        assert not copy.total_edges.flags.writeable
 
 
 class TestAdjacency:
