@@ -1,12 +1,18 @@
 """Deterministic fan-out over blocks of egos (``ego._cell_blocks``).
 
-Workers receive one shared read-only payload via the pool initializer
-(pickled once per worker, not once per task), each task is a contiguous
-run of items, and results come back in submission order, so reductions
-are independent of worker count and completion timing."""
+Workers receive one shared read-only payload via the pool initializer,
+not once per task: under the ``fork`` start method (the default on Linux
+before Python 3.14) a worker inherits it and nothing is pickled, and
+under ``spawn`` or ``forkserver`` it is pickled once per worker. Each
+task is a contiguous run of items, and results come back in submission
+order, so reductions are independent of worker count and completion
+timing. The process pool is imported on the first fan-out, so a run
+that never fans out does not pay for the import."""
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+
+#: ``concurrent.futures.ProcessPoolExecutor``, imported by the first fan-out
+ProcessPoolExecutor = None
 
 _PAYLOAD = None
 
@@ -27,14 +33,18 @@ def _invoke(worker, items):
 def map_in_order(worker, items, payload, workers=1):
     """``[worker(payload, item) for item in items]``, optionally across
     processes. ``worker`` must be a module-level function."""
+    global ProcessPoolExecutor
     items = list(items)
     workers = min(int(workers or 1), len(items), _usable_cpus())
     if workers <= 1:
         return [worker(payload, item) for item in items]
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     # about four contiguous runs of items per process, one task each
     n_runs = min(4 * workers, len(items))
     cuts = [len(items) * i // n_runs for i in range(n_runs + 1)]
-    # a fork pool starts all its processes at once, each unpickling the payload
+    # the pool starts all its processes at once, each holding the payload:
+    # inherited under fork, unpickled once under spawn or forkserver
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_payload, initargs=(payload,),
     ) as pool:

@@ -1,9 +1,11 @@
 """Degree sampling and log-binned histograms.
 
 Personalized-degree samples pool one value per (ego, neighbor) ordered
-pair over every ego in the snapshot, read from gathers over runs of
-egos (``ego.ego_blocks``); global samples take one value per node, or
-per pair when asked to mirror the personalized pooling.
+pair over every ego in the snapshot. On an undirected graph with every
+node an ego they are read from the triangle supports of its edges
+(``ego._support_pd``); a directed graph or a list of egos reads them from
+gathers over runs of egos (``ego.ego_blocks``). Global samples take one
+value per node, or per pair when asked to mirror the personalized pooling.
 
 Histograms use logarithmic bins with exact decade-fraction edges
 ``10 ** (k / bins_per_decade)``. Zero values cannot sit on a log axis,
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .ego import MODE_UNDIRECTED, _ego_ids, ego_blocks, global_degrees, validate_mode
+from .ego import (MODE_UNDIRECTED, _ego_ids, _support_pd, ego_blocks, global_degrees,
+                  validate_mode)
 from .errors import ConfigError, EmptyInputError
 
 KIND_PERSONALIZED = "personalized"
@@ -48,11 +51,14 @@ class DegreeSampleSet:
 def _per_neighbor_samples(graph, egos, kind, mode):
     """One value per (ego, neighbor) pair over the egos (every node when
     None), in ego then neighbor order: the personalized degree, read from
-    ``ego_blocks`` over all the egos, or the global degree of the
-    neighbor, read from one gather of their successor rows."""
-    egos = np.arange(graph.n_nodes, dtype=np.int64) if egos is None else \
-        _ego_ids(graph, egos)
-    if kind == KIND_PERSONALIZED:
+    the triangle supports when every node of an undirected graph is an ego
+    and else from ``ego_blocks`` over all the egos, or the global degree of
+    the neighbor, read from one gather of their successor rows."""
+    every_node = egos is None
+    egos = np.arange(graph.n_nodes, dtype=np.int64) if every_node else _ego_ids(graph, egos)
+    if kind == KIND_PERSONALIZED and every_node and not graph.directed:
+        chunks = [_support_pd(graph)]
+    elif kind == KIND_PERSONALIZED:
         chunks = [view.pd(mode) for view in ego_blocks(graph, egos, (mode,), wedges=False)]
     else:
         _, pos = _kernels.gather_rows(graph.out_indptr, egos)

@@ -1,7 +1,9 @@
 """Ego-centered primitives: neighborhoods, candidates, personalized
 degree, directed triad classification, and ``EgoView``, the gather of
 one ego (``ego_view``) or of a run of egos (``ego_blocks``); every
-personalized degree, ``personalized_degrees`` too, is read from a gather.
+personalized degree, ``personalized_degrees`` too, is read from a gather,
+except that of every symmetric entry of an undirected graph at once,
+which is read from triangle supports (``_support_pd``).
 
 Conventions for a directed ego ``u``:
 
@@ -216,8 +218,9 @@ def classify_triad(graph, u, z, v):
 
 
 #: budget of one run (``_runs``): the gathered entries of a
-#: ``_forming_cells`` run, and both the bins (pools × nodes) and the
-#: gathered entries of an ``ego_blocks`` view
+#: ``_forming_cells`` run, both the bins (pools × nodes) and the
+#: gathered entries of an ``ego_blocks`` view, and the wedges of a
+#: ``_support_pd`` run
 _CHUNK = 1 << 16
 
 
@@ -377,6 +380,76 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd, wedge_cfg)
 
 
+#: apexes of one ``_support_pd`` run: one bit each of a node's word
+_LANES = 64
+
+
+def _support_pd(graph):
+    """The mode-undirected pd of every symmetric entry of an undirected
+    ``graph``, in entry order: what ``_gather_block`` gives when every node
+    is an ego, with no per-ego gather.
+
+    pd(u, z) of a neighbor z != u is the triangle support of edge (u, z)
+    (Wang & Cheng, VLDB 2012), plus one for a self-loop at u and one for a
+    self-loop at z; pd(u, u) is deg(u). Each triangle is listed once
+    (Chiba & Nishizeki, SIAM J. Comput. 1985): every edge is oriented from
+    the lower to the higher (degree, id) rank, and a wedge a -> b -> c is
+    a triangle when a -> c is an oriented edge too. Apexes a come in runs
+    (``_runs``) of at most ``_LANES`` nodes and about ``_CHUNK`` wedges;
+    a run sets its apexes' bits in one reused word per node b of their
+    oriented rows, so each wedge is probed with one read. Each triangle is
+    counted onto its three oriented edges, and each edge's support is
+    copied to its mirror entry. Every O(E) temporary is int32 or bool, but
+    for the order of that copy, one int64 per edge.
+    """
+    n = graph.n_nodes
+    indices, deg = graph.sym_indices, graph.sym_degree
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
+    row_rank, col_rank = np.repeat(rank, deg), rank[indices]
+    up, down = row_rank < col_rank, row_rank > col_rank  # neither: a self-loop
+    del row_rank, col_rank
+    # the oriented rows a -> c, entries in the order of the symmetric ones
+    o_cols = indices.astype(np.int32)[up]
+    before = np.zeros(indices.size + 1, dtype=np.int32)
+    np.cumsum(up, dtype=np.int32, out=before[1:])
+    o_indptr = before[graph.sym_indptr].astype(np.int64)
+    del before
+    o_deg = np.diff(o_indptr)
+    apex = np.flatnonzero(o_deg)
+    wedges = np.add.reduceat(o_deg.astype(np.int32)[o_cols], o_indptr[apex], dtype=np.int64)
+    apex, wedges = apex[wedges > 0], wedges[wedges > 0]
+    support = np.zeros(o_cols.size, dtype=np.int32)
+    lane_bit = np.left_shift(np.uint64(1), np.arange(_LANES, dtype=np.uint64))
+    words = np.zeros(n, dtype=np.uint64)
+    for start, stop in _runs(np.cumsum(wedges), lambda start: start + _LANES):
+        lane, ab = _kernels.gather_rows(o_indptr, apex[start:stop])
+        b = o_cols[ab]
+        np.bitwise_or.at(words, b, lane_bit[lane])
+        w_ab, bc = _kernels.gather_rows(o_indptr, b)
+        c = o_cols[bc]
+        closed = np.flatnonzero(words[c] & lane_bit[lane[w_ab]])
+        words[b] = 0
+        w_ab, bc, c = w_ab[closed], bc[closed], c[closed]
+        # the run's row keys are sorted, and each closed wedge finds its a -> c
+        ac = ab[np.searchsorted(lane * n + b, lane[w_ab] * n + c)]
+        # a value of support's own dtype keeps ufunc.at off its slow path
+        np.add.at(support, np.concatenate([ab[w_ab], bc, ac]), np.int32(1))
+    pd = np.empty(indices.size, dtype=np.int64)
+    pd[up] = support
+    # a stable sort by c of the oriented edges a -> c, which run by (a, c),
+    # lists them by (c, a): the order of their mirrors, the entries down
+    pd[down] = support[np.argsort(o_cols, kind="stable")]
+    loop = ~(up | down)
+    if loop.any():
+        looped = np.zeros(n, dtype=bool)
+        looped[indices[loop]] = True
+        pd += np.repeat(looped, deg)
+        pd += looped[indices]
+        pd[loop] = deg[indices[loop]]
+    return pd
+
+
 def _gather_sizes(graph, egos, sym_pool=False):
     """Each ego's gathered entries, the symmetric rows of its pool: its
     wedge count, a bound on its candidate count."""
@@ -462,10 +535,12 @@ def _cell_blocks(worker, payload, series, egos, settled, n_columns, workers, sym
     without ``require_formation``) or when its ego's ``_gather_sizes``
     exceeds ``cutoff``. At each transition, the gathered egos are cut into
     ``_block_runs`` in the parent, so no result depends on the worker
-    count. ``worker(payload, (t, egos))`` returns, per cell of its egos
-    (nine per ego with ``sym_pool``, one per triad, else one), the index
-    of its first reason of exclusion or -1 when it is kept, then one row
-    of ``n_columns`` values per kept cell, then anything, unread.
+    count; the blocks run in descending order of gathered entries and are
+    read back in block order. ``worker(payload, (t, egos))`` returns, per
+    cell of its egos (nine per ego with ``sym_pool``, one per triad, else
+    one), the index of its first reason of exclusion or -1 when it is
+    kept, then one row of ``n_columns`` values per kept cell, then
+    anything, unread.
     ``reason`` is (transitions × ego cells), ``settled`` where nothing was
     gathered; row ``i`` of ``values`` belongs to ego cell ``cell[i]``,
     rows in transition order.
@@ -474,16 +549,21 @@ def _cell_blocks(worker, payload, series, egos, settled, n_columns, workers, sym
     reason = np.full((len(series) - 1, egos.size * cells), settled)
     forming = (_forming_cells(series, egos, sym_pool) if require_formation
                else np.ones((egos.size, len(series) - 1), dtype=bool))
-    blocks = []
+    blocks, entries = [], []
     for t, g in enumerate(series.graphs[:-1]):
         if not t or g is not series[t - 1]:  # once per distinct snapshot
             sizes = _gather_sizes(g, egos, sym_pool)
         at = np.flatnonzero(forming[:, t] | (sizes > cutoff))
-        blocks += [(t, at[a:b]) for a, b in _block_runs(g, sizes[at], sym_pool)]
-    results = map_in_order(worker, [(t, egos[at]) for t, at in blocks], payload,
-                           workers=workers)
+        for a, b in _block_runs(g, sizes[at], sym_pool):
+            blocks.append((t, at[a:b]))
+            entries.append(int(sizes[at[a:b]].sum()))
+    # the largest blocks go first, so that the fan-out ends on small ones
+    order = sorted(range(len(blocks)), key=lambda i: -entries[i])
+    results = dict(zip(order, map_in_order(
+        worker, [(blocks[i][0], egos[blocks[i][1]]) for i in order], payload, workers=workers)))
     cell, values = [np.empty(0, dtype=np.int64)], [np.empty((0, n_columns))]
-    for (t, at), (block_reason, block_values, *_) in zip(blocks, results):
+    for i, (t, at) in enumerate(blocks):
+        block_reason, block_values, *_ = results[i]
         columns = (at[:, None] * cells + np.arange(cells)).ravel()
         reason[t, columns] = block_reason
         cell.append(columns[block_reason < 0])

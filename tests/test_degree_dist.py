@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_graph, random_graph
 
+from egolink import degree_dist, ego
 from egolink._util import write_table
 from egolink.degree_dist import (
     DISTRIBUTION_HEADER,
@@ -78,6 +80,93 @@ class TestSampling:
                     want.append(oracles.pdeg(out, inn, sym, u, z, "undirected"))
             got = personalized_degree_samples(g)
             assert got.values.tolist() == want
+
+
+def _gathered_pd(graph):
+    """Mode-undirected pd of every symmetric entry from one gather of all
+    the nodes as egos (``_gather_block``), the reference of ``_support_pd``."""
+    egos = np.arange(graph.n_nodes, dtype=np.int64)
+    return ego._gather_block(graph, egos, ("undirected",), wedges=False).pd("undirected")
+
+
+@st.composite
+def _undirected_graphs(draw):
+    """An undirected graph of up to 12 nodes, self-loops and repeats allowed."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40))
+    return make_graph(pairs, n)
+
+
+class TestSupportPath:
+    """Every node of an undirected graph as an ego: pd from triangle supports."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(graph=_undirected_graphs(), chunk=st.sampled_from([1, 7, ego._CHUNK]),
+           lanes=st.sampled_from([1, 3, ego._LANES]))
+    def test_matches_gather(self, graph, chunk, lanes):
+        # small runs: one apex each (chunk 1), a few wedges, or a few lanes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ego, "_CHUNK", chunk)
+            mp.setattr(ego, "_LANES", lanes)
+            got = ego._support_pd(graph)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _gathered_pd(graph))
+
+    def test_no_edges(self):
+        assert personalized_degree_samples(make_graph([], 4)).values.size == 0
+        assert ego._support_pd(make_graph([], 0)).size == 0
+
+    def test_star_with_isolated_nodes(self):
+        g = make_graph([(2, i) for i in (0, 1, 4, 6)], 8)
+        assert personalized_degree_samples(g).values.tolist() == [0] * 8
+
+    def test_degree_ties_broken_by_id(self):
+        # every degree is 2 or 3: the order of the tied nodes is their ids
+        g = make_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)], 6)
+        assert np.array_equal(ego._support_pd(g), _gathered_pd(g))
+        assert ego._support_pd(g).tolist() == [1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1]
+
+    def test_self_loops(self):
+        # a loop at 0 adds one to each pd of ego 0 and to pd(z, 0) of its
+        # neighbors z; entry (0, 0) reads deg(0), the loop counted
+        g = make_graph([(0, 1), (1, 2), (2, 0), (0, 3), (0, 0)], 4)
+        assert ego._support_pd(g).tolist() == [4, 2, 2, 1, 2, 1, 2, 1, 1]
+        assert np.array_equal(ego._support_pd(g), _gathered_pd(g))
+
+    def test_more_nodes_than_chunk(self):
+        # ids above _CHUNK, and more apexes than a run has lanes
+        n = ego._CHUNK + 300
+        rng = np.random.default_rng(3)
+        ids = np.concatenate([np.arange(40), n - 1 - np.arange(160)])
+        pairs = [(int(a), int(b)) for a, b in rng.choice(ids, size=(900, 2))]
+        g = make_graph(pairs, n)
+        connected = np.flatnonzero(g.sym_degree)
+        want = personalized_degree_samples(g, egos=connected).values
+        assert np.array_equal(personalized_degree_samples(g).values, want)
+
+    def test_other_paths_keep_ego_blocks(self, monkeypatch):
+        calls = []
+
+        def recording(name):
+            original = getattr(degree_dist, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("ego_blocks", "_support_pd"):
+            monkeypatch.setattr(degree_dist, name, recording(name))
+        undirected, _ = random_graph(5, 9, 0.4, False)
+        directed, _ = random_graph(5, 9, 0.4, True)
+        personalized_degree_samples(undirected)
+        assert calls == ["_support_pd"]
+        calls.clear()
+        personalized_degree_samples(undirected, egos=np.arange(9))
+        personalized_degree_samples(directed, mode="undirected")
+        personalized_degree_samples(directed, mode="out")
+        assert calls == ["ego_blocks"] * 3
 
 
 class TestHistogram:

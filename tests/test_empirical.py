@@ -315,6 +315,23 @@ class TestBlockCuts:
         assert single.rows == default.rows
         assert single.diagnostics == default.diagnostics
 
+    def test_largest_blocks_run_first(self, monkeypatch):
+        # blocks go out in descending order of gathered entries
+        n = 40
+        series = make_series(random_snapshots(26, n, 0.04, False, 4, growth=1.0), n)
+        sent = []
+
+        def recording_map(worker, items, payload, workers=1):
+            sent.extend(items)
+            return [worker(payload, item) for item in items]
+
+        monkeypatch.setattr(ego_module, "map_in_order", recording_map)
+        monkeypatch.setattr(ego_module, "_CHUNK", 40)
+        aggregate_empirical(series, workers=1)
+        entries = [int(ego_module._gather_sizes(series[t], egos).sum()) for t, egos in sent]
+        assert len(set(entries)) > 2
+        assert entries == sorted(entries, reverse=True)
+
 
 class TestFormationFirst:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

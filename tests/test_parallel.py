@@ -1,6 +1,9 @@
 """Fan-out sizing: the pool never starts more processes than there are items
-or usable CPUs."""
+or usable CPUs, and it is imported only when a fan-out starts one."""
 
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import pytest
@@ -91,3 +94,13 @@ def test_contiguous_runs_in_order(monkeypatch):
     assert len(_RunRecordingPool.runs) == 8
     assert sum(_RunRecordingPool.runs, []) == items
     assert all(6 <= len(run) <= 7 for run in _RunRecordingPool.runs)
+
+
+def test_pool_imported_on_first_fan_out():
+    # importing the package, CLI included, leaves the process pool unimported
+    code = ("import sys, egolink.cli, egolink._parallel as p; "
+            "print('concurrent.futures' in sys.modules, p.ProcessPoolExecutor)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["False", "None"]
