@@ -15,9 +15,11 @@ the cells where some candidate forms. When formation is required, an
 unmarked cell is settled without a gather if the ego's wedge count, an
 upper bound on its candidate count, is within the cutoff. The other
 cells run on the block driver that ``empirical`` shares
-(``ego._cell_blocks``). A block takes one gather, one
-``scorers.score_block`` per degree mode, one ranking per column over all
-its egos, and P@K for every kept ego from one cumulative sum.
+(``ego._cell_blocks``). A block takes one gather and one
+``scorers.score_block`` per degree mode. Per column, each kept ego's top
+``max(ks)`` is selected (``_top_ranker``) and only that is sorted; egos
+over the cutoff or otherwise not kept are not ranked. P@K for every
+kept ego comes from one cumulative sum.
 The cells left out are counted per reason (``EXCLUSIONS``) in the
 result's metadata.
 """
@@ -86,20 +88,61 @@ def validate_ks(ks):
     ks = tuple(ks)
     if not ks:
         raise ConfigError("need at least one K")
-    if any(int(k) != k for k in ks):
+    try:
+        ints = tuple(int(k) for k in ks)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != ks or ints[0] < 1 or any(b <= a for a, b in zip(ints, ints[1:])):
         raise ConfigError(f"K list must be strictly ascending positive integers, got {ks}")
-    ks = tuple(int(k) for k in ks)
-    if ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ConfigError(f"K list must be strictly ascending positive integers, got {ks}")
-    return ks
+    return ints
 
 
-def _ranking_order(scores, slot=None):
+def _ranking_order(scores):
     """Positions of ascending candidates by descending score, ties by id;
-    with ``slot``, within each slot, slots ascending. A ``ScoreTable`` and
-    each slot of ``ego._gather_block`` hold ascending candidates, so the
-    stable sort keeps ties in id order."""
-    return np.lexsort((-scores,) if slot is None else (-scores, slot))
+    of a 2-D ``scores``, along each row. A ``ScoreTable`` and each slot of
+    ``ego._gather_block`` hold ascending candidates, so the stable sort
+    keeps ties in id order."""
+    return np.lexsort((-scores,))
+
+
+def _top_ranker(kept, n_cand, n_top):
+    """A function from a score column of a block, its candidates in runs
+    of ``n_cand`` per slot, ascending by id within each, to the positions
+    of each ``kept`` slot's first ``n_top`` in ``_ranking_order``: one row
+    per kept slot, each of which holds at least ``n_top`` candidates.
+
+    Only those ``n_top`` are sorted. The kept candidates are laid once
+    into a grid (kept slots × widest kept slot, padded with -inf) that
+    every column refills; one partition gives each row's ``n_top``-th
+    largest score. A row keeps the scores above it, then fills its room
+    with the ties at it in id order, as the full sort would."""
+    counts = n_cand[kept]
+    row = np.repeat(np.arange(kept.size), counts)
+    col = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = (np.cumsum(n_cand) - n_cand)[kept][row] + col
+    width = int(counts.max())
+    grid = np.full((kept.size, width), -np.inf)
+    filled = np.zeros(grid.size, dtype=bool)
+    filled[row * width + col] = True
+    # the block position of each filled cell, in (row, col) order as pos
+    cell_pos = np.zeros(grid.size, dtype=np.int64)
+    cell_pos[filled] = pos
+    row_start = np.arange(kept.size) * width
+    top_start = np.arange(kept.size)[:, None] * n_top
+
+    def top(scores):
+        grid.reshape(-1)[filled] = scores[pos]
+        nth = np.partition(grid, width - n_top, axis=1)[:, width - n_top, None]
+        keep = grid > nth
+        tie = np.flatnonzero(grid == nth)
+        tie_row = tie // width
+        room = n_top - np.count_nonzero(keep, axis=1)
+        rank = np.arange(tie.size) - np.searchsorted(tie, row_start)[tie_row]
+        keep.reshape(-1)[tie[rank < room[tie_row]]] = True
+        sel = cell_pos[np.flatnonzero(keep)]
+        return sel[top_start + _ranking_order(scores[sel].reshape(kept.size, n_top))]
+
+    return top
 
 
 def _precisions(hit, ks):
@@ -152,7 +195,8 @@ def _cell_worker(payload, item):
     """``(reason, p)`` of one block of egos at transition ``t``: for each
     ego, the index in ``EXCLUSIONS`` of the first reason its cell is left
     out, or -1 when it is kept; and P@K of the kept cells, one row per
-    kept ego and one column per ((method, mode), K), pairs first."""
+    kept ego and one column per ((method, mode), K), pairs first. Per
+    column only each kept ego's top ``max(ks)`` is selected and sorted."""
     series, methods, modes, ks, cutoff, need, require_formation = payload
     t, egos = item
     view = _gather_block(series[t], egos, modes)
@@ -167,8 +211,7 @@ def _cell_worker(payload, item):
     ks = np.array(ks)
     if not kept.size:
         return reason, np.empty((0, len(pairs) * ks.size))
-    # each kept ego's top max(ks) positions: its slot's run of a ranking
-    top = (np.cumsum(n_cand) - n_cand)[kept, None] + np.arange(ks[-1])
+    top = _top_ranker(kept, n_cand, ks[-1])
     # one scoring per degree mode; cn reads no degree: ranked once, from the first
     term_methods = tuple(m for m in methods if m != METHOD_CN)
     passes = [(modes[0], methods)] + [(mode, term_methods) for mode in modes[1:] if term_methods]
@@ -176,8 +219,7 @@ def _cell_worker(payload, item):
     for mode, scored in passes:
         columns, _ = score_block(view, scored, mode)
         for m in scored:
-            order = _ranking_order(columns[m], slot)
-            p[(m, MODE_NONE if m == METHOD_CN else mode)] = _precisions(formed[order[top]], ks)
+            p[(m, MODE_NONE if m == METHOD_CN else mode)] = _precisions(formed[top(columns[m])], ks)
     return reason, np.hstack([p[pair] for pair in pairs])
 
 

@@ -46,8 +46,9 @@ TIME_MODE_INDEX = "index"
 #: timestamp field values treated as missing when a fill is configured
 _MISSING_TIMES = ("", r"\N")
 
-#: the range of a timestamp, which is an int64 from parsing on
-_INT64 = np.iinfo(np.int64)
+#: the range of a timestamp, which is an int64 from parsing on, as
+#: Python ints: the per-line parser compares every time against them
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 #: cap on the edges stored across a whole cumulative snapshot series,
 #: each edge counted once per distinct snapshot that holds it (one per
@@ -158,7 +159,7 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
                 tv = int(t)
             except ValueError:
                 raise ParseError(lineno, f"bad timestamp {t!r}") from None
-        if not _INT64.min <= tv <= _INT64.max:
+        if not _INT64_MIN <= tv <= _INT64_MAX:
             raise ParseError(lineno, f"timestamp {tv} is outside int64")
         src_labels.append(s)
         dst_labels.append(d)
@@ -705,7 +706,7 @@ def assign_windows(times, window_length=None, fixed_count=None):
             raise ConfigError(f"window count must be positive, got {fixed_count}")
         width = -(-span // n)
         what = f"window count {n}"
-    if span - 1 > _INT64.max or width > _INT64.max:
+    if span - 1 > _INT64_MAX or width > _INT64_MAX:
         raise ConfigError(f"{what} over times {t_min}..{t_max} needs window "
                           f"arithmetic beyond int64")
     idx = (times - t_min) // width
