@@ -22,6 +22,7 @@ from . import _kernels
 from .ego import (MODE_UNDIRECTED, _ego_ids, _support_pd, ego_blocks, global_degrees,
                   validate_mode)
 from .errors import ConfigError, EmptyInputError
+from .graph import _ReadOnlyArrays
 
 KIND_PERSONALIZED = "personalized"
 KIND_GLOBAL = "global"
@@ -32,11 +33,13 @@ DISTRIBUTION_HEADER = ("bin_low", "bin_high", "bin_center", "count", "density")
 
 
 @dataclass(frozen=True)
-class DegreeSampleSet:
+class DegreeSampleSet(_ReadOnlyArrays):
     values: np.ndarray
     kind: str
     mode: str
     n_egos: int
+
+    _ARRAYS = ("values",)
 
     @property
     def n_samples(self):
@@ -64,7 +67,6 @@ def _per_neighbor_samples(graph, egos, kind, mode):
         _, pos = _kernels.gather_rows(graph.out_indptr, egos)
         chunks = [global_degrees(graph, graph.out_indices[pos], mode)]
     values = np.concatenate([np.empty(0, dtype=np.int64)] + chunks)
-    values.setflags(write=False)
     n_egos = int(np.count_nonzero(graph.out_degree[egos]))
     return DegreeSampleSet(values=values, kind=kind, mode=mode, n_egos=n_egos)
 
@@ -84,13 +86,12 @@ def global_degree_samples(graph, mode=MODE_UNDIRECTED, per_neighbor=False, egos=
     if egos is not None:
         raise ConfigError("egos: only the per-neighbor global samples take egos")
     all_nodes = np.arange(graph.n_nodes, dtype=np.int64)
-    values = global_degrees(graph, all_nodes, mode).copy()
-    values.setflags(write=False)
+    values = global_degrees(graph, all_nodes, mode)
     return DegreeSampleSet(values=values, kind=KIND_GLOBAL, mode=mode, n_egos=0)
 
 
 @dataclass(frozen=True)
-class BinnedDistribution:
+class BinnedDistribution(_ReadOnlyArrays):
     """Log-binned histogram. ``density`` integrates to 1 over
     ``log10(value)``; counts sum to the sample count."""
 
@@ -102,6 +103,8 @@ class BinnedDistribution:
     bins_per_decade: int
     n_samples: int
     shifted: bool
+
+    _ARRAYS = ("bin_low", "bin_high", "bin_center", "count", "density")
 
     @property
     def n_bins(self):
@@ -143,13 +146,9 @@ def log_binned_histogram(samples, bins_per_decade=10):
     width = 1.0 / bpd  # log10 width of every bin, exact by construction
     density = count / (pos.size * width)
     centers = 10.0 ** ((np.arange(k_min, k_max + 1, dtype=np.float64) + 0.5) / bpd)
-    low = edges[:-1].copy()
-    high = edges[1:].copy()
-    for arr in (count, density, centers, low, high):
-        arr.setflags(write=False)
     return BinnedDistribution(
-        bin_low=low,
-        bin_high=high,
+        bin_low=edges[:-1],
+        bin_high=edges[1:],
         bin_center=centers,
         count=count,
         density=density,

@@ -389,12 +389,11 @@ def _support_pd(graph):
     ``graph``, in entry order: what ``_gather_block`` gives when every node
     is an ego, with no per-ego gather.
 
-    pd(u, z) of a neighbor z != u is the triangle support of edge (u, z)
-    (Wang & Cheng, VLDB 2012), plus one for a self-loop at u and one for a
-    self-loop at z; pd(u, u) is deg(u). Each triangle is listed once
-    (Chiba & Nishizeki, SIAM J. Comput. 1985): every edge is oriented from
-    the lower to the higher (degree, id) rank, and a wedge a -> b -> c is
-    a triangle when a -> c is an oriented edge too. Apexes a come in runs
+    pd(u, z) is exactly the triangle support of edge (u, z) (Wang & Cheng,
+    VLDB 2012), as no graph holds a self-loop. Each triangle is listed
+    once (Chiba & Nishizeki, SIAM J. Comput. 1985): every edge is oriented
+    from the lower to the higher (degree, id) rank, and a wedge a -> b -> c
+    is a triangle when a -> c is an oriented edge too. Apexes a come in runs
     (``_runs``) of at most ``_LANES`` nodes and about ``_CHUNK`` wedges;
     a run sets its apexes' bits in one reused word per node b of their
     oriented rows, so each wedge is probed with one read. Each triangle is
@@ -407,7 +406,7 @@ def _support_pd(graph):
     rank = np.empty(n, dtype=np.int32)
     rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
     row_rank, col_rank = np.repeat(rank, deg), rank[indices]
-    up, down = row_rank < col_rank, row_rank > col_rank  # neither: a self-loop
+    up = row_rank < col_rank
     del row_rank, col_rank
     # the oriented rows a -> c, entries in the order of the symmetric ones
     o_cols = indices.astype(np.int32)[up]
@@ -438,15 +437,8 @@ def _support_pd(graph):
     pd = np.empty(indices.size, dtype=np.int64)
     pd[up] = support
     # a stable sort by c of the oriented edges a -> c, which run by (a, c),
-    # lists them by (c, a): the order of their mirrors, the entries down
-    pd[down] = support[np.argsort(o_cols, kind="stable")]
-    loop = ~(up | down)
-    if loop.any():
-        looped = np.zeros(n, dtype=bool)
-        looped[indices[loop]] = True
-        pd += np.repeat(looped, deg)
-        pd += looped[indices]
-        pd[loop] = deg[indices[loop]]
+    # lists them by (c, a): the order of their mirrors, the other entries
+    pd[~up] = support[np.argsort(o_cols, kind="stable")]
     return pd
 
 
@@ -483,9 +475,9 @@ def ego_view(graph, u):
 
 def _forming_cells(series, egos, sym_pool):
     """Bool mask (egos × transitions) of the cells where some new
-    successor ``w`` of the ego (in ``succ_{t+1}(u) \\ succ_t(u)``,
-    ``w != u``) has a symmetric row at t that meets the ego's pool: its
-    successors at t, or with ``sym_pool`` its symmetric row at t.
+    successor ``w`` of the ego (in ``succ_{t+1}(u) \\ succ_t(u)``) has a
+    symmetric row at t that meets the ego's pool: its successors at t, or
+    with ``sym_pool`` its symmetric row at t.
 
     Candidates exclude the ego's successors, so with the successor pool a
     cell is True exactly when some candidate forms. With the symmetric
@@ -506,7 +498,7 @@ def _forming_cells(series, egos, sym_pool):
         pool = _row_keys(g.sym_indptr, g.sym_indices, egos, n) if sym_pool else held
         key = _row_keys(nxt.out_indptr, nxt.out_indices, egos, n)
         slot, w = np.divmod(key, n)
-        new = ~_kernels.contains(held, key) & (w != egos[slot])
+        new = ~_kernels.contains(held, key)
         slot, w = slot[new], w[new]
         # rounds by each ego's new-successor rank: [0, 1), [1, 2), [2, 4),
         # [4, 8), ...; a cell settled in an early round is not probed later

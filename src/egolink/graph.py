@@ -25,6 +25,11 @@ snapshot ``i`` keeps the entries that hold by window ``i``, with no sort
 of its own, and is built only when first read; a window that adds no
 edge shares the snapshot before it. ``SnapshotGraph`` builds a single
 graph through the same sort and cut.
+
+Step 1 holds for every graph the package builds, from hand-built pairs
+too: ``_EntrySort``, which every snapshot graph passes, drops self-loops.
+Every holder of arrays names them in ``_ARRAYS``, and ``_ReadOnlyArrays``
+alone makes them read-only.
 """
 
 import io
@@ -57,15 +62,22 @@ MAX_CUMULATIVE_EDGES = 50_000_000
 
 
 class _ReadOnlyArrays:
-    """Base of a class whose ``_ARRAYS`` attributes hold read-only int64
-    views, after unpickling too; the caller's arrays keep their own flags.
+    """Base of a class whose ``_ARRAYS`` attributes hold read-only views,
+    of dtype ``_DTYPE`` or else their own, after unpickling too; the
+    caller's arrays keep their own flags. Attributes that alias one array
+    share one view, so a pickle holds it once; a None attribute stays None.
     A dataclass runs ``__post_init__`` itself, any other class by hand."""
 
+    _DTYPE = None
+
     def __post_init__(self):
-        for name in self._ARRAYS:
-            arr = np.asarray(getattr(self, name), dtype=np.int64).view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # each value stays alive in ``values`` while its id keys ``views``
+        values, views = [getattr(self, name) for name in self._ARRAYS], {}
+        for name, value in zip(self._ARRAYS, values):
+            if value is not None and id(value) not in views:
+                views[id(value)] = np.asarray(value, dtype=self._DTYPE).view()
+                views[id(value)].setflags(write=False)
+            object.__setattr__(self, name, views.get(id(value)))
 
     def __setstate__(self, state):
         # unpickling skips __post_init__, and arrays unpickle writeable
@@ -89,6 +101,7 @@ class TemporalEdgeList(_ReadOnlyArrays):
     time_mode: str = TIME_MODE_TIMESTAMP
 
     _ARRAYS = ("src", "dst", "time")
+    _DTYPE = np.int64
 
     @property
     def n_edges(self):
@@ -460,19 +473,41 @@ def write_label_map_csv(edges, path):
 # snapshot graphs
 
 
+def _out_of_range(u, n_nodes):
+    return IndexError(f"node id {u} out of range [0, {n_nodes})")
+
+
 class _EntrySort:
     """One sort of the 2E symmetric entries ``(row, col)`` of the edges
-    ``src -> dst``, edge ``k`` held from window ``window[k]`` on, out of
-    ``n_windows``: the distinct entries ``rows``/``cols``, sorted by
-    (row, col), and ``first``, the first window that holds each. Directed
-    entries also get ``first_out``/``first_in``, the first window that
-    holds their ``row -> col``/``col -> row`` link, ``n_windows`` standing
-    for never. ``window`` has a dtype that holds ``n_windows``. Each
+    ``src -> dst``, edge ``k`` added in window ``window[k]`` (0 when None)
+    of ``n_windows``: the gate of every snapshot graph. The first id
+    outside [0, ``n_nodes``) raises ``SnapshotGraph``'s IndexError, and a
+    self-loop is dropped. ``new_edges`` counts the edges each window adds;
+    window 0 and each later window that adds one open a cut, ``graph_of``
+    maps each window to its cut, and ``n_cuts`` counts them. Of the
+    distinct entries ``rows``/``cols``, sorted by (row, col), ``first`` is
+    the first cut that holds each. Directed entries also get
+    ``first_out``/``first_in``, the first cut that holds their ``row ->
+    col``/``col -> row`` link, ``n_cuts`` standing for never. Each
     cumulative snapshot is a ``cut`` of it, with no sort of its own."""
 
-    def __init__(self, n_nodes, src, dst, window, n_windows, directed):
-        self.n_windows, self.directed = n_windows, directed
+    def __init__(self, n_nodes, src, dst, directed, window=None, n_windows=1):
         n = np.int64(n_nodes)
+        if src.size and not (0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n):
+            ids = np.column_stack((src, dst)).ravel()
+            raise _out_of_range(ids[(ids < 0) | (ids >= n)][0], n_nodes)
+        if window is None:
+            window = np.zeros(src.size, dtype=np.uint8)
+        loop = src == dst
+        if loop.any():
+            src, dst, window = src[~loop], dst[~loop], window[~loop]
+        self.new_edges = np.bincount(window, minlength=n_windows)
+        opens = self.new_edges > 0
+        opens[:1] = True
+        self.graph_of = np.cumsum(opens) - 1
+        self.n_cuts = n_cuts = int(np.count_nonzero(opens))
+        self.directed = directed
+        window = self.graph_of[window].astype(np.min_scalar_type(n_cuts))
         key = np.concatenate([src * n + dst, dst * n + src])
         order = np.argsort(key)
         key = key[order]
@@ -482,18 +517,18 @@ class _EntrySort:
         del key
         window = np.concatenate([window, window])[order]
         if directed:
-            # an entry's link row -> col holds from the first window of its
+            # an entry's link row -> col holds from the first cut of its
             # copies inserted as src -> dst, the first half; col -> row from
             # that of the others
             forward = order < src.size
-            self.first_out = np.minimum.reduceat(np.where(forward, window, n_windows), starts)
-            self.first_in = np.minimum.reduceat(np.where(forward, n_windows, window), starts)
+            self.first_out = np.minimum.reduceat(np.where(forward, window, n_cuts), starts)
+            self.first_in = np.minimum.reduceat(np.where(forward, n_cuts, window), starts)
             self.first = np.minimum(self.first_out, self.first_in)
         else:
             self.first = np.minimum.reduceat(window, starts)
 
     def cut(self, k):
-        """``(rows, cols, out, inn)``: the entries held by window ``k``,
+        """``(rows, cols, out, inn)``: the entries held by cut ``k``,
         where ``out``/``inn`` (directed only, else None) flag those whose
         ``row -> col``/``col -> row`` link holds by then."""
         held = self.first <= k
@@ -503,11 +538,11 @@ class _EntrySort:
                 self.first_out[held] <= k, self.first_in[held] <= k)
 
     def edge_counts(self):
-        """The edges each window's cut holds, as ``SnapshotGraph.n_edges``
+        """The edges each cut holds, as ``SnapshotGraph.n_edges``
         counts them: directed, the entries whose ``row -> col`` link holds;
         undirected, half the entries."""
         held_from = self.first_out if self.directed else self.first
-        counts = np.cumsum(np.bincount(held_from, minlength=self.n_windows + 1))[:self.n_windows]
+        counts = np.cumsum(np.bincount(held_from, minlength=self.n_cuts + 1))[:self.n_cuts]
         return counts if self.directed else counts // 2
 
 
@@ -518,7 +553,7 @@ def _indptr(n_nodes, rows):
     return indptr
 
 
-class SnapshotGraph:
+class SnapshotGraph(_ReadOnlyArrays):
     """One static snapshot in CSR form.
 
     Directed graphs carry three adjacencies, out, in, and the
@@ -528,25 +563,12 @@ class SnapshotGraph:
     Immutable once built.
     """
 
-    __slots__ = (
-        "n_nodes",
-        "directed",
-        "out_indptr",
-        "out_indices",
-        "in_indptr",
-        "in_indices",
-        "sym_indptr",
-        "sym_indices",
-        "out_degree",
-        "in_degree",
-        "sym_degree",
-        "_sym_config",
-    )
+    _ARRAYS = ("out_indptr", "out_indices", "in_indptr", "in_indices", "sym_indptr",
+               "sym_indices", "out_degree", "in_degree", "sym_degree", "_sym_config")
 
     def __init__(self, n_nodes, src, dst, directed):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        entries = _EntrySort(n_nodes, src, dst, np.zeros(src.size, dtype=np.uint8), 1, directed)
+        entries = _EntrySort(n_nodes, np.asarray(src, dtype=np.int64),
+                             np.asarray(dst, dtype=np.int64), directed)
         self._set_entries(n_nodes, directed, *entries.cut(0))
 
     def _set_entries(self, n_nodes, directed, rows, cols, out, inn):
@@ -568,20 +590,7 @@ class SnapshotGraph:
             self.out_indptr, self.out_indices = self.sym_indptr, self.sym_indices
             self.in_indptr, self.in_indices = self.sym_indptr, self.sym_indices
             self.out_degree = self.in_degree = self.sym_degree
-        self._freeze()
-
-    def _freeze(self):
-        for value in self.__getstate__().values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        self._freeze()
+        self.__post_init__()
 
     @property
     def n_edges(self):
@@ -595,7 +604,7 @@ class SnapshotGraph:
         if not isinstance(u, (int, np.integer)) and not float(u).is_integer():
             raise ConfigError(f"node id {u} is not a whole number")
         if not 0 <= u < self.n_nodes:
-            raise IndexError(f"node id {u} out of range [0, {self.n_nodes})")
+            raise _out_of_range(u, self.n_nodes)
         return int(u)
 
     def successors(self, u):
@@ -626,7 +635,8 @@ class SnapshotSeries(_ReadOnlyArrays):
     """Cumulative snapshots: graph ``i`` holds every edge assigned to
     windows ``0..i``, window ``i`` being the times from
     ``window_starts[i]`` up to ``window_starts[i] + window_width``. A
-    window that adds no edge holds the graph before it, the same object.
+    window after the first that adds no edge holds the graph before it,
+    the same object.
 
     A graph is built when it is first read, as a cut of the series' one
     entry sort (``_EntrySort``), and kept; ``graphs`` builds them all.
@@ -641,21 +651,16 @@ class SnapshotSeries(_ReadOnlyArrays):
     def __init__(self, edges, window, window_starts, window_width):
         """The series of ``edges``, edge ``k`` added in window ``window[k]``
         of those starting at ``window_starts``."""
-        self.new_edges = np.bincount(window, minlength=window_starts.size)
         self.directed = edges.directed
         self.window_starts = window_starts
         self.window_width = window_width
         self.n_nodes = edges.n_nodes
-        # graph k is the cut of the k-th window that adds an edge (window 0,
-        # the earliest edge's, always does); a window holds the last one by it
-        self._graph_of = np.cumsum(self.new_edges > 0) - 1
-        n_graphs = int(np.count_nonzero(self.new_edges))
-        self._entries = _EntrySort(edges.n_nodes, edges.src, edges.dst,
-                                   self._graph_of[window].astype(np.min_scalar_type(n_graphs)),
-                                   n_graphs, edges.directed)
+        self._entries = _EntrySort(edges.n_nodes, edges.src, edges.dst, edges.directed,
+                                   window, window_starts.size)
+        self.new_edges, self._graph_of = self._entries.new_edges, self._entries.graph_of
         self.total_edges = self._entries.edge_counts()[self._graph_of]
-        self._graphs = [None] * n_graphs
-        self._unbuilt = n_graphs
+        self._graphs = [None] * self._entries.n_cuts
+        self._unbuilt = self._entries.n_cuts
         self.__post_init__()
 
     def __len__(self):

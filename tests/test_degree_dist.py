@@ -1,5 +1,7 @@
 """Degree sampling and log-binned histograms."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,10 +130,10 @@ class TestSupportPath:
         assert ego._support_pd(g).tolist() == [1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1]
 
     def test_self_loops(self):
-        # a loop at 0 adds one to each pd of ego 0 and to pd(z, 0) of its
-        # neighbors z; entry (0, 0) reads deg(0), the loop counted
+        # the loop at 0 is dropped: no entry (0, 0), and pd is the support
         g = make_graph([(0, 1), (1, 2), (2, 0), (0, 3), (0, 0)], 4)
-        assert ego._support_pd(g).tolist() == [4, 2, 2, 1, 2, 1, 2, 1, 1]
+        assert g.sym_degree.tolist() == [3, 2, 2, 1]
+        assert ego._support_pd(g).tolist() == [1, 1, 0, 1, 1, 1, 1, 0]
         assert np.array_equal(ego._support_pd(g), _gathered_pd(g))
 
     def test_more_nodes_than_chunk(self):
@@ -230,6 +232,23 @@ class TestHistogram:
         s = personalized_degree_samples(_clique(5))
         dist = log_binned_histogram(s)
         assert dist.n_samples == s.n_samples
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("make, arrays, dtypes", [
+        (lambda g: personalized_degree_samples(g), ("values",), (np.int64,)),
+        (lambda g: global_degree_samples(g), ("values",), (np.int64,)),
+        (lambda g: log_binned_histogram(personalized_degree_samples(g)),
+         ("bin_low", "bin_high", "bin_center", "count", "density"),
+         (np.float64, np.float64, np.float64, np.int64, np.float64)),
+    ], ids=["personalized", "global", "histogram"])
+    def test_pickled_arrays_stay_read_only(self, make, arrays, dtypes):
+        result = make(make_graph([(0, 1), (1, 2), (2, 0), (2, 3)], 4))
+        copy = pickle.loads(pickle.dumps(result))
+        for name, dtype in zip(arrays, dtypes):
+            for arr in (getattr(result, name), getattr(copy, name)):
+                assert arr.dtype == dtype and not arr.flags.writeable, name
+            assert np.array_equal(getattr(copy, name), getattr(result, name)), name
 
 
 class TestOutputs:

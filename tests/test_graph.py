@@ -5,11 +5,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from egolink import graph as graph_module
 from egolink.cli import main
-from egolink.ego import EdgeConfig, _forming_cells
+from egolink.ego import (ALL_MODES, EdgeConfig, _forming_cells, ego_neighbors,
+                         personalized_degrees)
 from egolink.empirical import aggregate_empirical, empirical_table
 from egolink.errors import ConfigError, ParseError, PreconditionError
 from egolink.evaluation import eval_table, evaluate_methods
@@ -502,6 +503,16 @@ class TestAdjacency:
         assert h.n_nodes == 3
         assert h.successors(1).tolist() == g.successors(1).tolist()
 
+    def test_pickle_keeps_undirected_aliases(self):
+        # one read-only view per aliased array, so a pickle holds each once
+        g = make_graph([(0, 1), (1, 2)], 3)
+        h = pickle.loads(pickle.dumps(g))
+        for got in (g, h):
+            assert got.out_indptr is got.in_indptr is got.sym_indptr
+            assert got.out_indices is got.in_indices is got.sym_indices
+            assert got.out_degree is got.in_degree is got.sym_degree
+        assert len(pickle.dumps(h)) == len(pickle.dumps(g))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_direction_split(self, seed):
         g, pairs = random_graph(seed, 12, 0.3, True)
@@ -528,3 +539,86 @@ class TestAdjacency:
     def test_parallel_duplicates_collapse(self):
         g = make_graph([(0, 1), (0, 1), (1, 0)], 2)
         assert g.sym_degree.tolist() == [1, 1]
+
+
+@st.composite
+def _pairs_with_loops(draw):
+    """Pairs on up to 10 nodes, and the same pairs with self-loops put in."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=30))
+    with_loops = list(pairs)
+    for u in draw(st.lists(node, min_size=1, max_size=6)):
+        with_loops.insert(draw(st.integers(0, len(with_loops))), (u, u))
+    return n, pairs, with_loops
+
+
+class TestOneGate:
+    """Every graph's pairs pass ``_EntrySort``: a self-loop is no link,
+    and a node id out of range is named."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=_pairs_with_loops(), directed=st.booleans())
+    def test_loops_are_dropped(self, case, directed):
+        n, pairs, with_loops = case
+        g, want = make_graph(with_loops, n, directed), make_graph(pairs, n, directed)
+        for name in SnapshotGraph._ARRAYS:
+            assert np.array_equal(getattr(g, name), getattr(want, name)), name
+        assert g.n_edges == want.n_edges
+        if directed:
+            assert np.array_equal(g.sym_config, want.sym_config)
+        out, inn, sym = oracles.adjacency(n, with_loops, directed)
+        for u in range(n):
+            base = ego_neighbors(g, u)
+            for mode in ALL_MODES if directed else ("undirected",):
+                want_pd = [oracles.pdeg(out, inn, sym, u, int(z), mode) for z in base]
+                assert personalized_degrees(g, u, base, mode).tolist() == want_pd
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=_pairs_with_loops(), directed=st.booleans(), width=st.integers(1, 4),
+           data=st.data())
+    def test_series_drops_loops(self, case, directed, width, data):
+        n, pairs, with_loops = case
+        assume(pairs)
+        times = data.draw(st.lists(st.integers(0, 11), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        # a loop's time lies in the span of the others, so the windows agree
+        loop_time = st.integers(min(times), max(times))
+        rows, it = [], iter(times)
+        for u, v in with_loops:
+            rows.append((u, v, data.draw(loop_time) if u == v else next(it)))
+
+        def series_of(rows):
+            src, dst, time = (np.array(column, dtype=np.int64) for column in zip(*rows))
+            edges = TemporalEdgeList(src=src, dst=dst, time=time, directed=directed,
+                                     labels=tuple(str(i) for i in range(n)))
+            return build_snapshots(edges, window_length=width)
+
+        got, want = series_of(rows), series_of([r for r in rows if r[0] != r[1]])
+        for name in SnapshotSeries._ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for i in range(len(want)):
+            for name in SnapshotGraph._ARRAYS:
+                assert np.array_equal(getattr(got[i], name), getattr(want[i], name)), name
+        assert [got[i] is got[i - 1] for i in range(1, len(got))] == \
+            [want[i] is want[i - 1] for i in range(1, len(want))]
+
+    def test_series_of_loops_only(self):
+        edges = TemporalEdgeList(src=[0, 1], dst=[0, 1], time=[0, 5], labels=("a", "b"),
+                                 directed=True)
+        series = build_snapshots(edges, window_length=2)
+        assert series.new_edges.tolist() == series.total_edges.tolist() == [0, 0, 0]
+        assert series[0] is series[2] and series[2].n_edges == 0
+        assert series[2].sym_indptr.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("src, dst, bad", [([0], [5], 5), ([0], [-1], -1),
+                                               ([0, 9], [5, 1], 5), ([1, -2], [0, 3], -2)])
+    def test_bad_node_id_named(self, directed, src, dst, bad):
+        message = rf"^node id {bad} out of range \[0, 3\)$"
+        with pytest.raises(IndexError, match=message):
+            SnapshotGraph(3, src, dst, directed)
+        edges = TemporalEdgeList(src=src, dst=dst, time=[0] * len(src),
+                                 labels=("a", "b", "c"), directed=directed)
+        with pytest.raises(IndexError, match=message):
+            build_snapshots(edges, window_length=1)

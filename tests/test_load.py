@@ -391,7 +391,7 @@ class TestPickledGraphReadOnly:
         if directed:
             g.sym_config
         h = pickle.loads(pickle.dumps(g))
-        arrays = [name for name in SnapshotGraph.__slots__
+        arrays = [name for name in SnapshotGraph._ARRAYS
                   if isinstance(getattr(h, name), np.ndarray)]
         assert len(arrays) == (10 if directed else 9)
         for name in arrays:
