@@ -22,7 +22,7 @@ from . import _kernels
 from .ego import (MODE_UNDIRECTED, _ego_ids, _support_pd, ego_blocks, global_degrees,
                   validate_mode)
 from .errors import ConfigError, EmptyInputError
-from .graph import _ReadOnlyArrays
+from .graph import _ArrayRecord
 
 KIND_PERSONALIZED = "personalized"
 KIND_GLOBAL = "global"
@@ -32,8 +32,8 @@ ALL_KINDS = (KIND_PERSONALIZED, KIND_GLOBAL)
 DISTRIBUTION_HEADER = ("bin_low", "bin_high", "bin_center", "count", "density")
 
 
-@dataclass(frozen=True)
-class DegreeSampleSet(_ReadOnlyArrays):
+@dataclass(frozen=True, eq=False)
+class DegreeSampleSet(_ArrayRecord):
     values: np.ndarray
     kind: str
     mode: str
@@ -90,8 +90,8 @@ def global_degree_samples(graph, mode=MODE_UNDIRECTED, per_neighbor=False, egos=
     return DegreeSampleSet(values=values, kind=KIND_GLOBAL, mode=mode, n_egos=0)
 
 
-@dataclass(frozen=True)
-class BinnedDistribution(_ReadOnlyArrays):
+@dataclass(frozen=True, eq=False)
+class BinnedDistribution(_ArrayRecord):
     """Log-binned histogram. ``density`` integrates to 1 over
     ``log10(value)``; counts sum to the sample count."""
 

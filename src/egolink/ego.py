@@ -346,25 +346,25 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
 
     pd = {}
     if MODE_UNDIRECTED in modes:
-        pd[MODE_UNDIRECTED] = count(in_row)
+        pd[MODE_UNDIRECTED] = count(in_row.nonzero()[0])
     if MODE_OUT in modes or MODE_IN in modes:
-        hit = np.flatnonzero(in_succ)
+        hit = in_succ.nonzero()[0]
         cfg = graph.sym_config[pos[hit]]
         # plain ints: numpy compares them without probing the enum
         for mode, absent in ((MODE_OUT, int(EdgeConfig.IN)), (MODE_IN, int(EdgeConfig.OUT))):
             if mode in modes:
-                pd[mode] = count(hit[cfg != absent])
+                pd[mode] = count(hit[(cfg != absent).nonzero()[0]])
     if not wedges:
         return EgoView(graph, egos, base, None, None, None, None, pd)
     wedge = ~in_succ & (reached != egos[slot])
-    wedge_cfg = None
     if sym_pool:
         # pool (ego slot, ego-edge config of z): a wedge's key is its pool's
         # candidate, and no node of the pool is a candidate of it
         pool = b_slot * 3 + graph.sym_config[b_pos]
         key = pool[wedge_z] * n + reached
         wedge &= ~marked(pool * n + base, key)
-        wedge_cfg = graph.sym_config[pos[wedge]]
+    wedge = wedge.nonzero()[0]
+    wedge_cfg = graph.sym_config[pos[wedge]] if sym_pool else None
     # the candidate step needs only the wedges' keys and pool positions
     del b_slot, b_pos, pos, reached, slot, mark, in_base, in_succ, in_row
     key, wedge_z = key[wedge], wedge_z[wedge]
@@ -374,7 +374,7 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     index = np.empty(pools * egos.size * n, dtype=np.int64)
     at = np.arange(key.size)
     index[key] = at
-    cand_key = np.sort(key[index[key] == at])
+    cand_key = np.sort(key[(index[key] == at).nonzero()[0]])
     index[cand_key] = np.arange(cand_key.size)
     cand_slot, candidates = np.divmod(cand_key, n)
     return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd, wedge_cfg)
@@ -399,7 +399,8 @@ def _support_pd(graph):
     oriented rows, so each wedge is probed with one read. Each triangle is
     counted onto its three oriented edges, and each edge's support is
     copied to its mirror entry. Every O(E) temporary is int32 or bool, but
-    for the order of that copy, one int64 per edge.
+    for the entry positions of each orientation and the order of that
+    copy, one int64 per edge each.
     """
     n = graph.n_nodes
     indices, deg = graph.sym_indices, graph.sym_degree
@@ -409,15 +410,14 @@ def _support_pd(graph):
     up = row_rank < col_rank
     del row_rank, col_rank
     # the oriented rows a -> c, entries in the order of the symmetric ones
-    o_cols = indices.astype(np.int32)[up]
-    before = np.zeros(indices.size + 1, dtype=np.int32)
-    np.cumsum(up, dtype=np.int32, out=before[1:])
-    o_indptr = before[graph.sym_indptr].astype(np.int64)
-    del before
+    up_at = up.nonzero()[0]
+    o_cols = indices[up_at].astype(np.int32)
+    o_indptr = np.searchsorted(up_at, graph.sym_indptr)
     o_deg = np.diff(o_indptr)
     apex = np.flatnonzero(o_deg)
     wedges = np.add.reduceat(o_deg.astype(np.int32)[o_cols], o_indptr[apex], dtype=np.int64)
-    apex, wedges = apex[wedges > 0], wedges[wedges > 0]
+    live = wedges.nonzero()[0]
+    apex, wedges = apex[live], wedges[live]
     support = np.zeros(o_cols.size, dtype=np.int32)
     lane_bit = np.left_shift(np.uint64(1), np.arange(_LANES, dtype=np.uint64))
     words = np.zeros(n, dtype=np.uint64)
@@ -435,10 +435,10 @@ def _support_pd(graph):
         # a value of support's own dtype keeps ufunc.at off its slow path
         np.add.at(support, np.concatenate([ab[w_ab], bc, ac]), np.int32(1))
     pd = np.empty(indices.size, dtype=np.int64)
-    pd[up] = support
+    pd[up_at] = support
     # a stable sort by c of the oriented edges a -> c, which run by (a, c),
     # lists them by (c, a): the order of their mirrors, the other entries
-    pd[~up] = support[np.argsort(o_cols, kind="stable")]
+    pd[(~up).nonzero()[0]] = support[np.argsort(o_cols, kind="stable")]
     return pd
 
 
@@ -498,7 +498,7 @@ def _forming_cells(series, egos, sym_pool):
         pool = _row_keys(g.sym_indptr, g.sym_indices, egos, n) if sym_pool else held
         key = _row_keys(nxt.out_indptr, nxt.out_indices, egos, n)
         slot, w = np.divmod(key, n)
-        new = ~_kernels.contains(held, key)
+        new = (~_kernels.contains(held, key)).nonzero()[0]
         slot, w = slot[new], w[new]
         # rounds by each ego's new-successor rank: [0, 1), [1, 2), [2, 4),
         # [4, 8), ...; a cell settled in an early round is not probed later
@@ -510,11 +510,12 @@ def _forming_cells(series, egos, sym_pool):
         runs = _runs(np.cumsum(g.sym_degree[w]),
                      lambda start: int(np.searchsorted(rank, 1 << int(rank[start]).bit_length())))
         for start, stop in runs:
-            unsettled = ~settled[slot[start:stop]]
-            cell = slot[start:stop][unsettled]
-            z_slot, z_pos = _kernels.gather_rows(g.sym_indptr, w[start:stop][unsettled])
+            unsettled = start + (~settled[slot[start:stop]]).nonzero()[0]
+            cell = slot[unsettled]
+            z_slot, z_pos = _kernels.gather_rows(g.sym_indptr, w[unsettled])
             cell = cell[z_slot]
-            settled[cell[_kernels.contains(pool, cell * n + g.sym_indices[z_pos])]] = True
+            hit = _kernels.contains(pool, cell * n + g.sym_indices[z_pos]).nonzero()[0]
+            settled[cell[hit]] = True
     return mask
 
 

@@ -108,13 +108,16 @@ def _ego_worker(payload, item):
     cell = view.cand_slot[cand] * configs + nb_cfg
     formed = view.formed(series[t + 1])[cand]
     n_cells = egos.size * configs ** 2
-    n_formed = np.bincount(cell[formed], minlength=n_cells)
+    n_formed = np.bincount(cell[formed.nonzero()[0]], minlength=n_cells)
     reason = np.select([n_formed == 0, n_formed == np.bincount(cell, minlength=n_cells)],
                        range(len(EXCLUSIONS)), -1)
-    usable = reason[cell] < 0
+    usable = (reason[cell] < 0).nonzero()[0]
     # groups: each usable cell's formed, then its not-formed candidates
-    means, n_candidates = group_means(
-        2 * cell[usable] + ~formed[usable], sums[kept[usable]] / counts[kept[usable], None])
+    group, bins = 2 * cell[usable] + ~formed[usable], kept[usable]
+    terms = sums[bins] / counts[bins, None]
+    # the positions are int64, unlike the mask: none is held while grouping
+    del usable, bins
+    means, n_candidates = group_means(group, terms)
     values = means.reshape(-1, len(GROUPS), len(modes), 2).transpose(0, 2, 1, 3)
     return reason, values.reshape(-1, 4 * len(modes)), n_candidates
 

@@ -122,9 +122,8 @@ def _top_ranker(kept, n_cand, n_top):
     pos = (np.cumsum(n_cand) - n_cand)[kept][row] + col
     width = int(counts.max())
     grid = np.full((kept.size, width), -np.inf)
-    filled = np.zeros(grid.size, dtype=bool)
-    filled[row * width + col] = True
-    # the block position of each filled cell, in (row, col) order as pos
+    # the filled cells, ascending in (row, col) order as pos
+    filled = row * width + col
     cell_pos = np.zeros(grid.size, dtype=np.int64)
     cell_pos[filled] = pos
     row_start = np.arange(kept.size) * width
@@ -203,7 +202,8 @@ def _cell_worker(payload, item):
     slot = view.cand_slot
     n_cand = np.bincount(slot, minlength=egos.size)
     formed = view.formed(series[t + 1])
-    no_formed = require_formation & (np.bincount(slot[formed], minlength=egos.size) == 0)
+    n_formed = np.bincount(slot[formed.nonzero()[0]], minlength=egos.size)
+    no_formed = require_formation & (n_formed == 0)
     # the first reason that holds, in EXCLUSIONS order
     reason = np.select([n_cand > cutoff, no_formed, n_cand < need], range(3), -1)
     kept = np.flatnonzero(reason < 0)

@@ -177,13 +177,13 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
             np.maximum.at(top, view.cand_slot, scores)
             # the candidates of egos whose best score is above 0 draw, in ego order
             top = top[view.cand_slot]
-            live = top > 0.0
-            if not live.any():
+            live = (top > 0.0).nonzero()[0]
+            if not live.size:
                 continue
             p = np.minimum(rate * scores[live] / top[live], 1.0)
-            hit = rng.random(p.size) < p
-            new_src.append(view.egos[view.cand_slot[live][hit]])
-            new_dst.append(view.candidates[live][hit])
+            hit = live[(rng.random(p.size) < p).nonzero()[0]]
+            new_src.append(view.egos[view.cand_slot[hit]])
+            new_dst.append(view.candidates[hit])
         new_src, new_dst = np.concatenate(new_src), np.concatenate(new_dst)
         if not directed:
             # both endpoints may pick the same pair; the first pick stays

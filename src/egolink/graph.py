@@ -29,11 +29,13 @@ graph through the same sort and cut.
 Step 1 holds for every graph the package builds, from hand-built pairs
 too: ``_EntrySort``, which every snapshot graph passes, drops self-loops.
 Every holder of arrays names them in ``_ARRAYS``, and ``_ReadOnlyArrays``
-alone makes them read-only.
+alone makes them read-only; the frozen dataclasses among them
+(``_ArrayRecord``) compare their arrays by value, the snapshot graphs
+and series by identity.
 """
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 
@@ -85,8 +87,23 @@ class _ReadOnlyArrays:
         self.__post_init__()
 
 
-@dataclass(frozen=True)
-class TemporalEdgeList(_ReadOnlyArrays):
+class _ArrayRecord(_ReadOnlyArrays):
+    """Base of a frozen dataclass of ``_ReadOnlyArrays``, declared with
+    ``eq=False``: two of one class are equal when their ``_ARRAYS``
+    fields are ``np.array_equal`` and their other fields ``==``."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if f.name in self._ARRAYS else a == b):
+                return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class TemporalEdgeList(_ArrayRecord):
     """Normalized edges plus the id -> original-label mapping.
 
     ``time_mode`` says whether the time column holds raw timestamps or
@@ -482,11 +499,12 @@ class _EntrySort:
     ``src -> dst``, edge ``k`` added in window ``window[k]`` (0 when None)
     of ``n_windows``: the gate of every snapshot graph. The first id
     outside [0, ``n_nodes``) raises ``SnapshotGraph``'s IndexError, and a
-    self-loop is dropped. ``new_edges`` counts the edges each window adds;
-    window 0 and each later window that adds one open a cut, ``graph_of``
-    maps each window to its cut, and ``n_cuts`` counts them. Of the
-    distinct entries ``rows``/``cols``, sorted by (row, col), ``first`` is
-    the first cut that holds each. Directed entries also get
+    self-loop is dropped. ``new_edges`` counts the distinct edges each
+    window adds, each edge in the first window that holds it; window 0
+    and each later window that adds one open a cut, ``graph_of`` maps
+    each window to its cut, and ``n_cuts`` counts them. Of the distinct
+    entries ``rows``/``cols``, sorted by (row, col), ``first`` is the
+    first cut that holds each. Directed entries also get
     ``first_out``/``first_in``, the first cut that holds their ``row ->
     col``/``col -> row`` link, ``n_cuts`` standing for never. Each
     cumulative snapshot is a ``cut`` of it, with no sort of its own."""
@@ -496,18 +514,13 @@ class _EntrySort:
         if src.size and not (0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n):
             ids = np.column_stack((src, dst)).ravel()
             raise _out_of_range(ids[(ids < 0) | (ids >= n)][0], n_nodes)
-        if window is None:
-            window = np.zeros(src.size, dtype=np.uint8)
+        # with room for n_windows, which stands for never
+        window = (np.zeros(src.size, dtype=np.uint8) if window is None
+                  else window.astype(np.min_scalar_type(n_windows)))
         loop = src == dst
         if loop.any():
             src, dst, window = src[~loop], dst[~loop], window[~loop]
-        self.new_edges = np.bincount(window, minlength=n_windows)
-        opens = self.new_edges > 0
-        opens[:1] = True
-        self.graph_of = np.cumsum(opens) - 1
-        self.n_cuts = n_cuts = int(np.count_nonzero(opens))
         self.directed = directed
-        window = self.graph_of[window].astype(np.min_scalar_type(n_cuts))
         key = np.concatenate([src * n + dst, dst * n + src])
         order = np.argsort(key)
         key = key[order]
@@ -517,33 +530,41 @@ class _EntrySort:
         del key
         window = np.concatenate([window, window])[order]
         if directed:
-            # an entry's link row -> col holds from the first cut of its
+            # an entry's link row -> col holds from the first window of its
             # copies inserted as src -> dst, the first half; col -> row from
-            # that of the others
+            # that of the others; an edge is the row -> col link of one entry
             forward = order < src.size
-            self.first_out = np.minimum.reduceat(np.where(forward, window, n_cuts), starts)
-            self.first_in = np.minimum.reduceat(np.where(forward, n_cuts, window), starts)
+            firsts = [np.minimum.reduceat(np.where(forward, window, n_windows), starts),
+                      np.minimum.reduceat(np.where(forward, n_windows, window), starts)]
+            self.new_edges = np.bincount(firsts[0], minlength=n_windows + 1)[:n_windows]
+        else:
+            # an edge is two entries
+            firsts = [np.minimum.reduceat(window, starts)]
+            self.new_edges = np.bincount(firsts[0], minlength=n_windows) // 2
+        opens = self.new_edges > 0
+        opens[:1] = True
+        self.graph_of = np.cumsum(opens) - 1
+        self.n_cuts = n_cuts = int(np.count_nonzero(opens))
+        if n_cuts < n_windows:
+            # a window that adds no edge holds the cut before it; never stays never
+            cut_of = np.append(self.graph_of, n_cuts).astype(np.min_scalar_type(n_cuts))
+            firsts = [cut_of[w] for w in firsts]
+        if directed:
+            self.first_out, self.first_in = firsts
             self.first = np.minimum(self.first_out, self.first_in)
         else:
-            self.first = np.minimum.reduceat(window, starts)
+            (self.first,) = firsts
 
     def cut(self, k):
         """``(rows, cols, out, inn)``: the entries held by cut ``k``,
         where ``out``/``inn`` (directed only, else None) flag those whose
-        ``row -> col``/``col -> row`` link holds by then."""
-        held = self.first <= k
+        ``row -> col``/``col -> row`` link holds by then. The last cut
+        holds every entry and takes the arrays uncopied."""
+        held = slice(None) if k == self.n_cuts - 1 else (self.first <= k).nonzero()[0]
         if not self.directed:
             return self.rows[held], self.cols[held], None, None
         return (self.rows[held], self.cols[held],
                 self.first_out[held] <= k, self.first_in[held] <= k)
-
-    def edge_counts(self):
-        """The edges each cut holds, as ``SnapshotGraph.n_edges``
-        counts them: directed, the entries whose ``row -> col`` link holds;
-        undirected, half the entries."""
-        held_from = self.first_out if self.directed else self.first
-        counts = np.cumsum(np.bincount(held_from, minlength=self.n_cuts + 1))[:self.n_cuts]
-        return counts if self.directed else counts // 2
 
 
 def _indptr(n_nodes, rows):
@@ -582,6 +603,7 @@ class SnapshotGraph(_ReadOnlyArrays):
         if directed:
             # 0 for row -> col only, 1 reciprocal, 2 col -> row only
             self._sym_config = inn.astype(np.int8) - out + 1
+            out, inn = out.nonzero()[0], inn.nonzero()[0]
             self.out_indptr, self.out_indices = _indptr(n, rows[out]), cols[out]
             self.in_indptr, self.in_indices = _indptr(n, rows[inn]), cols[inn]
             self.out_degree, self.in_degree = np.diff(self.out_indptr), np.diff(self.in_indptr)
@@ -640,10 +662,10 @@ class SnapshotSeries(_ReadOnlyArrays):
 
     A graph is built when it is first read, as a cut of the series' one
     entry sort (``_EntrySort``), and kept; ``graphs`` builds them all.
-    ``total_edges``, the edges each window's graph holds, is counted from
-    the sort, so it builds none. The sort is released once every graph is
-    built, and pickling builds every graph first, so a pickled series
-    never carries it.
+    ``total_edges``, the edges each window's graph holds, is the running
+    sum of ``new_edges``, counted from the sort, so it builds none. The
+    sort is released once every graph is built, and pickling builds every
+    graph first, so a pickled series never carries it.
     """
 
     _ARRAYS = ("new_edges", "window_starts", "total_edges", "_graph_of")
@@ -658,7 +680,7 @@ class SnapshotSeries(_ReadOnlyArrays):
         self._entries = _EntrySort(edges.n_nodes, edges.src, edges.dst, edges.directed,
                                    window, window_starts.size)
         self.new_edges, self._graph_of = self._entries.new_edges, self._entries.graph_of
-        self.total_edges = self._entries.edge_counts()[self._graph_of]
+        self.total_edges = np.cumsum(self.new_edges)
         self._graphs = [None] * self._entries.n_cuts
         self._unbuilt = self._entries.n_cuts
         self.__post_init__()

@@ -251,6 +251,33 @@ class TestReadOnly:
             assert np.array_equal(getattr(copy, name), getattr(result, name)), name
 
 
+class TestEquality:
+    """Sample sets and histograms compare their arrays by value."""
+
+    def test_equal_and_unequal(self):
+        triangle = make_graph([(0, 1), (1, 2), (2, 0)], 3)
+        path = make_graph([(0, 1), (1, 2)], 3)
+        samples = personalized_degree_samples(triangle)
+        assert samples == personalized_degree_samples(triangle)
+        assert samples != personalized_degree_samples(path)
+        assert samples != global_degree_samples(triangle, per_neighbor=True)
+        hist = log_binned_histogram(samples)
+        assert hist == log_binned_histogram(personalized_degree_samples(triangle))
+        assert hist != log_binned_histogram(personalized_degree_samples(path))
+        assert hist != log_binned_histogram(samples, bins_per_decade=5)
+        assert samples != hist
+
+    def test_differing_dtypes(self):
+        ints = degree_dist.DegreeSampleSet(np.array([1, 2]), "personalized", "undirected", 2)
+        # np.array_equal compares values, whatever their dtypes
+        assert ints == degree_dist.DegreeSampleSet(np.array([1.0, 2.0]), "personalized",
+                                                   "undirected", 2)
+        assert ints != degree_dist.DegreeSampleSet(np.array([1.0, 2.5]), "personalized",
+                                                   "undirected", 2)
+        assert ints != degree_dist.DegreeSampleSet(np.array([1, 2, 2]), "personalized",
+                                                   "undirected", 2)
+
+
 class TestOutputs:
     def test_metadata(self):
         s = personalized_degree_samples(_star(3))

@@ -350,7 +350,7 @@ class TestSharedSnapshots:
     @pytest.mark.parametrize("seed", range(3))
     def test_each_window_matches_its_own_build(self, directed, seed):
         series, idx, apart = _gapped_series(seed, directed)
-        assert series.new_edges.tolist() == np.bincount(idx, minlength=8).tolist()
+        assert series.new_edges.tolist() == np.diff([0] + [g.n_edges for g in apart.graphs]).tolist()
         assert np.flatnonzero(series.new_edges == 0).tolist() == [2, 5, 6]
         names = _GRAPH_ARRAYS + (("sym_config",) if directed else ())
         for g, want in zip(series.graphs, apart.graphs):
@@ -421,6 +421,29 @@ def _hand_built_lists(draw):
     return edges, draw(st.integers(1, 4))
 
 
+class TestNewEdges:
+    """A window's new edges are the distinct edges it first holds."""
+
+    @pytest.mark.parametrize("directed, want", [(False, 1), (True, 2)])
+    def test_repeated_rows_count_once(self, directed, want):
+        edges = TemporalEdgeList(src=[0, 0, 1], dst=[1, 1, 0], time=[0, 0, 0], labels=("a", "b"),
+                                 directed=directed)
+        series = build_snapshots(edges, window_length=1)
+        assert series.new_edges.tolist() == series.total_edges.tolist() == [want]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_repeat_only_window_holds_snapshot_before(self, directed):
+        # window 2 repeats (0, 1), and undirected also (1, 0)
+        rows = [(0, 1, 0), (1, 2, 1), (0, 1, 2)] + ([] if directed else [(1, 0, 2)])
+        src, dst, time = zip(*rows)
+        edges = TemporalEdgeList(src=src, dst=dst, time=time, labels=("a", "b", "c"),
+                                 directed=directed)
+        series = build_snapshots(edges, window_length=1)
+        assert series.new_edges.tolist() == [1, 1, 0]
+        assert series.total_edges.tolist() == [1, 2, 2]
+        assert series[2] is series[1]
+
+
 class TestOnDemandSeries:
     """A series builds each graph on first read, equal to its own build."""
 
@@ -442,8 +465,30 @@ class TestOnDemandSeries:
             assert series.total_edges[i] == g.n_edges == want.n_edges
         for i in range(1, n):
             assert (series[i] is series[i - 1]) == (series.new_edges[i] == 0)
+        assert np.array_equal(series.new_edges.cumsum(), series.total_edges)
         assert series[1::2] == series.graphs[1::2]
         assert not series.total_edges.flags.writeable
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=_hand_built_lists())
+    def test_cuts_match_oracle(self, case):
+        edges, width = case
+        series = build_snapshots(edges, window_length=width)
+        idx = assign_windows(edges.time, window_length=width)[0]
+        pairs = list(zip(edges.src.tolist(), edges.dst.tolist()))
+        for i, g in enumerate(series.graphs):
+            held = [pair for pair, j in zip(pairs, idx.tolist()) if j <= i]
+            out, inn, sym = oracles.adjacency(edges.n_nodes, held, edges.directed)
+            for v in range(edges.n_nodes):
+                for row, want in ((g.successors, out), (g.predecessors, inn),
+                                  (g.neighbors, sym)):
+                    assert row(v).tolist() == sorted(want[v]), (i, v, row.__name__)
+                if edges.directed:
+                    cfgs = g.sym_config[g.sym_indptr[v]:g.sym_indptr[v + 1]].tolist()
+                    assert cfgs == [oracles.link_config(out, inn, v, z)
+                                    for z in sorted(sym[v])], (i, v)
+            for degree, want in ((g.out_degree, out), (g.in_degree, inn), (g.sym_degree, sym)):
+                assert degree.tolist() == [len(want[v]) for v in range(edges.n_nodes)]
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_pickle_of_partly_built_series(self, directed):
@@ -459,6 +504,33 @@ class TestOnDemandSeries:
                 assert not getattr(copy[i], name).flags.writeable, name
         assert copy.total_edges.tolist() == series.total_edges.tolist()
         assert not copy.total_edges.flags.writeable
+
+
+class TestEdgeListEquality:
+    def test_equal_and_unequal(self):
+        def edge_list(src, **changes):
+            fields = dict(src=src, dst=[1, 2], time=[0, 3], labels=("a", "b", "c"),
+                          directed=False)
+            return TemporalEdgeList(**dict(fields, **changes))
+
+        edges = edge_list([0, 1])
+        assert edges == edge_list([0, 1]) and not edges != edge_list([0, 1])
+        # the arrays are int64 whatever their given dtype
+        assert edges == edge_list(np.array([0, 1], dtype=np.int32))
+        for other in (edge_list([0, 0]), edge_list([0, 1], time=[0, 4]),
+                      edge_list([0, 1], labels=("a", "b", "d")),
+                      edge_list([0, 1], directed=True),
+                      edge_list([0, 1], time_mode="index"),
+                      edge_list([0], dst=[1], time=[0])):
+            assert edges != other and not edges == other
+        assert edges != (edges.src, edges.dst, edges.time)
+
+    def test_snapshots_compare_by_identity(self):
+        g = make_graph([(0, 1)], 2)
+        assert g == g and g != make_graph([(0, 1)], 2)
+        edges = TemporalEdgeList(src=[0], dst=[1], time=[0], labels=("a", "b"), directed=False)
+        series = build_snapshots(edges, window_length=1)
+        assert series == series and series != build_snapshots(edges, window_length=1)
 
 
 class TestAdjacency:

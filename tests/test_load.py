@@ -363,25 +363,29 @@ class TestPrefixSnapshots:
                  "sym_indices", "out_degree", "in_degree", "sym_degree"]
         if directed:
             names.append("sym_config")
+        held = 0
         for i, g in enumerate(series.graphs):
             mask = idx <= i
             want = SnapshotGraph(edges.n_nodes, edges.src[mask], edges.dst[mask], directed)
             for name in names:
                 assert getattr(g, name).tolist() == getattr(want, name).tolist(), name
             assert g.n_edges == want.n_edges
-            assert int(series.new_edges[i]) == int((idx == i).sum())
+            assert int(series.new_edges[i]) == want.n_edges - held
+            held = want.n_edges
 
     def test_unsorted_preassigned(self):
         edges = _unsorted_edges(0, True)
         edges = TemporalEdgeList(src=edges.src, dst=edges.dst, time=edges.time % 4,
                                  labels=edges.labels, directed=True, time_mode="index")
         series = build_snapshots(edges, preassigned=True)
+        held = [0]
         for i, g in enumerate(series.graphs):
             mask = edges.time <= i
             want = SnapshotGraph(edges.n_nodes, edges.src[mask], edges.dst[mask], True)
             assert g.out_indices.tolist() == want.out_indices.tolist()
             assert g.out_indptr.tolist() == want.out_indptr.tolist()
-        assert series.new_edges.tolist() == np.bincount(edges.time).tolist()
+            held.append(want.n_edges)
+        assert series.new_edges.tolist() == np.diff(held).tolist()
 
 
 class TestPickledGraphReadOnly:
