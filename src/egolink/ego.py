@@ -3,7 +3,9 @@ degree, directed triad classification, and ``EgoView``, the gather of
 one ego (``ego_view``) or of a run of egos (``ego_blocks``); every
 personalized degree, ``personalized_degrees`` too, is read from a gather,
 except that of every symmetric entry of an undirected graph at once,
-which is read from triangle supports (``_support_pd``).
+which is read from triangle supports (``_support_pd``). A gather reads
+one flag byte per gathered entry, and reads its candidates off its bins
+when they are dense (``_gather_block``).
 
 Conventions for a directed ego ``u``:
 
@@ -305,50 +307,74 @@ def _pool_rows(graph, sym_pool):
     return graph.out_indptr, graph.out_indices
 
 
+#: flag bits of a gather's ``(ego slot) * n + node`` bins: the node is in
+#: the ego's symmetric row, among its successors, or the ego itself; a
+#: gathered entry is a wedge when its flags are below ``_SUCC``
+_ROW, _SUCC, _EGO = np.uint8(1), np.uint8(2), np.uint8(4)
+
+#: the flags of a node of the ego's symmetric row, by the config of its
+#: link (``EdgeConfig``): a successor unless the link is only node -> ego
+_ROW_FLAGS = np.array([_ROW | _SUCC, _ROW | _SUCC, _ROW], dtype=np.uint8)
+
+#: the candidate step scans the bins when they number at most this many
+#: per kept wedge (``_gather_block``)
+_SCAN_BINS_PER_WEDGE = 8
+
+
 def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     """One gather for all ``egos``: their pool rows (successors, or with
     ``sym_pool`` symmetric rows, split by ego-edge config), then the
-    symmetric rows of every pool node ``z``. Each entry ``w`` is tested
-    on its ``(ego slot) * n + w`` key against one bool mark per test,
-    which gives the personalized degrees of ``modes``; with ``wedges``, the
-    entries outside the ego, its successors and the pool of ``z`` are
-    wedges onto candidates."""
+    symmetric rows of every pool node ``z``. Each entry ``w`` reads the
+    flag byte of its ``(ego slot) * n + w`` bin once (``_ROW``, ``_SUCC``,
+    ``_EGO``), which gives the personalized degrees of ``modes``; with
+    ``wedges``, the entries outside the ego, its successors and the pool of
+    ``z`` (a bool mark per pool bin) are wedges onto candidates.
+
+    The candidates are the distinct keys of the kept wedges, ascending.
+    A block with at most ``_SCAN_BINS_PER_WEDGE`` bins per kept wedge is
+    dense: each wedge marks its bin, and the marked bins, read in order,
+    are the candidates, with no sort. Otherwise each key's first wedge is
+    picked and only those keys are sorted. On ``ego_blocks`` over uniform
+    random graphs of 3000 nodes (NumPy 2.4.6, 2 vCPU), the scan was faster
+    in 11 of 11 alternating runs at 9.1 bins per kept wedge and below, and
+    slower in 11 of 11 at 10.9 and above; planted blocks hold 1.1 to 2.8,
+    uniform directed ones 9.1 to 18.4.
+    """
     n = graph.n_nodes
-    pools = 3 if sym_pool else 1
+    bins = (3 if sym_pool else 1) * egos.size * n
     indptr, indices = _pool_rows(graph, sym_pool)
     b_slot, b_pos = _kernels.gather_rows(indptr, egos)
     base = indices[b_pos]
     wedge_z, pos = _kernels.gather_rows(graph.sym_indptr, base)
     reached = graph.sym_indices[pos]
-    slot = b_slot[wedge_z]
-    key = slot * n + reached
-    mark = np.zeros(pools * egos.size * n, dtype=bool)
-
-    def marked(row_key, probe):
-        mark[:] = False
-        mark[row_key] = True
-        return mark[probe]
-
-    in_base = marked(b_slot * n + base, key)
-    # the pool is the ego's successors, which on undirected graphs are its
-    # symmetric row, or with sym_pool its symmetric row
-    in_succ = in_row = in_base
-    if sym_pool:
-        in_succ = marked(_row_keys(graph.out_indptr, graph.out_indices, egos, n), key)
-    elif graph.directed and MODE_UNDIRECTED in modes:
-        in_row = marked(_row_keys(graph.sym_indptr, graph.sym_indices, egos, n), key)
+    lengths = graph.sym_degree[base]
+    key = (b_slot * n).repeat(lengths) + reached
+    flags = np.zeros(egos.size * n, dtype=np.uint8)
+    if sym_pool or (graph.directed and MODE_UNDIRECTED in modes):
+        # the ego's symmetric row (with sym_pool, its pool) flags its
+        # successors by the config of each link
+        r_slot, r_pos = (b_slot, b_pos) if sym_pool else _kernels.gather_rows(
+            graph.sym_indptr, egos)
+        flags[r_slot * n + graph.sym_indices[r_pos]] = _ROW_FLAGS[graph.sym_config[r_pos]]
+    else:
+        # the pool is the ego's successors, on undirected graphs its symmetric row
+        flags[b_slot * n + base] = _SUCC if graph.directed else _ROW | _SUCC
+    if wedges:
+        flags[np.arange(0, egos.size * n, n) + egos] = _EGO
+    flag = flags[key]
 
     # pd of each z: mode undirected counts its entries w in the ego's
     # symmetric row; of those among the ego's successors, mode out counts
-    # the w with z -> w and mode in those with w -> z
+    # the w with z -> w and mode in those with w -> z. Each bit test is cast
+    # to bools, whose nonzero entries NumPy finds several times faster
     def count(hit):
         return np.bincount(wedge_z[hit], minlength=base.size).astype(np.int64)
 
     pd = {}
     if MODE_UNDIRECTED in modes:
-        pd[MODE_UNDIRECTED] = count(in_row.nonzero()[0])
+        pd[MODE_UNDIRECTED] = count((flag & _ROW).astype(bool).nonzero()[0])
     if MODE_OUT in modes or MODE_IN in modes:
-        hit = in_succ.nonzero()[0]
+        hit = (flag & _SUCC).astype(bool).nonzero()[0]
         cfg = graph.sym_config[pos[hit]]
         # plain ints: numpy compares them without probing the enum
         for mode, absent in ((MODE_OUT, int(EdgeConfig.IN)), (MODE_IN, int(EdgeConfig.OUT))):
@@ -356,27 +382,36 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
                 pd[mode] = count(hit[(cfg != absent).nonzero()[0]])
     if not wedges:
         return EgoView(graph, egos, base, None, None, None, None, pd)
-    wedge = ~in_succ & (reached != egos[slot])
+    wedge = flag < _SUCC
     if sym_pool:
         # pool (ego slot, ego-edge config of z): a wedge's key is its pool's
         # candidate, and no node of the pool is a candidate of it
         pool = b_slot * 3 + graph.sym_config[b_pos]
-        key = pool[wedge_z] * n + reached
-        wedge &= ~marked(pool * n + base, key)
+        key = (pool * n).repeat(lengths) + reached
+        mark = np.zeros(bins, dtype=bool)
+        mark[pool * n + base] = True
+        wedge &= ~mark[key]
     wedge = wedge.nonzero()[0]
     wedge_cfg = graph.sym_config[pos[wedge]] if sym_pool else None
     # the candidate step needs only the wedges' keys and pool positions
-    del b_slot, b_pos, pos, reached, slot, mark, in_base, in_succ, in_row
+    del b_slot, b_pos, pos, reached, flags, flag
     key, wedge_z = key[wedge], wedge_z[wedge]
     del wedge
-    # every key's bin ends up holding the position of one of its wedges,
-    # so that wedge alone finds itself there; no bin is read unwritten
-    index = np.empty(pools * egos.size * n, dtype=np.int64)
-    at = np.arange(key.size)
-    index[key] = at
-    cand_key = np.sort(key[(index[key] == at).nonzero()[0]])
+    index = np.empty(bins, dtype=np.int64)
+    if bins <= _SCAN_BINS_PER_WEDGE * key.size:
+        seen = np.zeros(bins, dtype=bool)
+        seen[key] = True
+        cand_key = seen.nonzero()[0]
+    else:
+        # every key's bin ends up holding the position of one of its wedges,
+        # so that wedge alone finds itself there; no bin is read unwritten
+        at = np.arange(key.size)
+        index[key] = at
+        cand_key = np.sort(key[(index[key] == at).nonzero()[0]])
     index[cand_key] = np.arange(cand_key.size)
-    cand_slot, candidates = np.divmod(cand_key, n)
+    # floor division by a scalar takes NumPy's fast path, which divmod lacks
+    cand_slot = cand_key // n
+    candidates = cand_key - cand_slot * n
     return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd, wedge_cfg)
 
 
@@ -460,8 +495,12 @@ def _block_runs(graph, sizes, sym_pool=False):
 
 
 def ego_blocks(graph, egos, modes, wedges=True):
-    """``EgoView``s over ``_block_runs`` of ``egos`` as ordered, with pd of ``modes``."""
-    egos = np.asarray(egos, dtype=np.int64)
+    """``EgoView``s over ``_block_runs`` of ``egos`` as ordered, with pd of
+    ``modes``; each id passes the checks of ``_ego_ids``, and repeats stay."""
+    egos = np.asarray(egos)
+    if egos.size:
+        _ego_ids(graph, egos)
+    egos = egos.astype(np.int64)
     for start, stop in _block_runs(graph, _gather_sizes(graph, egos)):
         yield _gather_block(graph, egos[start:stop], modes, wedges)
 

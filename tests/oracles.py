@@ -150,20 +150,30 @@ def empirical_cell(n_nodes, pairs_t, pairs_next, directed, ego, modes):
     return cell
 
 
+def triad_pools(out, inn, sym, u):
+    """Per ego-edge config (numbered as ``link_config``): the pool of the
+    ego ``u``, its neighbors z whose link read from ``u`` has that config,
+    and the pool's candidates, the nodes linked to some z, minus the ego,
+    its successors and the pool."""
+    succ, pred = out[u], inn[u]
+    pools = {0: succ - pred, 1: succ & pred, 2: pred - succ}
+    result = {}
+    for ecfg, pool in pools.items():
+        reach = set()
+        for z in pool:
+            reach |= sym[z]
+        result[ecfg] = pool, reach - succ - pool - {u}
+    return result
+
+
 def triad_cells(n_nodes, pairs_t, pairs_next, ego, modes, excluded=None):
     """Per-triad cell stats keyed by triad number 1..9; unusable cells are
     None, each counted in ``excluded`` (when given) under its reason: all
     of its candidates formed, or none did (an empty candidate set too)."""
     out, inn, sym = adjacency(n_nodes, pairs_t, True)
     nout, _, _ = adjacency(n_nodes, pairs_next, True)
-    succ, pred = out[ego], inn[ego]
-    pools = {0: succ - pred, 1: succ & pred, 2: pred - succ}
     cells = {}
-    for ecfg, pool in pools.items():
-        reach = set()
-        for z in pool:
-            reach |= sym[z]
-        cand = reach - succ - pool - {ego}
+    for ecfg, (pool, cand) in triad_pools(out, inn, sym, ego).items():
         for ncfg in (0, 1, 2):
             triad = 3 * ecfg + ncfg + 1
             by_v = {}

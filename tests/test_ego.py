@@ -330,6 +330,19 @@ class TestEgoSetRule:
         (view,) = ego_blocks(g, [ids["y1"], ids["u"]], ALL_MODES[:1])
         assert view.egos.tolist() == [ids["y1"], ids["u"]]
 
+    def test_blocks_check_ids(self, two_broker_graph):
+        # ego_blocks keeps order and repeats, but its ids pass the checks
+        # of the rule: 1.7 is not gathered as ego 1, and an id out of range
+        # is named, not left to NumPy
+        g, _ = two_broker_graph
+        n = g.n_nodes
+        with pytest.raises(ConfigError, match="node id 1.7 is not a whole number"):
+            list(ego_blocks(g, [0, 1.7], ALL_MODES[:1]))
+        for bad in (-1, n):
+            with pytest.raises(IndexError, match=rf"node id {bad} out of range \[0, {n}\)"):
+                list(ego_blocks(g, [0, bad], ALL_MODES[:1]))
+        assert [v.egos.tolist() for v in ego_blocks(g, [2.0, 0, 2], ALL_MODES[:1])] == [[2, 0, 2]]
+
 
 def _chunk_series():
     """One transition; new successors in ego order: 0 -> 2 (row of 1

@@ -16,6 +16,7 @@ from conftest import make_graph, push_wedges
 import egolink.ego as ego_module
 from egolink._kernels import accumulate_common_terms
 from egolink.ego import (
+    _gather_block,
     ALL_MODES,
     EdgeConfig,
     edge_config,
@@ -49,6 +50,24 @@ def graphs(draw):
         # a hub ego linked to every node
         pairs += [(ego, w) for w in range(n) if w != ego]
     return n, directed, pairs, ego
+
+
+def _view_arrays(view):
+    """Every array of an ``EgoView`` with its dtype, None for an absent one."""
+    arrays = [view.egos, view.base, view.candidates, view.cand_slot, view.wedge_z,
+              view.wedge_v, view.wedge_cfg] + [view._pd[m] for m in sorted(view._pd)]
+    return sorted(view._pd), [None if a is None else (a.dtype.str, a.tolist()) for a in arrays]
+
+
+def _both_steps(call):
+    """The views of ``call()`` with the candidate step forced to the sort,
+    checked equal, array for array, to those with it forced to the scan."""
+    runs = []
+    for bins_per_wedge in (0, 1 << 62):
+        with mock.patch.object(ego_module, "_SCAN_BINS_PER_WEDGE", bins_per_wedge):
+            runs.append(list(call()))
+    assert [_view_arrays(v) for v in runs[0]] == [_view_arrays(v) for v in runs[1]]
+    return runs[0]
 
 
 def _oracle(graph):
@@ -208,7 +227,8 @@ def test_personalized_degree_equals_rows_form(graph, echo):
 @example(graph=_NO_NEIGHBORS, data=None)
 @example(graph=_HUB, data=None)
 def test_blocks_equal_single_ego_tables(graph, data):
-    # every block budget cuts the same per-ego pd, candidates and scores;
+    # every block budget cuts the same per-ego pd, candidates and scores,
+    # and the scan and the sort of the candidate step the same views;
     # ego 0 of _NO_NEIGHBORS has no successor, and ego 0 of _HUB gathers
     # 12 entries, more than budgets 1, 2 and 5; budget 30 lets the
     # gathered entries, not the bins, end some blocks
@@ -219,8 +239,8 @@ def test_blocks_equal_single_ego_tables(graph, data):
     for budget in (1, 2, 5, 30, ego_module._CHUNK):
         for mode in ALL_MODES if directed else ("undirected",):
             with mock.patch.object(ego_module, "_CHUNK", budget):
-                blocks = list(ego_blocks(g, egos, (mode,)))
-                bare = list(ego_blocks(g, egos, (mode,), wedges=False))
+                blocks = _both_steps(lambda: ego_blocks(g, egos, (mode,)))
+                bare = _both_steps(lambda: ego_blocks(g, egos, (mode,), wedges=False))
             assert np.concatenate([b.egos for b in blocks]).tolist() == egos.tolist()
             for block, pd_only in zip(blocks, bare, strict=True):
                 assert block.egos.size == 1 or (
@@ -241,3 +261,41 @@ def test_blocks_equal_single_ego_tables(graph, data):
                     assert counts[at].tolist() == table.cn_counts.tolist()
                     for method in ALL_METHODS:
                         assert columns[method][at].tolist() == table.scores(method).tolist()
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(graph=graphs(), data=st.data())
+@example(graph=_EMPTY, data=None)
+@example(graph=_NO_NEIGHBORS, data=None)
+@example(graph=_HUB, data=None)
+def test_per_triad_blocks_against_oracle(graph, data):
+    # one block of several egos, in any order and with repeats, split into
+    # symmetric pools: per ego i and ego-edge config c, the candidates of
+    # slot 3 i + c, the wedges onto them with their far-edge configs and
+    # counts, and pd in every mode; the scan and the sort agree
+    n, _, pairs, _ = graph
+    g = make_graph(pairs, n, directed=True)
+    out, inn, sym = oracles.adjacency(n, pairs, True)
+    egos = np.arange(n) if data is None else np.array(
+        data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2)), dtype=np.int64)
+    (view,) = _both_steps(lambda: [_gather_block(g, egos, ALL_MODES, sym_pool=True)])
+    assert view.egos.tolist() == egos.tolist()
+    assert (np.diff(view.wedge_z) >= 0).all()
+    _, counts = view.accumulate(np.zeros((view.base.size, 0)))
+    base_ptr = np.concatenate(([0], np.cumsum(g.sym_degree[egos])))
+    for i, u in enumerate(egos.tolist()):
+        base = view.base[base_ptr[i]:base_ptr[i + 1]].tolist()
+        assert base == sorted(sym[u])
+        for mode in ALL_MODES:
+            assert view.pd(mode)[base_ptr[i]:base_ptr[i + 1]].tolist() == [
+                oracles.pdeg(out, inn, sym, u, z, mode) for z in base]
+        for c, (pool, cand) in oracles.triad_pools(out, inn, sym, u).items():
+            at = (view.cand_slot == 3 * i + c).nonzero()[0]
+            assert view.candidates[at].tolist() == sorted(cand)
+            assert counts[at].tolist() == [len(pool & sym[v]) for v in sorted(cand)]
+            onto = np.isin(view.wedge_v, at)
+            wedges = zip(view.base[view.wedge_z[onto]].tolist(),
+                         view.candidates[view.wedge_v[onto]].tolist(),
+                         view.wedge_cfg[onto].tolist())
+            assert sorted(wedges) == sorted(
+                (z, v, oracles.link_config(out, inn, z, v)) for z in pool for v in sym[z] & cand)
