@@ -1,5 +1,7 @@
 """Egocentric link recommendation over temporal graph snapshots."""
 
+from types import ModuleType as _ModuleType
+
 from .degree_dist import (
     BinnedDistribution,
     DegreeSampleSet,
@@ -59,49 +61,6 @@ from .scorers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BinnedDistribution",
-    "DegreeSampleSet",
-    "global_degree_samples",
-    "log_binned_histogram",
-    "personalized_degree_samples",
-    "EdgeConfig",
-    "EgoView",
-    "TriadType",
-    "TRIAD_TABLE",
-    "classify_triad",
-    "common_neighbors",
-    "ego_neighbors",
-    "ego_view",
-    "personalized_degree",
-    "sample_egos",
-    "two_hop_candidates",
-    "EmpiricalStats",
-    "GroupStats",
-    "aggregate_empirical",
-    "ego_snapshot_stats",
-    "ConfigError",
-    "EmptyInputError",
-    "EmptyResultError",
-    "ParseError",
-    "PreconditionError",
-    "EvalResult",
-    "RankedList",
-    "evaluate_methods",
-    "percent_improvement",
-    "precision_at_k",
-    "rank_candidates",
-    "GeneratorSpec",
-    "generate",
-    "SnapshotGraph",
-    "SnapshotSeries",
-    "TemporalEdgeList",
-    "build_snapshots",
-    "drop_zero_out_degree",
-    "ingest_edges",
-    "write_label_map_csv",
-    "write_normalized_csv",
-    "ScoreTable",
-    "score_candidates",
-]
+#: the public names: ``__version__`` and every name imported above
+__all__ = ["__version__"] + [name for name, value in globals().items()
+                             if not name.startswith("_") and not isinstance(value, _ModuleType)]

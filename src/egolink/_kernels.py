@@ -23,6 +23,10 @@ entries at half density it costs four to five times the positions and the
 take together. A take keeps order, so the result is that of the mask. A
 mask that is almost all True, such as the self-loop drop, predicts well
 and stays a mask.
+
+Division by a scalar is ``q = key // n`` and ``key - q * n``: on 38,000
+sorted int64 keys ``np.divmod(key, n)``, which misses the fast path of
+``//`` by a scalar, took 177-458 µs against 85-110 µs (NumPy 2.4.6).
 """
 
 import numpy as np

@@ -4,8 +4,9 @@ one ego (``ego_view``) or of a run of egos (``ego_blocks``); every
 personalized degree, ``personalized_degrees`` too, is read from a gather,
 except that of every symmetric entry of an undirected graph at once,
 which is read from triangle supports (``_support_pd``). A gather reads
-one flag byte per gathered entry, and reads its candidates off its bins
-when they are dense (``_gather_block``).
+one flag byte per gathered entry, keys a candidate by its ego or by its
+ego and triad, and reads its candidates off its bins when they are dense
+(``_gather_block``).
 
 Conventions for a directed ego ``u``:
 
@@ -90,12 +91,12 @@ def sample_egos(series, sample_size=None, seed=0):
 
 
 def _ego_ids(graph, egos):
-    """The ego-set rule: ``egos`` as int64 node ids of ``graph``, each once,
-    ascending; an id that is not a whole number is a ConfigError naming it,
-    one out of range an IndexError (a negative one would wrap around), and
-    an empty list an EmptyInputError. A lone id (a scalar) is not de-duplicated."""
-    egos = np.asarray(egos)
-    egos = np.unique(egos) if egos.ndim else egos.reshape(1)
+    """The ego-set rule: the list ``egos`` as int64 node ids of ``graph``,
+    each once, ascending; an id that is not a whole number is a ConfigError
+    naming it, one out of range an IndexError (a negative one would wrap
+    around), and an empty list an EmptyInputError. A lone id is a list of
+    one; the functions of one ego take theirs through ``_check_node``."""
+    egos = np.unique(egos)
     if not egos.size:
         raise EmptyInputError("egos: need at least one ego, got an empty list")
     # whole numbers need no check of the ids between the least and the largest
@@ -122,6 +123,7 @@ def personalized_degrees(graph, u, targets, mode):
     from the gather of the one ego ``u`` (``_gather_block``); a target
     outside the ego's neighborhood is a PreconditionError naming it."""
     validate_mode(mode, graph.directed)
+    u = graph._check_node(u)
     base = ego_neighbors(graph, u)
     targets = np.asarray(targets)
     pos = np.searchsorted(base, targets)
@@ -129,7 +131,7 @@ def personalized_degrees(graph, u, targets, mode):
     found[found] = base[pos[found]] == targets[found]
     if not found.all():
         raise PreconditionError(f"{targets[~found][0]} is not a neighbor of ego {u}")
-    view = _gather_block(graph, _ego_ids(graph, u), (mode,), wedges=False)
+    view = _gather_block(graph, np.array([u]), (mode,), wedges=False)
     return view.pd(mode)[pos]
 
 
@@ -220,9 +222,8 @@ def classify_triad(graph, u, z, v):
 
 
 #: budget of one run (``_runs``): the gathered entries of a
-#: ``_forming_cells`` run, both the bins (pools × nodes) and the
-#: gathered entries of an ``ego_blocks`` view, and the wedges of a
-#: ``_support_pd`` run
+#: ``_forming_cells`` run, both the gathered entries and the bins of a
+#: block (``_block_runs``), and the wedges of a ``_support_pd`` run
 _CHUNK = 1 << 16
 
 
@@ -246,14 +247,14 @@ class EgoView:
     """The gather of one ego or of a run of egos laid end to end, in ego
     order: ego ``egos[i]`` has the next entries of ``base`` (its neighbor
     pool: its successors, or its symmetric row), and its sorted candidates
-    are the entries of ``candidates`` with ``cand_slot == i``; a symmetric
-    pool has ``cand_slot == 3 * i + c`` for those reached from the ``z``
-    of ego-edge config ``c``. The wedges ``z -> v`` (``wedge_z`` into
-    ``base``, ``wedge_v`` into ``candidates``, and with a symmetric pool
-    ``wedge_cfg``, the config of the ``z``-``v`` link read from ``z``)
-    and pd index the whole view, and each ego's wedges run in ascending
-    z. Without wedges, the candidate and wedge fields are None.
-    ``formed`` tests the candidates against the next snapshot."""
+    are the entries of ``candidates`` with ``cand_slot`` in ``[slots * i,
+    slots * (i + 1))``. A view has one slot per ego, or with a symmetric
+    pool nine, one per triad: slot ``9 * i + T - 1`` holds the candidates
+    reached by a wedge of triad ``T``. The wedges ``z -> v`` (``wedge_z``
+    into ``base``, ``wedge_v`` into ``candidates``) and pd index the whole
+    view, and each ego's wedges run in ascending z. Without wedges, the
+    candidate and wedge fields are None. ``formed`` tests the candidates
+    against the next snapshot."""
 
     graph: object
     egos: np.ndarray
@@ -263,7 +264,7 @@ class EgoView:
     wedge_z: np.ndarray = field(repr=False)
     wedge_v: np.ndarray = field(repr=False)
     _pd: dict = field(repr=False)
-    wedge_cfg: np.ndarray = field(default=None, repr=False)
+    slots: int = 1
 
     @property
     def ego(self):
@@ -285,9 +286,8 @@ class EgoView:
                                                 self.candidates.size)
 
     def formed(self, next_graph):
-        """Per candidate: whether it is a successor of its ego in the next
-        snapshot; a symmetric pool (with ``wedge_cfg``) has 3 slots per ego."""
-        ego_slot = self.cand_slot if self.wedge_cfg is None else self.cand_slot // 3
+        """Per candidate: whether its ego links to it in the next snapshot."""
+        ego_slot = self.cand_slot if self.slots == 1 else self.cand_slot // self.slots
         n = self.graph.n_nodes
         return _kernels.contains(_row_keys(next_graph.out_indptr, next_graph.out_indices,
                                            self.egos, n), ego_slot * n + self.candidates)
@@ -323,12 +323,14 @@ _SCAN_BINS_PER_WEDGE = 8
 
 def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     """One gather for all ``egos``: their pool rows (successors, or with
-    ``sym_pool`` symmetric rows, split by ego-edge config), then the
-    symmetric rows of every pool node ``z``. Each entry ``w`` reads the
-    flag byte of its ``(ego slot) * n + w`` bin once (``_ROW``, ``_SUCC``,
-    ``_EGO``), which gives the personalized degrees of ``modes``; with
-    ``wedges``, the entries outside the ego, its successors and the pool of
-    ``z`` (a bool mark per pool bin) are wedges onto candidates.
+    ``sym_pool`` symmetric rows), then the symmetric rows of every pool
+    node ``z``. Each entry ``w`` reads the flag byte of its ``(ego slot) *
+    n + w`` bin once (``_ROW``, ``_SUCC``, ``_EGO``), which gives the
+    personalized degrees of ``modes``; with ``wedges``, the entries outside
+    the ego and its successors are wedges onto candidates, keyed by their
+    ``EgoView`` slot. A triad's pool, the ego's neighbors of its ego-edge
+    config, holds none of its candidates: for in-only ``z`` those are the
+    in-only row nodes (flag ``_ROW``); the other pools hold successors.
 
     The candidates are the distinct keys of the kept wedges, ascending.
     A block with at most ``_SCAN_BINS_PER_WEDGE`` bins per kept wedge is
@@ -341,7 +343,8 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     uniform directed ones 9.1 to 18.4.
     """
     n = graph.n_nodes
-    bins = (3 if sym_pool else 1) * egos.size * n
+    slots = 9 if sym_pool else 1
+    bins = slots * egos.size * n
     indptr, indices = _pool_rows(graph, sym_pool)
     b_slot, b_pos = _kernels.gather_rows(indptr, egos)
     base = indices[b_pos]
@@ -384,20 +387,22 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
         return EgoView(graph, egos, base, None, None, None, None, pd)
     wedge = flag < _SUCC
     if sym_pool:
-        # pool (ego slot, ego-edge config of z): a wedge's key is its pool's
-        # candidate, and no node of the pool is a candidate of it
-        pool = b_slot * 3 + graph.sym_config[b_pos]
-        key = (pool * n).repeat(lengths) + reached
-        mark = np.zeros(bins, dtype=bool)
-        mark[pool * n + base] = True
-        wedge &= ~mark[key]
+        # an in-only z's pool, the in-only row nodes (flag _ROW), is out of its triads
+        ego_cfg = graph.sym_config[b_pos]
+        wedge &= ~((ego_cfg == int(EdgeConfig.IN)).repeat(lengths) & (flag == _ROW))
     wedge = wedge.nonzero()[0]
-    wedge_cfg = graph.sym_config[pos[wedge]] if sym_pool else None
+    if sym_pool:
+        # slot (ego slot) * 9 + T - 1, where T - 1 = 3 * (config of u-z) + (config of z-v)
+        shift, nb_cfg = 8 * b_slot + 3 * ego_cfg, graph.sym_config[pos[wedge]]
     # the candidate step needs only the wedges' keys and pool positions
     del b_slot, b_pos, pos, reached, flags, flag
     key, wedge_z = key[wedge], wedge_z[wedge]
     del wedge
-    index = np.empty(bins, dtype=np.int64)
+    if sym_pool:
+        key += (shift[wedge_z] + nb_cfg) * n
+    # it holds positions below key.size, and a per-triad block has 9 bins
+    # per node of each ego: the narrowest dtype keeps its memory down
+    index = np.empty(bins, dtype=np.min_scalar_type(key.size))
     if bins <= _SCAN_BINS_PER_WEDGE * key.size:
         seen = np.zeros(bins, dtype=bool)
         seen[key] = True
@@ -409,10 +414,10 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
         index[key] = at
         cand_key = np.sort(key[(index[key] == at).nonzero()[0]])
     index[cand_key] = np.arange(cand_key.size)
-    # floor division by a scalar takes NumPy's fast path, which divmod lacks
     cand_slot = cand_key // n
     candidates = cand_key - cand_slot * n
-    return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, index[key], pd, wedge_cfg)
+    wedge_v = index[key].astype(np.int64)
+    return EgoView(graph, egos, base, candidates, cand_slot, wedge_z, wedge_v, pd, slots)
 
 
 #: apexes of one ``_support_pd`` run: one bit each of a node's word
@@ -487,9 +492,13 @@ def _gather_sizes(graph, egos, sym_pool=False):
 
 def _block_runs(graph, sizes, sym_pool=False):
     """Runs (``_runs``) of egos with gather ``sizes``: one ego, or more
-    while they fit in ``_CHUNK`` bins (three pools per ego with
-    ``sym_pool``) and ``_CHUNK`` gathered entries, so a block's memory is
-    O(``_CHUNK``) unless one ego's gather is larger."""
+    while they fit in ``_CHUNK`` gathered entries and ``_CHUNK`` bins, so
+    a block's memory is O(``_CHUNK``) unless one ego's gather is larger.
+    With ``sym_pool`` an ego counts 3 bins per node, though it keys 9 triad
+    slots: on ``triad-directed`` (seed 0; NumPy 2.4.6, 2 vCPU, medians of 5
+    processes) its per-triad blocks ran in 13.3 ms, with a 54.2 MB peak over
+    its six CLI stages; counting 1 bin, 11.0 ms and 54.8 MB; counting 9,
+    23.6 ms in 45 blocks."""
     per_block = max(_CHUNK // max((3 if sym_pool else 1) * graph.n_nodes, 1), 1)
     return _runs(np.cumsum(sizes), lambda start: start + per_block)
 
@@ -509,7 +518,7 @@ def ego_view(graph, u):
     """The view of the one ego ``u``: its candidates, the wedges onto
     them, and the personalized degrees of every mode the graph admits."""
     modes = ALL_MODES if graph.directed else (MODE_UNDIRECTED,)
-    return _gather_block(graph, _ego_ids(graph, u), modes)
+    return _gather_block(graph, np.array([graph._check_node(u)]), modes)
 
 
 def _forming_cells(series, egos, sym_pool):
@@ -536,7 +545,8 @@ def _forming_cells(series, egos, sym_pool):
         held = _row_keys(g.out_indptr, g.out_indices, egos, n)
         pool = _row_keys(g.sym_indptr, g.sym_indices, egos, n) if sym_pool else held
         key = _row_keys(nxt.out_indptr, nxt.out_indices, egos, n)
-        slot, w = np.divmod(key, n)
+        slot = key // n
+        w = key - slot * n
         new = (~_kernels.contains(held, key)).nonzero()[0]
         slot, w = slot[new], w[new]
         # rounds by each ego's new-successor rank: [0, 1), [1, 2), [2, 4),

@@ -10,21 +10,22 @@ non-empty, so formed and not-formed aggregates always cover identical
 (ego, snapshot) cells. A per-triad cell (directed graphs) narrows the
 pool by the config of the ego's link to ``z`` and the wedges by the
 config of the ``z``-``v`` link (``SnapshotGraph.sym_config``); its
-candidates are those of its pool with a wedge of its config.
+candidates are those of its pool with a wedge of its triad.
 
 Cells run on the block driver that ``evaluate`` shares
 (``ego._cell_blocks``). ``ego._forming_cells`` first marks the (ego,
 transition) pairs where a candidate can form; the cells of an unmarked
 pair, one or nine per triad, have none and are left out without a
 gather. The marked egos of a transition run in blocks: one
-``ego._gather_block`` (per triad with symmetric pools), one accumulate
-over its wedges in ascending-z order, the reason of each left-out cell
-from counts per cell, and every (cell, group) mean by
-``_util.group_means``. A usable cell is one row of values, one column
-per (mode, group, degree kind); per triad key, the rows pool across
-egos by the rule of ``_util.pool_egos``. The cells left out are counted
-per reason (``EXCLUSIONS``) in the diagnostics. ``ego_snapshot_stats``
-is the block of one ego at one transition.
+``ego._gather_block``, whose candidate slots are the cells (per triad,
+with symmetric pools, nine per ego), one accumulate over its wedges in
+ascending-z order, the reason of each left-out cell from counts per
+cell, and every (cell, group) mean by ``_util.group_means``; plain and
+per-triad cells take that one path. A usable cell is one row of values,
+one column per (mode, group, degree kind); per triad key, the rows pool
+across egos by the rule of ``_util.pool_egos``. The cells left out are
+counted per reason (``EXCLUSIONS``) in the diagnostics.
+``ego_snapshot_stats`` is the block of one ego at one transition.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from itertools import product
 
 import numpy as np
 
-from . import _kernels
 from ._util import group_means, pool_egos
 from .degree_dist import KIND_GLOBAL, KIND_PERSONALIZED
 from .ego import TriadType, _cell_blocks, _ego_ids, _gather_block, resolve_modes, sample_egos
@@ -94,29 +94,21 @@ def _ego_worker(payload, item):
     series, per_triad, modes = payload
     t, egos = item
     view = _gather_block(series[t], egos, modes, sym_pool=per_triad)
-    # per triad: three pools per ego (``EgoView``), and one bin per
-    # (candidate, neighbor-edge config)
-    configs = 3 if per_triad else 1
     terms = _log_degree_terms([col for m in modes for col in (view.gd(m), view.pd(m))])
-    sums, counts = _kernels.accumulate_common_terms(
-        view.wedge_z, view.wedge_v * configs + (view.wedge_cfg if per_triad else 0), terms,
-        configs * view.candidates.size)
-    kept = np.flatnonzero(counts)
-    cand, nb_cfg = np.divmod(kept, configs)
-    # cell: the candidate's pool, then its neighbor-edge config; per triad,
-    # (ego slot) * 9 + triad - 1
-    cell = view.cand_slot[cand] * configs + nb_cfg
-    formed = view.formed(series[t + 1])[cand]
-    n_cells = egos.size * configs ** 2
+    sums, counts = view.accumulate(terms)
+    # cell: the candidate's slot, per triad (ego slot) * 9 + triad - 1
+    cell = view.cand_slot
+    formed = view.formed(series[t + 1])
+    n_cells = egos.size * view.slots
     n_formed = np.bincount(cell[formed.nonzero()[0]], minlength=n_cells)
     reason = np.select([n_formed == 0, n_formed == np.bincount(cell, minlength=n_cells)],
                        range(len(EXCLUSIONS)), -1)
     usable = (reason[cell] < 0).nonzero()[0]
     # groups: each usable cell's formed, then its not-formed candidates
-    group, bins = 2 * cell[usable] + ~formed[usable], kept[usable]
-    terms = sums[bins] / counts[bins, None]
+    group = 2 * cell[usable] + ~formed[usable]
+    terms = sums[usable] / counts[usable, None]
     # the positions are int64, unlike the mask: none is held while grouping
-    del usable, bins
+    del usable
     means, n_candidates = group_means(group, terms)
     values = means.reshape(-1, len(GROUPS), len(modes), 2).transpose(0, 2, 1, 3)
     return reason, values.reshape(-1, 4 * len(modes)), n_candidates
@@ -129,7 +121,7 @@ def ego_snapshot_stats(series, t, ego, per_triad=False, degree_modes=None, exclu
     keyed by ``EXCLUSIONS`` is given."""
     if not 0 <= t < len(series) - 1:
         raise IndexError(f"transition index {t} needs a following snapshot")
-    egos = _ego_ids(series[t], ego)
+    egos = np.array([series[t]._check_node(ego)])
     modes = resolve_modes(series.directed, degree_modes, per_triad)
     reason, values, n_candidates = _ego_worker((series, per_triad, modes), (t, egos))
     if excluded is not None:
@@ -161,7 +153,8 @@ def aggregate_empirical(series, egos=None, per_triad=False, degree_modes=None, w
         _ego_worker, (series, per_triad, modes), series, egos,
         EXCLUSIONS.index(EXCLUDED_NO_FORMED), len(columns), workers, sym_pool=per_triad)
     triad_keys = list(TriadType) if per_triad else [None]
-    ego, triad = np.divmod(cell, len(triad_keys))
+    ego = cell // len(triad_keys)
+    triad = cell - ego * len(triad_keys)
     ego = egos[ego]
     rows = []
     for i in np.unique(triad):

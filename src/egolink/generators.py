@@ -16,6 +16,7 @@ decimal ids); edges come out time-sorted and deduplicated like any
 normalized list.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,6 +29,7 @@ from .graph import (
     TemporalEdgeList,
     TIME_MODE_INDEX,
     TIME_MODE_TIMESTAMP,
+    _INT64_MAX,
 )
 from .scorers import score_block, validate_methods
 
@@ -39,6 +41,9 @@ ALL_KINDS = (KIND_UNIFORM, KIND_PREFERENTIAL, KIND_PLANTED)
 
 #: timestamps for the uniform generator span 90 days of seconds
 DEFAULT_TIME_SPAN = 90 * 86_400
+
+#: node pair keys ``src * n_nodes + dst`` are int64, as timestamps are
+_MAX_NODES = math.isqrt(_INT64_MAX)
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,14 @@ class GeneratorSpec:
     n_snapshots: int = None  # planted-scorer snapshot count
     formation_rate: float = 0.05  # planted-scorer per-ego rate scale
     time_span: int = DEFAULT_TIME_SPAN  # uniform-random timestamp window
+
+
+def _node_count(n_nodes, least):
+    """``n_nodes`` as an int from ``least`` to ``_MAX_NODES``."""
+    n_nodes = int(n_nodes)
+    if not least <= n_nodes <= _MAX_NODES:
+        raise ConfigError(f"n_nodes: must be in {least}..{_MAX_NODES}, got {n_nodes}")
+    return n_nodes
 
 
 def _assemble(n_nodes, src, dst, time, directed, time_mode):
@@ -95,13 +108,11 @@ def _uniform_structure(rng, n_nodes, edge_prob, directed):
 def uniform_random_edges(n_nodes, edge_prob, directed=False, seed=0,
                          time_span=DEFAULT_TIME_SPAN):
     """Independent edges with uniform random timestamps."""
-    n_nodes = int(n_nodes)
-    if n_nodes < 1:
-        raise ConfigError(f"n_nodes: need at least 1 node, got {n_nodes}")
+    n_nodes = _node_count(n_nodes, 1)
     if not 0.0 <= float(edge_prob) <= 1.0:
         raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
-    if int(time_span) < 1:
-        raise ConfigError(f"time_span: must be positive, got {time_span}")
+    if not 1 <= int(time_span) <= _INT64_MAX:
+        raise ConfigError(f"time_span: must be in 1..{_INT64_MAX}, got {time_span}")
     rng = np.random.default_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
     time = rng.integers(0, int(time_span), size=src.size, dtype=np.int64)
@@ -112,12 +123,11 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
     """Arriving nodes attach to ``n_attach`` distinct targets drawn
     with probability proportional to current degree; timestamps are
     arrival steps. Directed edges point from the newcomer."""
-    n_nodes = int(n_nodes)
     m = int(n_attach)
     if m < 1:
         raise ConfigError(f"n_attach: must be >= 1, got {n_attach}")
-    if n_nodes < m + 2:
-        raise ConfigError(f"n_nodes: need at least {m + 2} nodes for attachment count {m}")
+    # the seed clique on m + 1 nodes, and one arrival
+    n_nodes = _node_count(n_nodes, m + 2)
     rng = np.random.default_rng(seed)
     src = []
     dst = []
@@ -146,9 +156,7 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
 def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=False,
                          mode=MODE_UNDIRECTED, formation_rate=0.05, seed=0):
     """Snapshot sequence whose formations follow a scorer's rankings."""
-    n_nodes = int(n_nodes)
-    if n_nodes < 3:
-        raise ConfigError(f"n_nodes: need at least 3 nodes, got {n_nodes}")
+    n_nodes = _node_count(n_nodes, 3)
     if not 0.0 <= float(edge_prob) <= 1.0:
         raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
     if int(n_snapshots) < 2:

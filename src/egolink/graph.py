@@ -526,7 +526,9 @@ class _EntrySort:
         key = key[order]
         # keys are >= 0, so the -1 before them opens the first group
         starts = np.flatnonzero(np.diff(key, prepend=-1))
-        self.rows, self.cols = np.divmod(key[starts], n)
+        key = key[starts]
+        self.rows = key // n
+        self.cols = key - self.rows * n
         del key
         window = np.concatenate([window, window])[order]
         if directed:
@@ -622,9 +624,9 @@ class SnapshotGraph(_ReadOnlyArrays):
 
     def _check_node(self, u):
         """``u`` as an int node id: a ConfigError names an id that is not a
-        whole number, an IndexError one out of range."""
-        if not isinstance(u, (int, np.integer)) and not float(u).is_integer():
-            raise ConfigError(f"node id {u} is not a whole number")
+        scalar or not a whole number, an IndexError one out of range."""
+        if not isinstance(u, (int, np.integer)) and (np.ndim(u) or not float(u).is_integer()):
+            raise ConfigError(f"node id {u} is not a {'scalar' if np.ndim(u) else 'whole number'}")
         if not 0 <= u < self.n_nodes:
             raise _out_of_range(u, self.n_nodes)
         return int(u)

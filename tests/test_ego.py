@@ -29,8 +29,10 @@ from egolink.ego import (
     two_hop_candidates,
     validate_mode,
 )
-from egolink.empirical import aggregate_empirical
+from egolink.empirical import aggregate_empirical, ego_snapshot_stats
 from egolink.errors import ConfigError, EmptyInputError, PreconditionError
+from egolink.generators import planted_scorer_edges
+from egolink.graph import build_snapshots
 from egolink.scorers import score_candidates
 
 
@@ -276,12 +278,12 @@ class TestEgoView:
     @pytest.mark.parametrize("seed", range(6))
     def test_formed_reads_next_successors(self, seed, sym_pool):
         # a candidate formed when it is a successor of its own ego in the
-        # next snapshot; per triad, each ego has three pools of candidates
+        # next snapshot; per triad, each ego has nine slots of candidates
         series = make_series(random_snapshots(seed, 12, 0.2, True, 2, growth=1.0), 12,
                              directed=True)
         egos = np.arange(12, dtype=np.int64)[::2]
         view = _gather_block(series[0], egos, (), sym_pool=sym_pool)
-        ego = egos[view.cand_slot // (3 if sym_pool else 1)]
+        ego = egos[view.cand_slot // (9 if sym_pool else 1)]
         want = [c in series[1].successors(u).tolist()
                 for u, c in zip(ego.tolist(), view.candidates.tolist())]
         assert any(want) and not all(want)
@@ -342,6 +344,24 @@ class TestEgoSetRule:
             with pytest.raises(IndexError, match=rf"node id {bad} out of range \[0, {n}\)"):
                 list(ego_blocks(g, [0, bad], ALL_MODES[:1]))
         assert [v.egos.tolist() for v in ego_blocks(g, [2.0, 0, 2], ALL_MODES[:1])] == [[2, 0, 2]]
+
+    def test_one_ego_takes_one_id(self):
+        # a function of one ego takes one id: a list is a ConfigError naming
+        # it, not a set of egos; a whole float is its id
+        g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
+        for call, ids in ((lambda u: two_hop_candidates(g, u), [0, 1]),
+                          (lambda u: ego_view(g, u), [1, 0]),
+                          (lambda u: personalized_degrees(g, u, [0], "undirected"), [1])):
+            with pytest.raises(ConfigError, match=rf"node id \[{ids[0]}.* is not a scalar"):
+                call(ids)
+        assert two_hop_candidates(g, np.int64(1)).tolist() == [3]
+        series = build_snapshots(planted_scorer_edges(200, 0.05, "pd-cn", n_snapshots=3, seed=1),
+                                 preassigned=True)
+        for ids in ([5, 7], [13, 14]):
+            with pytest.raises(ConfigError, match="is not a scalar"):
+                ego_snapshot_stats(series, 0, ids)
+        stats = ego_snapshot_stats(series, 0, 14)
+        assert stats[None] is not None and ego_snapshot_stats(series, 0, 14.0) == stats
 
 
 def _chunk_series():

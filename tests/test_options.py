@@ -321,9 +321,15 @@ _PLANTED = ["--kind", "planted-scorer", "--n-nodes", "20", "--edge-prob", "0.2",
     (_PLANTED + ["--formation-rate", "0"], "formation_rate"),
     (_PLANTED[:-2], "n_snapshots"),
     (["--kind", "star", "--n-nodes", "5"], "kind"),
+    # keys past int64 are named too
+    (_UNIFORM + ["--time-span", "99999999999999999999"], "time_span"),
+    (_UNIFORM + ["--n-nodes", "99999999999999999999"], "n_nodes"),
+    (_PREFERENTIAL + ["--n-nodes", "99999999999999999999"], "n_nodes"),
+    (_PLANTED + ["--n-nodes", "99999999999999999999"], "n_nodes"),
 ], ids=["uniform-nodes", "uniform-prob", "uniform-span", "uniform-no-prob",
         "pa-attach", "pa-nodes", "pa-no-attach", "planted-nodes", "planted-prob",
-        "planted-snapshots", "planted-rate", "planted-no-snapshots", "kind"])
+        "planted-snapshots", "planted-rate", "planted-no-snapshots", "kind",
+        "uniform-huge-span", "uniform-huge-nodes", "pa-huge-nodes", "planted-huge-nodes"])
 def test_generator_check_names_key(argv, key, tmp_path, capsys):
     assert main(["generate", *argv, "--output-dir", str(tmp_path / "o")]) == 1
     assert f"error: {key}: " in capsys.readouterr().err

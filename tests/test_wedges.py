@@ -19,6 +19,7 @@ from egolink.ego import (
     _gather_block,
     ALL_MODES,
     EdgeConfig,
+    TRIAD_TABLE,
     edge_config,
     ego_blocks,
     ego_view,
@@ -53,10 +54,12 @@ def graphs(draw):
 
 
 def _view_arrays(view):
-    """Every array of an ``EgoView`` with its dtype, None for an absent one."""
+    """Every array of an ``EgoView`` with its dtype, None for an absent one,
+    and its slots per ego."""
     arrays = [view.egos, view.base, view.candidates, view.cand_slot, view.wedge_z,
-              view.wedge_v, view.wedge_cfg] + [view._pd[m] for m in sorted(view._pd)]
-    return sorted(view._pd), [None if a is None else (a.dtype.str, a.tolist()) for a in arrays]
+              view.wedge_v] + [view._pd[m] for m in sorted(view._pd)]
+    return (sorted(view._pd), view.slots,
+            [None if a is None else (a.dtype.str, a.tolist()) for a in arrays])
 
 
 def _both_steps(call):
@@ -269,20 +272,23 @@ def test_blocks_equal_single_ego_tables(graph, data):
 @example(graph=_NO_NEIGHBORS, data=None)
 @example(graph=_HUB, data=None)
 def test_per_triad_blocks_against_oracle(graph, data):
-    # one block of several egos, in any order and with repeats, split into
-    # symmetric pools: per ego i and ego-edge config c, the candidates of
-    # slot 3 i + c, the wedges onto them with their far-edge configs and
-    # counts, and pd in every mode; the scan and the sort agree
+    # one block of several egos, in any order and with repeats, keyed by
+    # triad: per ego i and triad T, the candidates of slot 9 i + T - 1 are
+    # those of the pool of T's ego-edge config reached by a wedge of T's
+    # neighbor-edge config; they run ascending, and their wedges, wedge
+    # counts and pd in every mode match the oracle; the scan and the sort agree
     n, _, pairs, _ = graph
     g = make_graph(pairs, n, directed=True)
     out, inn, sym = oracles.adjacency(n, pairs, True)
     egos = np.arange(n) if data is None else np.array(
         data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2)), dtype=np.int64)
     (view,) = _both_steps(lambda: [_gather_block(g, egos, ALL_MODES, sym_pool=True)])
-    assert view.egos.tolist() == egos.tolist()
+    assert view.egos.tolist() == egos.tolist() and view.slots == 9
     assert (np.diff(view.wedge_z) >= 0).all()
+    assert (np.diff(view.cand_slot) >= 0).all() and view.cand_slot.size == view.candidates.size
     _, counts = view.accumulate(np.zeros((view.base.size, 0)))
     base_ptr = np.concatenate(([0], np.cumsum(g.sym_degree[egos])))
+    n_cand = 0
     for i, u in enumerate(egos.tolist()):
         base = view.base[base_ptr[i]:base_ptr[i + 1]].tolist()
         assert base == sorted(sym[u])
@@ -290,12 +296,15 @@ def test_per_triad_blocks_against_oracle(graph, data):
             assert view.pd(mode)[base_ptr[i]:base_ptr[i + 1]].tolist() == [
                 oracles.pdeg(out, inn, sym, u, z, mode) for z in base]
         for c, (pool, cand) in oracles.triad_pools(out, inn, sym, u).items():
-            at = (view.cand_slot == 3 * i + c).nonzero()[0]
-            assert view.candidates[at].tolist() == sorted(cand)
-            assert counts[at].tolist() == [len(pool & sym[v]) for v in sorted(cand)]
-            onto = np.isin(view.wedge_v, at)
-            wedges = zip(view.base[view.wedge_z[onto]].tolist(),
-                         view.candidates[view.wedge_v[onto]].tolist(),
-                         view.wedge_cfg[onto].tolist())
-            assert sorted(wedges) == sorted(
-                (z, v, oracles.link_config(out, inn, z, v)) for z in pool for v in sym[z] & cand)
+            for nb in range(3):
+                want = sorted((z, v) for z in pool for v in sym[z] & cand
+                              if oracles.link_config(out, inn, z, v) == nb)
+                reached = sorted({v for _, v in want})
+                at = (view.cand_slot == 9 * i + TRIAD_TABLE[c, nb] - 1).nonzero()[0]
+                n_cand += at.size
+                assert view.candidates[at].tolist() == reached
+                assert counts[at].tolist() == [sum(v == w for _, w in want) for v in reached]
+                onto = np.isin(view.wedge_v, at)
+                assert sorted(zip(view.base[view.wedge_z[onto]].tolist(),
+                                  view.candidates[view.wedge_v[onto]].tolist())) == want
+    assert n_cand == view.candidates.size
