@@ -1,6 +1,6 @@
-"""Small shared helpers: float formatting, the group-mean and ego pooling
-rules of cell arrays, and the CSV/JSON table writers every pipeline
-output goes through."""
+"""Small shared helpers: float formatting, the whole-number rule of ids
+and counts, the group-mean and ego pooling rules of cell arrays, and the
+CSV/JSON table writers every pipeline output goes through."""
 
 import json
 import math
@@ -14,6 +14,13 @@ def fmt_float(x):
     if math.isnan(x):
         return "nan"
     return repr(x)
+
+
+def whole_number(x):
+    """An int, a NumPy integer or a float with no fraction; not a bool."""
+    if isinstance(x, (int, np.integer)):
+        return not isinstance(x, bool)
+    return isinstance(x, (float, np.floating)) and x.is_integer()
 
 
 def mean_and_stderr(values):

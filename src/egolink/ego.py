@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import map_in_order
+from ._util import whole_number
 from .errors import ConfigError, EmptyInputError, PreconditionError
 
 MODE_UNDIRECTED = "undirected"
@@ -77,8 +78,8 @@ def ego_neighbors(graph, u):
 def sample_egos(series, sample_size=None, seed=0):
     """Sorted, seeded sample of the nodes with neighbors in the first
     snapshot; all of them when ``sample_size`` is None or covers them."""
-    if sample_size is not None and not float(sample_size).is_integer():
-        raise ConfigError(f"sample_size: must be a whole number, got {sample_size}")
+    if sample_size is not None and not whole_number(sample_size):
+        raise ConfigError(f"sample_size: must be a whole number, got {sample_size!r}")
     if sample_size is not None and sample_size < 1:
         raise ConfigError(f"sample_size: must be >= 1, got {sample_size}")
     eligible = np.flatnonzero(series[0].sym_degree > 0).astype(np.int64)
@@ -93,14 +94,20 @@ def sample_egos(series, sample_size=None, seed=0):
 def _ego_ids(graph, egos):
     """The ego-set rule: the list ``egos`` as int64 node ids of ``graph``,
     each once, ascending; an id that is not a whole number is a ConfigError
-    naming it, one out of range an IndexError (a negative one would wrap
-    around), and an empty list an EmptyInputError. A lone id is a list of
-    one; the functions of one ego take theirs through ``_check_node``."""
-    egos = np.unique(egos)
+    naming it (a list of bools, strings or objects its first), one out of
+    range an IndexError (a negative one would wrap around), and an empty list
+    an EmptyInputError. A lone id is a list of one; the functions of one ego
+    take theirs through ``_check_node``."""
+    egos = np.asarray(egos)
     if not egos.size:
         raise EmptyInputError("egos: need at least one ego, got an empty list")
-    # whole numbers need no check of the ids between the least and the largest
-    for e in egos.tolist() if egos.dtype.kind not in "iu" else (egos[0], egos[-1]):
+    if egos.dtype.kind not in "iuf":
+        raise ConfigError(f"node ids of dtype {egos.dtype} are not whole numbers: "
+                          f"the first is {egos.item(0)!r}")
+    egos = np.unique(egos)
+    # one comparison finds the first fraction or nan; whole numbers need no
+    # check of the ids between the least and the largest
+    for e in np.concatenate([egos[egos != np.trunc(egos)][:1], egos[[0, -1]]]).tolist():
         graph._check_node(e)
     return egos.astype(np.int64)
 

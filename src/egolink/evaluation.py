@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import pool_egos
+from ._util import pool_egos, whole_number
 from .ego import _cell_blocks, _gather_block, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_block, validate_methods
@@ -88,13 +88,9 @@ def validate_ks(ks):
     ks = tuple(ks)
     if not ks:
         raise ConfigError("need at least one K")
-    try:
-        ints = tuple(int(k) for k in ks)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != ks or ints[0] < 1 or any(b <= a for a, b in zip(ints, ints[1:])):
+    if not all(map(whole_number, ks)) or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ConfigError(f"K list must be strictly ascending positive integers, got {ks}")
-    return ints
+    return tuple(map(int, ks))
 
 
 def _ranking_order(scores):

@@ -1,6 +1,11 @@
 """Seeded synthetic graphs: uniform random, preferential attachment,
 and planted-signal snapshot sequences.
 
+Preferential attachment writes its edges into one preallocated (edges × 2)
+array, whose flat view over the rows written so far is the degree pool.
+Each arrival draws its ``n_attach`` targets in one call, the stream of as
+many scalar calls, and one more scalar call per repeated target.
+
 The planted generator seeds snapshot 0 uniformly at random, then for
 each transition scores every ego's two-hop candidates with a chosen
 method and forms ``ego -> v`` with probability
@@ -22,6 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ego
+from ._util import whole_number
 from .ego import MODE_UNDIRECTED, validate_mode
 from .errors import ConfigError, check_key
 from .graph import (
@@ -61,12 +67,13 @@ class GeneratorSpec:
     time_span: int = DEFAULT_TIME_SPAN  # uniform-random timestamp window
 
 
-def _node_count(n_nodes, least):
-    """``n_nodes`` as an int from ``least`` to ``_MAX_NODES``."""
-    n_nodes = int(n_nodes)
-    if not least <= n_nodes <= _MAX_NODES:
-        raise ConfigError(f"n_nodes: must be in {least}..{_MAX_NODES}, got {n_nodes}")
-    return n_nodes
+def _count(key, value, least, most=_INT64_MAX):
+    """``value`` as an int from ``least`` to ``most``: a ConfigError names
+    ``key`` when it is not a whole number (``_util.whole_number``) or out
+    of that range."""
+    if not (whole_number(value) and least <= value <= most):
+        raise ConfigError(f"{key}: must be a whole number in {least}..{most}, got {value!r}")
+    return int(value)
 
 
 def _assemble(n_nodes, src, dst, time, directed, time_mode):
@@ -108,14 +115,13 @@ def _uniform_structure(rng, n_nodes, edge_prob, directed):
 def uniform_random_edges(n_nodes, edge_prob, directed=False, seed=0,
                          time_span=DEFAULT_TIME_SPAN):
     """Independent edges with uniform random timestamps."""
-    n_nodes = _node_count(n_nodes, 1)
+    n_nodes = _count("n_nodes", n_nodes, 1, _MAX_NODES)
     if not 0.0 <= float(edge_prob) <= 1.0:
         raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
-    if not 1 <= int(time_span) <= _INT64_MAX:
-        raise ConfigError(f"time_span: must be in 1..{_INT64_MAX}, got {time_span}")
+    time_span = _count("time_span", time_span, 1)
     rng = np.random.default_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
-    time = rng.integers(0, int(time_span), size=src.size, dtype=np.int64)
+    time = rng.integers(0, time_span, size=src.size, dtype=np.int64)
     return _assemble(n_nodes, src, dst, time, directed, TIME_MODE_TIMESTAMP)
 
 
@@ -123,44 +129,35 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
     """Arriving nodes attach to ``n_attach`` distinct targets drawn
     with probability proportional to current degree; timestamps are
     arrival steps. Directed edges point from the newcomer."""
-    m = int(n_attach)
-    if m < 1:
-        raise ConfigError(f"n_attach: must be >= 1, got {n_attach}")
+    m = _count("n_attach", n_attach, 1)
     # the seed clique on m + 1 nodes, and one arrival
-    n_nodes = _node_count(n_nodes, m + 2)
+    n_nodes = _count("n_nodes", n_nodes, m + 2, _MAX_NODES)
+    clique = m * (m + 1) // 2
+    edges = np.empty((clique + (n_nodes - m - 1) * m, 2), dtype=np.int64)
+    edges[:clique] = np.transpose(np.triu_indices(m + 1, 1))
+    # arrival u writes its m rows (u, target) at time u
+    time = np.zeros(len(edges), dtype=np.int64)
+    time[clique:] = edges[clique:, 0] = np.arange(m + 1, n_nodes).repeat(m)
+    # node repeated once per incident edge so far: degree-proportional draws
+    pool = edges.reshape(-1)
     rng = np.random.default_rng(seed)
-    src = []
-    dst = []
-    time = []
-    pool = []  # node repeated once per incident edge: degree-proportional draws
-    # seed clique on the first m+1 nodes so every draw has m valid targets
-    for a in range(m + 1):
-        for b in range(a + 1, m + 1):
-            src.append(a)
-            dst.append(b)
-            time.append(0)
-            pool.extend((a, b))
-    for u in range(m + 1, n_nodes):
-        targets = set()
+    for row in range(clique, len(edges), m):
+        # m draws in one call take the stream of m scalar calls; a repeat
+        # target takes one more scalar call
+        targets = set(pool[rng.integers(0, 2 * row, size=m)].tolist())
         while len(targets) < m:
-            targets.add(pool[int(rng.integers(0, len(pool)))])
-        for v in sorted(targets):
-            src.append(u)
-            dst.append(v)
-            time.append(u)
-            pool.extend((u, v))
-    return _assemble(n_nodes, np.array(src), np.array(dst), np.array(time), directed,
-                     TIME_MODE_TIMESTAMP)
+            targets.add(int(pool[rng.integers(0, 2 * row)]))
+        edges[row:row + m, 1] = sorted(targets)
+    return _assemble(n_nodes, edges[:, 0], edges[:, 1], time, directed, TIME_MODE_TIMESTAMP)
 
 
 def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=False,
                          mode=MODE_UNDIRECTED, formation_rate=0.05, seed=0):
     """Snapshot sequence whose formations follow a scorer's rankings."""
-    n_nodes = _node_count(n_nodes, 3)
+    n_nodes = _count("n_nodes", n_nodes, 3, _MAX_NODES)
     if not 0.0 <= float(edge_prob) <= 1.0:
         raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
-    if int(n_snapshots) < 2:
-        raise ConfigError(f"n_snapshots: need at least 2 snapshots, got {n_snapshots}")
+    n_snapshots = _count("n_snapshots", n_snapshots, 2)
     if not 0.0 < float(formation_rate) <= 1.0:
         raise ConfigError(f"formation_rate: must be in (0, 1], got {formation_rate}")
     (method,) = check_key("method", validate_methods, (method,))
@@ -168,15 +165,12 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
 
     rng = np.random.default_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
-    all_src = [src]
-    all_dst = [dst]
-    all_time = [np.zeros(src.size, dtype=np.int64)]
+    sizes = [src.size]  # edges new in each snapshot
 
     rate = float(formation_rate)
     egos = np.arange(n_nodes, dtype=np.int64)
-    for s in range(1, int(n_snapshots)):
-        g = SnapshotGraph(n_nodes, np.concatenate(all_src), np.concatenate(all_dst),
-                          directed)
+    for _ in range(n_snapshots - 1):
+        g = SnapshotGraph(n_nodes, src, dst, directed)
         new_src = [np.empty(0, dtype=np.int64)]
         new_dst = [np.empty(0, dtype=np.int64)]
         for view in ego.ego_blocks(g, egos, (mode,)):
@@ -198,18 +192,10 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
             lo, hi = np.minimum(new_src, new_dst), np.maximum(new_src, new_dst)
             first = np.sort(np.unique(lo * n_nodes + hi, return_index=True)[1])
             new_src, new_dst = lo[first], hi[first]
-        all_src.append(new_src)
-        all_dst.append(new_dst)
-        all_time.append(np.full(new_src.size, s, dtype=np.int64))
-
-    return _assemble(
-        n_nodes,
-        np.concatenate(all_src),
-        np.concatenate(all_dst),
-        np.concatenate(all_time),
-        directed,
-        TIME_MODE_INDEX,
-    )
+        src, dst = np.concatenate([src, new_src]), np.concatenate([dst, new_dst])
+        sizes.append(new_src.size)
+    time = np.arange(n_snapshots, dtype=np.int64).repeat(sizes)
+    return _assemble(n_nodes, src, dst, time, directed, TIME_MODE_INDEX)
 
 
 #: kind -> (spec keys it requires, spec keys it reads when given); of the

@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import csv_field
+from ._util import csv_field, whole_number
 from .errors import ConfigError, EmptyInputError, ParseError, PreconditionError
 
 NORMALIZED_HEADER = "src_id,dst_id,time"
@@ -625,8 +625,9 @@ class SnapshotGraph(_ReadOnlyArrays):
     def _check_node(self, u):
         """``u`` as an int node id: a ConfigError names an id that is not a
         scalar or not a whole number, an IndexError one out of range."""
-        if not isinstance(u, (int, np.integer)) and (np.ndim(u) or not float(u).is_integer()):
-            raise ConfigError(f"node id {u} is not a {'scalar' if np.ndim(u) else 'whole number'}")
+        if type(u) is not int and not whole_number(u):
+            raise ConfigError(
+                f"node id {u!r} is not a {'scalar' if np.ndim(u) else 'whole number'}")
         if not 0 <= u < self.n_nodes:
             raise _out_of_range(u, self.n_nodes)
         return int(u)

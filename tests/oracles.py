@@ -9,6 +9,8 @@ module.  Tests treat these as ground truth.
 import math
 import statistics
 
+import numpy as np
+
 
 def adjacency(n_nodes, pairs, directed):
     """Out-, in-, and symmetrized-neighbor sets for every node."""
@@ -54,6 +56,34 @@ def normalize(rows, directed):
         b = ids.setdefault(d, len(ids))
         out.append((a, b, t) if directed or a < b else (b, a, t))
     return tuple(sorted(ids, key=ids.get)), out
+
+
+def preferential_attachment(n_nodes, m, seed):
+    """``(src, dst, time)`` lists of preferential attachment as one Python
+    draw per target from a list ``pool`` of edge endpoints: the seed clique
+    on nodes 0..m, then each arrival u joined to m distinct targets."""
+    rng = np.random.default_rng(seed)
+    src = []
+    dst = []
+    time = []
+    pool = []  # node repeated once per incident edge: degree-proportional draws
+    # seed clique on the first m+1 nodes so every draw has m valid targets
+    for a in range(m + 1):
+        for b in range(a + 1, m + 1):
+            src.append(a)
+            dst.append(b)
+            time.append(0)
+            pool.extend((a, b))
+    for u in range(m + 1, n_nodes):
+        targets = set()
+        while len(targets) < m:
+            targets.add(pool[int(rng.integers(0, len(pool)))])
+        for v in sorted(targets):
+            src.append(u)
+            dst.append(v)
+            time.append(u)
+            pool.extend((u, v))
+    return src, dst, time
 
 
 def candidates(out, sym, u):

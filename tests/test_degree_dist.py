@@ -70,6 +70,12 @@ class TestSampling:
             personalized_degree_samples(_star(3), egos=[0, 1.7])
         with pytest.raises(ConfigError, match="1.7"):
             global_degree_samples(_star(3), per_neighbor=True, egos=[1.7])
+        # nor is a string or a bool read as an id
+        for bad in (["1"], [True, False], np.array([1, 0], dtype=bool)):
+            with pytest.raises(ConfigError, match="are not whole numbers"):
+                personalized_degree_samples(_star(3), egos=bad)
+            with pytest.raises(ConfigError, match="are not whole numbers"):
+                global_degree_samples(_star(3), per_neighbor=True, egos=bad)
         assert personalized_degree_samples(_star(3), egos=[0.0]).values.tolist() == [0, 0, 0]
 
     def test_matches_oracle(self):

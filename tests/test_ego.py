@@ -119,9 +119,11 @@ class TestSampleEgos:
             sample_egos(series, size)
 
     def test_fractional_size_named(self):
+        # nor is a string or a bool read as a count
         series = make_series([[(0, 1), (1, 2)]], 3)
-        with pytest.raises(ConfigError, match="sample_size: must be a whole number, got 2.5"):
-            sample_egos(series, 2.5)
+        for size, shown in ((2.5, "2.5"), ("3", "'3'"), (True, "True")):
+            with pytest.raises(ConfigError, match=f"sample_size: must be a whole number, got {shown}"):
+                sample_egos(series, size)
 
 
 class TestAgainstOracle:
@@ -240,10 +242,13 @@ class TestEgoView:
 
     def test_fractional_ego_named(self, two_broker_graph):
         # 1.7 is not ego 1: the id is named, not cut down to a whole number
+        # nor is a string or a bool read as an id
         g, ids = two_broker_graph
         for call in (ego_view, two_hop_candidates, score_candidates):
-            with pytest.raises(ConfigError, match="1.7"):
-                call(g, 1.7)
+            for bad, shown in ((1.7, "1.7"), ("1", "'1'"), ("a", "'a'"), (True, "True"),
+                               (np.True_, "np.True_")):
+                with pytest.raises(ConfigError, match=f"node id {shown} is not a whole number"):
+                    call(g, bad)
         u = ids["u"]
         assert ego_view(g, float(u)).egos.tolist() == [u]
         assert two_hop_candidates(g, float(u)).tolist() == two_hop_candidates(g, u).tolist()
@@ -340,6 +345,9 @@ class TestEgoSetRule:
         n = g.n_nodes
         with pytest.raises(ConfigError, match="node id 1.7 is not a whole number"):
             list(ego_blocks(g, [0, 1.7], ALL_MODES[:1]))
+        for bad, shown in ((["1"], "'1'"), ([True, False], "True"), ([0, None], "0")):
+            with pytest.raises(ConfigError, match=f"are not whole numbers: the first is {shown}"):
+                list(ego_blocks(g, bad, ALL_MODES[:1]))
         for bad in (-1, n):
             with pytest.raises(IndexError, match=rf"node id {bad} out of range \[0, {n}\)"):
                 list(ego_blocks(g, [0, bad], ALL_MODES[:1]))

@@ -138,6 +138,11 @@ class TestExclusions:
             aggregate_empirical(series, egos=[1.7, 2.9, 5.2])
         with pytest.raises(ConfigError, match="nan"):
             aggregate_empirical(series, egos=[0.0, float("nan")])
+        with pytest.raises(ConfigError, match="inf"):
+            aggregate_empirical(series, egos=[0.0, float("inf")])
+        for bad, shown in ((["1", "2"], "'1'"), ([True, False], "True")):
+            with pytest.raises(ConfigError, match=f"the first is {shown}"):
+                aggregate_empirical(series, egos=bad)
         # whole-number floats are the ids they name
         series = make_series([[(0, 1), (1, 2), (1, 3)], [(0, 1), (1, 2), (1, 3), (0, 2)]], 4)
         assert aggregate_empirical(series, egos=[0.0, 1.0]) == \
@@ -146,8 +151,9 @@ class TestExclusions:
     @pytest.mark.parametrize("per_triad", [False, True], ids=["plain", "per-triad"])
     def test_one_cell_fractional_ego_named(self, per_triad):
         series = make_series([[(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]], 3, directed=True)
-        with pytest.raises(ConfigError, match="1.7"):
-            ego_snapshot_stats(series, 0, 1.7, per_triad=per_triad)
+        for bad, shown in ((1.7, "1.7"), ("1", "'1'"), (True, "True")):
+            with pytest.raises(ConfigError, match=f"node id {shown} is not a whole number"):
+                ego_snapshot_stats(series, 0, bad, per_triad=per_triad)
         assert ego_snapshot_stats(series, 0, 1.0, per_triad=per_triad) == \
             ego_snapshot_stats(series, 0, 1, per_triad=per_triad)
 

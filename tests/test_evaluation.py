@@ -93,14 +93,15 @@ class TestPrecision:
 class TestKs:
     def test_valid(self):
         validate_ks((1, 3, 5))
+        assert validate_ks((1.0, np.int64(3))) == (1, 3)
 
     @pytest.mark.parametrize("bad", [(), (0, 1), (5, 5), (10, 5), (-1,), (1.5, 2)])
     def test_invalid(self, bad):
         with pytest.raises(ConfigError):
             validate_ks(bad)
 
-    @pytest.mark.parametrize("bad", [("x",), (math.nan,), (math.inf,), (None,)],
-                             ids=["text", "nan", "inf", "none"])
+    @pytest.mark.parametrize("bad", [("x",), (math.nan,), (math.inf,), (None,), (True, 3)],
+                             ids=["text", "nan", "inf", "none", "bool"])
     def test_not_an_integer_is_named(self, bad):
         msg = "K list must be strictly ascending positive integers"
         with pytest.raises(ConfigError, match=msg):

@@ -4,18 +4,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
 from egolink.errors import ConfigError
 from egolink.generators import (
     GeneratorSpec,
+    _assemble,
     generate,
     planted_scorer_edges,
     preferential_attachment_edges,
     uniform_random_edges,
 )
-from egolink.graph import build_snapshots
+from egolink.graph import TIME_MODE_TIMESTAMP, build_snapshots
 
 
 def _pairs(edges):
@@ -71,6 +73,14 @@ class TestUniform:
             uniform_random_edges(0, 0.5)
         with pytest.raises(ConfigError):
             uniform_random_edges(10, 1.5)
+        # a count is a whole number, not cut down to one
+        for kwargs in (dict(time_span=10.5), dict(time_span="10"), dict(time_span=True)):
+            with pytest.raises(ConfigError, match="time_span: must be a whole number"):
+                uniform_random_edges(20, 0.5, **kwargs)
+        with pytest.raises(ConfigError, match="n_nodes: must be a whole number"):
+            uniform_random_edges(20.5, 0.5)
+        assert uniform_random_edges(20.0, 0.5, time_span=10.0) == \
+            uniform_random_edges(20, 0.5, time_span=10)
 
 
 class TestPreferentialAttachment:
@@ -84,6 +94,19 @@ class TestPreferentialAttachment:
         assert e.time.min() == 0
         assert e.time.max() == 29
         assert np.all(np.diff(e.time) >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_degree_pool_loop(self, data):
+        # n up to 2m packs the pool with few nodes, so repeats force extra draws
+        m = data.draw(st.integers(1, 20), label="m")
+        n = data.draw(st.integers(m + 2, 2 * m + 2) | st.integers(m + 2, 200), label="n")
+        seed = data.draw(st.integers(min_value=0), label="seed")
+        directed = data.draw(st.booleans(), label="directed")
+        src, dst, time = oracles.preferential_attachment(n, m, seed)
+        want = _assemble(n, np.array(src), np.array(dst), np.array(time), directed,
+                         TIME_MODE_TIMESTAMP)
+        assert preferential_attachment_edges(n, m, directed=directed, seed=seed) == want
 
     def test_heavier_tail_than_uniform(self):
         n, m = 300, 3
@@ -101,6 +124,14 @@ class TestPreferentialAttachment:
             preferential_attachment_edges(5, 0)
         with pytest.raises(ConfigError):
             preferential_attachment_edges(3, 2)
+        for n_attach in (2.5, "3", True, np.True_):
+            with pytest.raises(ConfigError, match="n_attach: must be a whole number"):
+                preferential_attachment_edges(100, n_attach)
+        for n_nodes in (100.7, "100", float("nan")):
+            with pytest.raises(ConfigError, match="n_nodes: must be a whole number"):
+                preferential_attachment_edges(n_nodes, 2)
+        assert preferential_attachment_edges(100.0, np.int64(2)) == \
+            preferential_attachment_edges(100, 2)
 
 
 class TestPlanted:
@@ -175,6 +206,9 @@ class TestPlanted:
             planted_scorer_edges(50, 0.1, "cn", formation_rate=0.0)
         with pytest.raises(ConfigError):
             planted_scorer_edges(2, 0.1, "cn")
+        for n_snapshots in (2.5, "3", True):
+            with pytest.raises(ConfigError, match="n_snapshots: must be a whole number"):
+                planted_scorer_edges(60, 0.1, "cn", n_snapshots=n_snapshots)
 
 
 class TestSpecDispatch:

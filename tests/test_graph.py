@@ -560,7 +560,7 @@ class TestAdjacency:
     def test_whole_number_ids(self, directed):
         g = make_graph([(0, 1), (1, 2)], 3, directed=directed)
         for row in (g.successors, g.predecessors, g.neighbors):
-            for bad in (1.7, float("nan"), np.float64(0.5)):
+            for bad in (1.7, float("nan"), np.float64(0.5), "1", True, np.True_, None):
                 with pytest.raises(ConfigError, match="is not a whole number"):
                     row(bad)
             assert row(1.0).tolist() == row(np.int64(1)).tolist() == row(1).tolist()

@@ -1,8 +1,9 @@
 """The CLI's result files keep their bytes.
 
-Runs the six CLI stages of the ``smoke`` plans of two benchmark workloads
-in-process and compares the sha256 of every file they write, except
-``run_manifest.json`` (it holds wall times), with the digests in
+Runs the six CLI stages of the ``smoke`` plans of the three benchmark
+workloads in-process and compares the sha256 of every file they write,
+except ``run_manifest.json`` (it holds wall times), and of the raw input
+``hub-raw`` builds itself, with the digests in
 ``output_digests.json`` beside this file. A refactor that means to keep
 every output byte must pass with no digest changed. Rewrite the digests
 only with a change that moves the outputs on purpose, by running this
@@ -21,25 +22,29 @@ from egolink import cli
 from test_bench_spans import workloads
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_digests.json")
-WORKLOADS = ("planted-undirected", "triad-directed")
+WORKLOADS = ("planted-undirected", "triad-directed", "hub-raw")
 SEED = 0
 
 
 def stage_digests(name, workdir):
-    """{stage/relative path: sha256} of every result file of one smoke plan."""
+    """{stage/relative path: sha256} of every result file of one smoke plan,
+    and of its benchmark-built input when it has one."""
     plan = workloads.plan(name, SEED, "smoke", str(workdir))
-    digests = {}
+    paths = {}
+    if workloads.prepare_inputs(plan) is not None:
+        paths["input/" + os.path.basename(plan.input_path)] = plan.input_path
     for stage, argv in plan.stage_argv.items():
         assert cli.main(argv) == 0, stage
         out = plan.out(stage)
         for root, _, files in os.walk(out):
             for fname in files:
-                if fname == "run_manifest.json":
-                    continue
-                path = os.path.join(root, fname)
-                with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                digests[f"{stage}/{os.path.relpath(path, out)}"] = digest
+                if fname != "run_manifest.json":
+                    path = os.path.join(root, fname)
+                    paths[f"{stage}/{os.path.relpath(path, out)}"] = path
+    digests = {}
+    for key, path in paths.items():
+        with open(path, "rb") as fh:
+            digests[key] = hashlib.sha256(fh.read()).hexdigest()
     return dict(sorted(digests.items()))
 
 
