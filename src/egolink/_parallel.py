@@ -35,7 +35,7 @@ def map_in_order(worker, items, payload, workers=1):
     processes. ``worker`` must be a module-level function."""
     global ProcessPoolExecutor
     items = list(items)
-    workers = min(int(workers or 1), len(items), _usable_cpus())
+    workers = min(workers, len(items), _usable_cpus())
     if workers <= 1:
         return [worker(payload, item) for item in items]
     if ProcessPoolExecutor is None:

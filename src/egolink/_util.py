@@ -1,11 +1,17 @@
 """Small shared helpers: float formatting, the whole-number rule of ids
-and counts, the group-mean and ego pooling rules of cell arrays, and the
-CSV/JSON table writers every pipeline output goes through."""
+and counts (``count``: in range or a ConfigError naming the key, never
+cut down by ``int``), the group-mean and ego pooling rules of cell
+arrays, and the CSV/JSON table writers every pipeline output goes through."""
 
 import json
 import math
 
 import numpy as np
+
+from .errors import ConfigError
+
+#: the range of an int64, as Python ints: times, ids and counts are int64
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def fmt_float(x):
@@ -21,6 +27,17 @@ def whole_number(x):
     if isinstance(x, (int, np.integer)):
         return not isinstance(x, bool)
     return isinstance(x, (float, np.floating)) and x.is_integer()
+
+
+def count(key, value, least, most=INT64_MAX):
+    """``value`` as an int from ``least`` to ``most``; a ConfigError names
+    ``key`` when it is not a whole number or out of that range."""
+    if not whole_number(value):
+        raise ConfigError(f"{key}: must be a whole number, got {value!r}")
+    if not least <= value <= most:
+        bound = f">= {least}" if value < least and most == INT64_MAX else f"in {least}..{most}"
+        raise ConfigError(f"{key}: must be {bound}, got {value}")
+    return int(value)
 
 
 def mean_and_stderr(values):

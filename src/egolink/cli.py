@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from ._util import fmt_float, write_table
+from ._util import INT64_MAX, INT64_MIN, fmt_float, write_table
 from .degree_dist import (
     ALL_KINDS as SAMPLE_KINDS,
     KIND_PERSONALIZED,
@@ -76,7 +76,6 @@ from .graph import (
 from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_candidates, validate_methods
 
 SECONDS_PER_DAY = 86_400
-_MAX_WINDOW = int(np.iinfo(np.int64).max)  # times and window lengths are int64 time units
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -116,7 +115,7 @@ def _one_of(*choices):
 
 
 def _in_int64(value):
-    if not -_MAX_WINDOW - 1 <= value <= _MAX_WINDOW:
+    if not INT64_MIN <= value <= INT64_MAX:
         raise ConfigError(f"{value} is outside int64")
 
 
@@ -124,10 +123,10 @@ def _window_length(units):
     """A window length rounded to whole time units; ConfigError unless it
     is positive and fits an int64."""
     # a huge finite day count can become inf, which round() rejects
-    length = round(units) if units < _MAX_WINDOW else units
-    if not 1 <= length <= _MAX_WINDOW:
+    length = round(units) if units < INT64_MAX else units
+    if not 1 <= length <= INT64_MAX:
         raise ConfigError(
-            f"window length {units!r} time units is not within 1..{_MAX_WINDOW}")
+            f"window length {units!r} time units is not within 1..{INT64_MAX}")
     return length
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._util import count
 from .ego import (MODE_UNDIRECTED, _ego_ids, _support_pd, ego_blocks, global_degrees,
                   validate_mode)
 from .errors import ConfigError, EmptyInputError
@@ -48,7 +49,7 @@ class DegreeSampleSet(_ArrayRecord):
     @property
     def shifted(self):
         """True when log-binning will need the +1 shift."""
-        return bool(self.values.size) and int(self.values.min()) == 0
+        return bool((self.values == 0).any())
 
 
 def _per_neighbor_samples(graph, egos, kind, mode):
@@ -113,16 +114,19 @@ class BinnedDistribution(_ArrayRecord):
 
 def log_binned_histogram(samples, bins_per_decade=10):
     """Bin a sample set on exact log-spaced edges, shifting by +1 first
-    when zeros are present."""
-    bpd = int(bins_per_decade)
-    if bpd < 1:
-        raise ConfigError(f"bins_per_decade must be >= 1, got {bins_per_decade}")
+    when zeros are present. Degree samples are counts: a sample that is
+    not a finite whole number >= 0 is a ConfigError naming the first."""
+    bpd = count("bins_per_decade", bins_per_decade, 1)
     values = np.asarray(getattr(samples, "values", samples))
     if values.size == 0:
         raise EmptyInputError("no degree samples to bin")
-    if values.min() < 0:
-        raise ConfigError("degree samples must be nonnegative")
-    shifted = int(values.min()) == 0
+    if values.dtype.kind not in "iu" or values.min() < 0:
+        whole = values.dtype.kind in "iuf" and (
+            (values >= 0) & (values < np.inf) & (np.trunc(values) == values))
+        if not np.all(whole):
+            first = values.reshape(-1)[np.argmin(whole)].item()
+            raise ConfigError(f"degree samples must be whole numbers >= 0, got {first!r}")
+    shifted = bool(values.min() == 0)
     pos = values.astype(np.float64) + (1.0 if shifted else 0.0)
 
     vmin = float(pos.min())
@@ -142,15 +146,15 @@ def log_binned_histogram(samples, bins_per_decade=10):
     exponents = np.arange(k_min, k_max + 2, dtype=np.float64) / bpd
     edges = 10.0 ** exponents
     idx = np.searchsorted(edges, pos, side="right") - 1
-    count = np.bincount(idx, minlength=edges.size - 1).astype(np.int64)
+    per_bin = np.bincount(idx, minlength=edges.size - 1).astype(np.int64)
     width = 1.0 / bpd  # log10 width of every bin, exact by construction
-    density = count / (pos.size * width)
+    density = per_bin / (pos.size * width)
     centers = 10.0 ** ((np.arange(k_min, k_max + 1, dtype=np.float64) + 0.5) / bpd)
     return BinnedDistribution(
         bin_low=edges[:-1],
         bin_high=edges[1:],
         bin_center=centers,
-        count=count,
+        count=per_bin,
         density=density,
         bins_per_decade=bpd,
         n_samples=int(values.size),

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import map_in_order
-from ._util import whole_number
+from ._util import count
 from .errors import ConfigError, EmptyInputError, PreconditionError
 
 MODE_UNDIRECTED = "undirected"
@@ -78,17 +78,14 @@ def ego_neighbors(graph, u):
 def sample_egos(series, sample_size=None, seed=0):
     """Sorted, seeded sample of the nodes with neighbors in the first
     snapshot; all of them when ``sample_size`` is None or covers them."""
-    if sample_size is not None and not whole_number(sample_size):
-        raise ConfigError(f"sample_size: must be a whole number, got {sample_size!r}")
-    if sample_size is not None and sample_size < 1:
-        raise ConfigError(f"sample_size: must be >= 1, got {sample_size}")
+    sample_size = None if sample_size is None else count("sample_size", sample_size, 1)
     eligible = np.flatnonzero(series[0].sym_degree > 0).astype(np.int64)
     if eligible.size == 0:
         raise EmptyInputError("first snapshot has no connected nodes to sample egos from")
-    if sample_size is None or int(sample_size) >= eligible.size:
+    if sample_size is None or sample_size >= eligible.size:
         return eligible
     rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(eligible, size=int(sample_size), replace=False))
+    return np.sort(rng.choice(eligible, size=sample_size, replace=False))
 
 
 def _ego_ids(graph, egos):
@@ -377,19 +374,19 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     # symmetric row; of those among the ego's successors, mode out counts
     # the w with z -> w and mode in those with w -> z. Each bit test is cast
     # to bools, whose nonzero entries NumPy finds several times faster
-    def count(hit):
+    def pd_of(hit):
         return np.bincount(wedge_z[hit], minlength=base.size).astype(np.int64)
 
     pd = {}
     if MODE_UNDIRECTED in modes:
-        pd[MODE_UNDIRECTED] = count((flag & _ROW).astype(bool).nonzero()[0])
+        pd[MODE_UNDIRECTED] = pd_of((flag & _ROW).astype(bool).nonzero()[0])
     if MODE_OUT in modes or MODE_IN in modes:
         hit = (flag & _SUCC).astype(bool).nonzero()[0]
         cfg = graph.sym_config[pos[hit]]
         # plain ints: numpy compares them without probing the enum
         for mode, absent in ((MODE_OUT, int(EdgeConfig.IN)), (MODE_IN, int(EdgeConfig.OUT))):
             if mode in modes:
-                pd[mode] = count(hit[(cfg != absent).nonzero()[0]])
+                pd[mode] = pd_of(hit[(cfg != absent).nonzero()[0]])
     if not wedges:
         return EgoView(graph, egos, base, None, None, None, None, pd)
     wedge = flag < _SUCC
@@ -594,6 +591,7 @@ def _cell_blocks(worker, payload, series, egos, settled, n_columns, workers, sym
     gathered; row ``i`` of ``values`` belongs to ego cell ``cell[i]``,
     rows in transition order.
     """
+    workers = count("workers", workers, 1)
     cells = 9 if sym_pool else 1
     reason = np.full((len(series) - 1, egos.size * cells), settled)
     forming = (_forming_cells(series, egos, sym_pool) if require_formation

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import pool_egos, whole_number
+from ._util import INT64_MIN, count, pool_egos, whole_number
 from .ego import _cell_blocks, _gather_block, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_block, validate_methods
@@ -162,7 +162,8 @@ def precision_at_k(ranked, formed, k):
     """Fraction of the top ``k`` that actually formed; ``formed`` is an
     array or any other iterable of node ids."""
     ranking = ranked.ranking if isinstance(ranked, RankedList) else np.asarray(ranked)
-    k = int(k)
+    # a whole number by the count rule; below 1 or past the ranking is a precondition
+    k = count("k", k, INT64_MIN)
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if k > ranking.size:
@@ -225,15 +226,16 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     """Mean P@K per (method, degree mode, K) over a shared cell set."""
     if len(series) < 2:
         raise ConfigError("evaluation needs at least 2 snapshots")
+    cutoff = count("cutoff", cutoff, 1)
+    min_candidates = count("min_candidates", min_candidates, 0)
     methods = validate_methods(methods)
     ks = validate_ks(ks)
     modes = resolve_modes(series.directed, modes)
     pairs = method_mode_pairs(methods, modes)
     keys = [(pair, k) for pair in pairs for k in ks]
-    cutoff, n_t = int(cutoff), len(series) - 1
 
     egos = sample_egos(series, sample_size, seed)
-    payload = (series, methods, modes, ks, cutoff, max(int(min_candidates), ks[-1]),
+    payload = (series, methods, modes, ks, cutoff, max(min_candidates, ks[-1]),
                bool(require_formation))
     # per (transition, ego): the index in EXCLUSIONS of the reason its cell
     # is left out, or -1 when it is kept; a settled cell has nothing formed
@@ -245,7 +247,7 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     # cell never is, as its candidates are at most its wedges
     dropped = (reason == EXCLUSIONS.index(EXCLUDED_OVER_CUTOFF)).any(axis=0)
     excluded = {r: int((reason[:, ~dropped] == i).sum()) for i, r in enumerate(EXCLUSIONS)}
-    excluded[EXCLUDED_OVER_CUTOFF] = int(dropped.sum()) * n_t
+    excluded[EXCLUDED_OVER_CUTOFF] = int(dropped.sum()) * len(reason)
     cell_ego, values = cell_ego[~dropped[cell_ego]], values[~dropped[cell_ego]]
     metadata = {
         "n_egos_requested": int(egos.size),

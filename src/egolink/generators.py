@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ego
-from ._util import whole_number
+from ._util import INT64_MAX, count
 from .ego import MODE_UNDIRECTED, validate_mode
 from .errors import ConfigError, check_key
 from .graph import (
@@ -35,7 +35,6 @@ from .graph import (
     TemporalEdgeList,
     TIME_MODE_INDEX,
     TIME_MODE_TIMESTAMP,
-    _INT64_MAX,
 )
 from .scorers import score_block, validate_methods
 
@@ -49,7 +48,7 @@ ALL_KINDS = (KIND_UNIFORM, KIND_PREFERENTIAL, KIND_PLANTED)
 DEFAULT_TIME_SPAN = 90 * 86_400
 
 #: node pair keys ``src * n_nodes + dst`` are int64, as timestamps are
-_MAX_NODES = math.isqrt(_INT64_MAX)
+_MAX_NODES = math.isqrt(INT64_MAX)
 
 
 @dataclass(frozen=True)
@@ -65,15 +64,6 @@ class GeneratorSpec:
     n_snapshots: int = None  # planted-scorer snapshot count
     formation_rate: float = 0.05  # planted-scorer per-ego rate scale
     time_span: int = DEFAULT_TIME_SPAN  # uniform-random timestamp window
-
-
-def _count(key, value, least, most=_INT64_MAX):
-    """``value`` as an int from ``least`` to ``most``: a ConfigError names
-    ``key`` when it is not a whole number (``_util.whole_number``) or out
-    of that range."""
-    if not (whole_number(value) and least <= value <= most):
-        raise ConfigError(f"{key}: must be a whole number in {least}..{most}, got {value!r}")
-    return int(value)
 
 
 def _assemble(n_nodes, src, dst, time, directed, time_mode):
@@ -115,10 +105,10 @@ def _uniform_structure(rng, n_nodes, edge_prob, directed):
 def uniform_random_edges(n_nodes, edge_prob, directed=False, seed=0,
                          time_span=DEFAULT_TIME_SPAN):
     """Independent edges with uniform random timestamps."""
-    n_nodes = _count("n_nodes", n_nodes, 1, _MAX_NODES)
+    n_nodes = count("n_nodes", n_nodes, 1, _MAX_NODES)
     if not 0.0 <= float(edge_prob) <= 1.0:
         raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
-    time_span = _count("time_span", time_span, 1)
+    time_span = count("time_span", time_span, 1)
     rng = np.random.default_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
     time = rng.integers(0, time_span, size=src.size, dtype=np.int64)
@@ -129,9 +119,9 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
     """Arriving nodes attach to ``n_attach`` distinct targets drawn
     with probability proportional to current degree; timestamps are
     arrival steps. Directed edges point from the newcomer."""
-    m = _count("n_attach", n_attach, 1)
+    m = count("n_attach", n_attach, 1)
     # the seed clique on m + 1 nodes, and one arrival
-    n_nodes = _count("n_nodes", n_nodes, m + 2, _MAX_NODES)
+    n_nodes = count("n_nodes", n_nodes, m + 2, _MAX_NODES)
     clique = m * (m + 1) // 2
     edges = np.empty((clique + (n_nodes - m - 1) * m, 2), dtype=np.int64)
     edges[:clique] = np.transpose(np.triu_indices(m + 1, 1))
@@ -154,10 +144,10 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
 def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=False,
                          mode=MODE_UNDIRECTED, formation_rate=0.05, seed=0):
     """Snapshot sequence whose formations follow a scorer's rankings."""
-    n_nodes = _count("n_nodes", n_nodes, 3, _MAX_NODES)
+    n_nodes = count("n_nodes", n_nodes, 3, _MAX_NODES)
     if not 0.0 <= float(edge_prob) <= 1.0:
         raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
-    n_snapshots = _count("n_snapshots", n_snapshots, 2)
+    n_snapshots = count("n_snapshots", n_snapshots, 2)
     if not 0.0 < float(formation_rate) <= 1.0:
         raise ConfigError(f"formation_rate: must be in (0, 1], got {formation_rate}")
     (method,) = check_key("method", validate_methods, (method,))

@@ -14,17 +14,17 @@ round trip through ``write_normalized_csv`` / ``ingest_edges``, and so
 does the output of ``drop_zero_out_degree``, which numbers by this rule.
 
 Loading reads a file once. A regular file, ``src<sep>dst<sep>time``
-lines of ASCII with one separator byte and nothing to strip, is checked
-and read with NumPy on its bytes: labels are factorized in 8-byte words
-and times summed digit by digit, with no Python object per line. Any
-other input goes through the per-line ``parse_edge_lines``, which alone
-numbers the line of a ``ParseError``, and ``normalize_edges``; both
-paths share ``_normalize_ids``. A cumulative snapshot series is cut from
-one sort of the 2E symmetric entries of its edges (``_EntrySort``):
-snapshot ``i`` keeps the entries that hold by window ``i``, with no sort
-of its own, and is built only when first read; a window that adds no
-edge shares the snapshot before it. ``SnapshotGraph`` builds a single
-graph through the same sort and cut.
+lines of ASCII with one separator byte, nothing to strip and times of at
+most 18 digits, is checked and read with NumPy on its bytes: labels are
+factorized in 8-byte words and times summed digit by digit, with no
+Python object per line. Any other input goes through the per-line
+``parse_edge_lines``, which alone numbers the line of a ``ParseError``,
+and ``normalize_edges``; both paths share ``_normalize_ids``. A
+cumulative snapshot series is cut from one sort of the 2E symmetric
+entries of its edges (``_EntrySort``): snapshot ``i`` keeps the entries
+that hold by window ``i``, with no sort of its own, and is built only
+when first read; a window that adds no edge shares the snapshot before
+it. ``SnapshotGraph`` builds one graph by the same sort and cut.
 
 Step 1 holds for every graph the package builds, from hand-built pairs
 too: ``_EntrySort``, which every snapshot graph passes, drops self-loops.
@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import csv_field, whole_number
+from ._util import INT64_MAX, INT64_MIN, count, csv_field, whole_number
 from .errors import ConfigError, EmptyInputError, ParseError, PreconditionError
 
 NORMALIZED_HEADER = "src_id,dst_id,time"
@@ -52,10 +52,6 @@ TIME_MODE_INDEX = "index"
 
 #: timestamp field values treated as missing when a fill is configured
 _MISSING_TIMES = ("", r"\N")
-
-#: the range of a timestamp, which is an int64 from parsing on, as
-#: Python ints: the per-line parser compares every time against them
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 #: cap on the edges stored across a whole cumulative snapshot series,
 #: each edge counted once per distinct snapshot that holds it (one per
@@ -162,6 +158,7 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
     """
     if delimiter not in (None, "comma", "whitespace"):
         raise ConfigError(f"unknown delimiter {delimiter!r}")
+    missing_time = None if missing_time is None else count("missing_time", missing_time, INT64_MIN)
     src_labels = []
     dst_labels = []
     times = []
@@ -183,14 +180,14 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
         if t in _MISSING_TIMES:
             if missing_time is None:
                 raise ParseError(lineno, f"missing timestamp {t!r}")
-            tv = int(missing_time)
+            tv = missing_time
         else:
             try:
                 tv = int(t)
             except ValueError:
                 raise ParseError(lineno, f"bad timestamp {t!r}") from None
-        if not _INT64_MIN <= tv <= _INT64_MAX:
-            raise ParseError(lineno, f"timestamp {tv} is outside int64")
+            if not INT64_MIN <= tv <= INT64_MAX:
+                raise ParseError(lineno, f"timestamp {tv} is outside int64")
         src_labels.append(s)
         dst_labels.append(d)
         times.append(tv)
@@ -357,16 +354,15 @@ def _parse_regular(data, delimiter):
     lines and a normalized-CSV header; then only lines
     ``src<sep>dst<sep>time\\n`` of non-empty fields, ``sep`` being the
     one byte the per-line rule splits them on (a comma when the body holds
-    one or ``delimiter`` is ``comma``, else a space); and every time reads
-    as an ``int`` within int64. Any such line reads the same under the
-    per-line rule, which splits on that separator and strips nothing.
+    one or ``delimiter`` is ``comma``, else a space); and every time is 1
+    to 18 ASCII digits. Any such line reads the same under the per-line
+    rule, which splits on that separator and strips nothing; a file with
+    a sign, an underscore or 19 digits in some time is left to it.
 
     Labels and times are read on the bytes, with no Python object per
     line: the label fields are factorized in 8-byte words
     (``_field_codes``) and one field of each distinct label is decoded;
-    times of 1 to 18 digits are summed digit by digit (``_digit_times``),
-    and only a file with a sign, an underscore or 19 digits in some time
-    has its times read by ``int``.
+    times are summed digit by digit (``_digit_times``).
     """
     if delimiter not in (None, "comma", "whitespace") or not data.isascii() or b"\r" in data:
         return None
@@ -394,12 +390,7 @@ def _parse_regular(data, delimiter):
 
     times = _digit_times(padded, marks[:, 1] + 1, marks[:, 2])
     if times is None:
-        # a sign, an underscore or 19 digits somewhere: int reads every time
-        try:
-            times = np.array([int(data[a + 1:b]) for a, b in (marks[:, 1:] + start).tolist()],
-                             dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
+        return None
 
     # the label fields, sources then destinations
     n = marks.shape[0]
@@ -422,6 +413,7 @@ def ingest_edges(source, directed=False, delimiter=None, time_mode=TIME_MODE_TIM
     UTF-8 with universal newlines, a byte that is not UTF-8 being a
     ParseError of its line.
     """
+    missing_time = None if missing_time is None else count("missing_time", missing_time, INT64_MIN)
     rows = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:
@@ -590,6 +582,7 @@ class SnapshotGraph(_ReadOnlyArrays):
                "sym_indices", "out_degree", "in_degree", "sym_degree", "_sym_config")
 
     def __init__(self, n_nodes, src, dst, directed):
+        n_nodes = count("n_nodes", n_nodes, 0)
         entries = _EntrySort(n_nodes, np.asarray(src, dtype=np.int64),
                              np.asarray(dst, dtype=np.int64), directed)
         self._set_entries(n_nodes, directed, *entries.cut(0))
@@ -725,18 +718,14 @@ def assign_windows(times, window_length=None, fixed_count=None):
     t_max = int(times.max())
     span = t_max - t_min + 1
     if window_length is not None:
-        width = int(window_length)
-        if width <= 0:
-            raise ConfigError(f"window length must be positive, got {window_length}")
+        width = count("window_length", window_length, 1)
         n = -(-span // width)
         what = f"window length {width}"
     else:
-        n = int(fixed_count)
-        if n <= 0:
-            raise ConfigError(f"window count must be positive, got {fixed_count}")
+        n = count("fixed_count", fixed_count, 1)
         width = -(-span // n)
         what = f"window count {n}"
-    if span - 1 > _INT64_MAX or width > _INT64_MAX:
+    if span - 1 > INT64_MAX or width > INT64_MAX:
         raise ConfigError(f"{what} over times {t_min}..{t_max} needs window "
                           f"arithmetic beyond int64")
     idx = (times - t_min) // width

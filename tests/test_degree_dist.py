@@ -234,6 +234,21 @@ class TestHistogram:
         with pytest.raises(ConfigError):
             log_binned_histogram(np.array([-1, 3]))
 
+    @pytest.mark.parametrize("values, shown", [
+        ([0.5, 2.0], "0.5"), ([2.0, 1.5, 0.5], "1.5"), ([float("nan"), 1.0], "nan"),
+        ([float("inf"), 2.0], "inf"), ([3, -1], "-1"), ([True, False], "True"),
+    ])
+    def test_samples_are_counts(self, values, shown):
+        # a sample that is not a finite whole number >= 0 is named, not cut
+        # down to one (0.5 was shifted as if it were a zero)
+        with pytest.raises(ConfigError, match=f"whole numbers >= 0, got {shown}$"):
+            log_binned_histogram(np.array(values))
+
+    def test_shift_only_on_a_true_zero(self):
+        samples = degree_dist.DegreeSampleSet(np.array([0.5, 2.0]), "global", "undirected", 0)
+        assert not samples.shifted
+        assert log_binned_histogram(np.array([0.0, 2.0])).shifted
+
     def test_accepts_sample_set(self):
         s = personalized_degree_samples(_clique(5))
         dist = log_binned_histogram(s)

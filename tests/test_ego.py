@@ -118,6 +118,11 @@ class TestSampleEgos:
         with pytest.raises(ConfigError, match=f"sample_size: must be >= 1, got {size}"):
             sample_egos(series, size)
 
+    def test_size_above_int64_named(self):
+        series = make_series([[(0, 1), (1, 2)]], 3)
+        with pytest.raises(ConfigError, match=f"sample_size: must be in 1..{2**63 - 1}, got"):
+            sample_egos(series, 2**63)
+
     def test_fractional_size_named(self):
         # nor is a string or a bool read as a count
         series = make_series([[(0, 1), (1, 2)]], 3)

@@ -1,9 +1,18 @@
-"""The ego pooling rule shared by the empirical and evaluation stages."""
+"""The ego pooling rule shared by the empirical and evaluation stages,
+and the count rule every whole-number argument of the library passes."""
 
 import numpy as np
 import pytest
 
 from egolink._util import group_means, mean_and_stderr, pool_egos
+from egolink.degree_dist import log_binned_histogram
+from egolink.empirical import aggregate_empirical
+from egolink.errors import ConfigError
+from egolink.evaluation import evaluate_methods, precision_at_k
+from egolink.graph import (SnapshotGraph, assign_windows, ingest_edges,
+                           parse_edge_lines)
+
+from conftest import make_series
 
 
 def _reference_pool(ego, values):
@@ -85,3 +94,39 @@ def test_grouped_pool_equals_reference(seed):
 def test_interleaved_rows_pool_as_sorted(seed):
     ego, transition, values = _ragged_cells(np.random.default_rng(seed), 60, 5)
     assert pool_egos(*_transition_major(ego, transition, values)) == pool_egos(ego, values)
+
+
+_SERIES = make_series([[(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]], 3)
+
+#: (site, key, a call that passes the count, a count out of its range or None)
+_COUNT_SITES = [
+    ("assign_windows", "window_length",
+     lambda v: assign_windows(np.array([0, 9]), window_length=v), 0),
+    ("assign_windows", "fixed_count", lambda v: assign_windows(np.array([0, 9]), fixed_count=v), 0),
+    ("log_binned_histogram", "bins_per_decade",
+     lambda v: log_binned_histogram(np.array([1, 5]), bins_per_decade=v), 0),
+    ("evaluate_methods", "cutoff", lambda v: evaluate_methods(_SERIES, cutoff=v), 0),
+    ("evaluate_methods", "min_candidates",
+     lambda v: evaluate_methods(_SERIES, min_candidates=v), -1),
+    ("evaluate_methods", "workers", lambda v: evaluate_methods(_SERIES, workers=v), 0),
+    ("aggregate_empirical", "workers", lambda v: aggregate_empirical(_SERIES, workers=v), 0),
+    ("parse_edge_lines", "missing_time",
+     lambda v: parse_edge_lines(["a,b,1", "b,c,\\N"], missing_time=v), 2**63),
+    # no time is missing: the fill is checked all the same
+    ("ingest_edges", "missing_time", lambda v: ingest_edges(["a,b,1"], missing_time=v),
+     -2**63 - 1),
+    ("SnapshotGraph", "n_nodes", lambda v: SnapshotGraph(v, [0], [1], False), -1),
+    # k past its range is a PreconditionError of the ranking
+    ("precision_at_k", "k", lambda v: precision_at_k([3, 1, 2], [1], v), None),
+]
+
+
+@pytest.mark.parametrize("call, key, value", [
+    pytest.param(call, key, value, id=f"{site}-{key}-{value!r}")
+    for site, key, call, out_of_range in _COUNT_SITES
+    for value in (2.5, "3", True, out_of_range) if value is not None
+])
+def test_count_rule_names_the_key(call, key, value):
+    # a count is a whole number in its range, never cut down to one
+    with pytest.raises(ConfigError, match=f"^{key}: must be "):
+        call(value)
