@@ -1,7 +1,7 @@
-"""Small shared helpers: float formatting, the whole-number rule of ids
-and counts (``count``: in range or a ConfigError naming the key, never
-cut down by ``int``), the group-mean and ego pooling rules of cell
-arrays, and the CSV/JSON table writers every pipeline output goes through."""
+"""Small shared helpers: float formatting, the whole-number rule of ids,
+counts and seeds (``count``, ``seeded_rng``: in range or a ConfigError
+naming the key, never cut down by ``int``), the group-mean and ego pooling
+rules of cell arrays, and the CSV/JSON table writers every output goes through."""
 
 import json
 import math
@@ -35,9 +35,15 @@ def count(key, value, least, most=INT64_MAX):
     if not whole_number(value):
         raise ConfigError(f"{key}: must be a whole number, got {value!r}")
     if not least <= value <= most:
-        bound = f">= {least}" if value < least and most == INT64_MAX else f"in {least}..{most}"
+        bound = f">= {least}" if value < least and most >= INT64_MAX else f"in {least}..{most}"
         raise ConfigError(f"{key}: must be {bound}, got {value}")
     return int(value)
+
+
+def seeded_rng(seed):
+    """NumPy's generator of ``seed``, a count from 0 with no bound above, as
+    NumPy seeds from a whole number of any size; a ConfigError names ``seed``."""
+    return np.random.default_rng(count("seed", seed, 0, math.inf))
 
 
 def mean_and_stderr(values):

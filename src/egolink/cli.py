@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from ._util import INT64_MAX, INT64_MIN, fmt_float, write_table
+from ._util import INT64_MAX, INT64_MIN, count, fmt_float, seeded_rng, write_table
 from .degree_dist import (
     ALL_KINDS as SAMPLE_KINDS,
     KIND_PERSONALIZED,
@@ -73,7 +73,8 @@ from .graph import (
     write_label_map_csv,
     write_normalized_csv,
 )
-from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_candidates, validate_methods
+from .scorers import (ALL_METHODS, METHOD_CN, MODE_NONE, _ln_base, score_candidates,
+                      validate_methods)
 
 SECONDS_PER_DAY = 86_400
 
@@ -87,24 +88,12 @@ _SERIES_KEYS = _LOAD_KEYS + _WINDOW_KEYS + ("output_dir", "format")
 _GENERATOR_KEYS = tuple(f.name for f in fields(GeneratorSpec))
 
 
-def _opt(default, kind, help, check=None):
-    """Declare one option: default, value kind, help text, and a check that
-    raises ``ConfigError`` for a bad set value."""
+def _opt(default, kind, help, check=None, least=None):
+    """Declare one option: default, value kind, help text, and its check: a
+    function that raises ``ConfigError`` for a bad set value or, for a whole
+    number, the ``least`` value of the count rule (``_util.count``)."""
+    check = check if least is None else least
     return field(default=default, metadata={"kind": kind, "help": help, "check": check})
-
-
-def _at_least(n):
-    def check(value):
-        if value < n:
-            raise ConfigError(f"must be >= {n}, got {value}")
-    return check
-
-
-def _above(x):
-    def check(value):
-        if value <= x:
-            raise ConfigError(f"must be > {x}, got {value}")
-    return check
 
 
 def _one_of(*choices):
@@ -112,11 +101,6 @@ def _one_of(*choices):
         if value not in choices:
             raise ConfigError(f"expected {' or '.join(map(repr, choices))}, got {value!r}")
     return check
-
-
-def _in_int64(value):
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ConfigError(f"{value} is outside int64")
 
 
 def _window_length(units):
@@ -160,7 +144,7 @@ class RunConfig:
                           _one_of(TIME_MODE_TIMESTAMP, TIME_MODE_INDEX))
     missing_time: int | None = _opt(None, "int",
                                     "timestamp substituted for blank or \\N time fields",
-                                    _in_int64)
+                                    least=INT64_MIN)
     drop_zero_out: bool = _opt(False, "bool",
                                "drop nodes that never appear as a source (directed only)")
     window_days: float | None = _opt(None, "float", "snapshot window length in days",
@@ -168,30 +152,29 @@ class RunConfig:
     window_seconds: int | None = _opt(None, "int", "snapshot window length in raw time units",
                                       _window_length)
     window_count: int | None = _opt(None, "int", "number of equal-width snapshot windows",
-                                    _at_least(1))
-    seed: int = _opt(0, "int", "RNG seed for ego sampling and generators", _at_least(0))
+                                    least=1)
+    seed: int = _opt(0, "int", "RNG seed for ego sampling and generators", seeded_rng)
     sample_size: int | None = _opt(None, "int",
-                                   "number of egos to sample (default: all eligible)",
-                                   _at_least(1))
+                                   "number of egos to sample (default: all eligible)", least=1)
     cutoff: int = _opt(DEFAULT_CUTOFF, "int",
-                       "drop egos whose candidate set ever exceeds this size", _at_least(1))
+                       "drop egos whose candidate set ever exceeds this size", least=1)
     ks: tuple = _opt(DEFAULT_KS, "int_list",
                      "comma-separated list of k values, strictly ascending", validate_ks)
     methods: tuple = _opt(ALL_METHODS, "str_list", "comma-separated scoring methods",
                           validate_methods)
     modes: tuple | None = _opt(None, "str_list", "comma-separated degree modes", _known_modes)
     min_candidates: int = _opt(0, "int", "minimum candidates for an (ego, snapshot) cell",
-                               _at_least(0))
+                               least=0)
     require_formation: bool = _opt(True, "bool",
                                    "keep only cells with at least one formed edge")
     log_base: float | None = _opt(None, "float",
-                                  "logarithm base for scoring terms (default: e)", _above(1))
+                                  "logarithm base for scoring terms (default: e)", _ln_base)
     output_dir: str = _opt(".", "str", "directory for output files")
     format: str = _opt("csv", "str", "output table format: 'csv' or 'json'",
                        _one_of("csv", "json"))
-    workers: int = _opt(1, "int", "worker processes for per-ego stages", _at_least(1))
+    workers: int = _opt(1, "int", "worker processes for per-ego stages", least=1)
     kind: str | None = _opt(None, "str", "degree-dist sample kind, or generator kind")
-    bins_per_decade: int = _opt(10, "int", "log-histogram resolution", _at_least(1))
+    bins_per_decade: int = _opt(10, "int", "log-histogram resolution", least=1)
     snapshot: int | None = _opt(None, "int", "snapshot index to analyze (default: last)")
     per_neighbor: bool = _opt(False, "bool",
                               "sample global degrees once per (ego, neighbor) pair")
@@ -199,7 +182,7 @@ class RunConfig:
     ego: str | None = _opt(None, "str", "ego node label to recommend for")
     method: str | None = _opt(None, "str", "single scoring method", _known_method)
     mode: str | None = _opt(None, "str", "single degree mode", _known_mode)
-    k: int = _opt(10, "int", "list length for recommend", _at_least(1))
+    k: int = _opt(10, "int", "list length for recommend", least=1)
     n_nodes: int | None = _opt(None, "int", "generator node count")
     edge_prob: float | None = _opt(None, "float", "generator edge probability")
     n_attach: int | None = _opt(None, "int", "edges per new node (preferential attachment)")
@@ -326,9 +309,13 @@ def resolve_config(args):
 
 def _validate_config(cfg):
     for key, f in _FIELDS.items():
-        value = getattr(cfg, key)
-        if f.metadata["check"] is not None and value is not None:
-            check_key(key, f.metadata["check"], value)
+        value, check = getattr(cfg, key), f.metadata["check"]
+        if value is None or check is None:
+            continue
+        if callable(check):
+            check_key(key, check, value)
+        else:
+            count(key, value, check)
     # at most one window policy; snapshot indices take none
     policy = [key for key in _WINDOW_KEYS if getattr(cfg, key) is not None]
     if cfg.time_mode == TIME_MODE_INDEX:
@@ -534,8 +521,7 @@ def _cmd_evaluate(cfg):
         methods=cfg.methods,
         modes=modes,
         ks=cfg.ks,
-        sample_size=cfg.sample_size,
-        seed=cfg.seed,
+        egos=sample_egos(series, cfg.sample_size, cfg.seed),
         cutoff=cfg.cutoff,
         min_candidates=cfg.min_candidates,
         require_formation=cfg.require_formation,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import map_in_order
-from ._util import count
+from ._util import count, seeded_rng
 from .errors import ConfigError, EmptyInputError, PreconditionError
 
 MODE_UNDIRECTED = "undirected"
@@ -79,12 +79,12 @@ def sample_egos(series, sample_size=None, seed=0):
     """Sorted, seeded sample of the nodes with neighbors in the first
     snapshot; all of them when ``sample_size`` is None or covers them."""
     sample_size = None if sample_size is None else count("sample_size", sample_size, 1)
+    rng = seeded_rng(seed)
     eligible = np.flatnonzero(series[0].sym_degree > 0).astype(np.int64)
     if eligible.size == 0:
         raise EmptyInputError("first snapshot has no connected nodes to sample egos from")
     if sample_size is None or sample_size >= eligible.size:
         return eligible
-    rng = np.random.default_rng(seed)
     return np.sort(rng.choice(eligible, size=sample_size, replace=False))
 
 
@@ -130,13 +130,11 @@ def personalized_degrees(graph, u, targets, mode):
     u = graph._check_node(u)
     base = ego_neighbors(graph, u)
     targets = np.asarray(targets)
-    pos = np.searchsorted(base, targets)
-    found = pos < base.size
-    found[found] = base[pos[found]] == targets[found]
+    found = _kernels.contains(base, targets)
     if not found.all():
         raise PreconditionError(f"{targets[~found][0]} is not a neighbor of ego {u}")
     view = _gather_block(graph, np.array([u]), (mode,), wedges=False)
-    return view.pd(mode)[pos]
+    return view.pd(mode)[np.searchsorted(base, targets)]
 
 
 def personalized_degree(graph, u, z, mode=MODE_UNDIRECTED):

@@ -15,10 +15,13 @@ class ConfigError(ValueError):
 
 
 def check_key(key, check, *args):
-    """``check(*args)`` with ``key`` named in its ConfigError."""
+    """``check(*args)`` with ``key`` named in its ConfigError, unless the
+    check names it itself, as the count rule does."""
     try:
         return check(*args)
     except ConfigError as exc:
+        if str(exc).startswith(f"{key}: "):
+            raise
         raise ConfigError(f"{key}: {exc}") from None
 
 

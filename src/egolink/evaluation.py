@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import INT64_MIN, count, pool_egos, whole_number
-from .ego import _cell_blocks, _gather_block, resolve_modes, sample_egos
+from ._util import INT64_MIN, count, pool_egos
+from .ego import _cell_blocks, _ego_ids, _gather_block, resolve_modes, sample_egos
 from .errors import ConfigError, EmptyResultError, PreconditionError
 from .scorers import ALL_METHODS, METHOD_CN, MODE_NONE, score_block, validate_methods
 
@@ -85,12 +85,14 @@ class EvalResult:
 
 
 def validate_ks(ks):
-    ks = tuple(ks)
+    """The K list: each K a count from 1 (``_util.count``), strictly
+    ascending; a ConfigError names ``ks``."""
+    ks = tuple(count("ks", k, 1) for k in ks)
     if not ks:
-        raise ConfigError("need at least one K")
-    if not all(map(whole_number, ks)) or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ConfigError(f"K list must be strictly ascending positive integers, got {ks}")
-    return tuple(map(int, ks))
+        raise ConfigError("ks: need at least one K")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ConfigError(f"ks: K list must be strictly ascending positive integers, got {ks}")
+    return ks
 
 
 def _ranking_order(scores):
@@ -220,10 +222,12 @@ def _cell_worker(payload, item):
     return reason, np.hstack([p[pair] for pair in pairs])
 
 
-def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
-                     sample_size=None, seed=0, cutoff=DEFAULT_CUTOFF,
-                     min_candidates=0, require_formation=True, workers=1):
-    """Mean P@K per (method, degree mode, K) over a shared cell set."""
+def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS, egos=None,
+                     cutoff=DEFAULT_CUTOFF, min_candidates=0, require_formation=True,
+                     workers=1):
+    """Mean P@K per (method, degree mode, K) over a shared cell set, of
+    ``egos`` or by default ``sample_egos(series)``, the nodes with
+    neighbors in the first snapshot."""
     if len(series) < 2:
         raise ConfigError("evaluation needs at least 2 snapshots")
     cutoff = count("cutoff", cutoff, 1)
@@ -234,7 +238,7 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS,
     pairs = method_mode_pairs(methods, modes)
     keys = [(pair, k) for pair in pairs for k in ks]
 
-    egos = sample_egos(series, sample_size, seed)
+    egos = _ego_ids(series[0], sample_egos(series) if egos is None else egos)
     payload = (series, methods, modes, ks, cutoff, max(min_candidates, ks[-1]),
                bool(require_formation))
     # per (transition, ego): the index in EXCLUSIONS of the reason its cell

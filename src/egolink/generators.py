@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ego
-from ._util import INT64_MAX, count
+from ._util import INT64_MAX, count, seeded_rng
 from .ego import MODE_UNDIRECTED, validate_mode
 from .errors import ConfigError, check_key
 from .graph import (
@@ -109,7 +109,7 @@ def uniform_random_edges(n_nodes, edge_prob, directed=False, seed=0,
     if not 0.0 <= float(edge_prob) <= 1.0:
         raise ConfigError(f"edge_prob: must be in [0, 1], got {edge_prob}")
     time_span = count("time_span", time_span, 1)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
     time = rng.integers(0, time_span, size=src.size, dtype=np.int64)
     return _assemble(n_nodes, src, dst, time, directed, TIME_MODE_TIMESTAMP)
@@ -130,7 +130,7 @@ def preferential_attachment_edges(n_nodes, n_attach, directed=False, seed=0):
     time[clique:] = edges[clique:, 0] = np.arange(m + 1, n_nodes).repeat(m)
     # node repeated once per incident edge so far: degree-proportional draws
     pool = edges.reshape(-1)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for row in range(clique, len(edges), m):
         # m draws in one call take the stream of m scalar calls; a repeat
         # target takes one more scalar call
@@ -153,7 +153,7 @@ def planted_scorer_edges(n_nodes, edge_prob, method, n_snapshots=3, directed=Fal
     (method,) = check_key("method", validate_methods, (method,))
     check_key("mode", validate_mode, mode, directed)
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     src, dst = _uniform_structure(rng, n_nodes, float(edge_prob), directed)
     sizes = [src.size]  # edges new in each snapshot
 

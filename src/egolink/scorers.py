@@ -47,7 +47,7 @@ def _ln_base(log_base):
         return 1.0
     base = float(log_base)
     if not base > 1.0:
-        raise ConfigError(f"log base must be > 1, got {log_base!r}")
+        raise ConfigError(f"log_base: must be > 1, got {log_base!r}")
     return math.log(base)
 
 

@@ -25,6 +25,7 @@ from egolink.ego import (
     global_degrees,
     personalized_degree,
     personalized_degrees,
+    sample_egos,
     two_hop_candidates,
 )
 from egolink.empirical import aggregate_empirical
@@ -232,7 +233,7 @@ def test_c09_personalized_scorers_win_top10_on_planted_fixture():
     counterparts."""
     start = time.monotonic()
     series = _planted_series("pd-cn", seed=7)
-    res = evaluate_methods(series, methods=ALL_METHODS, ks=(10,), seed=0)
+    res = evaluate_methods(series, methods=ALL_METHODS, ks=(10,))
     p = {
         "cn": res.row("cn", MODE_NONE, 10).mean_p_at_k,
         "aa": res.row("aa", "undirected", 10).mean_p_at_k,
@@ -289,7 +290,7 @@ def test_c11_real_social_network_prefers_personalized_scorers():
     series = build_snapshots(edges, window_length=90 * 86_400)
     ks = (1, 3, 5, 10, 20, 30, 50)
     res = evaluate_methods(series, methods=ALL_METHODS, ks=ks,
-                           sample_size=5000, seed=0)
+                           egos=sample_egos(series, 5000))
     for k in ks:
         cn = res.row("cn", MODE_NONE, k).mean_p_at_k
         aa = res.row("aa", "undirected", k).mean_p_at_k

@@ -31,6 +31,7 @@ from egolink.ego import (
 )
 from egolink.empirical import aggregate_empirical, ego_snapshot_stats
 from egolink.errors import ConfigError, EmptyInputError, PreconditionError
+from egolink.evaluation import evaluate_methods
 from egolink.generators import planted_scorer_edges
 from egolink.graph import build_snapshots
 from egolink.scorers import score_candidates
@@ -313,6 +314,8 @@ class TestEgoSetRule:
         series = make_series(TestEgoSetRule.SNAPS, 5)
         if name == "empirical":
             return lambda egos: aggregate_empirical(series, egos=egos)
+        if name == "evaluate":
+            return lambda egos: evaluate_methods(series, ks=(1,), egos=egos)
 
         def call(egos):
             if name == "global":
@@ -322,13 +325,13 @@ class TestEgoSetRule:
             return s.values.tolist(), s.n_egos
         return call
 
-    @pytest.mark.parametrize("name", ["personalized", "global", "empirical"])
+    @pytest.mark.parametrize("name", ["personalized", "global", "empirical", "evaluate"])
     def test_duplicates_and_order(self, name):
         call = self._entry(name)
         assert call([1, 0, 1, 0]) == call([0, 1])
         assert call(np.array([0, 0])) == call([0])
 
-    @pytest.mark.parametrize("name", ["personalized", "global", "empirical"])
+    @pytest.mark.parametrize("name", ["personalized", "global", "empirical", "evaluate"])
     def test_empty_named(self, name):
         with pytest.raises(EmptyInputError, match="egos:"):
             self._entry(name)([])

@@ -100,10 +100,15 @@ class TestKs:
         with pytest.raises(ConfigError):
             validate_ks(bad)
 
+    def test_above_int64_is_named_before_any_gather(self):
+        with mock.patch("egolink.evaluation._cell_blocks", side_effect=AssertionError):
+            with pytest.raises(ConfigError, match=f"ks: must be in 1..{2**63 - 1}, got {2**64}"):
+                evaluate_methods(_hand_series(), ks=(2**64,))
+
     @pytest.mark.parametrize("bad", [("x",), (math.nan,), (math.inf,), (None,), (True, 3)],
                              ids=["text", "nan", "inf", "none", "bool"])
     def test_not_an_integer_is_named(self, bad):
-        msg = "K list must be strictly ascending positive integers"
+        msg = "ks: must be a whole number, got"
         with pytest.raises(ConfigError, match=msg):
             validate_ks(bad)
         with pytest.raises(ConfigError, match=msg):
@@ -130,8 +135,7 @@ def _hand_series():
 class TestEvaluate:
     def test_hand_computed(self):
         series = _hand_series()
-        result = evaluate_methods(series, methods=("cn",), ks=(1, 2, 4),
-                                  sample_size=None)
+        result = evaluate_methods(series, methods=("cn",), ks=(1, 2, 4))
         row1 = result.row("cn", "none", 1)
         assert row1.mean_p_at_k == 0.0
         assert result.row("cn", "none", 2).mean_p_at_k == 0.5
@@ -196,15 +200,38 @@ class TestEvaluate:
     @pytest.mark.parametrize("size", [0, -1])
     def test_sample_size_below_one(self, size):
         with pytest.raises(ConfigError, match="sample_size"):
-            evaluate_methods(_hand_series(), ks=(1,), sample_size=size)
+            sample_egos(_hand_series(), size)
 
     def test_sampling_deterministic(self):
         snaps = random_snapshots(2, 20, 0.25, False, 3)
         series = make_series(snaps, 20)
-        a = evaluate_methods(series, ks=(1, 2), sample_size=6, seed=9)
-        b = evaluate_methods(series, ks=(1, 2), sample_size=6, seed=9)
+        a = evaluate_methods(series, ks=(1, 2), egos=sample_egos(series, 6, seed=9))
+        b = evaluate_methods(series, ks=(1, 2), egos=sample_egos(series, 6, seed=9))
         assert a.rows == b.rows
         assert a.metadata["n_egos_requested"] == 6
+
+    def test_sampled_egos_keep_the_seeded_rows(self):
+        # the rows and metadata that sample_size=6, seed=9 gave when
+        # evaluate_methods drew its own sample
+        series = make_series(random_snapshots(2, 20, 0.25, False, 3), 20)
+        result = evaluate_methods(series, ks=(1, 2), egos=sample_egos(series, 6, seed=9))
+        assert eval_table(result) == [
+            ("cn", "none", 1, 0.0, 0.0, 7), ("cn", "none", 2, 0.1, 0.1, 7),
+            ("aa", "undirected", 1, 0.0, 0.0, 7), ("aa", "undirected", 2, 0.1, 0.1, 7),
+            ("pd-cn", "undirected", 1, 0.0, 0.0, 7),
+            ("pd-cn", "undirected", 2, 0.05, 0.05000000000000001, 7),
+            ("pd-aa", "undirected", 1, 0.0, 0.0, 7),
+            ("pd-aa", "undirected", 2, 0.15, 0.09999999999999999, 7)]
+        assert result.metadata == {
+            "n_egos_requested": 6, "n_egos_contributing": 5, "n_egos_skipped_cutoff": 0,
+            "n_cells": 7, "n_cells_excluded": {"ego_over_cutoff": 0, "no_formed_candidate": 5,
+                                               "too_few_candidates": 0}}
+
+    @pytest.mark.parametrize("bad, shown", [("1", "'1'"), (True, "True")],
+                             ids=["text", "bool"])
+    def test_ego_not_an_id_is_named(self, bad, shown):
+        with pytest.raises(ConfigError, match=f"the first is {shown}"):
+            evaluate_methods(_hand_series(), ks=(1,), egos=[bad])
 
     def test_workers_agree(self):
         snaps = random_snapshots(4, 18, 0.3, True, 3)

@@ -14,7 +14,8 @@ from egolink.generators import GeneratorSpec
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
-CHECKED = [f.name for f in dataclasses.fields(RunConfig) if f.metadata["check"]]
+# a check may be a count's least value, 0 included
+CHECKED = [f.name for f in dataclasses.fields(RunConfig) if f.metadata["check"] is not None]
 
 # one value per checked field that its check must reject
 BAD_VALUES = {
@@ -93,6 +94,18 @@ def test_bad_value_fails_before_input(key, via, tmp_path, capsys):
         argv += ["--config", str(cfg)]
     assert main(argv) == 1
     assert f"error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["window_count", "sample_size", "cutoff", "min_candidates",
+                                 "workers", "bins_per_decade", "k"])
+def test_count_above_int64_fails_before_input(key, tmp_path, capsys):
+    # the count rule bounds each of these at int64; a seed has no bound above
+    command = CHECKED_VIA.get(key, "evaluate")
+    assert main([command, "--input", str(tmp_path / "missing.csv"),
+                 "--output-dir", str(tmp_path / "out"), _flag(key), str(2**63)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key}: must be in " in err and f"..{2**63 - 1}, got {2**63}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,9 +6,12 @@ import pytest
 
 from egolink._util import group_means, mean_and_stderr, pool_egos
 from egolink.degree_dist import log_binned_histogram
+from egolink.ego import sample_egos
 from egolink.empirical import aggregate_empirical
 from egolink.errors import ConfigError
 from egolink.evaluation import evaluate_methods, precision_at_k
+from egolink.generators import (planted_scorer_edges, preferential_attachment_edges,
+                                uniform_random_edges)
 from egolink.graph import (SnapshotGraph, assign_windows, ingest_edges,
                            parse_edge_lines)
 
@@ -118,6 +121,13 @@ _COUNT_SITES = [
     ("SnapshotGraph", "n_nodes", lambda v: SnapshotGraph(v, [0], [1], False), -1),
     # k past its range is a PreconditionError of the ranking
     ("precision_at_k", "k", lambda v: precision_at_k([3, 1, 2], [1], v), None),
+    ("evaluate_methods", "ks", lambda v: evaluate_methods(_SERIES, ks=(v,)), 2**64),
+    # a seed has no bound above
+    ("sample_egos", "seed", lambda v: sample_egos(_SERIES, 2, seed=v), -1),
+    ("uniform_random_edges", "seed", lambda v: uniform_random_edges(5, 0.5, seed=v), -1),
+    ("preferential_attachment_edges", "seed",
+     lambda v: preferential_attachment_edges(5, 1, seed=v), -1),
+    ("planted_scorer_edges", "seed", lambda v: planted_scorer_edges(6, 0.5, "cn", seed=v), -1),
 ]
 
 
