@@ -24,6 +24,11 @@ take together. A take keeps order, so the result is that of the mask. A
 mask that is almost all True, such as the self-loop drop, predicts well
 and stays a mask.
 
+Rows and columns are gathered by ``take`` (``v.take(idx, axis=0)``,
+``v[:, k].take(idx)``): NumPy 2.4.6 indexes a 2-D array 5-10x slower, 0.93
+against 0.085 ms on 37,881 x 2 float64 rows and 406 against 214 µs for
+``terms[wedge_z, k]`` on 130,000 wedges; 2-D fancy assignment is as slow.
+
 Division by a scalar is ``q = key // n`` and ``key - q * n``: on 38,000
 sorted int64 keys ``np.divmod(key, n)``, which misses the fast path of
 ``//`` by a scalar, took 177-458 µs against 85-110 µs (NumPy 2.4.6).
@@ -75,6 +80,6 @@ def accumulate_common_terms(wedge_z, wedge_v, terms, n_targets):
     with that ``wedge_v``, added in wedge order, and the wedge count."""
     sums = np.zeros((n_targets, terms.shape[1]), dtype=np.float64)
     for k in range(terms.shape[1]):
-        sums[:, k] = np.bincount(wedge_v, weights=terms[wedge_z, k], minlength=n_targets)
+        sums[:, k] = np.bincount(wedge_v, weights=terms[:, k].take(wedge_z), minlength=n_targets)
     counts = np.bincount(wedge_v, minlength=n_targets).astype(np.int64)
     return sums, counts

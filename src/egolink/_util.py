@@ -46,18 +46,6 @@ def seeded_rng(seed):
     return np.random.default_rng(count("seed", seed, 0, math.inf))
 
 
-def mean_and_stderr(values):
-    """Sample mean and standard error; SE is 0 for a single value."""
-    values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    if n == 0:
-        raise ValueError("mean of nothing")
-    mean = float(values.mean())
-    if n == 1:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(n))
-
-
 def group_means(group, values):
     """Per column, the mean of each group's rows of the float (rows x
     columns) matrix ``values``, row ``i`` being in group ``group[i]``:
@@ -66,19 +54,19 @@ def group_means(group, values):
     and each mean is bit-identical to one ``np.mean`` of that group's
     column.
 
-    Groups with equally many rows are averaged together, as one mean over
-    the last axis of a C-contiguous (groups, columns, rows) array: it sums
-    each group's column as ``np.mean`` sums it alone (a strided or
-    Fortran-order reduction does not).
+    One ``np.add.reduceat`` sums every group over a (columns, rows) gather
+    whose runs each open with a 0.0, so that each sum is ``np.mean``'s: it
+    sums pairwise (Higham, SIAM J. Sci. Comput. 1993) from 0.0, and
+    ``reduceat`` adds the pairwise sum of a run's rest to its first element.
     """
     order = np.argsort(group, kind="stable")
-    _, start, size = np.unique(group[order], return_index=True, return_counts=True)
-    means = np.empty((start.size, values.shape[1]))
-    for c in np.unique(size):
-        at = np.flatnonzero(size == c)
-        rows = values[order[start[at, None] + np.arange(c)]]  # (groups, rows, columns)
-        means[at] = np.ascontiguousarray(rows.transpose(0, 2, 1)).mean(axis=-1)
-    return means, size
+    ids = group.take(order)
+    start = (np.diff(ids, prepend=~ids[:1]) != 0).nonzero()[0]
+    size = np.diff(start, append=ids.size)
+    padded = np.zeros((values.shape[1], ids.size + 1))  # the last column is the 0.0
+    padded[:, :-1] = values.T
+    runs = padded.take(np.insert(order, start, ids.size), axis=1)
+    return (np.add.reduceat(runs, start + np.arange(start.size), axis=1) / size).T, size
 
 
 def pool_egos(ego, values):
@@ -88,13 +76,15 @@ def pool_egos(ego, values):
     cell of ego ``ego[i]``. Each ego's rows are in transition order; rows
     of different egos may interleave, as a transition-major fan-out emits
     them. Each ego's cells average first (``group_means``), so an ego
-    weighs the same however many cells it has; per column, the per-ego
-    means then average in ascending ego order, and their spread gives the
-    standard error (``mean_and_stderr``). Callers pass only the egos that
-    have the column.
+    weighs the same however many cells it has. Per column, along a row of a
+    C-contiguous (columns, egos) array, the per-ego means average in ascending
+    ego order, and ``std(ddof=1) / sqrt(n_egos)`` (0.0 for one ego) is the
+    standard error. Callers pass only the egos that have the column.
     """
-    means, _ = group_means(ego, values)
-    return [(*mean_and_stderr(m), m.size) for m in np.ascontiguousarray(means.T)]
+    means = np.ascontiguousarray(group_means(ego, values)[0].T)
+    n = means.shape[1]
+    stderr = means.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(means))
+    return list(zip(means.mean(axis=1).tolist(), stderr.tolist(), [n] * len(means)))
 
 
 def csv_field(text):

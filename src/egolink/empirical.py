@@ -106,7 +106,7 @@ def _ego_worker(payload, item):
     usable = (reason[cell] < 0).nonzero()[0]
     # groups: each usable cell's formed, then its not-formed candidates
     group = 2 * cell[usable] + ~formed[usable]
-    terms = sums[usable] / counts[usable, None]
+    terms = sums.take(usable, axis=0) / counts.take(usable)[:, None]
     # the positions are int64, unlike the mask: none is held while grouping
     del usable
     means, n_candidates = group_means(group, terms)

@@ -252,7 +252,8 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS, ego
     dropped = (reason == EXCLUSIONS.index(EXCLUDED_OVER_CUTOFF)).any(axis=0)
     excluded = {r: int((reason[:, ~dropped] == i).sum()) for i, r in enumerate(EXCLUSIONS)}
     excluded[EXCLUDED_OVER_CUTOFF] = int(dropped.sum()) * len(reason)
-    cell_ego, values = cell_ego[~dropped[cell_ego]], values[~dropped[cell_ego]]
+    kept = (~dropped).take(cell_ego).nonzero()[0]
+    cell_ego, values = cell_ego.take(kept), values.take(kept, axis=0)
     metadata = {
         "n_egos_requested": int(egos.size),
         "n_egos_contributing": int(np.unique(cell_ego).size),

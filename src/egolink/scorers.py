@@ -45,10 +45,12 @@ MODE_NONE = "none"
 def _ln_base(log_base):
     if log_base is None:
         return 1.0
-    base = float(log_base)
-    if not base > 1.0:
+    number = isinstance(log_base, (int, float, np.integer, np.floating))
+    if isinstance(log_base, bool) or not (number and log_base < math.inf):
+        raise ConfigError(f"log_base: must be a finite number, got {log_base!r}")
+    if not log_base > 1:
         raise ConfigError(f"log_base: must be > 1, got {log_base!r}")
-    return math.log(base)
+    return math.log(log_base)
 
 
 def _aa_terms(pd, gd, mode):

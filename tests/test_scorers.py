@@ -21,6 +21,7 @@ from egolink.scorers import (
     _pd_aa_terms,
     _pd_cn_terms,
     _TERM_BUILDERS,
+    _ln_base,
 )
 
 
@@ -169,6 +170,19 @@ class TestLogBase:
             _score(g, 0, 2, "aa", log_base=1.0)
         with pytest.raises(ConfigError):
             score_candidates(g, 0, log_base=0.5)
+
+    @pytest.mark.parametrize("base", [math.inf, -math.inf, math.nan, "2", "abc", True, 2j,
+                                      [2.0]])
+    def test_base_is_a_finite_number(self, base):
+        g = make_graph([(0, 1), (1, 2)], 3)
+        with pytest.raises(ConfigError, match="^log_base: "):
+            _ln_base(base)
+        with pytest.raises(ConfigError, match="^log_base: "):
+            score_candidates(g, 0, log_base=base)
+
+    @pytest.mark.parametrize("base", [2, 2.0, np.int64(10), np.float32(10.0), 1.5])
+    def test_base_numbers_accepted(self, base):
+        assert _ln_base(base) == math.log(base)
 
 
 class TestValidation:

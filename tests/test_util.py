@@ -1,10 +1,12 @@
 """The ego pooling rule shared by the empirical and evaluation stages,
 and the count rule every whole-number argument of the library passes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from egolink._util import group_means, mean_and_stderr, pool_egos
+from egolink._util import group_means, pool_egos
 from egolink.degree_dist import log_binned_histogram
 from egolink.ego import sample_egos
 from egolink.empirical import aggregate_empirical
@@ -16,6 +18,16 @@ from egolink.graph import (SnapshotGraph, assign_windows, ingest_edges,
                            parse_edge_lines)
 
 from conftest import make_series
+
+
+def mean_and_stderr(values):
+    """Sample mean and standard error of one 1-D sample; SE is 0 for a
+    single value."""
+    values = np.asarray(values, dtype=np.float64)
+    mean = float(values.mean())
+    if values.size == 1:
+        return mean, 0.0
+    return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def _reference_pool(ego, values):
@@ -83,6 +95,43 @@ def test_group_means_bitwise_equal_to_mean(seed):
         assert size[i] == np.count_nonzero(group == g)
         for col in range(values.shape[1]):
             assert means[i, col] == np.mean(values[group == g, col])
+
+
+def _bits(x):
+    """Float64 values as int64 bit patterns: -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 4, 70])
+@pytest.mark.parametrize("seed", range(3))
+def test_group_means_bitwise_across_pairwise_blocks(seed, n_columns):
+    # np.mean sums pairwise in blocks of 128 rows with 8-way unrolled runs:
+    # sizes on each side of those edges, and above 4096, with negatives and zeros
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([np.arange(1, 10), [127, 128, 129, 255, 256, 257],
+                            rng.integers(4097, 6000, 2), rng.integers(1, 300, 8)])
+    group = rng.permutation(np.repeat(rng.choice(10**6, sizes.size, replace=False), sizes))
+    values = 10.0 ** rng.uniform(-3.0, 3.0, (group.size, n_columns))
+    values *= rng.choice([-1.0, 1.0], values.shape)
+    zero = np.unique(group)[rng.choice(sizes.size, 3, replace=False)]
+    values[np.isin(group, zero)] = rng.choice([0.0, -0.0], (np.isin(group, zero).sum(), 1))
+    means, size = group_means(group, values)
+    expect = [[np.mean(values[group == g, col]) for col in range(n_columns)]
+              for g in np.unique(group)]
+    assert np.array_equal(size, [np.count_nonzero(group == g) for g in np.unique(group)])
+    assert np.array_equal(_bits(means), _bits(expect))
+
+
+def test_group_means_of_negative_zeros_is_zero():
+    # np.mean of -0.0 rows sums from 0.0 and reads 0.0, not -0.0
+    means, size = group_means(np.array([3, 3, 5]), np.array([[-0.0], [-0.0], [-0.0]]))
+    assert np.array_equal(_bits(means), _bits([[np.mean([-0.0, -0.0])], [np.mean([-0.0])]]))
+    assert size.tolist() == [2, 1]
+
+
+def test_group_means_of_nothing_is_empty():
+    means, size = group_means(np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
+    assert means.shape == (0, 4) and size.shape == (0,)
 
 
 @pytest.mark.parametrize("seed", range(6))
