@@ -59,57 +59,6 @@ class TestExitCodes:
     def test_no_command(self, capsys):
         assert main([]) == 1
 
-
-class TestOneCommandParser:
-    """A run builds only its command's parser; every text stays that of the
-    full parser."""
-
-    @staticmethod
-    def _exit_text(parse, argv, capsys):
-        with pytest.raises(SystemExit) as info:
-            parse(argv)
-        out, err = capsys.readouterr()
-        return info.value.code, out, err
-
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_command_help_is_the_full_parsers(self, command, capsys):
-        full = self._exit_text(cli.build_parser().parse_args, [command, "--help"], capsys)
-        assert full[0] == 0 and f"usage: egolink {command} " in full[1]
-        assert self._exit_text(main, [command, "--help"], capsys) == full
-
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_command_error_is_the_full_parsers(self, command, capsys):
-        argv = [command, "--no-such-flag"]
-        full = self._exit_text(cli.build_parser().parse_args, argv, capsys)
-        assert full[0] == 1 and "unrecognized arguments: --no-such-flag" in full[2]
-        assert self._exit_text(main, argv, capsys) == full
-
-    @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
-    def test_top_level_text_is_the_full_parsers(self, argv, capsys):
-        full = self._exit_text(cli.build_parser().parse_args, argv, capsys)
-        assert full[0] == 0
-        assert self._exit_text(main, argv, capsys) == full
-
-    def test_full_parser_keeps_every_command(self):
-        sub = cli.build_parser()._subparsers._group_actions[0]
-        assert list(sub.choices) == list(cli._COMMANDS)
-
-    def test_unknown_command_names_the_choices(self, capsys):
-        code, _, err = self._exit_text(main, ["frobnicate"], capsys)
-        assert code == 1
-        assert "invalid choice: 'frobnicate'" in err
-        assert all(repr(command) in err for command in cli._COMMANDS)
-
-    def test_builds_one_command(self, monkeypatch, capsys):
-        built = []
-        original = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
-                            or original(command))
-        assert main(["snapshots", "--input", "missing.csv"]) == 1
-        assert built == ["snapshots"]
-        sub = original("snapshots")._subparsers._group_actions[0]
-        assert list(sub.choices) == ["snapshots"]
-
     def test_unexpected_error_keeps_traceback(self, raw_file, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise RuntimeError("boom")
@@ -172,6 +121,57 @@ class TestOneCommandParser:
                      "--method", "cn", "--output-dir", str(tmp_path / "o")])
         assert code == 1
         assert "ego" in capsys.readouterr().err
+
+
+class TestOneCommandParser:
+    """A run builds only its command's parser; every text stays that of the
+    full parser."""
+
+    @staticmethod
+    def _exit_text(parse, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return info.value.code, out, err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_is_the_full_parsers(self, command, capsys):
+        full = self._exit_text(cli.build_parser().parse_args, [command, "--help"], capsys)
+        assert full[0] == 0 and f"usage: egolink {command} " in full[1]
+        assert self._exit_text(main, [command, "--help"], capsys) == full
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_error_is_the_full_parsers(self, command, capsys):
+        argv = [command, "--no-such-flag"]
+        full = self._exit_text(cli.build_parser().parse_args, argv, capsys)
+        assert full[0] == 1 and "unrecognized arguments: --no-such-flag" in full[2]
+        assert self._exit_text(main, argv, capsys) == full
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+    def test_top_level_text_is_the_full_parsers(self, argv, capsys):
+        full = self._exit_text(cli.build_parser().parse_args, argv, capsys)
+        assert full[0] == 0
+        assert self._exit_text(main, argv, capsys) == full
+
+    def test_full_parser_keeps_every_command(self):
+        sub = cli.build_parser()._subparsers._group_actions[0]
+        assert list(sub.choices) == list(cli._COMMANDS)
+
+    def test_unknown_command_names_the_choices(self, capsys):
+        code, _, err = self._exit_text(main, ["frobnicate"], capsys)
+        assert code == 1
+        assert "invalid choice: 'frobnicate'" in err
+        assert all(repr(command) in err for command in cli._COMMANDS)
+
+    def test_builds_one_command(self, monkeypatch, capsys):
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                            or original(command))
+        assert main(["snapshots", "--input", "missing.csv"]) == 1
+        assert built == ["snapshots"]
+        sub = original("snapshots")._subparsers._group_actions[0]
+        assert list(sub.choices) == ["snapshots"]
 
 
 class TestIngest:
