@@ -277,7 +277,8 @@ def build_parser(command=None):
                                 parser_class=_CommandParser)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         description, _, keys = _COMMANDS[name]
-        cmd = sub.add_parser(name, description=description, allow_abbrev=False)
+        cmd = sub.add_parser(name, description=description, help=description,
+                             allow_abbrev=False)
         cmd.add_argument("--config", default=None, help="flat key = value config file")
         for key in keys:
             flag = "--" + key.replace("_", "-")

@@ -14,17 +14,21 @@ round trip through ``write_normalized_csv`` / ``ingest_edges``, and so
 does the output of ``drop_zero_out_degree``, which numbers by this rule.
 
 Loading reads a file once. A regular file, ``src<sep>dst<sep>time``
-lines of ASCII with one separator byte, nothing to strip and times of at
-most 18 digits, is checked and read with NumPy on its bytes: labels are
-factorized in 8-byte words and times summed digit by digit, with no
-Python object per line. Any other input goes through the per-line
-``parse_edge_lines``, which alone numbers the line of a ``ParseError``,
-and ``normalize_edges``; both paths share ``_normalize_ids``. A
-cumulative snapshot series is cut from one sort of the 2E symmetric
-entries of its edges (``_EntrySort``): snapshot ``i`` keeps the entries
-that hold by window ``i``, with no sort of its own, and is built only
-when first read; a window that adds no edge shares the snapshot before
-it. ``SnapshotGraph`` builds one graph by the same sort and cut.
+lines of ASCII with one separator byte (comma, tab or space), nothing to
+strip and times of at most 18 digits or ``\\N`` when a missing time is
+set, is checked and read with NumPy on its bytes, with no Python object
+per line: times are read eight digits to a 64-bit word, and so are the
+labels when they are canonical decimal ids, each then its own code;
+other labels are factorized in 8-byte words. Any other input goes
+through the per-line ``parse_edge_lines``, which alone numbers the line
+of a ``ParseError``, and ``normalize_edges``; both paths share
+``_normalize_ids``, whose ``dedupe_and_sort`` returns rows that are
+already distinct and in time order as they are. A cumulative snapshot
+series is cut from one sort of the 2E symmetric entries of its edges
+(``_EntrySort``): snapshot ``i`` keeps the entries that hold by window
+``i``, with no sort of its own, and is built only when first read; a
+window that adds no edge shares the snapshot before it.
+``SnapshotGraph`` builds one graph by the same sort and cut.
 
 Step 1 holds for every graph the package builds, from hand-built pairs
 too: ``_EntrySort``, which every snapshot graph passes, drops self-loops.
@@ -197,13 +201,18 @@ def parse_edge_lines(lines, delimiter=None, missing_time=None):
 def dedupe_and_sort(src, dst, time, n_key, directed):
     """Collapse duplicate pairs to their earliest time and sort by time,
     first occurrence breaking ties. Arrays are int64 ids below ``n_key``.
-    The surviving row keeps the orientation it was first written with."""
+    The surviving row keeps the orientation it was first written with;
+    distinct pairs whose times ascend come back as they are."""
     if directed:
         key_src, key_dst = src, dst
     else:
         key_src = np.minimum(src, dst)
         key_dst = np.maximum(src, dst)
     key = key_src * np.int64(n_key) + key_dst
+    del key_src, key_dst
+    # times by a comparison, as np.diff wraps at the int64 ends; keys are >= 0
+    if (time[1:] >= time[:-1]).all() and np.diff(np.sort(key)).all():
+        return src, dst, time
     # any sort serves: a run's smallest index is its pair's first occurrence
     order = np.argsort(key)
     # keys are >= 0, so the -1 before them opens the first run
@@ -284,17 +293,20 @@ def _normalize_ids(src, dst, table, times, directed, time_mode):
     )
 
 
-#: bytes a field of a regular edge-list line may hold: printable ASCII
-#: except space, ``#`` and ``,``; every other byte of a regular body is a
-#: separator or a newline
-_FIELD_BYTE = np.zeros(256, dtype=bool)
-_FIELD_BYTE[0x21:0x7F] = True
-_FIELD_BYTE[[ord("#"), ord(",")]] = False
 _HEADER_LINE = (NORMALIZED_HEADER + "\n").encode()
 
 #: ``_KEEP[k]`` keeps the first ``k`` bytes of a big-endian 8-byte word
 #: and zeroes the rest
 _KEEP = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], dtype=np.uint64)
+
+#: 8-byte word constants of ``_octets``: one byte in every byte
+_ZEROS, _HIGH, _SIX = (np.uint64(0x0101010101010101 * b) for b in (0x30, 0xF0, 0x06))
+#: the multiply-adds of ``_octets``, as ``(multiplier, shift, mask)``: the
+#: lanes of 2, then 4, then 8 bytes take 10, 100, then 10,000 times the
+#: number in their low half plus the one in their high half
+_JOINS = ((np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+          (np.uint64(100 << 16 | 1), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+          (np.uint64(10_000 << 32 | 1), np.uint64(32), None))
 
 
 def _field_codes(padded, starts, lengths):
@@ -327,42 +339,79 @@ def _field_codes(padded, starts, lengths):
     return code, rep
 
 
-def _digit_times(padded, starts, ends):
-    """int64 values of the time fields ``padded[starts[i]:ends[i]]`` when
-    each is 1 to 18 ASCII digits, which always fit int64, else None.
-    Digit ``k`` of every field is read at once."""
-    lengths = ends - starts
-    if lengths.max() > 18:
+def _octets(words, shift):
+    """The numbers that uint64 ``words`` spell, in place, or None when a
+    byte is not an ASCII digit: each word holds 8 ASCII bytes read
+    little-endian, the first lowest, of which the last ``shift // 8`` are
+    dropped and as many leading zeros read before the rest."""
+    words ^= _ZEROS
+    words <<= shift
+    # the two nibble tests: every high nibble is 0, every low one at most 9
+    if (((words + _SIX) | words) & _HIGH).any():
         return None
-    times = np.zeros(starts.size, dtype=np.int64)
-    for k in range(int(lengths.max())):
-        live = lengths > k
-        # a field's end is its newline, read in place of digits it lacks
-        digit = np.where(live, padded[np.minimum(starts + k, ends)] - ord("0"), 0)
-        if digit.max() > 9:
+    for mul, bits, mask in _JOINS:
+        words *= mul
+        words >>= bits
+        if mask is not None:
+            words &= mask
+    return words
+
+
+def _decimal_fields(padded, starts, lengths):
+    """int64 values of the fields ``padded[starts[i]:starts[i] + lengths[i]]``
+    when each is 1 to 18 ASCII digits, which always fit int64, else None.
+    ``padded`` holds 7 bytes past the last field.
+
+    Eight digits are read at once, as one little-endian word (SWAR, as
+    simdjson reads numbers). A field's first ``(length - 1) % 8 + 1``
+    digits are the word at its start, shifted up until they fill its top
+    bytes: the zero bytes shifted in below them read as leading zeros, so
+    every test and join is by scalar masks. Each further 8 digits, at
+    most two words, are the word that follows."""
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    # every 8-byte word of ``padded``, one starting at each byte
+    words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    value = _octets(words[starts], -lengths.astype(np.uint8) % 8 * 8)
+    if value is None:
+        return None
+    for k in (1, 2):
+        rows = np.flatnonzero(lengths > 8 * k)
+        if not rows.size:
+            break
+        word = _octets(words[starts[rows] + (lengths[rows] - 1) % 8 + 8 * k - 7], 0)
+        if word is None:
             return None
-        times = np.where(live, times * 10 + digit, times)
-    return times
+        value[rows] = value[rows] * np.uint64(10**8) + word
+    return value.view(np.int64)
 
 
-def _parse_regular(data, delimiter):
+def _parse_regular(data, delimiter, missing_time):
     """The rows of a whole file's bytes for ``_normalize_ids``, as
     ``(src ids, dst ids, label table, times)``, when the file shows it is
     regular, else None.
 
     Regular is ASCII with no ``\\r``; then optional leading ``#`` comment
     lines and a normalized-CSV header; then only lines
-    ``src<sep>dst<sep>time\\n`` of non-empty fields, ``sep`` being the
-    one byte the per-line rule splits them on (a comma when the body holds
-    one or ``delimiter`` is ``comma``, else a space); and every time is 1
-    to 18 ASCII digits. Any such line reads the same under the per-line
-    rule, which splits on that separator and strips nothing; a file with
-    a sign, an underscore or 19 digits in some time is left to it.
+    ``src<sep>dst<sep>time\\n`` of non-empty fields of printable ASCII but
+    space, ``#`` and ``,``, ``sep`` being the one byte the per-line rule
+    splits them on: a comma when the body holds one or ``delimiter`` is
+    ``comma``, else a tab when the body holds one, else a space; and every
+    time is 1 to 18 ASCII digits or, when ``missing_time`` is set, ``\\N``.
+    Any such line reads the same under the per-line rule, which splits on
+    that separator and strips nothing; a file with a sign, an underscore
+    or 19 digits in some time, or a ``\\N`` time and no ``missing_time``,
+    is left to it, which names the line.
 
     Labels and times are read on the bytes, with no Python object per
-    line: the label fields are factorized in 8-byte words
-    (``_field_codes``) and one field of each distinct label is decoded;
-    times are summed digit by digit (``_digit_times``).
+    line. The marks (separators and newlines) come from byte comparisons.
+    Each time is read eight digits to a word (``_decimal_fields``), a
+    ``\\N`` rewritten ``00`` first and then set to ``missing_time``. When
+    the labels are canonical decimals, with no leading zero (``0`` itself
+    excepted) and the largest below the count of label fields, the same
+    reader reads them and each id is its own code, ``str(i)`` its label.
+    Other labels are factorized in 8-byte words (``_field_codes``) and one
+    field of each distinct label is decoded.
     """
     if delimiter not in (None, "comma", "whitespace") or not data.isascii() or b"\r" in data:
         return None
@@ -376,27 +425,56 @@ def _parse_regular(data, delimiter):
     body = np.frombuffer(data, dtype=np.uint8, offset=start)
     if not body.size or body[-1] != ord("\n"):
         return None
-    sep = b"," if delimiter == "comma" or (
-        delimiter is None and data.find(b",", start) >= 0) else b" "
-    # each line ends in sep, sep, newline, and each field holds a byte
-    marks = np.flatnonzero(~_FIELD_BYTE[body])
+
+    def holds(byte):
+        return data.find(byte, start) >= 0
+
+    sep = (b"," if delimiter == "comma" or (delimiter is None and holds(b","))
+           else b"\t" if holds(b"\t") else b" ")
+    if holds(b"#") or holds(b"\x7f") or (sep != b"," and holds(b",")):
+        return None
+    # the marks, every byte that is no field byte: each line ends in sep, sep, newline
+    marks = body <= ord(" ")
+    if sep == b",":
+        marks |= body == ord(",")
+    # int32 positions when they fit: the marks, starts and lengths are
+    # the largest arrays a line makes
+    marks = np.flatnonzero(marks).astype(np.int32 if len(data) < 2**31 else np.int64)
     line_end = np.frombuffer(sep + sep + b"\n", dtype=np.uint8)
-    if (marks.size % 3 or not (body[marks].reshape(-1, 3) == line_end).all()
-            or not (np.diff(marks, prepend=-1) > 1).all()):
+    if marks.size % 3 or not (body[marks].reshape(-1, 3) == line_end).all():
         return None
     marks = marks.reshape(-1, 3)
     padded = np.zeros(body.size + 8, dtype=np.uint8)
     padded[:body.size] = body
 
-    times = _digit_times(padded, marks[:, 1] + 1, marks[:, 2])
+    starts = marks[:, 1] + 1
+    lengths = marks[:, 2] - starts
+    # a missing time, exactly \N, is rewritten 00 and read as missing_time
+    missing = np.flatnonzero(padded[starts] == ord("\\")) if holds(b"\\") else []
+    if len(missing):
+        missing = missing[(lengths[missing] == 2) & (padded[starts[missing] + 1] == ord("N"))]
+        if missing_time is None and missing.size:
+            return None
+        padded[starts[missing]] = padded[starts[missing] + 1] = ord("0")
+    times = _decimal_fields(padded, starts, lengths)
     if times is None:
         return None
+    if len(missing):
+        times[missing] = missing_time
 
     # the label fields, sources then destinations
     n = marks.shape[0]
-    starts = np.concatenate([[0], marks[:-1, 2] + 1, marks[:, 0] + 1])
+    starts = np.concatenate([np.zeros(1, marks.dtype), marks[:-1, 2] + 1, marks[:, 0] + 1])
     lengths = np.concatenate([marks[:, 0], marks[:, 1]]) - starts
     del marks
+    if lengths.min() < 1:
+        return None
+    # each label's first digit, or a byte above 9: no word is read then
+    head = padded[starts] - np.uint8(ord("0"))
+    ids = _decimal_fields(padded, starts, lengths) if head.max() <= 9 else None
+    if ids is not None and ids.max() < ids.size and not ((head == 0) & (lengths > 1)).any():
+        return ids[:n], ids[n:], list(map(str, range(int(ids.max()) + 1))), times
+    del ids, head
     code, rep = _field_codes(padded, starts, lengths)
     del padded
     table = [str(data[a:a + m], "ascii")
@@ -418,7 +496,7 @@ def ingest_edges(source, directed=False, delimiter=None, time_mode=TIME_MODE_TIM
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:
             data = fh.read()
-        rows = _parse_regular(data, delimiter)
+        rows = _parse_regular(data, delimiter, missing_time)
         if rows is None:
             try:
                 source = io.StringIO(data.decode("utf-8"), newline=None)

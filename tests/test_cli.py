@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config precedence, output files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,13 @@ class TestOneCommandParser:
     def test_full_parser_keeps_every_command(self):
         sub = cli.build_parser()._subparsers._group_actions[0]
         assert list(sub.choices) == list(cli._COMMANDS)
+
+    def test_top_level_help_names_every_command(self, capsys):
+        code, out, _ = self._exit_text(main, ["--help"], capsys)
+        assert code == 0
+        for command, (description, _, _) in cli._COMMANDS.items():
+            assert re.search(rf"^ +{command}\b", out, re.MULTILINE), command
+            assert description in " ".join(out.split()), command
 
     def test_unknown_command_names_the_choices(self, capsys):
         code, _, err = self._exit_text(main, ["frobnicate"], capsys)

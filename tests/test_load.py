@@ -106,6 +106,20 @@ class TestDedupeAndSort:
         got = dedupe_and_sort(src, dst, time, 5, directed)
         assert list(zip(*(a.tolist() for a in got))) == _dedupe_reference(rows, directed)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1,
+                          max_size=25, unique_by=lambda p: frozenset(p)),
+           times=st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(_INT64_ENDS)),
+                          min_size=25, max_size=25),
+           directed=st.booleans())
+    def test_ordered_rows_come_back(self, pairs, times, directed):
+        """Distinct pairs whose times ascend, from INT64_MIN to INT64_MAX
+        in some lists, are the answer as they are."""
+        rows = [(s, d, t) for (s, d), t in zip(pairs, sorted(times))]
+        src, dst, time = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        got = dedupe_and_sort(src, dst, time, 5, directed)
+        assert list(zip(*(a.tolist() for a in got))) == _dedupe_reference(rows, directed) == rows
+
 
 def _rows_text(seed, sep):
     return "".join(f"{s}{sep}{d}{sep}{t}\n" for s, d, t in _raw_rows(seed))
@@ -127,7 +141,17 @@ FILES = [
     ("cr-in-comment", b"# x\ry z 1\na b 3\n", {}, False),
     ("blank-lines", b"a,b,1\n\nb,c,2\n", {}, False),
     ("crlf", b"a,b,1\r\nb,c,2\r\n", {}, False),
-    ("tabs", b"a\tb\t1\nb\tc\t2\n", {}, False),
+    ("tabs", b"a\tb\t1\nb\tc\t2\n", {}, True),
+    ("tabs-missing-time", b"1\t2\t\\N\n2\t3\t5\n3\t1\t\\N\n", dict(missing_time=0), True),
+    ("tabs-missing-time-unset", b"1\t2\t7\n2\t3\t\\N\n3\t1\t\\N\n", {}, False),
+    ("tabs-and-spaces", b"a\tb\t1\nb c 2\n", {}, False),
+    ("tabs-forced-whitespace", b"a\tb\t1\nb\tc\t2\n", dict(delimiter="whitespace"), True),
+    ("missing-time-comma", b"a,b,\\N\nb,c,1\n", dict(missing_time=-3), True),
+    ("missing-time-label", b"\\N b 1\nb \\N \\N\n", dict(missing_time=4), True),
+    ("missing-time-prefix", b"a b \\N1\n", dict(missing_time=0), False),
+    ("decimal-ids", b"3,0,5\n0,1,5\n1,2,3\n", {}, True),
+    ("decimal-ids-sparse", b"100,2,1\n2,7,2\n", {}, True),
+    ("decimal-ids-leading-zeros", b"007,7,1\n7,0,2\n00,0,3\n", {}, True),
     ("spaces-around-commas", b"a , b , 1\nb,c,2\n", {}, False),
     ("comma-labels-forced-whitespace", b"a,x b 1\n", dict(delimiter="whitespace"), False),
     ("spaces-forced-comma", b"a b 1\n", dict(delimiter="comma"), False),
@@ -189,7 +213,8 @@ class TestRegularParse:
                 return normalize_edges(*parse_edge_lines(fh, **parse_kw), **norm_kw)
 
         assert _outcome(lambda: ingest_edges(path, **kwargs)) == _outcome(per_line)
-        taken = graph_module._parse_regular(data, kwargs.get("delimiter")) is not None
+        taken = graph_module._parse_regular(data, kwargs.get("delimiter"),
+                                              kwargs.get("missing_time")) is not None
         assert taken == regular
 
 
@@ -199,32 +224,96 @@ _FIELD_CHARS = "".join(chr(b) for b in range(0x21, 0x7F) if chr(b) not in "#,")
 
 @st.composite
 def _regular_files(draw):
-    """Text of a regular file: labels of 1-20 field bytes, many sharing
-    prefixes across 8-byte words, and times from 0 to 2**63 - 1."""
-    label = st.one_of(st.text(alphabet="ab", min_size=1, max_size=20),
-                      st.text(alphabet=_FIELD_CHARS, min_size=1, max_size=20))
+    """``(text, missing_time)`` of a regular file, unless some time has 19
+    digits or is ``\\N`` with ``missing_time`` unset: comma, space or tab
+    separated; labels of 1-20 field bytes, many sharing prefixes across
+    8-byte words, or decimal ids (``0``, ids below, at and above the count
+    of label fields, leading zeros, 18 and 19 digits), or both; times from
+    0 to 2**63 - 1, and ``\\N`` in some files."""
+    n_rows = draw(st.integers(1, 30))
+    text = st.one_of(st.text(alphabet="ab", min_size=1, max_size=20),
+                     st.text(alphabet=_FIELD_CHARS, min_size=1, max_size=20))
+    small = st.integers(0, 2 * n_rows + 2).map(str)
+    decimal = draw(st.sampled_from([
+        small, st.one_of(small, st.sampled_from(["00", "007", "070"])),
+        st.one_of(small, st.integers(10**16, 10**19 - 1).map(str))]))
+    label = draw(st.sampled_from([text, decimal, decimal, st.one_of(text, decimal)]))
     pool = draw(st.lists(label, min_size=1, max_size=8))
     time = st.one_of(st.integers(0, 20), st.integers(0, 2**63 - 1))
+    if draw(st.booleans()):
+        time = st.one_of(time, st.just("\\N"))
     rows = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), time),
-                         min_size=1, max_size=30))
-    sep = draw(st.sampled_from([",", " "]))
-    return "".join(f"{s}{sep}{d}{sep}{t}\n" for s, d, t in rows)
+                         min_size=n_rows, max_size=n_rows))
+    sep = draw(st.sampled_from([",", " ", "\t"]))
+    missing_time = draw(st.sampled_from([None, 0, -7]))
+    return "".join(f"{s}{sep}{d}{sep}{t}\n" for s, d, t in rows), missing_time
 
 
 class TestRegularProperty:
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(text=_regular_files(), directed=st.booleans())
-    def test_matches_per_line_parser(self, text, directed):
-        # the byte path takes a file exactly when no time has more than 18 digits
-        short = all(len(line.replace(",", " ").split()[-1]) <= 18 for line in text.splitlines())
-        assert (graph_module._parse_regular(text.encode(), None) is not None) == short
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(file=_regular_files(), directed=st.booleans())
+    def test_matches_per_line_parser(self, file, directed):
+        text, missing_time = file
+        # the byte path takes a file exactly when each time has at most 18
+        # digits or is \N with missing_time set
+        times = [line.replace(",", " ").split()[-1] for line in text.splitlines()]
+        regular = all(len(t) <= 18 if t != "\\N" else missing_time is not None for t in times)
+        taken = graph_module._parse_regular(text.encode(), None, missing_time) is not None
+        assert taken == regular
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edges.txt"
             path.write_text(text)
-            got = _outcome(lambda: ingest_edges(path, directed=directed))
-        want = _outcome(lambda: normalize_edges(*parse_edge_lines(text.splitlines()),
-                                                directed=directed))
+            got = _outcome(lambda: ingest_edges(path, directed=directed,
+                                                missing_time=missing_time))
+        want = _outcome(lambda: normalize_edges(
+            *parse_edge_lines(text.splitlines(), missing_time=missing_time), directed=directed))
         assert got == want
+
+
+def _field_bytes(fields, gaps):
+    """``(padded, starts, lengths)`` of ``fields`` written one after another,
+    each after its gap, with 8 zero bytes after the last."""
+    data, starts = b"", []
+    for field, gap in zip(fields, gaps):
+        data += gap
+        starts.append(len(data))
+        data += field
+    padded = np.frombuffer(data + bytes(8), dtype=np.uint8).copy()
+    return padded, np.array(starts), np.array([len(f) for f in fields])
+
+
+class TestDecimalFields:
+    """``_decimal_fields`` reads what ``int()`` reads from 1-18 ASCII
+    digits, whatever bytes lie around each field, and nothing else."""
+
+    _GAPS = st.lists(st.binary(max_size=9), min_size=30, max_size=30)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fields=st.lists(st.text(alphabet="0123456789", min_size=1, max_size=18),
+                           min_size=1, max_size=30),
+           gaps=_GAPS, dtype=st.sampled_from([np.int32, np.int64]))
+    def test_matches_int(self, fields, gaps, dtype):
+        padded, starts, lengths = _field_bytes([f.encode() for f in fields], gaps)
+        got = graph_module._decimal_fields(padded, starts.astype(dtype), lengths.astype(dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(f) for f in fields]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fields=st.lists(st.text(alphabet="0123456789", min_size=1, max_size=18),
+                           min_size=1, max_size=30),
+           gaps=_GAPS, where=st.integers(0, 10**6), at=st.integers(0, 17),
+           byte=st.integers(0, 255).filter(lambda b: not 0x30 <= b <= 0x39))
+    def test_other_byte_is_none(self, fields, gaps, where, at, byte):
+        fields = [f.encode() for f in fields]
+        i = where % len(fields)
+        fields[i] = fields[i][:at] + bytes([byte]) + fields[i][at + 1:]
+        padded, starts, lengths = _field_bytes(fields, gaps)
+        assert graph_module._decimal_fields(padded, starts, lengths) is None
+
+    @pytest.mark.parametrize("field", [b"", b"1" * 19, b"0" * 19, b"9" * 20])
+    def test_other_length_is_none(self, field):
+        padded, starts, lengths = _field_bytes([b"12", field, b"3"], [b"", b",", b","])
+        assert graph_module._decimal_fields(padded, starts, lengths) is None
 
 
 class TestLoadMemory:
@@ -247,6 +336,25 @@ class TestLoadMemory:
             tracemalloc.stop()
         assert peak <= 14 * path.stat().st_size
 
+    def test_paper_format_load_peak(self, tmp_path):
+        """The same bound on the paper's format: tab-separated decimal ids,
+        10-digit times and 35% of them ``\\N``."""
+        rng = np.random.default_rng(6)
+        n_lines, n_nodes = 200_000, 50_000
+        ends = rng.integers(0, n_nodes, (n_lines, 2)).tolist()
+        times = rng.integers(1_150_000_000, 1_240_000_000, n_lines).astype(str)
+        times[rng.random(n_lines) < 0.35] = "\\N"
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{a}\t{b}\t{t}\n" for (a, b), t in zip(ends, times.tolist())))
+        assert graph_module._parse_regular(path.read_bytes(), None, 0) is not None
+        tracemalloc.start()
+        try:
+            ingest_edges(path, missing_time=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * path.stat().st_size
+
 
 class TestInt64Times:
     """A time outside int64 is a malformed line, named by its number."""
@@ -255,7 +363,7 @@ class TestInt64Times:
         # regular but for a time of 20 digits, or a sign: the byte path declines them
         b"a b 1\nb c 99999999999999999999\n",
         b"a,b,1\nb,c,-9223372036854775809\n",
-        b"a\tb\t1\nb\tc\t9223372036854775808\n",  # irregular: per-line parse only
+        b"a\tb\t1\nb\tc\t9223372036854775808\n",  # tab-separated, regular but for the time
     ], ids=["regular-space", "regular-comma", "irregular"])
     def test_time_outside_int64(self, tmp_path, data):
         path = tmp_path / "edges.txt"
