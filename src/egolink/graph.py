@@ -23,7 +23,11 @@ other labels are factorized in 8-byte words. Any other input goes
 through the per-line ``parse_edge_lines``, which alone numbers the line
 of a ``ParseError``, and ``normalize_edges``; both paths share
 ``_normalize_ids``, whose ``dedupe_and_sort`` returns rows that are
-already distinct and in time order as they are. A cumulative snapshot
+already distinct and in time order as they are and sorts others twice,
+by pair and by earliest time. ``write_normalized_csv`` writes by the
+column, in binary mode (``\\n`` line ends on every platform, which the
+byte path reads): ``_decimal_rows`` forms each run's digits with NumPy,
+with no Python object per row. A cumulative snapshot
 series is cut from one sort of the 2E symmetric entries of its edges
 (``_EntrySort``): snapshot ``i`` keeps the entries that hold by window
 ``i``, with no sort of its own, and is built only when first read; a
@@ -218,13 +222,27 @@ def dedupe_and_sort(src, dst, time, n_key, directed):
     # keys are >= 0, so the -1 before them opens the first run
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     first = np.minimum.reduceat(order, starts)
-    earliest = np.minimum.reduceat(time[order], starts)
-    # (earliest, first) as one key: first < src.size and the rank of a
-    # time < src.size, so the key fits int64 for any list that fits memory
-    rank = np.unique(earliest, return_inverse=True)[1]
-    rows = np.argsort(rank * np.int64(src.size) + first)
-    first = first[rows]
-    return src[first], dst[first], earliest[rows]
+    # each first occurrence's earliest time, read in row order with no sort;
+    # key is spent, so it holds them
+    key[first] = np.minimum.reduceat(time[order], starts)
+    del order, starts
+    is_first = np.zeros(src.size, dtype=bool)
+    is_first[first] = True
+    first = is_first.nonzero()[0]
+    earliest = key[first]
+    if not (earliest[1:] >= earliest[:-1]).all():
+        # by (time, row): one sort of both as one int64 when the times' span
+        # allows it, as NumPy's stable sort of int64 (a timsort) is several
+        # times slower on times in no order; else a stable sort of the times
+        size, low = first.size, earliest.min()
+        if int(earliest.max()) - int(low) <= (INT64_MAX - size) // size:
+            both = (earliest - low) * size + np.arange(size)
+            both.sort()
+            rows = both % size
+        else:
+            rows = np.argsort(earliest, kind="stable")
+        first, earliest = first[rows], earliest[rows]
+    return src[first], dst[first], earliest
 
 
 def _int64_times(times):
@@ -536,17 +554,61 @@ def drop_zero_out_degree(edges):
                           True, edges.time_mode)
 
 
-#: rows per run of ``write_normalized_csv``: only one run's Python ints
-#: and text are alive at once
+#: rows per run of ``write_normalized_csv``: only one run's records are
+#: alive at once
 _WRITE_RUN = 1 << 14
 
 
+def _decimal_rows(columns):
+    """The bytes of ``"%d,...,%d\\n" % row`` for each row of equal-length
+    int64 ``columns``. Each column is a fixed-width field as wide as its
+    largest magnitude, with one sign byte on its left when it holds a
+    negative value; digits are filled from the units up, one per pass, a
+    space standing in each position past a value's last digit and for a
+    plus sign, and the spaces are then deleted."""
+    n = len(columns[0])
+    if n == 0:
+        return b""
+    fields = []
+    for a in columns:
+        neg = a < 0
+        if neg.any():
+            # the uint64 negation reads INT64_MIN as 2**63
+            u = a.view(np.uint64)
+            mag = np.where(neg, -u, u)
+        else:
+            neg, mag = None, a.view(np.uint64)
+        top = int(mag.max())
+        # uint32 division is about twice as fast as uint64
+        fields.append((neg, mag.astype(np.uint32) if top >> 32 == 0 else mag, len(str(top))))
+    rec = np.empty((n, sum((neg is not None) + w + 1 for neg, _, w in fields)), dtype=np.uint8)
+    end = 0
+    for neg, mag, w in fields:
+        if neg is not None:
+            rec[:, end] = np.where(neg, np.uint8(ord("-")), np.uint8(ord(" ")))
+            end += 1
+        end += w
+        for k in range(end - 1, end - w - 1, -1):
+            q = mag // 10
+            digit = mag - q * 10
+            digit += ord("0")
+            if k < end - 1:
+                digit[mag == 0] = ord(" ")
+            rec[:, k] = digit
+            mag = q
+        rec[:, end] = ord(",")
+        end += 1
+    rec[:, -1] = ord("\n")
+    return rec.tobytes().translate(None, b" ")
+
+
 def write_normalized_csv(edges, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(NORMALIZED_HEADER + "\n")
+    """``edges`` as ``normalized.csv``, in binary mode: ``\\n`` line ends
+    on every platform."""
+    with open(path, "wb") as fh:
+        fh.write(NORMALIZED_HEADER.encode() + b"\n")
         for i in range(0, edges.n_edges, _WRITE_RUN):
-            run = np.column_stack([a[i:i + _WRITE_RUN] for a in (edges.src, edges.dst, edges.time)])
-            fh.write("%d,%d,%d\n" * len(run) % tuple(run.ravel().tolist()))
+            fh.write(_decimal_rows([a[i:i + _WRITE_RUN] for a in (edges.src, edges.dst, edges.time)]))
 
 
 def write_label_map_csv(edges, path):

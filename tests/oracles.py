@@ -58,6 +58,36 @@ def normalize(rows, directed):
     return tuple(sorted(ids, key=ids.get)), out
 
 
+def dedupe_and_sort(src, dst, time, n_key, directed):
+    """``graph.dedupe_and_sort`` by three sorts, its form before it read
+    the runs' first rows in row order: pairs by key, then the runs'
+    earliest times ranked by ``np.unique``, then the runs by (rank, first
+    row)."""
+    key_src, key_dst = (src, dst) if directed else (np.minimum(src, dst), np.maximum(src, dst))
+    key = key_src * np.int64(n_key) + key_dst
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    first = np.minimum.reduceat(order, starts)
+    earliest = np.minimum.reduceat(time[order], starts)
+    rank = np.unique(earliest, return_inverse=True)[1]
+    rows = np.argsort(rank * np.int64(src.size) + first)
+    first = first[rows]
+    return src[first], dst[first], earliest[rows]
+
+
+def decimal_rows(columns):
+    """Rows of int columns as ``%d`` fields, comma-separated, one line each."""
+    rows = np.column_stack(columns)
+    line = ",".join(["%d"] * len(columns)) + "\n"
+    return (line * len(rows) % tuple(rows.ravel().tolist())).encode()
+
+
+def write_normalized_csv(edges, path):
+    """``graph.write_normalized_csv`` by the ``%`` formatter, all rows at once."""
+    with open(path, "wb") as fh:
+        fh.write(b"src_id,dst_id,time\n" + decimal_rows([edges.src, edges.dst, edges.time]))
+
+
 def preferential_attachment(n_nodes, m, seed):
     """``(src, dst, time)`` lists of preferential attachment as one Python
     draw per target from a list ``pool`` of edge endpoints: the seed clique

@@ -167,6 +167,83 @@ class TestNormalization:
         assert labels.read_text() == "node_id,label\n0,ann\n1,bob\n2,eve\n"
 
 
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+@st.composite
+def _int64_columns(draw):
+    """1-3 equal-length int64 columns of 0-40 rows, each all non-negative,
+    all negative or of mixed signs, with the int64 ends and 0 likely."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = draw(st.sampled_from([(0, _INT64_MAX), (_INT64_MIN, -1), (_INT64_MIN, _INT64_MAX),
+                                       (-999, 999), (0, 9)]))
+        ends = [v for v in (_INT64_MIN, _INT64_MAX, 0, lo, hi) if lo <= v <= hi]
+        value = st.one_of(st.sampled_from(ends), st.integers(lo, hi))
+        columns.append(np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.int64))
+    return columns
+
+
+class TestWriteNormalized:
+    """``write_normalized_csv`` writes by the column; the ``%`` formatter
+    in ``oracles`` is its reference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(columns=_int64_columns())
+    def test_decimal_rows_match_percent_format(self, columns):
+        assert graph_module._decimal_rows(columns) == oracles.decimal_rows(columns)
+
+    @pytest.mark.parametrize("columns", [
+        [[_INT64_MIN], [_INT64_MAX], [0]],
+        [[-1, -10, _INT64_MIN]],
+        [[5, -5, 0], [0, 0, 0]],
+        [[], [], []],
+    ], ids=["one-row-ends", "all-negative", "mixed-signs", "no-rows"])
+    def test_decimal_rows_cases(self, columns):
+        columns = [np.array(c, dtype=np.int64) for c in columns]
+        assert graph_module._decimal_rows(columns) == oracles.decimal_rows(columns)
+
+    def test_runs_of_different_widths(self, tmp_path):
+        """Three runs of ``_WRITE_RUN`` rows whose fields differ in width,
+        the last run short and with negative times."""
+        run = graph_module._WRITE_RUN
+        n = 2 * run + 123
+        rng = np.random.default_rng(4)
+        src = np.concatenate([rng.integers(0, 10, run), rng.integers(0, 10**5, run),
+                              rng.integers(0, 100, 123)])
+        time = np.concatenate([np.arange(run), rng.integers(0, _INT64_MAX, run),
+                               rng.integers(_INT64_MIN, 0, 123)])
+        edges = TemporalEdgeList(src=src, dst=src[::-1] + 1, time=time,
+                                 labels=tuple(map(str, range(10**5 + 1))), directed=True)
+        assert edges.n_edges == n
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_normalized_csv(edges, got)
+        oracles.write_normalized_csv(edges, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.one_of(
+               st.sampled_from([_INT64_MIN, _INT64_MAX, 0, -1]), st.integers(_INT64_MIN, _INT64_MAX),
+               st.integers(10**17, 10**18 - 1))), min_size=1, max_size=30),
+           directed=st.booleans(), index=st.booleans())
+    def test_round_trip(self, tmp_path_factory, rows, directed, index):
+        """Written and read back, a normalized list is itself, with every
+        label its id: negative and 18-19-digit times, both time modes."""
+        if index:
+            rows = [(s, d, t if t >= 0 else -(t + 1)) for s, d, t in rows]
+        time_mode = "index" if index else "timestamp"
+        first = graph_module.normalize_edges(*map(list, zip(*rows)), directed=directed,
+                                             time_mode=time_mode)
+        assume(first.n_edges)
+        path = tmp_path_factory.mktemp("round") / "normalized.csv"
+        write_normalized_csv(first, path)
+        second = ingest_edges(path, directed=directed, time_mode=time_mode)
+        assert second == TemporalEdgeList(first.src, first.dst, first.time,
+                                          tuple(map(str, range(first.n_nodes))), directed,
+                                          time_mode)
+
+
 class TestDropZeroOut:
     def test_single_pass(self):
         # c never points anywhere, so b->c goes; b stays via a->b

@@ -120,6 +120,19 @@ class TestDedupeAndSort:
         got = dedupe_and_sort(src, dst, time, 5, directed)
         assert list(zip(*(a.tolist() for a in got))) == _dedupe_reference(rows, directed) == rows
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.one_of(
+               st.integers(-4, 4), st.sampled_from(_INT64_ENDS),
+               st.integers(-2**63, 2**63 - 1))), min_size=1, max_size=80),
+           directed=st.booleans())
+    def test_matches_three_sorts(self, rows, directed):
+        """The two-sort form equals its three-sort form in ``oracles``:
+        repeated pairs, both orientations, out-of-order and tied times."""
+        src, dst, time = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        got = dedupe_and_sort(src, dst, time, 8, directed)
+        want = oracles.dedupe_and_sort(src, dst, time, 8, directed)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
 
 def _rows_text(seed, sep):
     return "".join(f"{s}{sep}{d}{sep}{t}\n" for s, d, t in _raw_rows(seed))
