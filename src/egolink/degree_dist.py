@@ -4,8 +4,10 @@ Personalized-degree samples pool one value per (ego, neighbor) ordered
 pair over every ego in the snapshot. On an undirected graph with every
 node an ego they are read from the triangle supports of its edges
 (``ego._support_pd``); a directed graph or a list of egos reads them from
-gathers over runs of egos (``ego.ego_blocks``). Global samples take one
-value per node, or per pair when asked to mirror the personalized pooling.
+gathers of pd alone over runs of egos (``ego.ego_blocks`` without
+wedges), which read only the rows that the mode counts. Global samples
+take one value per node, or per pair when asked to mirror the
+personalized pooling.
 
 Histograms use logarithmic bins with exact decade-fraction edges
 ``10 ** (k / bins_per_decade)``. Zero values cannot sit on a log axis,
@@ -56,8 +58,8 @@ def _per_neighbor_samples(graph, egos, kind, mode):
     """One value per (ego, neighbor) pair over the egos (every node when
     None), in ego then neighbor order: the personalized degree, read from
     the triangle supports when every node of an undirected graph is an ego
-    and else from ``ego_blocks`` over all the egos, or the global degree of
-    the neighbor, read from one gather of their successor rows."""
+    and else from pd-only ``ego_blocks`` over all the egos, or the global
+    degree of the neighbor, read from one gather of their successor rows."""
     every_node = egos is None
     egos = np.arange(graph.n_nodes, dtype=np.int64) if every_node else _ego_ids(graph, egos)
     if kind == KIND_PERSONALIZED and every_node and not graph.directed:

@@ -3,10 +3,11 @@ degree, directed triad classification, and ``EgoView``, the gather of
 one ego (``ego_view``) or of a run of egos (``ego_blocks``); every
 personalized degree, ``personalized_degrees`` too, is read from a gather,
 except that of every symmetric entry of an undirected graph at once,
-which is read from triangle supports (``_support_pd``). A gather reads
-one flag byte per gathered entry, keys a candidate by its ego or by its
-ego and triad, and reads its candidates off its bins when they are dense
-(``_gather_block``).
+which is read from triangle supports (``_support_pd``). A gather with
+wedges reads one flag byte per gathered entry, keys a candidate by its
+ego or by its ego and triad, and reads its candidates off its bins when
+they are dense; a gather of pd alone reads only the rows its modes count
+(``_gather_block``), in blocks of more egos (``_block_runs``).
 
 Conventions for a directed ego ``u``:
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import map_in_order
-from ._util import count, seeded_rng
+from ._util import count, seeded_rng, stable_order
 from .errors import ConfigError, EmptyInputError, PreconditionError
 
 MODE_UNDIRECTED = "undirected"
@@ -144,12 +145,17 @@ def personalized_degree(graph, u, z, mode=MODE_UNDIRECTED):
 
 def global_degrees(graph, targets, mode):
     validate_mode(mode, graph.directed)
-    targets = np.asarray(targets, dtype=np.int64)
+    return _mode_rows(graph, mode)[2][np.asarray(targets, dtype=np.int64)]
+
+
+def _mode_rows(graph, mode):
+    """CSR ``(indptr, indices, degree)`` of the rows that mode ``mode``
+    counts: successors (``out``), predecessors (``in``) or symmetric rows."""
     if mode == MODE_OUT:
-        return graph.out_degree[targets]
+        return graph.out_indptr, graph.out_indices, graph.out_degree
     if mode == MODE_IN:
-        return graph.in_degree[targets]
-    return graph.sym_degree[targets]
+        return graph.in_indptr, graph.in_indices, graph.in_degree
+    return graph.sym_indptr, graph.sym_indices, graph.sym_degree
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +230,9 @@ def classify_triad(graph, u, z, v):
 
 
 #: budget of one run (``_runs``): the gathered entries of a
-#: ``_forming_cells`` run, both the gathered entries and the bins of a
-#: block (``_block_runs``), and the wedges of a ``_support_pd`` run
+#: ``_forming_cells`` run, both the gathered entries and, in the bytes of
+#: a wedge gather's bins, the bins of a block (``_block_runs``), and the
+#: wedges of a ``_support_pd`` run
 _CHUNK = 1 << 16
 
 
@@ -322,17 +329,30 @@ _ROW_FLAGS = np.array([_ROW | _SUCC, _ROW | _SUCC, _ROW], dtype=np.uint8)
 #: per kept wedge (``_gather_block``)
 _SCAN_BINS_PER_WEDGE = 8
 
+#: bytes a gather holds per ``(ego slot) * n + node`` bin, with wedges
+#: and without them (``_block_runs``)
+_WEDGE_BIN_BYTES = sum(np.dtype(t).itemsize for t in (np.uint8, bool, np.uint32))
+_MARK_BIN_BYTES = np.dtype(bool).itemsize
+
 
 def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     """One gather for all ``egos``: their pool rows (successors, or with
-    ``sym_pool`` symmetric rows), then the symmetric rows of every pool
-    node ``z``. Each entry ``w`` reads the flag byte of its ``(ego slot) *
-    n + w`` bin once (``_ROW``, ``_SUCC``, ``_EGO``), which gives the
-    personalized degrees of ``modes``; with ``wedges``, the entries outside
-    the ego and its successors are wedges onto candidates, keyed by their
-    ``EgoView`` slot. A triad's pool, the ego's neighbors of its ego-edge
-    config, holds none of its candidates: for in-only ``z`` those are the
-    in-only row nodes (flag ``_ROW``); the other pools hold successors.
+    ``sym_pool`` symmetric rows), then rows of every pool node ``z``.
+
+    Without ``wedges`` it gathers only pd: per mode, the row of each z that
+    the mode counts (successors for ``out``, predecessors for ``in``, the
+    symmetric row for ``undirected``), each entry ``w`` reading the mark
+    of its ``(ego slot) * n + w`` bin, set for the ego's successors (its
+    symmetric row in mode ``undirected``); pd(z) is z's marked entries.
+
+    With ``wedges`` it gathers the symmetric row of every z. Each entry
+    reads the flag byte of its bin once (``_ROW``, ``_SUCC``, ``_EGO``),
+    which gives the personalized degrees of ``modes``, and the entries
+    outside the ego and its successors are wedges onto candidates, keyed by
+    their ``EgoView`` slot. A triad's pool, the ego's neighbors of its
+    ego-edge config, holds none of its candidates: for in-only ``z`` those
+    are the in-only row nodes (flag ``_ROW``); the other pools hold
+    successors.
 
     The candidates are the distinct keys of the kept wedges, ascending.
     A block with at most ``_SCAN_BINS_PER_WEDGE`` bins per kept wedge is
@@ -345,11 +365,25 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     uniform directed ones 9.1 to 18.4.
     """
     n = graph.n_nodes
-    slots = 9 if sym_pool else 1
-    bins = slots * egos.size * n
     indptr, indices = _pool_rows(graph, sym_pool)
     b_slot, b_pos = _kernels.gather_rows(indptr, egos)
     base = indices[b_pos]
+    if not wedges:
+        pd = {}
+        for mode in modes:
+            mark = np.zeros(egos.size * n, dtype=bool)
+            # the pool's own rows, when they are the rows to mark
+            m_ptr, m_indices = _pool_rows(graph, mode == MODE_UNDIRECTED)
+            m_slot, m_pos = (b_slot, b_pos) if m_ptr is indptr else _kernels.gather_rows(
+                m_ptr, egos)
+            mark[m_slot * n + m_indices[m_pos]] = True
+            z_ptr, z_indices, degree = _mode_rows(graph, mode)
+            z, pos = _kernels.gather_rows(z_ptr, base)
+            hit = mark[(b_slot * n).repeat(degree[base]) + z_indices[pos]].nonzero()[0]
+            pd[mode] = np.bincount(z[hit], minlength=base.size).astype(np.int64)
+        return EgoView(graph, egos, base, None, None, None, None, pd)
+    slots = 9 if sym_pool else 1
+    bins = slots * egos.size * n
     wedge_z, pos = _kernels.gather_rows(graph.sym_indptr, base)
     reached = graph.sym_indices[pos]
     lengths = graph.sym_degree[base]
@@ -364,8 +398,7 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
     else:
         # the pool is the ego's successors, on undirected graphs its symmetric row
         flags[b_slot * n + base] = _SUCC if graph.directed else _ROW | _SUCC
-    if wedges:
-        flags[np.arange(0, egos.size * n, n) + egos] = _EGO
+    flags[np.arange(0, egos.size * n, n) + egos] = _EGO
     flag = flags[key]
 
     # pd of each z: mode undirected counts its entries w in the ego's
@@ -385,8 +418,6 @@ def _gather_block(graph, egos, modes, wedges=True, sym_pool=False):
         for mode, absent in ((MODE_OUT, int(EdgeConfig.IN)), (MODE_IN, int(EdgeConfig.OUT))):
             if mode in modes:
                 pd[mode] = pd_of(hit[(cfg != absent).nonzero()[0]])
-    if not wedges:
-        return EgoView(graph, egos, base, None, None, None, None, pd)
     wedge = flag < _SUCC
     if sym_pool:
         # an in-only z's pool, the in-only row nodes (flag _ROW), is out of its triads
@@ -447,7 +478,7 @@ def _support_pd(graph):
     n = graph.n_nodes
     indices, deg = graph.sym_indices, graph.sym_degree
     rank = np.empty(n, dtype=np.int32)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
+    rank[stable_order(deg)] = np.arange(n, dtype=np.int32)
     row_rank, col_rank = np.repeat(rank, deg), rank[indices]
     up = row_rank < col_rank
     del row_rank, col_rank
@@ -480,39 +511,52 @@ def _support_pd(graph):
     pd[up_at] = support
     # a stable sort by c of the oriented edges a -> c, which run by (a, c),
     # lists them by (c, a): the order of their mirrors, the other entries
-    pd[(~up).nonzero()[0]] = support[np.argsort(o_cols, kind="stable")]
+    pd[(~up).nonzero()[0]] = support[stable_order(o_cols)]
     return pd
 
 
-def _gather_sizes(graph, egos, sym_pool=False):
-    """Each ego's gathered entries, the symmetric rows of its pool: its
-    wedge count, a bound on its candidate count."""
+def _gather_sizes(graph, egos, sym_pool=False, degree=None):
+    """Each ego's gathered entries, the rows of its pool's nodes, of
+    lengths ``degree``: by default symmetric rows, whose entries are its
+    wedges, a bound on its candidate count."""
     indptr, indices = _pool_rows(graph, sym_pool)
-    reach = np.concatenate(([0], np.cumsum(graph.sym_degree[indices])))
+    degree = graph.sym_degree if degree is None else degree
+    reach = np.concatenate(([0], np.cumsum(degree[indices])))
     return reach[indptr[egos + 1]] - reach[indptr[egos]]
 
 
-def _block_runs(graph, sizes, sym_pool=False):
+def _block_runs(graph, sizes, sym_pool=False, wedges=True):
     """Runs (``_runs``) of egos with gather ``sizes``: one ego, or more
-    while they fit in ``_CHUNK`` gathered entries and ``_CHUNK`` bins, so
-    a block's memory is O(``_CHUNK``) unless one ego's gather is larger.
+    while they fit in ``_CHUNK`` gathered entries and in the bytes of
+    ``_CHUNK`` bins of a wedge gather, so a block's memory is O(``_CHUNK``)
+    unless one ego's gather is larger. A bin of a gather with wedges holds
+    its flag, its seen byte and its candidate index, of the narrowest dtype
+    that holds a wedge position (4 bytes up to 2**32 wedges):
+    ``_WEDGE_BIN_BYTES``, 6. A bin of a gather without wedges holds its
+    mark, ``_MARK_BIN_BYTES``, 1, so a pd-only block takes six times the
+    egos of a wedge block.
     With ``sym_pool`` an ego counts 3 bins per node, though it keys 9 triad
     slots: on ``triad-directed`` (seed 0; NumPy 2.4.6, 2 vCPU, medians of 5
     processes) its per-triad blocks ran in 13.3 ms, with a 54.2 MB peak over
     its six CLI stages; counting 1 bin, 11.0 ms and 54.8 MB; counting 9,
     23.6 ms in 45 blocks."""
-    per_block = max(_CHUNK // max((3 if sym_pool else 1) * graph.n_nodes, 1), 1)
+    bin_bytes = _WEDGE_BIN_BYTES * (3 if sym_pool else 1) if wedges else _MARK_BIN_BYTES
+    per_block = max(_CHUNK * _WEDGE_BIN_BYTES // max(bin_bytes * graph.n_nodes, 1), 1)
     return _runs(np.cumsum(sizes), lambda start: start + per_block)
 
 
 def ego_blocks(graph, egos, modes, wedges=True):
     """``EgoView``s over ``_block_runs`` of ``egos`` as ordered, with pd of
-    ``modes``; each id passes the checks of ``_ego_ids``, and repeats stay."""
+    ``modes``; each id passes the checks of ``_ego_ids``, and repeats stay.
+    A block's gathered entries are the rows it reads: without ``wedges``,
+    those of each mode (``_gather_block``)."""
     egos = np.asarray(egos)
     if egos.size:
         _ego_ids(graph, egos)
     egos = egos.astype(np.int64)
-    for start, stop in _block_runs(graph, _gather_sizes(graph, egos)):
+    degree = None if wedges else sum(_mode_rows(graph, mode)[2] for mode in modes)
+    for start, stop in _block_runs(graph, _gather_sizes(graph, egos, degree=degree),
+                                   wedges=wedges):
         yield _gather_block(graph, egos[start:stop], modes, wedges)
 
 

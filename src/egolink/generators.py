@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ego
-from ._util import INT64_MAX, count, seeded_rng
+from ._util import INT64_MAX, count, seeded_rng, stable_order
 from .ego import MODE_UNDIRECTED, validate_mode
 from .errors import ConfigError, check_key
 from .graph import (
@@ -69,7 +69,7 @@ class GeneratorSpec:
 def _assemble(n_nodes, src, dst, time, directed, time_mode):
     if not directed:
         src, dst = np.minimum(src, dst), np.maximum(src, dst)
-    order = np.argsort(time, kind="stable")
+    order = stable_order(time)
     return TemporalEdgeList(
         src=src[order], dst=dst[order], time=time[order],
         labels=tuple(str(i) for i in range(n_nodes)),

@@ -27,11 +27,12 @@ already distinct and in time order as they are and sorts others twice,
 by pair and by earliest time. ``write_normalized_csv`` writes by the
 column, in binary mode (``\\n`` line ends on every platform, which the
 byte path reads): ``_decimal_rows`` forms each run's digits with NumPy,
-with no Python object per row. A cumulative snapshot
-series is cut from one sort of the 2E symmetric entries of its edges
-(``_EntrySort``): snapshot ``i`` keeps the entries that hold by window
-``i``, with no sort of its own, and is built only when first read; a
-window that adds no edge shares the snapshot before it.
+with no Python object per row. A cumulative snapshot series is cut
+from one sort of the 2E symmetric entries of its edges, each copy's
+window below its key (``_EntrySort``): snapshot ``i`` keeps the entries
+that hold by window ``i``, with no sort of its own, and is built only
+when first read; a window that adds no edge shares the snapshot before
+it.
 ``SnapshotGraph`` builds one graph by the same sort and cut.
 
 Step 1 holds for every graph the package builds, from hand-built pairs
@@ -49,7 +50,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import INT64_MAX, INT64_MIN, count, csv_field, whole_number
+from ._util import INT64_MAX, INT64_MIN, count, csv_field, stable_order, whole_number
 from .errors import ConfigError, EmptyInputError, ParseError, PreconditionError
 
 NORMALIZED_HEADER = "src_id,dst_id,time"
@@ -217,11 +218,11 @@ def dedupe_and_sort(src, dst, time, n_key, directed):
     # times by a comparison, as np.diff wraps at the int64 ends; keys are >= 0
     if (time[1:] >= time[:-1]).all() and np.diff(np.sort(key)).all():
         return src, dst, time
-    # any sort serves: a run's smallest index is its pair's first occurrence
-    order = np.argsort(key)
+    # in a stable order each run opens with its pair's first occurrence
+    order = stable_order(key)
     # keys are >= 0, so the -1 before them opens the first run
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    first = np.minimum.reduceat(order, starts)
+    first = order[starts]
     # each first occurrence's earliest time, read in row order with no sort;
     # key is spent, so it holds them
     key[first] = np.minimum.reduceat(time[order], starts)
@@ -231,16 +232,7 @@ def dedupe_and_sort(src, dst, time, n_key, directed):
     first = is_first.nonzero()[0]
     earliest = key[first]
     if not (earliest[1:] >= earliest[:-1]).all():
-        # by (time, row): one sort of both as one int64 when the times' span
-        # allows it, as NumPy's stable sort of int64 (a timsort) is several
-        # times slower on times in no order; else a stable sort of the times
-        size, low = first.size, earliest.min()
-        if int(earliest.max()) - int(low) <= (INT64_MAX - size) // size:
-            both = (earliest - low) * size + np.arange(size)
-            both.sort()
-            rows = both % size
-        else:
-            rows = np.argsort(earliest, kind="stable")
+        rows = stable_order(earliest)
         first, earliest = first[rows], earliest[rows]
     return src[first], dst[first], earliest
 
@@ -653,28 +645,13 @@ class _EntrySort:
         if loop.any():
             src, dst, window = src[~loop], dst[~loop], window[~loop]
         self.directed = directed
-        key = np.concatenate([src * n + dst, dst * n + src])
-        order = np.argsort(key)
-        key = key[order]
-        # keys are >= 0, so the -1 before them opens the first group
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        key = key[starts]
+        key, firsts = _entry_firsts(n_nodes, src, dst, window, n_windows, directed)
         self.rows = key // n
         self.cols = key - self.rows * n
         del key
-        window = np.concatenate([window, window])[order]
-        if directed:
-            # an entry's link row -> col holds from the first window of its
-            # copies inserted as src -> dst, the first half; col -> row from
-            # that of the others; an edge is the row -> col link of one entry
-            forward = order < src.size
-            firsts = [np.minimum.reduceat(np.where(forward, window, n_windows), starts),
-                      np.minimum.reduceat(np.where(forward, n_windows, window), starts)]
-            self.new_edges = np.bincount(firsts[0], minlength=n_windows + 1)[:n_windows]
-        else:
-            # an edge is two entries
-            firsts = [np.minimum.reduceat(window, starts)]
-            self.new_edges = np.bincount(firsts[0], minlength=n_windows) // 2
+        # an edge is the row -> col link of one directed entry, or two undirected entries
+        self.new_edges = (np.bincount(firsts[0], minlength=n_windows + 1)[:n_windows]
+                          // (1 if directed else 2))
         opens = self.new_edges > 0
         opens[:1] = True
         self.graph_of = np.cumsum(opens) - 1
@@ -699,6 +676,55 @@ class _EntrySort:
             return self.rows[held], self.cols[held], None, None
         return (self.rows[held], self.cols[held],
                 self.first_out[held] <= k, self.first_in[held] <= k)
+
+
+def _entry_firsts(n_nodes, src, dst, window, n_windows, directed):
+    """The distinct keys ``row * n + col`` of the 2E entries of the edges
+    ``src -> dst`` (no self-loop), edge ``k`` added in window ``window[k]``,
+    ascending, and per entry the first window of its copies: on directed
+    graphs of those inserted as ``src -> dst``, the first half, which hold
+    its row -> col link, then of the others, ``n_windows`` standing for
+    never; on undirected graphs of all of them. Firsts take ``window``'s
+    dtype.
+
+    Each copy's window goes below its key, in ``span`` slots: forward
+    copies count up from 0 and backward ones down from ``2 * n_windows - 1``,
+    above every forward one. One ``np.sort`` then orders the copies, and an
+    entry's first forward window is its run's first slot, its first
+    backward window its run's last. Where n² × ``span`` overflows an int64,
+    one argsort of the keys orders the copies instead, and a minimum per
+    run and direction reads their windows."""
+    n, m = np.int64(n_nodes), src.size
+    key = np.concatenate([src * n + dst, dst * n + src])
+    span = 2 * int(n_windows) if directed else int(n_windows)
+    if int(n_nodes) ** 2 * span - 1 <= INT64_MAX:
+        key *= span
+        key[:m] += window
+        if directed:
+            key[m:] += span - 1
+            key[m:] -= window
+        else:
+            key[m:] += window
+        key.sort()
+        entry = key // span
+        # keys are >= 0, so the -1 before them opens the first run
+        starts = np.flatnonzero(np.diff(entry, prepend=-1))
+        entry = entry[starts]
+        low = key[starts] - entry * span
+        if not directed:
+            return entry, [low.astype(window.dtype)]
+        high = np.append(key[starts[1:] - 1], key[-1:]) - entry * span
+        return entry, [np.minimum(low, n_windows).astype(window.dtype),
+                       (span - 1 - np.maximum(high, n_windows - 1)).astype(window.dtype)]
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    window = np.concatenate([window, window])[order]
+    if not directed:
+        return key[starts], [np.minimum.reduceat(window, starts)]
+    forward = order < m
+    return key[starts], [np.minimum.reduceat(np.where(forward, window, n_windows), starts),
+                         np.minimum.reduceat(np.where(forward, n_windows, window), starts)]
 
 
 def _indptr(n_nodes, rows):

@@ -75,6 +75,27 @@ def dedupe_and_sort(src, dst, time, n_key, directed):
     return src[first], dst[first], earliest[rows]
 
 
+def entry_firsts(n_nodes, src, dst, window, n_windows, directed):
+    """``graph._entry_firsts`` by one argsort of the 2E entry keys, its form
+    before each copy's window went below its key, self-loops dropped first:
+    the distinct keys ascending, and per entry the least window of its
+    copies, on directed graphs of the forward copies (the first half) and
+    then of the others, ``n_windows`` standing for none."""
+    keep = src != dst
+    src, dst, window = src[keep], dst[keep], window[keep]
+    n = np.int64(n_nodes)
+    key = np.concatenate([src * n + dst, dst * n + src])
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    window = np.concatenate([window, window])[order]
+    if not directed:
+        return key[starts], [np.minimum.reduceat(window, starts)]
+    forward = order < src.size
+    return key[starts], [np.minimum.reduceat(np.where(forward, window, n_windows), starts),
+                         np.minimum.reduceat(np.where(forward, n_windows, window), starts)]
+
+
 def decimal_rows(columns):
     """Rows of int columns as ``%d`` fields, comma-separated, one line each."""
     rows = np.column_stack(columns)

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from egolink import graph as graph_module
 from egolink.cli import main
@@ -771,3 +771,56 @@ class TestOneGate:
                                  labels=("a", "b", "c"), directed=directed)
         with pytest.raises(IndexError, match=message):
             build_snapshots(edges, window_length=1)
+
+
+#: nodes of the lists whose n² × window span overflows an int64 when the
+#: span is 2 or more, so that their entries take the argsort form
+_HUGE_N = 2**31 + 5
+
+
+@st.composite
+def _windowed_edges(draw):
+    """``(n_nodes, src, dst, window, n_windows, directed)``: edges on up to
+    8 nodes or on the 8 highest ids of ``_HUGE_N``, with self-loops and
+    pairs repeated across windows and in both directions, in 1 to 300
+    windows (300 holds its windows in uint16)."""
+    huge = draw(st.booleans())
+    n_nodes = _HUGE_N if huge else draw(st.integers(1, 8))
+    node = st.integers(0, min(n_nodes, 8) - 1).map(lambda i: n_nodes - 1 - i if huge else i)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40))
+    n_windows = draw(st.sampled_from([1, 2, 3, 7, 300]))
+    window = draw(st.lists(st.integers(0, n_windows - 1), min_size=len(pairs),
+                           max_size=len(pairs)))
+    src, dst = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    return (n_nodes, src, dst, np.array(window, dtype=np.min_scalar_type(n_windows)),
+            n_windows, draw(st.booleans()))
+
+
+class TestEntrySort:
+    """The snapshot entry sort, one packed ``np.sort`` of the copies with
+    their windows below their keys, is its argsort form
+    (``oracles.entry_firsts``), which it keeps for spans whose n² × window
+    span overflows an int64."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_windowed_edges())
+    @example(case=(3, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.uint8), 1,
+                   True))
+    @example(case=(3, np.array([0, 1, 1, 0, 2]), np.array([1, 0, 0, 1, 2]),
+                   np.array([2, 1, 0, 2, 0], np.uint8), 3, True))
+    @example(case=(_HUGE_N, np.array([_HUGE_N - 1, 0]), np.array([0, _HUGE_N - 1]),
+                   np.array([1, 0], np.uint8), 2, True))
+    def test_matches_argsort_form(self, case):
+        n_nodes, src, dst, window, n_windows, directed = case
+        keys, firsts = oracles.entry_firsts(n_nodes, src, dst, window, n_windows, directed)
+        keep = src != dst
+        got_keys, got_firsts = graph_module._entry_firsts(
+            n_nodes, src[keep], dst[keep], window[keep], n_windows, directed)
+        assert got_keys.tolist() == keys.tolist()
+        assert [(f.dtype, f.tolist()) for f in got_firsts] == \
+            [(f.dtype, f.tolist()) for f in firsts]
+        # the whole sort, self-loops and all: its entries and each window's new edges
+        entries = graph_module._EntrySort(n_nodes, src, dst, directed, window, n_windows)
+        assert (entries.rows * np.int64(n_nodes) + entries.cols).tolist() == keys.tolist()
+        new = np.bincount(firsts[0], minlength=n_windows + 1)[:n_windows]
+        assert entries.new_edges.tolist() == (new // (1 if directed else 2)).tolist()

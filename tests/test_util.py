@@ -1,12 +1,14 @@
 """The ego pooling rule shared by the empirical and evaluation stages,
-and the count rule every whole-number argument of the library passes."""
+the count rule every whole-number argument of the library passes, and
+the packed stable sort."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from egolink._util import group_means, pool_egos
+from egolink._util import INT64_MAX, INT64_MIN, group_means, pool_egos, stable_order
 from egolink.degree_dist import log_binned_histogram
 from egolink.ego import sample_egos
 from egolink.empirical import aggregate_empirical
@@ -189,3 +191,31 @@ def test_count_rule_names_the_key(call, key, value):
     # a count is a whole number in its range, never cut down to one
     with pytest.raises(ConfigError, match=f"^{key}: must be "):
         call(value)
+
+
+#: the widest span a packed sort of two values holds: 2 * span + 1 <= INT64_MAX
+_PACKED_SPAN_2 = (INT64_MAX - 1) // 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.one_of(
+           st.lists(st.integers(-3, 3), max_size=60),
+           st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([INT64_MIN, INT64_MAX])),
+                    max_size=60),
+           st.lists(st.integers(INT64_MIN, INT64_MAX), max_size=60)),
+       dtype=st.sampled_from([np.int64, np.int32, np.uint8, np.uint64, np.float64]))
+@example(values=[], dtype=np.int64)
+@example(values=[5], dtype=np.int64)
+@example(values=[_PACKED_SPAN_2, 0], dtype=np.int64)  # packed: the span fits
+@example(values=[_PACKED_SPAN_2 + 1, 0], dtype=np.int64)  # one more takes the argsort
+@example(values=[INT64_MAX, INT64_MAX, INT64_MIN, INT64_MIN], dtype=np.int64)
+def test_stable_order_is_stable_argsort(values, dtype):
+    # ties keep their order, at the int64 ends too, whether the values fit
+    # the packed sort or take the stable argsort
+    info = np.iinfo(dtype) if np.issubdtype(dtype, np.integer) else None
+    if info is not None:
+        values = [v for v in values if info.min <= v <= info.max]
+    values = np.array(values, dtype=dtype)
+    got = stable_order(values)
+    assert got.dtype == np.intp
+    assert got.tolist() == np.argsort(values, kind="stable").tolist()

@@ -224,6 +224,57 @@ def test_personalized_degree_equals_rows_form(graph, echo):
                 personalized_degree(g, u, z)
 
 
+@_SETTINGS
+@given(graph=graphs(), echo=_ECHOES, egos=st.lists(st.integers(0, 11), min_size=1, max_size=15))
+@example(graph=_EMPTY, echo=[], egos=[0, 0])
+@example(graph=_NO_NEIGHBORS, echo=[], egos=[0, 1, 0, 4])
+@example(graph=_ISOLATED, echo=[(1, True)], egos=[8, 0, 2, 2])
+@example(graph=_HUB, echo=[(0, True), (6, False), (7, True)], egos=[0, 2, 0, 5, 6])
+def test_pd_only_gather_equals_wedge_gather(graph, echo, egos):
+    # a gather without wedges reads only the rows its modes count, and its
+    # pd is the wedge gather's, for each mode alone and all together, on
+    # either pool; echoes make links reciprocal, ego 0 of _NO_NEIGHBORS has
+    # no successor, and nodes 4 to 8 of _ISOLATED have no link
+    n, directed, pairs, _ = graph
+    g = make_graph(_echoed(pairs, echo), n, directed)
+    egos = np.array([u % n for u in egos], dtype=np.int64)
+    modes = ALL_MODES if directed else ("undirected",)
+    for sym_pool in (False, True) if directed else (False,):
+        wedge = _gather_block(g, egos, modes, sym_pool=sym_pool)
+        for chosen in [modes] + [(mode,) for mode in modes]:
+            bare = _gather_block(g, egos, chosen, wedges=False, sym_pool=sym_pool)
+            assert bare.base.tolist() == wedge.base.tolist()
+            assert bare.candidates is None and bare.wedge_z is None
+            assert sorted(bare._pd) == sorted(chosen)
+            for mode in chosen:
+                assert bare.pd(mode).dtype == np.int64
+                assert bare.pd(mode).tolist() == wedge.pd(mode).tolist()
+
+
+@pytest.mark.parametrize("mode, degree", [("out", "out_degree"), ("in", "in_degree")])
+def test_pd_only_gather_reads_mode_rows(mode, degree):
+    # a pd-only gather of mode out or in reads the egos' successor rows,
+    # then one row per pool node z: its successors or its predecessors,
+    # never its longer symmetric row
+    rng = np.random.default_rng(7)
+    pairs = [tuple(p) for p in rng.integers(0, 40, size=(160, 2)).tolist()]
+    g = make_graph(pairs, 40, directed=True)
+    egos = np.arange(40, dtype=np.int64)
+    gathered, gather_rows = [], ego_module._kernels.gather_rows
+
+    def recording(indptr, rows):
+        slot, pos = gather_rows(indptr, rows)
+        gathered.append(pos.size)
+        return slot, pos
+
+    with mock.patch.object(ego_module._kernels, "gather_rows", recording):
+        views = list(ego_blocks(g, egos, (mode,), wedges=False))
+    pools = [view.base for view in views]
+    assert gathered[0::2] == [pool.size for pool in pools]
+    assert gathered[1::2] == [int(getattr(g, degree)[pool].sum()) for pool in pools]
+    assert sum(gathered[1::2]) < int(g.sym_degree[g.out_indices].sum())
+
+
 @settings(_SETTINGS, max_examples=100)
 @given(graph=graphs(), data=st.data())
 @example(graph=_EMPTY, data=None)
@@ -234,7 +285,9 @@ def test_blocks_equal_single_ego_tables(graph, data):
     # and the scan and the sort of the candidate step the same views;
     # ego 0 of _NO_NEIGHBORS has no successor, and ego 0 of _HUB gathers
     # 12 entries, more than budgets 1, 2 and 5; budget 30 lets the
-    # gathered entries, not the bins, end some blocks
+    # gathered entries, not the bins, end some blocks. A pd-only block
+    # holds 1 byte per bin against a wedge block's 6, so its blocks end
+    # elsewhere: its pd is compared over all egos, and its budget apart
     n, directed, pairs, _ = graph
     g = make_graph(pairs, n, directed)
     egos = np.arange(n) if data is None else np.array(
@@ -244,12 +297,20 @@ def test_blocks_equal_single_ego_tables(graph, data):
             with mock.patch.object(ego_module, "_CHUNK", budget):
                 blocks = _both_steps(lambda: ego_blocks(g, egos, (mode,)))
                 bare = _both_steps(lambda: ego_blocks(g, egos, (mode,), wedges=False))
-            assert np.concatenate([b.egos for b in blocks]).tolist() == egos.tolist()
-            for block, pd_only in zip(blocks, bare, strict=True):
+            for views in (blocks, bare):
+                assert np.concatenate([b.egos for b in views]).tolist() == egos.tolist()
+            assert np.concatenate([b.pd(mode) for b in bare]).tolist() == \
+                np.concatenate([b.pd(mode) for b in blocks]).tolist()
+            mode_degree = ego_module._mode_rows(g, mode)[2]
+            for pd_only in bare:
+                assert pd_only.egos.size == 1 or (
+                    pd_only.egos.size * n * ego_module._MARK_BIN_BYTES
+                    <= budget * ego_module._WEDGE_BIN_BYTES
+                    and mode_degree[pd_only.base].sum() <= budget)
+            for block in blocks:
                 assert block.egos.size == 1 or (
                     block.egos.size * n <= budget
                     and g.sym_degree[block.base].sum() <= budget)
-                assert pd_only.pd(mode).tolist() == block.pd(mode).tolist()
                 columns, counts = score_block(block, ALL_METHODS, mode)
                 base_ptr = np.concatenate(([0], np.cumsum(g.out_degree[block.egos])))
                 cand_ptr = np.searchsorted(block.cand_slot, np.arange(block.egos.size + 1))
