@@ -172,7 +172,7 @@ class RunConfig:
     output_dir: str = _opt(".", "str", "directory for output files")
     format: str = _opt("csv", "str", "output table format: 'csv' or 'json'",
                        _one_of("csv", "json"))
-    workers: int = _opt(1, "int", "worker processes for per-ego stages", least=1)
+    workers: int = _opt(1, "int", "worker threads for per-ego stages", least=1)
     kind: str | None = _opt(None, "str", "degree-dist sample kind, or generator kind")
     bins_per_decade: int = _opt(10, "int", "log-histogram resolution", least=1)
     snapshot: int | None = _opt(None, "int", "snapshot index to analyze (default: last)")

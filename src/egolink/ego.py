@@ -231,8 +231,8 @@ def classify_triad(graph, u, z, v):
 
 #: budget of one run (``_runs``): the gathered entries of a
 #: ``_forming_cells`` run, both the gathered entries and, in the bytes of
-#: a wedge gather's bins, the bins of a block (``_block_runs``), and the
-#: wedges of a ``_support_pd`` run
+#: a wedge gather's bins, the least bins of a block (``_block_runs``), and
+#: the wedges of a ``_support_pd`` run
 _CHUNK = 1 << 16
 
 
@@ -527,21 +527,25 @@ def _gather_sizes(graph, egos, sym_pool=False, degree=None):
 
 def _block_runs(graph, sizes, sym_pool=False, wedges=True):
     """Runs (``_runs``) of egos with gather ``sizes``: one ego, or more
-    while they fit in ``_CHUNK`` gathered entries and in the bytes of
-    ``_CHUNK`` bins of a wedge gather, so a block's memory is O(``_CHUNK``)
-    unless one ego's gather is larger. A bin of a gather with wedges holds
-    its flag, its seen byte and its candidate index, of the narrowest dtype
-    that holds a wedge position (4 bytes up to 2**32 wedges):
-    ``_WEDGE_BIN_BYTES``, 6. A bin of a gather without wedges holds its
-    mark, ``_MARK_BIN_BYTES``, 1, so a pd-only block takes six times the
-    egos of a wedge block.
+    while they fit in ``_CHUNK`` gathered entries and a byte budget of
+    bins. A bin of a gather with wedges holds its flag, its seen byte and
+    its candidate index, of the narrowest dtype that holds a wedge position
+    (4 bytes up to 2**32 wedges): ``_WEDGE_BIN_BYTES``, 6, in ``max(_CHUNK
+    * _WEDGE_BIN_BYTES, graph.sym_indices.nbytes)`` bytes, at most the
+    graph's own rows on a large graph, where a block then holds more than
+    one ego. A bin without wedges holds its mark, ``_MARK_BIN_BYTES``, 1,
+    in ``_CHUNK * _WEDGE_BIN_BYTES`` bytes. On ``triad-directed`` (seed 0;
+    NumPy 2.4.6, 2 vCPU) ``peak_rss_mb`` read 55.6-56.3 MB with ``_CHUNK``
+    bins, 56.7-56.9 MB with the graph-sized budget and 68.2-68.4 MB with
+    2**20 bins; a graph-sized pd-only budget did not lower
+    ``degree_dist_s`` (25.2-25.5 against 22.4-26.9 ms).
     With ``sym_pool`` an ego counts 3 bins per node, though it keys 9 triad
-    slots: on ``triad-directed`` (seed 0; NumPy 2.4.6, 2 vCPU, medians of 5
-    processes) its per-triad blocks ran in 13.3 ms, with a 54.2 MB peak over
-    its six CLI stages; counting 1 bin, 11.0 ms and 54.8 MB; counting 9,
-    23.6 ms in 45 blocks."""
+    slots: on ``triad-directed`` (medians of 5 processes) its per-triad
+    blocks ran in 13.3 ms, with a 54.2 MB peak over its six CLI stages;
+    counting 1 bin, 11.0 ms and 54.8 MB; counting 9, 23.6 ms in 45 blocks."""
     bin_bytes = _WEDGE_BIN_BYTES * (3 if sym_pool else 1) if wedges else _MARK_BIN_BYTES
-    per_block = max(_CHUNK * _WEDGE_BIN_BYTES // max(bin_bytes * graph.n_nodes, 1), 1)
+    budget = max(_CHUNK * _WEDGE_BIN_BYTES, graph.sym_indices.nbytes if wedges else 0)
+    per_block = max(budget // max(bin_bytes * graph.n_nodes, 1), 1)
     return _runs(np.cumsum(sizes), lambda start: start + per_block)
 
 
@@ -615,16 +619,19 @@ def _forming_cells(series, egos, sym_pool):
 
 
 def _cell_blocks(worker, payload, series, egos, settled, n_columns, workers, sym_pool=False,
-                 require_formation=True, cutoff=np.inf):
+                 require_formation=True, cutoff=np.inf, too_few=(0, -1)):
     """Run ``worker`` on the cells of ``egos`` at every transition, in
     blocks of egos: ``(reason, cell, values)``.
 
     A cell is gathered when ``_forming_cells`` marks it (every cell
     without ``require_formation``) or when its ego's ``_gather_sizes``
-    exceeds ``cutoff``. At each transition, the gathered egos are cut into
-    ``_block_runs`` in the parent, so no result depends on the worker
-    count; the blocks run in descending order of gathered entries and are
-    read back in block order. ``worker(payload, (t, egos))`` returns, per
+    exceeds ``cutoff``, unless its ``_gather_sizes``, a bound on its
+    candidates, is below ``need`` and within ``cutoff``: it then takes the
+    reason of ``too_few``, ``(need, reason)``. At each transition, the
+    gathered egos are cut into ``_block_runs`` in the calling thread, so no
+    result depends on the worker count; the blocks run in descending order
+    of gathered entries and are read back in block order.
+    ``worker(payload, (t, egos))`` returns, per
     cell of its egos (nine per ego with ``sym_pool``, one per triad, else
     one), the index of its first reason of exclusion or -1 when it is
     kept, then one row of ``n_columns`` values per kept cell, then
@@ -642,7 +649,10 @@ def _cell_blocks(worker, payload, series, egos, settled, n_columns, workers, sym
     for t, g in enumerate(series.graphs[:-1]):
         if not t or g is not series[t - 1]:  # once per distinct snapshot
             sizes = _gather_sizes(g, egos, sym_pool)
-        at = np.flatnonzero(forming[:, t] | (sizes > cutoff))
+        few = forming[:, t] & (sizes < too_few[0])
+        reason[t].reshape(egos.size, cells)[few] = too_few[1]
+        # a cell over the cutoff is gathered, and its worker's reason stands
+        at = np.flatnonzero(forming[:, t] & ~few | (sizes > cutoff))
         for a, b in _block_runs(g, sizes[at], sym_pool):
             blocks.append((t, at[a:b]))
             entries.append(int(sizes[at[a:b]].sum()))

@@ -13,13 +13,15 @@ Cells are settled from the new edges first: before any ego gather,
 ``ego._forming_cells`` marks, in one whole-array pass per transition,
 the cells where some candidate forms. When formation is required, an
 unmarked cell is settled without a gather if the ego's wedge count, an
-upper bound on its candidate count, is within the cutoff. The other
-cells run on the block driver that ``empirical`` shares
-(``ego._cell_blocks``). A block takes one gather and one
-``scorers.score_block`` per degree mode. Per column, each kept ego's top
-``max(ks)`` is selected (``_top_ranker``) and only that is sorted; egos
-over the cutoff or otherwise not kept are not ranked. P@K for every
-kept ego comes from one cumulative sum.
+upper bound on its candidate count, is within the cutoff, and a marked
+one has too few candidates if that count is also below
+``max(min_candidates, max(ks))``. The other cells run on the block
+driver that ``empirical`` shares (``ego._cell_blocks``). A block takes
+one gather and one ``scorers.score_block`` per degree mode. Each kept
+ego's top ``max(ks)`` of every column is selected at once
+(``_top_ranker``) and only that is sorted; egos over the cutoff or
+otherwise not kept are not ranked. P@K for every kept ego comes from one
+cumulative sum.
 The cells left out are counted per reason (``EXCLUSIONS``) in the
 result's metadata.
 """
@@ -103,43 +105,44 @@ def _ranking_order(scores):
     return np.lexsort((-scores,))
 
 
-def _top_ranker(kept, n_cand, n_top):
-    """A function from a score column of a block, its candidates in runs
-    of ``n_cand`` per slot, ascending by id within each, to the positions
-    of each ``kept`` slot's first ``n_top`` in ``_ranking_order``: one row
-    per kept slot, each of which holds at least ``n_top`` candidates.
+def _width_buckets(counts):
+    """The positions of ``counts`` (each at least 1) by the power of two at
+    or above each: a group's largest count is below twice its least."""
+    bucket = np.frexp(counts - 1)[1]  # the bit length of count - 1
+    return [np.flatnonzero(bucket == b) for b in np.unique(bucket).tolist()]
 
-    Only those ``n_top`` are sorted. The kept candidates are laid once
-    into a grid (kept slots × widest kept slot, padded with -inf) that
-    every column refills; one partition gives each row's ``n_top``-th
-    largest score. A row keeps the scores above it, then fills its room
-    with the ties at it in id order, as the full sort would."""
+
+def _top_ranker(columns, kept, n_cand, n_top):
+    """The positions of each ``kept`` slot's first ``n_top`` in
+    ``_ranking_order``, per row of ``columns`` (score columns × the block's
+    candidates, ascending by id in runs of ``n_cand`` per slot), as an
+    array of (columns × kept slots × ``n_top``); a kept slot holds at least
+    ``n_top`` candidates.
+
+    Only those ``n_top`` are sorted. Per ``_width_buckets`` of the kept
+    slots, every column's candidates fill one grid (columns × slots ×
+    widest slot, padded with -inf), and one partition gives each row's
+    ``n_top``-th largest score. A row keeps the scores above it, then fills
+    its room with the ties at it in id order, as the full sort would."""
     counts = n_cand[kept]
-    row = np.repeat(np.arange(kept.size), counts)
-    col = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    pos = (np.cumsum(n_cand) - n_cand)[kept][row] + col
-    width = int(counts.max())
-    grid = np.full((kept.size, width), -np.inf)
-    # the filled cells, ascending in (row, col) order as pos
-    filled = row * width + col
-    cell_pos = np.zeros(grid.size, dtype=np.int64)
-    cell_pos[filled] = pos
-    row_start = np.arange(kept.size) * width
-    top_start = np.arange(kept.size)[:, None] * n_top
-
-    def top(scores):
-        grid.reshape(-1)[filled] = scores[pos]
-        nth = np.partition(grid, width - n_top, axis=1)[:, width - n_top, None]
+    first = (np.cumsum(n_cand) - n_cand)[kept]
+    out = np.empty((len(columns), kept.size, n_top), dtype=np.int64)
+    for rows in _width_buckets(counts):
+        size, width = counts[rows], int(counts[rows].max())
+        row = np.repeat(np.arange(rows.size), size)
+        col = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
+        grid = np.full((len(columns), rows.size, width), -np.inf)
+        grid[:, row, col] = columns[:, first[rows][row] + col]
+        nth = np.partition(grid, width - n_top, axis=2)[:, :, width - n_top, None]
         keep = grid > nth
         tie = np.flatnonzero(grid == nth)
-        tie_row = tie // width
-        room = n_top - np.count_nonzero(keep, axis=1)
-        rank = np.arange(tie.size) - np.searchsorted(tie, row_start)[tie_row]
-        keep.reshape(-1)[tie[rank < room[tie_row]]] = True
-        sel = cell_pos[np.flatnonzero(keep)]
-        return sel[top_start + _ranking_order(scores[sel].reshape(kept.size, n_top))]
-
-    return top
+        room = n_top - np.count_nonzero(keep, axis=2).ravel()
+        rank = np.arange(tie.size) - np.searchsorted(tie, tie // width * width)
+        keep.reshape(-1)[tie[rank < room[tie // width]]] = True
+        col = np.flatnonzero(keep).reshape(len(columns), rows.size, n_top) % width
+        order = _ranking_order(np.take_along_axis(grid, col, axis=2))
+        out[:, rows] = first[rows, None] + np.take_along_axis(col, order, axis=2)
+    return out
 
 
 def _precisions(hit, ks):
@@ -193,8 +196,8 @@ def _cell_worker(payload, item):
     """``(reason, p)`` of one block of egos at transition ``t``: for each
     ego, the index in ``EXCLUSIONS`` of the first reason its cell is left
     out, or -1 when it is kept; and P@K of the kept cells, one row per
-    kept ego and one column per ((method, mode), K), pairs first. Per
-    column only each kept ego's top ``max(ks)`` is selected and sorted."""
+    kept ego and one column per ((method, mode), K), pairs first. Only
+    each kept ego's top ``max(ks)`` of the stacked score columns is sorted."""
     series, methods, modes, ks, cutoff, need, require_formation = payload
     t, egos = item
     view = _gather_block(series[t], egos, modes)
@@ -210,16 +213,18 @@ def _cell_worker(payload, item):
     ks = np.array(ks)
     if not kept.size:
         return reason, np.empty((0, len(pairs) * ks.size))
-    top = _top_ranker(kept, n_cand, ks[-1])
     # one scoring per degree mode; cn reads no degree: ranked once, from the first
     term_methods = tuple(m for m in methods if m != METHOD_CN)
     passes = [(modes[0], methods)] + [(mode, term_methods) for mode in modes[1:] if term_methods]
-    p = {}
+    scores = np.empty((len(pairs), view.candidates.size))
     for mode, scored in passes:
         columns, _ = score_block(view, scored, mode)
         for m in scored:
-            p[(m, MODE_NONE if m == METHOD_CN else mode)] = _precisions(formed[top(columns[m])], ks)
-    return reason, np.hstack([p[pair] for pair in pairs])
+            scores[pairs.index((m, MODE_NONE if m == METHOD_CN else mode))] = columns[m]
+    # every column's top at once: (pairs × kept egos × K) → kept egos × (pairs, K)
+    top = _top_ranker(scores, kept, n_cand, ks[-1])
+    p = _precisions(formed[top], ks)
+    return reason, p.transpose(1, 0, 2).reshape(kept.size, -1)
 
 
 def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS, egos=None,
@@ -239,13 +244,15 @@ def evaluate_methods(series, methods=ALL_METHODS, modes=None, ks=DEFAULT_KS, ego
     keys = [(pair, k) for pair in pairs for k in ks]
 
     egos = _ego_ids(series[0], sample_egos(series) if egos is None else egos)
-    payload = (series, methods, modes, ks, cutoff, max(min_candidates, ks[-1]),
-               bool(require_formation))
+    need = max(min_candidates, ks[-1])
+    payload = (series, methods, modes, ks, cutoff, need, bool(require_formation))
     # per (transition, ego): the index in EXCLUSIONS of the reason its cell
-    # is left out, or -1 when it is kept; a settled cell has nothing formed
+    # is left out, or -1 when it is kept; a cell settled without a gather
+    # has nothing formed or too few candidates
     reason, cell_ego, values = _cell_blocks(
         _cell_worker, payload, series, egos, EXCLUSIONS.index(EXCLUDED_NO_FORMED), len(keys),
-        workers, require_formation=require_formation, cutoff=cutoff)
+        workers, require_formation=require_formation, cutoff=cutoff,
+        too_few=(need, EXCLUSIONS.index(EXCLUDED_TOO_FEW)))
 
     # an ego over the cutoff at some transition is dropped whole; a settled
     # cell never is, as its candidates are at most its wedges

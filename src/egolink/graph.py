@@ -46,7 +46,7 @@ and series by identity.
 import io
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -604,10 +604,18 @@ def write_normalized_csv(edges, path):
 
 
 def write_label_map_csv(edges, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LABEL_MAP_HEADER + "\n")
-        fh.writelines(f"{node_id},{csv_field(label)}\n"
-                      for node_id, label in enumerate(edges.labels))
+    """``edges.labels`` as ``label_map.csv``, in binary mode: the ids by
+    ``_decimal_rows`` and the labels in one join, each label through
+    ``csv_field`` only when some label holds a comma, a quote or a line
+    break, as it changes no other label."""
+    labels = edges.labels
+    joined = "\n".join(labels)
+    if joined.count("\n") >= len(labels) or any(c in joined for c in ',"\r'):
+        labels = map(csv_field, labels)
+    ids = _decimal_rows([np.arange(len(edges.labels), dtype=np.int64)]).decode().split("\n")
+    rows = "".join(chain.from_iterable(zip(ids, repeat(","), labels, repeat("\n"))))
+    with open(path, "wb") as fh:
+        fh.write(f"{LABEL_MAP_HEADER}\n{rows}".encode())
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,16 @@ def write_normalized_csv(edges, path):
         fh.write(b"src_id,dst_id,time\n" + decimal_rows([edges.src, edges.dst, edges.time]))
 
 
+def write_label_map_csv(edges, path):
+    """``graph.write_label_map_csv`` by one f-string and ``csv_field`` per label."""
+    from egolink._util import csv_field
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("node_id,label\n")
+        fh.writelines(f"{node_id},{csv_field(label)}\n"
+                      for node_id, label in enumerate(edges.labels))
+
+
 def preferential_attachment(n_nodes, m, seed):
     """``(src, dst, time)`` lists of preferential attachment as one Python
     draw per target from a list ``pool`` of edge endpoints: the seed clique

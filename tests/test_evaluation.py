@@ -12,11 +12,13 @@ import oracles
 from conftest import growing_snapshots, make_series, random_snapshots
 
 from egolink import ego as ego_module
+from egolink import evaluation as evaluation_module
 from egolink.ego import _forming_cells, ego_view, sample_egos
 from egolink.errors import ConfigError, EmptyResultError, PreconditionError
 from egolink.evaluation import (
     EXCLUSIONS,
     _top_ranker,
+    _width_buckets,
     eval_table,
     evaluate_methods,
     improvement_table,
@@ -376,6 +378,45 @@ class TestFormationFirst:
             assert excluded["no_formed_candidate"] == 0
 
 
+    @pytest.mark.parametrize("require_formation", [True, False])
+    def test_too_few_settled_without_gather(self, monkeypatch, require_formation):
+        # a marked cell whose wedge bound is below max(min_candidates, max(ks))
+        # and within the cutoff is too_few_candidates with no gather: no
+        # such cell reaches a worker, and the result is that of gathering it
+        series = make_series(random_snapshots(8, 24, 0.15, True, 4, growth=0.5), 24,
+                             directed=True)
+        kw = dict(ks=(1, 3), cutoff=18, min_candidates=9, require_formation=require_formation)
+        worker, cell_blocks = evaluation_module._cell_worker, evaluation_module._cell_blocks
+        gathered = []
+
+        def recording_worker(payload, item):
+            t, egos = item
+            gathered.extend(ego_module._gather_sizes(series[t], egos).tolist())
+            return worker(payload, item)
+
+        monkeypatch.setattr(evaluation_module, "_cell_worker", recording_worker)
+        monkeypatch.setattr(evaluation_module, "_cell_blocks",
+                            lambda *args, too_few, **kwargs: cell_blocks(*args, **kwargs))
+        every = evaluate_methods(series, **kw)
+        assert any(size < 9 for size in gathered)
+        monkeypatch.setattr(evaluation_module, "_cell_blocks", cell_blocks)
+        gathered.clear()
+        settled = evaluate_methods(series, **kw)
+        assert gathered and all(size >= 9 for size in gathered)
+        assert (settled.rows, settled.metadata) == (every.rows, every.metadata)
+
+    def test_bound_above_cutoff_is_gathered(self):
+        # ego 0 has 6 candidates on 7 wedges, and one forms: with the cutoff
+        # at 5 and 9 candidates needed, its cell is gathered and the ego is
+        # over the cutoff, not settled as having too few
+        snap0 = [(0, 1)] + [(1, w) for w in range(2, 8)]
+        series = make_series([snap0, snap0 + [(0, 2)]], 8)
+        with pytest.raises(EmptyResultError) as info:
+            evaluate_methods(series, methods=("cn",), ks=(1,), egos=[0], cutoff=5,
+                             min_candidates=9)
+        assert info.value.diagnostics["n_egos_skipped_cutoff"] == 1
+
+
 class TestBlockCuts:
     """Blocks of one ego and the default blocks give the same result at
     every worker count, with every exclusion reason in play."""
@@ -407,13 +448,18 @@ class TestBlockCuts:
 def _kept_blocks(draw):
     """A block as ``_cell_worker`` ranks it: per-slot candidate counts,
     the kept slots (each with at least ``n_top`` candidates; the unkept
-    ones, of any size, sit between and at the ends), ``n_top``, and two
-    score columns, each all-tied, integer-valued as ``cn`` or fractional."""
+    ones, of any size, sit between and at the ends), ``n_top``, and one to
+    three stacked score columns, each all-tied, integer-valued as ``cn`` or
+    fractional. The counts span several powers of two, and one hub slot
+    may be ten times as wide as the rest."""
     n_top = draw(st.integers(1, 6))
-    n_cand = np.array(draw(st.lists(st.one_of(st.integers(0, 14), st.just(n_top)),
+    n_cand = np.array(draw(st.lists(st.one_of(st.integers(0, 14), st.integers(15, 70),
+                                              st.just(n_top)),
                                     min_size=1, max_size=6)))
     one = draw(st.integers(0, n_cand.size - 1))
     n_cand[one] = max(n_cand[one], n_top)
+    if draw(st.booleans()):
+        n_cand[draw(st.integers(0, n_cand.size - 1))] = 10 * int(n_cand.max())
     eligible = np.flatnonzero(n_cand >= n_top).tolist()
     kept = np.array(sorted(draw(st.sets(st.sampled_from(eligible), min_size=1))))
     size = int(n_cand.sum())
@@ -422,34 +468,45 @@ def _kept_blocks(draw):
         "cn": st.integers(0, 3).map(float),
         "fraction": st.one_of(st.floats(0.0, 3.0), st.sampled_from([1 / 3, 0.5, 2.25])),
     }
-    columns = [np.array(draw(st.lists(values[draw(st.sampled_from(sorted(values)))],
-                                      min_size=size, max_size=size)), dtype=np.float64)
-               for _ in range(2)]
+    columns = np.array([draw(st.lists(values[draw(st.sampled_from(sorted(values)))],
+                                      min_size=size, max_size=size))
+                        for _ in range(draw(st.integers(1, 3)))], dtype=np.float64)
     return n_cand, kept, n_top, columns
 
 
 class TestTopSelection:
     """Each kept slot's selected top is the prefix of its run in the full
-    sort, for every column the one grid is refilled with."""
+    sort, for every column of the one batched selection, and each width
+    bucket pads its rows by less than 2×."""
 
     @_SETTINGS
     @given(block=_kept_blocks())
     def test_selection_is_full_sort_prefix(self, block):
         n_cand, kept, n_top, columns = block
         slot = np.repeat(np.arange(n_cand.size), n_cand)
-        top = _top_ranker(kept, n_cand, n_top)
+        top = _top_ranker(columns, kept, n_cand, n_top)
+        assert top.shape == (len(columns), kept.size, n_top)
         start = np.cumsum(n_cand) - n_cand
-        for scores in columns:
+        for scores, got in zip(columns, top):
             want = np.lexsort((-scores, slot))[start[kept, None] + np.arange(n_top)]
-            assert np.array_equal(top(scores), want)
+            assert np.array_equal(got, want)
+
+    @_SETTINGS
+    @given(block=_kept_blocks())
+    def test_bucket_width_below_twice_narrowest_row(self, block):
+        n_cand, kept, _, _ = block
+        counts = n_cand[kept]
+        buckets = _width_buckets(counts)
+        assert np.sort(np.concatenate(buckets)).tolist() == list(range(kept.size))
+        for rows in buckets:
+            assert counts[rows].max() < 2 * counts[rows].min()
 
     def test_ties_at_the_last_place_break_by_id(self):
         # slot 1 is unkept; slot 2 ties three candidates at the 2nd place
         n_cand = np.array([2, 3, 5])
-        scores = np.array([1.0, 1.0, 9.0, 9.0, 9.0, 0.5, 3.0, 0.5, 0.5, 0.2])
-        top = _top_ranker(np.array([0, 2]), n_cand, 2)
-        assert top(scores).tolist() == [[0, 1], [6, 5]]
-        assert top(np.zeros(10)).tolist() == [[0, 1], [5, 6]]
+        scores = np.array([[1.0, 1.0, 9.0, 9.0, 9.0, 0.5, 3.0, 0.5, 0.5, 0.2], np.zeros(10)])
+        top = _top_ranker(scores, np.array([0, 2]), n_cand, 2)
+        assert top.tolist() == [[[0, 1], [6, 5]], [[0, 1], [5, 6]]]
 
 
 class TestDirectedModes:

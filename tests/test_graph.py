@@ -167,6 +167,42 @@ class TestNormalization:
         assert labels.read_text() == "node_id,label\n0,ann\n1,bob\n2,eve\n"
 
 
+@st.composite
+def _label_tables(draw):
+    """0-30 labels, each its own decimal id, another decimal id (out of
+    order, or with leading zeros) or text with commas, quotes, CR/LF and
+    non-ASCII letters; runs of own ids likely."""
+    n = draw(st.integers(0, 30))
+    text = st.text(alphabet=',"\r\n ab1éü中', min_size=1, max_size=6)
+    labels = []
+    for i in range(n):
+        labels.append(draw(st.one_of(
+            st.just(str(i)), st.just(str(i)), st.integers(0, 40).map(str),
+            st.integers(0, 40).map(lambda j: "0" + str(j)), text)))
+    return tuple(labels)
+
+
+class TestWriteLabelMap:
+    """``write_label_map_csv`` writes own-id labels by the column and the
+    others in one join; the per-row writer in ``oracles`` is its reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(labels=_label_tables())
+    def test_matches_per_row_writer(self, tmp_path_factory, labels):
+        edges = TemporalEdgeList(src=(), dst=(), time=(), labels=labels, directed=False)
+        where = tmp_path_factory.mktemp("labels")
+        write_label_map_csv(edges, where / "got.csv")
+        oracles.write_label_map_csv(edges, where / "want.csv")
+        assert (where / "got.csv").read_bytes() == (where / "want.csv").read_bytes()
+
+    def test_mixed_rows_by_hand(self, tmp_path):
+        labels = ("0", "x,y", "2", "03", "1", 'q"\r\n', "6", "7")
+        edges = TemporalEdgeList(src=(), dst=(), time=(), labels=labels, directed=False)
+        write_label_map_csv(edges, tmp_path / "l.csv")
+        assert (tmp_path / "l.csv").read_bytes() == (
+            b'node_id,label\n0,0\n1,"x,y"\n2,2\n3,03\n4,1\n5,"q""\r\n"\n6,6\n7,7\n')
+
+
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 

@@ -1,39 +1,47 @@
-"""Fan-out sizing: the pool never starts more processes than there are items
-or usable CPUs, and it is imported only when a fan-out starts one."""
+"""Fan-out sizing: the thread pool never asks for more threads than there
+are items or usable CPUs, runs contiguous runs of items in item order,
+starts no process, and is imported only when a fan-out starts one."""
 
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from egolink import _parallel
+from egolink import ego as ego_module
+from egolink import empirical, evaluation
+from egolink.generators import GeneratorSpec, generate
+from egolink.graph import SnapshotGraph, build_snapshots
 
 
 def _add(payload, item):
     return payload + item
 
 
-class _RecordingPool:
-    """Runs tasks inline and records the requested pool size."""
+class _RecordingPool(ThreadPoolExecutor):
+    """A real thread pool that records its size and each task's items."""
 
     sizes = []
+    runs = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        initializer(*initargs)
+        super().__init__(max_workers=max_workers)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, run):
+        self.runs.append(list(run))
+        return super().submit(fn, run)
 
-    def __exit__(self, *exc):
-        return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+@pytest.fixture
+def pool(monkeypatch):
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "runs", [])
+    return _RecordingPool
 
 
 @pytest.mark.parametrize("workers, n_items, expected", [
@@ -41,65 +49,130 @@ class _RecordingPool:
     (2, 5, 2),
     (4, 4, 4),
 ])
-def test_pool_size_capped_by_items(workers, n_items, expected, monkeypatch):
+def test_pool_size_capped_by_items(workers, n_items, expected, monkeypatch, pool):
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 64)
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_parallel, "_PAYLOAD", None)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
     items = list(range(n_items))
     out = _parallel.map_in_order(_add, items, 100, workers=workers)
     assert out == [100 + i for i in items]
-    assert _RecordingPool.sizes == [expected]
+    assert pool.sizes == [expected]
 
 
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (1, None)])
-def test_pool_size_capped_by_cpus(cpus, expected, monkeypatch):
-    # --workers 1000 over 1000 blocks must not fork 1000 processes at once;
-    # one usable CPU runs the items inline
+def test_pool_size_capped_by_cpus(cpus, expected, monkeypatch, pool):
+    # --workers 1000 over 1000 blocks must not ask for 1000 threads at once;
+    # one usable CPU runs the items inline, in the calling thread
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_parallel, "_PAYLOAD", None)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
     items = list(range(1000))
-    assert _parallel.map_in_order(_add, items, 100, workers=1000) == [100 + i for i in items]
-    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    threads = set()
+
+    def add(payload, item):
+        threads.add(threading.get_ident())
+        return payload + item
+
+    assert _parallel.map_in_order(add, items, 100, workers=1000) == [100 + i for i in items]
+    assert pool.sizes == ([] if expected is None else [expected])
+    if expected is None:
+        assert threads == {threading.get_ident()}
 
 
-def test_single_item_runs_inline(monkeypatch):
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    assert _parallel.map_in_order(_add, [1], 10, workers=8) == [11]
-    assert _RecordingPool.sizes == []
+def test_single_item_runs_inline(pool):
+    threads = []
+
+    def add(payload, item):
+        threads.append(threading.get_ident())
+        return payload + item
+
+    assert _parallel.map_in_order(add, [1], 10, workers=8) == [11]
+    assert pool.sizes == []
+    assert threads == [threading.get_ident()]
 
 
-class _RunRecordingPool(_RecordingPool):
-    """Also records the items of each submitted task."""
-
-    runs = []
-
-    def submit(self, fn, worker, items):
-        self.runs.append(list(items))
-        return super().submit(fn, worker, items)
-
-
-def test_contiguous_runs_in_order(monkeypatch):
+def test_contiguous_runs_in_order(monkeypatch, pool):
     # about four runs per worker, one task each, flattened in item order
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _RunRecordingPool)
-    monkeypatch.setattr(_parallel, "_PAYLOAD", None)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RunRecordingPool, "runs", [])
     items = list(range(50))
     assert _parallel.map_in_order(_add, items, 100, workers=2) == [100 + i for i in items]
-    assert len(_RunRecordingPool.runs) == 8
-    assert sum(_RunRecordingPool.runs, []) == items
-    assert all(6 <= len(run) <= 7 for run in _RunRecordingPool.runs)
+    assert len(pool.runs) == 8
+    assert sum(pool.runs, []) == items
+    assert all(6 <= len(run) <= 7 for run in pool.runs)
+
+
+def test_worker_exception_surfaces(monkeypatch):
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+
+    def fail_on_seven(payload, item):
+        if item == 7:
+            raise ValueError(f"item {item}")
+        return item
+
+    with pytest.raises(ValueError, match="item 7"):
+        _parallel.map_in_order(fail_on_seven, range(20), None, workers=2)
+
+
+def _planted_series():
+    spec = GeneratorSpec(kind="planted-scorer", n_nodes=200, edge_prob=0.03, method="pd-cn",
+                         n_snapshots=4, seed=3)
+    return build_snapshots(generate(spec), preassigned=True)
+
+
+def test_no_process_starts(monkeypatch):
+    # both analyses fan out on two workers with fork unavailable
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ego_module, "_CHUNK", 64)
+    series = _planted_series()
+    one = (evaluation.evaluate_methods(series, ks=(1, 3), workers=1),
+           empirical.aggregate_empirical(series, workers=1))
+
+    def no_fork():
+        raise AssertionError("a fan-out started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    two = (evaluation.evaluate_methods(series, ks=(1, 3), workers=2),
+           empirical.aggregate_empirical(series, workers=2))
+    assert two == one
+
+
+@pytest.mark.parametrize("analysis", ["evaluate", "evaluate-every-cell", "empirical"])
+def test_graphs_built_before_workers(analysis, monkeypatch):
+    # the workers share the series: every graph of it is built in the
+    # calling thread before any block runs, so no worker writes to it
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ego_module, "_CHUNK", 64)
+    events = []
+    set_entries = SnapshotGraph._set_entries
+
+    def recording_set_entries(self, *args):
+        events.append(("build", threading.get_ident()))
+        set_entries(self, *args)
+
+    module, name = ((empirical, "_ego_worker") if analysis == "empirical"
+                    else (evaluation, "_cell_worker"))
+    worker = getattr(module, name)
+
+    def recording_worker(payload, item):
+        events.append(("block", threading.get_ident()))
+        return worker(payload, item)
+
+    series = _planted_series()
+    monkeypatch.setattr(SnapshotGraph, "_set_entries", recording_set_entries)
+    monkeypatch.setattr(module, name, recording_worker)
+    if analysis == "empirical":
+        empirical.aggregate_empirical(series, workers=2)
+    else:
+        evaluation.evaluate_methods(series, ks=(1, 3), workers=2,
+                                    require_formation=analysis == "evaluate")
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("build") == len(set(map(id, series.graphs)))
+    assert kinds == sorted(kinds, key=lambda kind: kind == "block")
+    caller = threading.get_ident()
+    assert {thread for kind, thread in events if kind == "build"} == {caller}
+    assert {thread for kind, thread in events if kind == "block"} - {caller}
 
 
 def test_pool_imported_on_first_fan_out():
-    # importing the package, CLI included, leaves the process pool unimported
+    # importing the package, CLI included, leaves the thread pool unimported
     code = ("import sys, egolink.cli, egolink._parallel as p; "
-            "print('concurrent.futures' in sys.modules, p.ProcessPoolExecutor)")
+            "print('concurrent.futures' in sys.modules, p.ThreadPoolExecutor)")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout

@@ -285,9 +285,11 @@ def test_blocks_equal_single_ego_tables(graph, data):
     # and the scan and the sort of the candidate step the same views;
     # ego 0 of _NO_NEIGHBORS has no successor, and ego 0 of _HUB gathers
     # 12 entries, more than budgets 1, 2 and 5; budget 30 lets the
-    # gathered entries, not the bins, end some blocks. A pd-only block
-    # holds 1 byte per bin against a wedge block's 6, so its blocks end
-    # elsewhere: its pd is compared over all egos, and its budget apart
+    # gathered entries, not the bins, end some blocks. A wedge block's bins
+    # may take as many bytes as the graph's symmetric rows, and a pd-only
+    # block holds 1 byte per bin against a wedge block's 6 within the fixed
+    # budget, so its blocks end elsewhere: its pd is compared over all
+    # egos, and its budget apart
     n, directed, pairs, _ = graph
     g = make_graph(pairs, n, directed)
     egos = np.arange(n) if data is None else np.array(
@@ -309,7 +311,8 @@ def test_blocks_equal_single_ego_tables(graph, data):
                     and mode_degree[pd_only.base].sum() <= budget)
             for block in blocks:
                 assert block.egos.size == 1 or (
-                    block.egos.size * n <= budget
+                    block.egos.size * n * ego_module._WEDGE_BIN_BYTES
+                    <= max(budget * ego_module._WEDGE_BIN_BYTES, g.sym_indices.nbytes)
                     and g.sym_degree[block.base].sum() <= budget)
                 columns, counts = score_block(block, ALL_METHODS, mode)
                 base_ptr = np.concatenate(([0], np.cumsum(g.out_degree[block.egos])))
@@ -325,6 +328,20 @@ def test_blocks_equal_single_ego_tables(graph, data):
                     assert counts[at].tolist() == table.cn_counts.tolist()
                     for method in ALL_METHODS:
                         assert columns[method][at].tolist() == table.scores(method).tolist()
+
+
+def test_wedge_blocks_take_graph_sized_bins():
+    # the complete graph on 40 nodes holds 1560 symmetric entries, 12480
+    # bytes: with _CHUNK 100, a wedge block of egos that gather nothing
+    # takes 12480 // (6 * 40) = 52 egos, a pd-only block 600 // 40 = 15
+    n = 40
+    g = make_graph([(u, v) for u in range(n) for v in range(u + 1, n)], n, False)
+    sizes = np.zeros(100, dtype=np.int64)
+    with mock.patch.object(ego_module, "_CHUNK", 100):
+        wedge_runs = list(ego_module._block_runs(g, sizes))
+        mark_runs = list(ego_module._block_runs(g, sizes, wedges=False))
+    assert wedge_runs == [(0, 52), (52, 100)]
+    assert [b - a for a, b in mark_runs] == [15] * 6 + [10]
 
 
 @settings(_SETTINGS, max_examples=100)
